@@ -19,22 +19,19 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .exactnum import QC
 from .exactpoly import Poly
 from .graphs import AdmissibleGraph, Edge, fan_graph, graph2
 from .weight_mc import (WeightSource, weight_mc, two_valent_integral,
                         two_valent_out_out_exact, weight_poly_fit,
-                        funimp_residuals)
-from .series import (merkulov_wheel_zeta, shadow_sum, two_wheel_display,
-                     harmonic_identity)
-from .star import (so3_bivector, star_order2, associativity_residual,
-                   associativity_sigma)
-from .weyl import WeylElement, random_element
-from .fedosov import (FedosovInput, flat_input, solve_connection,
+                        funimp_residuals, midpoint_imag)
+from .series import (ZETA_TARGETS, merkulov_wheel_zeta, shadow_sum,
+                     two_wheel_display, harmonic_identity)
+from .star import so3_bivector, star_order2, associativity_gate
+from .weyl import random_element
+from .fedosov import (flat_input, curved_input, solve_connection,
                       fedosov_star, moyal_star_jets, catalan_trees,
-                      catalan_expansion, catalan_number, fedosov_taylor)
+                      catalan_expansion, catalan_number)
 from .geodesics import (MetricJet, exp_map_series, series_eval,
                         restrict_velocity, geodesic_ode_oracle,
                         sphere_gamma_fn, poincare_gamma_fn,
@@ -54,6 +51,17 @@ class Check:
                 "tolerance": self.tolerance, "pass": self.passed}
 
 
+def check(name, value, target, tolerance, passed=None) -> Check:
+    """One gated comparison; by default it passes when
+    |value - target| <= tolerance."""
+    value = float(value)
+    target = float(target)
+    tolerance = float(tolerance)
+    if passed is None:
+        passed = abs(value - target) <= tolerance
+    return Check(name, value, target, tolerance, bool(passed))
+
+
 @dataclass
 class CriterionResult:
     index: int
@@ -66,11 +74,7 @@ class CriterionResult:
         return all(c.passed for c in self.checks)
 
     def add(self, name, value, target, tolerance, passed=None):
-        value = float(value)
-        if passed is None:
-            passed = abs(value - target) <= tolerance
-        self.checks.append(Check(name, value, float(target),
-                                 float(tolerance), bool(passed)))
+        self.checks.append(check(name, value, target, tolerance, passed))
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -192,9 +196,7 @@ def criterion_4(quick: bool = False) -> CriterionResult:
 def criterion_5(quick: bool = False) -> CriterionResult:
     """Wheel sums against zeta(n) for n = 2, 3, 4."""
     r = CriterionResult(5, "wheel sums vs zeta")
-    targets = {2: math.pi ** 2 / 6, 3: 1.2020569031595942854,
-               4: math.pi ** 4 / 90}
-    for n, want in targets.items():
+    for n, want in ZETA_TARGETS.items():
         vb = merkulov_wheel_zeta(n)
         r.add(f"n={n}", vb.value, want, 1e-6)
     return r
@@ -253,9 +255,8 @@ def criterion_8(quick: bool = False) -> CriterionResult:
         for order, resid, sig in funimp_residuals(fit):
             r.add(f"{name} reflection order {order}", abs(resid), 0.0,
                   3.0 * max(sig, 1e-12))
-        half = np.array([0.5 ** k for k in range(fit.degree + 1)])
-        val, sig = fit.functional(np.zeros_like(half), half)
-        r.add(f"{name} Im at midpoint", abs(val.imag), 0.0,
+        val, sig = midpoint_imag(fit)
+        r.add(f"{name} Im at midpoint", abs(val), 0.0,
               3.0 * max(sig, 1e-12))
     return r
 
@@ -281,23 +282,11 @@ def criterion_9(quick: bool = False) -> CriterionResult:
     worst = 0.0
     failures = 0
     for _ in range(8):
-        f, g, h = mono(), mono(), mono()
-        resid = associativity_residual(series, f, g, h, 2)
-        if 1 in resid or 0 in resid:
-            order1_violations += 1
-        sig = associativity_sigma(series, f, g, h, 2)
-        r2 = resid.get(2)
-        if r2 is None:
-            continue
-        s2 = sig.get(2, {})
-        for e, c in r2.terms.items():
-            mag = abs(c.to_complex())
-            bound = 3.0 * s2.get(e, 0.0)
-            if bound == 0.0:
-                failures += int(mag != 0.0)
-            else:
-                worst = max(worst, mag / bound)
-                failures += int(mag > bound)
+        low, beyond, ratio = associativity_gate(series, mono(), mono(),
+                                                mono())
+        order1_violations += int(low > 0)
+        failures += beyond
+        worst = max(worst, ratio)
     r.add("orders 0,1 exact", order1_violations, 0, 0)
     r.add("order-2 monomials beyond 3 sigma", failures, 0, 0)
     r.add("worst |residual| / 3 sigma", worst, 0.0, 1.0,
@@ -337,9 +326,7 @@ def criterion_10(quick: bool = False) -> CriterionResult:
             star_bad += 1
     r.add("flat star vs moyal mismatches", star_bad, 0, 0)
 
-    x2 = Poly(2, {(0, 1): QC(1)})
-    t_sym = {(0, 0, 0): x2}
-    curved = _symplectic_input(cap=5, t_entries=t_sym)
+    curved = curved_input(5)
     values, counts = catalan_trees(curved, 4)
     count_ok = all(counts[k] == catalan_number(k) for k in range(1, 5))
     r.add("tree counts 1,1,2,5", 0 if count_ok else 1, 0, 0)
@@ -348,32 +335,6 @@ def criterion_10(quick: bool = False) -> CriterionResult:
     r.add("catalan expansion == iterate",
           0 if (expansion - iterate).is_zero() else 1, 0, 0)
     return r
-
-
-def _symplectic_input(cap: int, t_entries) -> FedosovInput:
-    """Standard symplectic form with Christoffel symbols raised from a
-    totally symmetric lowered tensor T via the inverse form."""
-    omega = [[0, 1], [-1, 0]]
-    omega_inv = [[0, -1], [1, 0]]
-    dim = 2
-    t = [[[Poly.zero(dim) for _ in range(dim)] for _ in range(dim)]
-         for _ in range(dim)]
-    for (a, b, c), p in t_entries.items():
-        for idx in {(a, b, c), (a, c, b), (b, a, c), (b, c, a),
-                    (c, a, b), (c, b, a)}:
-            t[idx[0]][idx[1]][idx[2]] = p
-    gamma = [[[Poly.zero(dim) for _ in range(dim)] for _ in range(dim)]
-             for _ in range(dim)]
-    for k in range(dim):
-        for i in range(dim):
-            for j in range(dim):
-                acc = Poly.zero(dim)
-                for m in range(dim):
-                    if omega_inv[k][m]:
-                        acc = acc + t[m][i][j] * QC(omega_inv[k][m])
-                gamma[k][i][j] = acc
-    return FedosovInput(dim=dim, cap=cap, omega=omega, pi=[[0, 1], [-1, 0]],
-                        gamma=gamma)
 
 
 @_timed

@@ -6,9 +6,14 @@ One record per line:
      "stderr": s, "n_samples": n, "seed": 7, "convention": "raw"}
 
 Records are looked up by exact (key, lambda, convention) match; several
-records for the same triple are pooled by inverse variance, which is the
-right way to merge independent runs.  Corrupt lines are skipped with a
-warning rather than poisoning the store.
+records for the same triple are merged by ``pool``, the one pooling rule
+of the package (the CLI's worker chunks use it too).  Independent runs
+with positive stderr are pooled by inverse variance.  A zero-variance
+estimate (stderr 0, e.g. an identically vanishing integrand) has
+unbounded inverse-variance weight, so as soon as one is present the
+pooled value is the limit of those weights: the sample-weighted mean of
+the zero-variance estimates alone, with stderr 0.  Corrupt lines are
+skipped with a warning rather than poisoning the store.
 
 The default location is ~/.cache/defquant/weights.jsonl, overridable with
 the KW_CACHE environment variable.
@@ -32,6 +37,39 @@ def default_path() -> Path:
     if env:
         return Path(env)
     return Path.home() / ".cache" / "defquant" / "weights.jsonl"
+
+
+def pool(estimates) -> tuple[complex, float, int]:
+    """Pool independent (value, stderr, n_samples) estimates into
+    (value, stderr, total n_samples).
+
+    With every variance positive: num += w*v, den += w with w = 1/stderr^2,
+    then (num/den, sqrt(1/den)).  An estimate whose variance is 0 (stderr
+    0, or so small that its square underflows) makes the result the
+    sample-weighted mean of the zero-variance estimates, with stderr 0.
+    """
+    num = 0j
+    den = 0.0
+    zero_num = 0j
+    zero_n = 0
+    has_zero = False
+    n_tot = 0
+    for value, stderr, n in estimates:
+        n_tot += n
+        var = stderr ** 2
+        if var == 0.0:
+            has_zero = True
+            zero_num += n * value
+            zero_n += n
+            continue
+        wgt = 1.0 / var
+        num += wgt * value
+        den += wgt
+    if has_zero:
+        if zero_n == 0:
+            raise ValueError("zero-variance estimates without samples")
+        return zero_num / zero_n, 0.0, n_tot
+    return num / den, math.sqrt(1.0 / den), n_tot
 
 
 def _lam_key(lam) -> tuple[float, float]:
@@ -90,17 +128,10 @@ class WeightCache:
         recs = self._records.get(trip)
         if not recs:
             return None
-        num = 0j
-        den = 0.0
-        n_tot = 0
-        for rec in recs:
-            re, im = rec["value"]
-            s = max(float(rec["stderr"]), 1e-300)
-            wgt = 1.0 / s ** 2
-            num += wgt * complex(re, im)
-            den += wgt
-            n_tot += int(rec["n_samples"])
-        return MCResult(num / den, math.sqrt(1.0 / den), n_tot,
+        value, stderr, n_tot = pool(
+            (complex(*rec["value"]), float(rec["stderr"]),
+             int(rec["n_samples"])) for rec in recs)
+        return MCResult(value, stderr, n_tot,
                         lam=complex(*trip[1]), convention=convention,
                         key=key, meta={"pooled": len(recs)})
 

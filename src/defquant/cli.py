@@ -15,12 +15,19 @@ Report shape (schema ``defquant-report/1``)::
 Reports for identical (command, seed, version) are byte-identical: keys
 are sorted and wall-clock time is only included when ``--timing`` is
 given.  ``--table`` switches to a human-readable layout.  Exit codes:
-0 all checks pass, 1 at least one check failed, 2 usage error.
+0 all checks pass, 1 at least one check failed, 2 usage error.  A usage
+error prints one ``error:`` line to stderr and no report; besides
+malformed flags it covers input that would give a meaningless number:
+a non-finite ``--lambda``, ``--target``, ``--w1``, ``--w2``, ``--x`` or
+``--v``; a named graph of size below 1 (``fan:0``, ``wheel:0``,
+``cycle:0``); ``--workers`` below 1; ``--samples`` below 2 per worker
+(a chunk that small reports stderr 0); a negative ``--cap``;
+``--steps`` below 1; and a lambda fit whose nodes have stderr 0.
 
 The Monte Carlo subcommands accept ``--workers`` and split the sample
-budget over a process pool with per-chunk seeds; the pooled estimate is
-produced by inverse-variance combination, so the result is deterministic
-for a fixed (seed, samples, workers) triple.
+budget over a process pool with per-chunk seeds; the chunk estimates are
+combined by ``cache.pool``, so the result is deterministic for a fixed
+(seed, samples, workers) triple.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ import multiprocessing
 import random
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .exactnum import QC
@@ -40,22 +46,24 @@ from .exactpoly import Poly
 from .graphs import (AdmissibleGraph, enumerate_graphs, fan_graph,
                      cycle_graph, wheel_graph, graph1_left, graph1_right,
                      graph2)
-from .weight_mc import (weight_mc, WeightSource, two_valent_integral,
-                        two_valent_out_out_exact, weight_poly_fit,
-                        funimp_residuals, exact_zero_reason)
-from .cache import WeightCache, default_path
-from .series import (merkulov_wheel_zeta, shadow_sum, two_wheel_display,
-                     harmonic_identity)
+from .weight_mc import (MCResult, weight_mc, WeightSource,
+                        two_valent_integral, two_valent_out_out_exact,
+                        weight_poly_fit, funimp_residuals, midpoint_imag,
+                        exact_zero_reason)
+from .cache import WeightCache, pool
+from .series import (ZETA_TARGETS, merkulov_wheel_zeta, shadow_sum,
+                     two_wheel_display, harmonic_identity)
 from .star import (PolyVectorField, star_order2, so3_bivector,
-                   associativity_residual, associativity_sigma)
-from .fedosov import (flat_input, solve_connection, catalan_trees,
-                      catalan_expansion, catalan_number, fedosov_star,
-                      moyal_star_jets)
+                   associativity_gate)
+from .fedosov import (flat_input, curved_input, solve_connection,
+                      catalan_trees, catalan_expansion, catalan_number,
+                      fedosov_star, moyal_star_jets)
 from .geodesics import (MetricJet, exp_map_series, series_eval,
                         geodesic_ode_oracle, sphere_gamma_fn,
                         poincare_gamma_fn, metric_gamma_fn,
                         classical_fedosov_taylor)
 from . import acceptance
+from .acceptance import check
 
 
 class UsageError(Exception):
@@ -65,16 +73,14 @@ class UsageError(Exception):
 # -- flag parsing helpers ---------------------------------------------
 
 def parse_complex(s: str, what: str = "value") -> complex:
-    """'re,im' or a bare real part."""
+    """'re,im' or a bare real part, both finite."""
     try:
-        parts = s.split(",")
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        parts = [float(p) for p in s.split(",")]
     except ValueError:
-        pass
-    raise UsageError(f"invalid {what} {s!r}: expected 're,im' or 're'")
+        parts = []
+    if len(parts) in (1, 2) and all(math.isfinite(p) for p in parts):
+        return complex(*parts)
+    raise UsageError(f"invalid {what} {s!r}: expected finite 're,im' or 're'")
 
 
 def parse_exponents(s: str, dim: int) -> tuple:
@@ -89,14 +95,18 @@ def parse_exponents(s: str, dim: int) -> tuple:
     return exps
 
 
-def parse_samples(s: str) -> int:
-    """Accept 200000, 2e5, 1e7 and similar."""
+def parse_samples(s: str, workers: int = 1) -> int:
+    """Accept 200000, 2e5, 1e7 and similar: at least 2 per worker, since a
+    single-sample chunk reports stderr 0."""
+    if workers < 1:
+        raise UsageError(f"invalid worker count {workers}: need at least 1")
     try:
         val = float(s)
     except ValueError:
         raise UsageError(f"invalid sample count {s!r}")
-    if val != int(val) or val <= 0:
-        raise UsageError(f"invalid sample count {s!r}")
+    if not math.isfinite(val) or val != int(val) or val < 2 * workers:
+        raise UsageError(f"invalid sample count {s!r}: need an integer "
+                         f">= {2 * workers} (2 per worker)")
     return int(val)
 
 
@@ -116,7 +126,10 @@ def parse_graph(text: str) -> AdmissibleGraph:
                        ("cycle:", cycle_graph)):
         if text.startswith(prefix):
             try:
-                return fn(int(text[len(prefix):]))
+                size = int(text[len(prefix):])
+                if size < 1:
+                    raise ValueError("size must be at least 1")
+                return fn(size)
             except (ValueError, AssertionError) as exc:
                 raise UsageError(f"bad graph spec {text!r}: {exc}")
     try:
@@ -132,33 +145,16 @@ def c_json(z) -> list:
     return [z.real, z.imag]
 
 
-def qc_json(c: QC) -> list:
-    """Exact coefficient as ['p/q', 'r/s']."""
-    return [str(c.re), str(c.im)]
-
-
-def poly_json(p: Poly) -> list:
-    return [[list(e), qc_json(c)] for e, c in sorted(p.terms.items())]
-
-
-def check_json(name, value, target, tolerance, passed=None) -> dict:
-    value = float(value)
-    if passed is None:
-        passed = abs(value - float(target)) <= float(tolerance)
-    return {"name": name, "value": value, "target": float(target),
-            "tolerance": float(tolerance), "pass": bool(passed)}
-
-
 def emit(args, command: str, parameters: dict, seed, checks: list,
          results: dict, t0: float) -> int:
-    ok = all(c["pass"] for c in checks)
+    ok = all(c.passed for c in checks)
     report = {
         "schema": "defquant-report/1",
         "version": __version__,
         "command": command,
         "parameters": parameters,
         "seed": seed,
-        "checks": checks,
+        "checks": [c.to_jsonable() for c in checks],
         "pass": ok,
         "results": results,
     }
@@ -200,38 +196,22 @@ def _mc_chunk(task):
                                   lam=complex(*task["lam"]),
                                   n_samples=task["n"], seed=task["seed"],
                                   propagator=task["propagator"])
-    return (res.value.real, res.value.imag, res.stderr, res.n_samples)
+    return complex(res.value), res.stderr, res.n_samples
 
 
 def pooled_mc(task: dict, n_samples: int, seed: int, workers: int):
-    """Split the budget into per-worker chunks and pool the estimates."""
-    workers = max(1, workers)
+    """Split the budget into per-worker chunks and pool the estimates
+    (n_samples >= 2 * workers, as parse_samples guarantees)."""
     chunk_sizes = [n_samples // workers] * workers
     chunk_sizes[0] += n_samples - sum(chunk_sizes)
-    tasks = []
-    for w, n in enumerate(chunk_sizes):
-        if n <= 0:
-            continue
-        t = dict(task)
-        t["n"] = n
-        t["seed"] = seed + 1_000_003 * w
-        tasks.append(t)
-    if len(tasks) == 1:
+    tasks = [dict(task, n=n, seed=seed + 1_000_003 * w)
+             for w, n in enumerate(chunk_sizes)]
+    if workers == 1:
         outs = [_mc_chunk(tasks[0])]
     else:
-        with multiprocessing.Pool(processes=len(tasks)) as pool:
-            outs = pool.map(_mc_chunk, tasks)
-    num = 0j
-    den = 0.0
-    n_tot = 0
-    for re, im, s, n in outs:
-        if s == 0.0:
-            return complex(re, im), 0.0, n
-        wgt = 1.0 / s ** 2
-        num += wgt * complex(re, im)
-        den += wgt
-        n_tot += n
-    return num / den, math.sqrt(1.0 / den), n_tot
+        with multiprocessing.Pool(processes=workers) as procs:
+            outs = procs.map(_mc_chunk, tasks)
+    return pool(outs)
 
 
 # -- subcommand bodies ------------------------------------------------
@@ -260,7 +240,7 @@ def cmd_graphs_enumerate(args, t0):
 def cmd_weight_mc(args, t0):
     g = parse_graph(args.graph)
     lam = parse_complex(args.lam, "lambda")
-    n = parse_samples(args.samples)
+    n = parse_samples(args.samples, args.workers)
     reason = exact_zero_reason(g)
     cache = WeightCache(args.cache) if (args.cache or args.write_cache
                                         or args.from_cache) else None
@@ -284,13 +264,11 @@ def cmd_weight_mc(args, t0):
     if args.target is not None:
         tgt = parse_complex(args.target, "target")
         tol = max(args.tol, 3.0 * stderr)
-        checks.append(check_json("value vs target", abs(value - tgt),
-                                 0.0, tol))
+        checks.append(check("value vs target", abs(value - tgt), 0.0, tol))
     results = {"graph": g.to_text(), "value": c_json(value),
                "stderr": stderr, "n_samples": n_used,
                "exact_zero_reason": reason}
     if cache is not None and args.write_cache and reason is None:
-        from .weight_mc import MCResult
         gc, par, _ = g.canonical_form()
         # transport the labeled-graph value to the canonical labeling;
         # readers multiply by their own parity on the way out
@@ -310,13 +288,11 @@ def cmd_weight_fit_lambda(args, t0):
                           seed=args.seed, cache=cache)
     checks = []
     for order, resid, sig in funimp_residuals(fit):
-        checks.append(check_json(f"reflection relation order {order}",
-                                 abs(resid), 0.0, 3.0 * max(sig, 1e-12)))
-    import numpy as np
-    half = np.array([0.5 ** k for k in range(fit.degree + 1)])
-    val, sig = fit.functional(np.zeros_like(half), half)
-    checks.append(check_json("Im W at midpoint", abs(val.imag), 0.0,
-                             3.0 * max(sig, 1e-12)))
+        checks.append(check(f"reflection relation order {order}",
+                            abs(resid), 0.0, 3.0 * max(sig, 1e-12)))
+    val, sig = midpoint_imag(fit)
+    checks.append(check("Im W at midpoint", abs(val), 0.0,
+                        3.0 * max(sig, 1e-12)))
     results = {
         "graph": g.to_text(),
         "degree": fit.degree,
@@ -336,7 +312,7 @@ def cmd_weight_two_valent(args, t0):
     w1 = parse_complex(args.w1, "w1")
     w2 = parse_complex(args.w2, "w2")
     lam = parse_complex(args.lam, "lambda")
-    n = parse_samples(args.samples)
+    n = parse_samples(args.samples, args.workers)
     if max(abs(w1), abs(w2)) >= 1.0:
         raise UsageError("w1 and w2 must lie in the open unit disk")
     task = {"kind": "two-valent", "valence_kind": args.kind,
@@ -349,11 +325,11 @@ def cmd_weight_two_valent(args, t0):
     if args.kind == "out-out" and args.propagator == "disk":
         closed = two_valent_out_out_exact(w1, w2)
         results["closed_form"] = closed
-        checks.append(check_json("matches closed form", abs(value - closed),
-                                 0.0, max(1e-3, 3.0 * stderr)))
+        checks.append(check("matches closed form", abs(value - closed),
+                            0.0, max(1e-3, 3.0 * stderr)))
     else:
-        checks.append(check_json("vanishes", abs(value), 0.0,
-                                 max(1e-3, 3.0 * stderr)))
+        checks.append(check("vanishes", abs(value), 0.0,
+                            max(1e-3, 3.0 * stderr)))
     params = {"kind": args.kind, "w1": c_json(w1), "w2": c_json(w2),
               "lambda": c_json(lam), "samples": n,
               "propagator": args.propagator, "workers": args.workers}
@@ -361,16 +337,12 @@ def cmd_weight_two_valent(args, t0):
                 results, t0)
 
 
-_ZETA_TARGETS = {2: math.pi ** 2 / 6, 3: 1.2020569031595942854,
-                 4: math.pi ** 4 / 90}
-
-
 def cmd_series_zeta(args, t0):
     vb = merkulov_wheel_zeta(args.n, args.terms)
     checks = []
-    if args.n in _ZETA_TARGETS:
-        checks.append(check_json(f"zeta({args.n})", vb.value,
-                                 _ZETA_TARGETS[args.n], 1e-6))
+    if args.n in ZETA_TARGETS:
+        checks.append(check(f"zeta({args.n})", vb.value,
+                            ZETA_TARGETS[args.n], 1e-6))
     results = {"n": args.n, "value": vb.value, "bound": vb.bound}
     params = {"n": args.n, "terms": args.terms}
     return emit(args, "series zeta", params, None, checks, results, t0)
@@ -391,7 +363,7 @@ def cmd_series_shadow(args, t0):
 def cmd_series_harmonic(args, t0):
     lhs, mid, rhs = harmonic_identity(args.m)
     ok = lhs == mid == rhs
-    checks = [check_json("exact equality", 0 if ok else 1, 0, 0)]
+    checks = [check("exact equality", 0 if ok else 1, 0, 0)]
     results = {"m": args.m, "lhs": str(lhs), "mid": str(mid),
                "rhs": str(rhs), "pass": ok}
     return emit(args, "series harmonic", {"m": args.m}, None, checks,
@@ -433,9 +405,9 @@ def cmd_star_assemble(args, t0):
                         for k, op in series.ops.items()},
         "mc_classes": {str(k): len(v)
                        for k, v in series.uncertainties.items()},
-        "f": poly_json(f),
-        "g": poly_json(g),
-        "star": {str(k): poly_json(p) for k, p in prod.items()},
+        "f": f.to_jsonable(),
+        "g": g.to_jsonable(),
+        "star": {str(k): p.to_jsonable() for k, p in prod.items()},
     }
     if args.dump_ops:
         results["operators"] = {str(k): op.to_jsonable()
@@ -463,25 +435,12 @@ def cmd_star_assoc(args, t0):
     checks = []
     worst = 0.0
     for trial in range(args.triples):
-        f, g, h = mono(), mono(), mono()
-        resid = associativity_residual(series, f, g, h, 2)
-        low = [k for k in resid if k < 2]
-        checks.append(check_json(f"triple {trial} orders 0,1 exact",
-                                 len(low), 0, 0))
-        sig = associativity_sigma(series, f, g, h, 2).get(2, {})
-        r2 = resid.get(2)
-        bad = 0
-        if r2 is not None:
-            for e, c in r2.terms.items():
-                mag = abs(c.to_complex())
-                bound = 3.0 * sig.get(e, 0.0)
-                if bound == 0.0:
-                    bad += int(mag != 0.0)
-                else:
-                    worst = max(worst, mag / bound)
-                    bad += int(mag > bound)
-        checks.append(check_json(
-            f"triple {trial} order 2 within 3 sigma", bad, 0, 0))
+        low, beyond, ratio = associativity_gate(series, mono(), mono(),
+                                                mono())
+        checks.append(check(f"triple {trial} orders 0,1 exact", low, 0, 0))
+        checks.append(check(f"triple {trial} order 2 within 3 sigma",
+                            beyond, 0, 0))
+        worst = max(worst, ratio)
     results = {"triples": args.triples, "deg_max": args.deg_max,
                "worst_ratio_to_3sigma": worst}
     params = {"structure": args.structure, "lambda": c_json(lam),
@@ -494,8 +453,7 @@ def _fedosov_example(name: str, cap: int):
     if name == "flat":
         return flat_input(dim=2, cap=cap)
     if name == "curved":
-        x2 = Poly(2, {(0, 1): QC(1)})
-        return acceptance._symplectic_input(cap=cap, t_entries={(0, 0, 0): x2})
+        return curved_input(cap)
     raise UsageError(f"unknown example {name!r} (flat or curved)")
 
 
@@ -506,19 +464,18 @@ def cmd_fedosov_solve(args, t0):
     for (vexp, dxs, hpow), p in r.terms.items():
         deg = sum(vexp) + 2 * hpow
         by_deg[deg] = by_deg.get(deg, 0) + len(p.terms)
-    checks = [check_json("normalization delta_inv r = 0",
-                         0 if r.delta_inv().is_zero() else 1, 0, 0)]
+    checks = [check("normalization delta_inv r = 0",
+                    0 if r.delta_inv().is_zero() else 1, 0, 0)]
     results = {"example": args.example, "cap": args.cap,
                "terms_by_deg": {str(k): v
                                 for k, v in sorted(by_deg.items())}}
     if args.example == "curved" and args.cap >= 5:
         _, counts = catalan_trees(inp, 4)
         ok = all(counts[k] == catalan_number(k) for k in range(1, 5))
-        checks.append(check_json("tree counts 1,1,2,5", 0 if ok else 1,
-                                 0, 0))
+        checks.append(check("tree counts 1,1,2,5", 0 if ok else 1, 0, 0))
         gap = catalan_expansion(inp, 4) - r
-        checks.append(check_json("catalan expansion == iterate",
-                                 0 if gap.is_zero() else 1, 0, 0))
+        checks.append(check("catalan expansion == iterate",
+                            0 if gap.is_zero() else 1, 0, 0))
         results["tree_counts"] = {str(k): counts[k] for k in counts}
     params = {"example": args.example, "cap": args.cap}
     return emit(args, "fedosov solve", params, None, checks, results, t0)
@@ -535,10 +492,11 @@ def cmd_fedosov_star(args, t0):
         keys = set(st) | set(my)
         bad = sum(1 for h in keys
                   if st.get(h, Poly.zero(2)) != my.get(h, Poly.zero(2)))
-        checks.append(check_json("equals moyal oracle", bad, 0, 0))
+        checks.append(check("equals moyal oracle", bad, 0, 0))
     results = {"example": args.example, "cap": args.cap,
-               "f": poly_json(f), "g": poly_json(g),
-               "star": {str(k): poly_json(p) for k, p in sorted(st.items())}}
+               "f": f.to_jsonable(), "g": g.to_jsonable(),
+               "star": {str(k): p.to_jsonable()
+                        for k, p in sorted(st.items())}}
     params = {"example": args.example, "cap": args.cap, "f": args.f,
               "g": args.g}
     return emit(args, "fedosov star", params, None, checks, results, t0)
@@ -562,7 +520,7 @@ def cmd_geodesic_exp(args, t0):
     phi = exp_map_series(met, args.order)
     results = {"metric": args.metric, "order": args.order,
                "variables": "u1..ud then v1..vd; offsets from the base",
-               "series": {f"phi{i + 1}": poly_json(p)
+               "series": {f"phi{i + 1}": p.to_jsonable()
                           for i, p in enumerate(phi)}}
     if args.taylor:
         taus = [classical_fedosov_taylor(met, i, args.order)
@@ -597,7 +555,7 @@ def cmd_geodesic_oracle(args, t0):
     gap = max(abs(ser[0] - ode[0]), abs(ser[1] - ode[1]))
     checks = []
     if args.tol is not None:
-        checks.append(check_json("series vs ODE", gap, 0.0, args.tol))
+        checks.append(check("series vs ODE", gap, 0.0, args.tol))
     results = {"metric": args.metric, "start": list(start),
                "velocity": list(vel), "t": args.t,
                "ode_endpoint": list(ode), "series_endpoint": list(ser),
@@ -614,8 +572,8 @@ def cmd_verify_all(args, t0):
     results = acceptance.run_all(quick=args.quick, echo=echo)
     checks = []
     for res in results:
-        checks.append(check_json(f"criterion {res.index} {res.name}",
-                                 0 if res.passed else 1, 0, 0))
+        checks.append(check(f"criterion {res.index} {res.name}",
+                            0 if res.passed else 1, 0, 0))
     payload = {"quick": args.quick,
                "criteria": [r.to_jsonable() for r in results]}
     if not args.timing:

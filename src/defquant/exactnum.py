@@ -4,6 +4,8 @@ Coefficients throughout the symbolic modules are complex numbers with
 rational real and imaginary parts, kept exact with fractions.Fraction.
 Enough arithmetic is implemented for the graded-algebra and jet code:
 +, -, *, / (by nonzero), integer powers, conjugation, equality, hashing.
+``perm_sign`` is the one permutation-sign routine the graded code shares
+(edge reorderings, antisymmetric components, wedge products).
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ class QC:
         self.im = Fraction(im)
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def i():
-        return QC(0, 1)
 
     @staticmethod
     def coerce(x) -> "QC":
@@ -119,6 +117,12 @@ class QC:
         return f"QC({self.re}, {self.im})"
 
 
-I = QC.i()
-ZERO = QC(0)
-ONE = QC(1)
+def perm_sign(seq) -> int:
+    """Sign (+1 or -1) of the permutation that sorts the distinct entries
+    of ``seq``, by counting inversions."""
+    inv = 0
+    for a in range(len(seq)):
+        for b in range(a + 1, len(seq)):
+            if seq[a] > seq[b]:
+                inv += 1
+    return -1 if inv % 2 else 1

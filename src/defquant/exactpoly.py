@@ -59,9 +59,6 @@ class Poly:
         e[i] = 1
         return Poly(nvars, {tuple(e): QC(1)}, trunc)
 
-    def copy_with(self, terms) -> "Poly":
-        return Poly(self.nvars, terms, self.trunc)
-
     # -- basic queries ------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -171,8 +168,11 @@ class Poly:
                     {e: c for e, c in self.terms.items() if sum(e) <= k},
                     k if self.trunc is None else min(k, self.trunc))
 
-    def with_trunc(self, trunc) -> "Poly":
-        return Poly(self.nvars, self.terms, trunc)
+    def to_jsonable(self) -> list:
+        """Terms as [[exponents], ['re', 'im']] (exact rationals as
+        strings), sorted by exponent."""
+        return [[list(e), [str(c.re), str(c.im)]]
+                for e, c in sorted(self.terms.items())]
 
     # -- evaluation / inversion --------------------------------------
 
@@ -224,6 +224,17 @@ class Poly:
             bits.append(f"({c.re}{'+' if c.im >= 0 else ''}{c.im}i)"
                         + (f"*{mono}" if mono else ""))
         return "Poly[" + " + ".join(bits) + "]"
+
+
+def accumulate(store: dict, key, poly: Poly) -> None:
+    """store[key] += poly on a sparse dict of Poly values, dropping the
+    entry when the sum vanishes."""
+    cur = store.get(key)
+    s = poly if cur is None else cur + poly
+    if s.is_zero():
+        store.pop(key, None)
+    else:
+        store[key] = s
 
 
 # -- elementary jets --------------------------------------------------

@@ -24,14 +24,16 @@ matrices.  No manifold-level globalization is attempted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import comb
+from math import comb, factorial
+
+import numpy as np
 
 from .exactnum import QC
 from .exactpoly import Poly
-from .weyl import (WeylElement, commutator, ihbar_circ, ihbar_commutator)
+from .weyl import WeylElement, ihbar_circ, ihbar_commutator
 
 
 def _as_poly_matrix(entries, dim):
@@ -64,6 +66,8 @@ class FedosovInput:
     center: WeylElement | None = None
 
     def __post_init__(self):
+        if self.cap < 0:
+            raise ValueError(f"cap must be >= 0, got {self.cap}")
         d = self.dim
         self.omega = _as_poly_matrix(self.omega, d)
         self.pi = _as_poly_matrix(self.pi, d)
@@ -76,8 +80,7 @@ class FedosovInput:
         origin = [0] * d
         mat = [[self.omega[a][b].eval_complex(origin) for b in range(d)]
                for a in range(d)]
-        det = _det_complex(mat)
-        if abs(det) < 1e-12:
+        if abs(np.linalg.det(np.array(mat))) < 1e-12:
             raise ValueError("omega is degenerate at the base point")
         if self.gamma is not None:
             self.gamma = [_as_poly_matrix(layer, d) for layer in self.gamma]
@@ -107,17 +110,6 @@ class FedosovInput:
         return WeylElement.from_function(f, self.dim, self.cap, hpow)
 
 
-def _det_complex(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        total += (-1) ** j * mat[0][j] * _det_complex(minor)
-    return total
-
-
 def flat_input(dim: int = 2, cap: int = 6, center: WeylElement | None = None,
                pi12=1) -> FedosovInput:
     """Standard-symplectic flat plane: omega = dx^1 ^ dx^2, Pi^{12} = pi12."""
@@ -128,6 +120,18 @@ def flat_input(dim: int = 2, cap: int = 6, center: WeylElement | None = None,
         pi=[[0, pi12], [-pi12, 0]],
         gamma=None,
         center=center)
+
+
+def curved_input(cap: int) -> FedosovInput:
+    """Standard-symplectic plane with the curved torsion-free connection
+    Gamma^1_{00} = x_2, every other Christoffel symbol zero."""
+    zero = Poly.zero(2)
+    return FedosovInput(
+        2, cap,
+        omega=[[0, 1], [-1, 0]],
+        pi=[[0, 1], [-1, 0]],
+        gamma=[[[zero, zero], [zero, zero]],
+               [[Poly.var(2, 1), zero], [zero, zero]]])
 
 
 # -- curvature --------------------------------------------------------
@@ -337,7 +341,7 @@ def moyal_star_jets(pi_entries, f: Poly, g: Poly, order: int):
     out = {}
     for j in range(order + 1):
         acc = Poly.zero(d)
-        pref = (QC(0, Fraction(1, 2)) ** j) * Fraction(1, _factorial(j))
+        pref = (QC(0, Fraction(1, 2)) ** j) * Fraction(1, factorial(j))
         for ks in iproduct(range(d), repeat=j):
             for ls in iproduct(range(d), repeat=j):
                 c = QC(1)
@@ -359,13 +363,6 @@ def moyal_star_jets(pi_entries, f: Poly, g: Poly, order: int):
         acc = acc * pref
         if not acc.is_zero():
             out[j] = acc
-    return out
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
     return out
 
 

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product as iproduct
 from math import factorial
 
 from .exactnum import QC
-from .exactpoly import Poly, cos_jet, sin_jet
+from .exactpoly import Poly, accumulate, sin_jet
 from .weyl import WeylElement
 
 
@@ -212,15 +211,6 @@ class CovariantTensorJet:
     def nabla_lower(self, gamma) -> "CovariantTensorJet":
         d = self.dim
         out = {}
-
-        def accum(key, p):
-            cur = out.get(key)
-            s = p if cur is None else cur + p
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-
         # iterate over stored components, so the contraction term is the
         # transpose of the defining formula: the stored slot index l feeds
         # outputs with c in its place, weighted by -Gamma^l_{bc}
@@ -228,14 +218,14 @@ class CovariantTensorJet:
             for b in range(d):
                 dp = p.diff(b)
                 if not dp.is_zero():
-                    accum((up, lows + (b,)), dp)
+                    accumulate(out, (up, lows + (b,)), dp)
                 for pos, l in enumerate(lows):
                     for c in range(d):
                         glc = gamma[l][b][c]
                         if glc.is_zero():
                             continue
                         nl = lows[:pos] + (c,) + lows[pos + 1:]
-                        accum((up, nl + (b,)), -(glc * p))
+                        accumulate(out, (up, nl + (b,)), -(glc * p))
         return CovariantTensorJet(d, self.n_lower + 1, out)
 
     def symmetrized(self) -> "CovariantTensorJet":
@@ -350,9 +340,11 @@ def geodesic_ode_oracle(gamma_fn, x, v, t: float, steps: int = 4000):
     time t.  gamma_fn(point) -> nested [k][i][j] floats.  Returns the end
     point; classic 4th-order Runge-Kutta with a fixed step.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     d = len(x)
     h = t / steps
-    if steps > 0 and abs(h) < 1e-15:
+    if abs(h) < 1e-15:
         raise ValueError("step underflow")
 
     def deriv(state):

@@ -14,6 +14,8 @@ import json
 import re
 from dataclasses import dataclass
 
+from .exactnum import perm_sign
+
 
 @dataclass(frozen=True, order=True)
 class Edge:
@@ -62,13 +64,6 @@ class AdmissibleGraph:
 
     # -- queries ------------------------------------------------------
 
-    def is_ground(self, v: int) -> bool:
-        return v > self.n
-
-    def star(self, v: int):
-        """Edges leaving v, in label order."""
-        return [e for e in self.edges if e.src == v]
-
     def out_degree(self, v: int) -> int:
         return sum(1 for e in self.edges if e.src == v)
 
@@ -110,14 +105,11 @@ class AdmissibleGraph:
 
     @classmethod
     def from_text(cls, s: str) -> "AdmissibleGraph":
-        mat = re.fullmatch(r"\s*([KS])\((\d+),(\d+)\)\[(.*)\]\s*", s)
+        mat = re.fullmatch(r"\s*K\((\d+),(\d+)\)\[(.*)\]\s*", s)
         if not mat:
             raise ValueError(f"cannot parse graph text {s!r}")
-        kind, n, m, body = mat.group(1), int(mat.group(2)), int(mat.group(3)), mat.group(4)
-        if kind != "K":
-            raise ValueError("expected K(...) form")
-        edges = _parse_edges(body, n)
-        return cls(n, m, edges)
+        n, m = int(mat.group(1)), int(mat.group(2))
+        return cls(n, m, _parse_edges(mat.group(3), n))
 
     def to_json(self) -> str:
         return json.dumps({
@@ -138,14 +130,6 @@ class AdmissibleGraph:
         return self.to_text()
 
     # -- canonical form -----------------------------------------------
-
-    def relabel_aerial(self, perm) -> "AdmissibleGraph":
-        """Apply permutation perm (dict old->new) to aerial vertices."""
-        def mv(v):
-            return perm[v] if v <= self.n else v
-        return AdmissibleGraph(self.n, self.m,
-                               [Edge(mv(e.src), mv(e.dst), e.label)
-                                for e in self.edges])
 
     def canonical_form(self):
         """Minimal representative under aerial renaming and per-star edge
@@ -185,32 +169,12 @@ class AdmissibleGraph:
                 if best_sig is not None and sig > best_sig:
                     continue
                 order = [origin[(e.src, e.label)] for e in g2.edges]
-                par = _perm_sign(order)
+                par = perm_sign(order)
                 if best_sig is None or sig < best_sig:
                     best, best_sig, parities = g2, sig, {par}
                 else:
                     parities.add(par)
         return best, (1 if 1 in parities else -1), len(parities) == 1
-
-    def canonical_key(self) -> str:
-        g, _, _ = self.canonical_form()
-        return g.to_text()
-
-
-def _perm_sign(order):
-    seen = [False] * len(order)
-    sign = 1
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _parse_edges(body: str, n: int):
@@ -305,35 +269,3 @@ def graph2() -> AdmissibleGraph:
     """
     return AdmissibleGraph(2, 2, [Edge(1, 2, 2), Edge(1, 3, 1),
                                   Edge(2, 1, 1), Edge(2, 4, 2)])
-
-
-class ShoikhetGraph:
-    """Disk-model graph: aerial vertices 1..n, boundary slots b1..bm on the
-    unit circle with b1 pinned at 1, and a marked center.  Structural rules
-    match AdmissibleGraph; the quotient dimension is 2n + m - 1."""
-
-    def __init__(self, n: int, m: int, edges):
-        self._g = AdmissibleGraph(n, m, edges)
-        self.n, self.m, self.edges = n, m, self._g.edges
-
-    def dim_config(self) -> int:
-        return 2 * self.n + self.m - 1
-
-    def to_text(self) -> str:
-        return "S" + self._g.to_text()[1:]
-
-    @classmethod
-    def from_text(cls, s: str) -> "ShoikhetGraph":
-        mat = re.fullmatch(r"\s*S\((\d+),(\d+)\)\[(.*)\]\s*", s)
-        if not mat:
-            raise ValueError(f"cannot parse disk graph text {s!r}")
-        n, m = int(mat.group(1)), int(mat.group(2))
-        return cls(n, m, _parse_edges(mat.group(3), n))
-
-    def __eq__(self, other):
-        return (isinstance(other, ShoikhetGraph)
-                and (self.n, self.m, self.edges) ==
-                    (other.n, other.m, other.edges))
-
-    def __repr__(self):
-        return self.to_text()

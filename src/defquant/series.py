@@ -104,6 +104,11 @@ class ValueBound:
 # wheel weights: zeta values
 # ---------------------------------------------------------------------
 
+# reference values the wheel sums are checked against
+ZETA_TARGETS = {2: math.pi ** 2 / 6, 3: 1.2020569031595942854,
+                4: math.pi ** 4 / 90}
+
+
 def merkulov_wheel_zeta(n: int, N: int = 10_000) -> ValueBound:
     """The hub-at-center wheel reduction: zeta(n) by truncated summation.
 
@@ -146,22 +151,12 @@ def _geo_sum(x: float, power: int, start: int = 1, rtol: float = 1e-18):
 
 
 @dataclass
-class ShadowSum:
+class ShadowSum(ValueBound):
     """Truncated shadow of an n-wheel at one interpolation-free |w|."""
     n: int
     w_abs: float
     N: int
-    value: float
-    bound: float
     blocks: dict = field(default_factory=dict)
-
-    def __float__(self) -> float:
-        return self.value
-
-    def consistent_with(self, other) -> bool:
-        if isinstance(other, ShadowSum):
-            return abs(self.value - other.value) <= self.bound + other.bound
-        return abs(self.value - float(other)) <= self.bound
 
 
 def _s0_block(n: int, x: float, N: int):
@@ -251,7 +246,7 @@ def shadow_sum(n: int, w_abs: float, N: int | None = None) -> ShadowSum:
         crude_L = float(np.sum((l1 + 1.0) ** (n - 2)))
         bound += fac * crude_L * x ** (dmax + 1) / (1 - x)
 
-    return ShadowSum(n, w_abs, N, value, bound, blocks)
+    return ShadowSum(value, bound, n, w_abs, N, blocks)
 
 
 def two_wheel_display(w_abs: float, N: int = 4000) -> ValueBound:

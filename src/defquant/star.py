@@ -30,20 +30,12 @@ from fractions import Fraction
 from itertools import permutations, product as iproduct
 from math import factorial
 
-from .exactnum import QC
-from .exactpoly import Poly
+from .exactnum import QC, perm_sign
+from .exactpoly import Poly, accumulate
 from .graphs import AdmissibleGraph, enumerate_graphs
+from .weight_mc import two_valent_integral
 
 _I = QC(0, 1)
-
-
-def _perm_parity(seq) -> int:
-    inv = 0
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                inv += 1
-    return -1 if inv % 2 else 1
 
 
 class PolyVectorField:
@@ -102,7 +94,7 @@ class PolyVectorField:
         poly = self.comps.get(key)
         if poly is None:
             return Poly.zero(self.dim)
-        return poly if _perm_parity(idx) > 0 else -poly
+        return poly if perm_sign(idx) > 0 else -poly
 
 
 class PolyDiffOperator:
@@ -140,12 +132,7 @@ class PolyDiffOperator:
         assert (self.dim, self.arity) == (other.dim, other.arity)
         out = dict(self.terms)
         for key, poly in other.terms.items():
-            cur = out.get(key)
-            s = poly if cur is None else cur + poly
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            accumulate(out, key, poly)
         return PolyDiffOperator(self.dim, self.arity, out)
 
     def scale(self, c) -> "PolyDiffOperator":
@@ -178,8 +165,7 @@ class PolyDiffOperator:
         for key, poly in sorted(self.terms.items()):
             items.append({
                 "slots": [list(alpha) for alpha in key],
-                "coeff": [[list(e), [str(c.re), str(c.im)]]
-                          for e, c in sorted(poly.terms.items())],
+                "coeff": poly.to_jsonable(),
             })
         return {"dim": self.dim, "arity": self.arity, "terms": items}
 
@@ -228,13 +214,7 @@ def graph_operator(g: AdmissibleGraph, gammas) -> PolyDiffOperator:
             for e in in_edges[g.n + j]:
                 alpha[index[id(e)]] += 1
             slots.append(tuple(alpha))
-        key = tuple(slots)
-        cur = terms.get(key)
-        s = coeff if cur is None else cur + coeff
-        if s.is_zero():
-            terms.pop(key, None)
-        else:
-            terms[key] = s
+        accumulate(terms, tuple(slots), coeff)
     return PolyDiffOperator(dim, g.m, terms)
 
 
@@ -251,14 +231,8 @@ def hkr_operator(gamma: PolyVectorField) -> PolyDiffOperator:
                 alpha = [0] * dim
                 alpha[idx[sigma[s]]] += 1
                 slots.append(tuple(alpha))
-            key = tuple(slots)
-            contrib = poly * (pref * _perm_parity(sigma))
-            cur = terms.get(key)
-            s2 = contrib if cur is None else cur + contrib
-            if s2.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = s2
+            accumulate(terms, tuple(slots),
+                       poly * (pref * perm_sign(sigma)))
     return PolyDiffOperator(dim, p, terms)
 
 
@@ -380,6 +354,35 @@ def associativity_sigma(series: StarProductSeries, f: Poly, g: Poly,
     return out
 
 
+def associativity_gate(series: StarProductSeries, f: Poly, g: Poly, h: Poly,
+                       order: int = 2, n_sigma: float = 3.0):
+    """Gate the associativity residual of one triple against its error.
+
+    Returns (low, beyond, worst): ``low`` counts the orders below
+    ``order`` whose residual is nonzero (they must vanish exactly);
+    ``beyond`` counts the order-``order`` coefficients larger than
+    n_sigma propagated standard errors, where a coefficient with no
+    error must vanish exactly; ``worst`` is the largest
+    |residual| / (n_sigma sigma) over the coefficients with an error.
+    """
+    resid = associativity_residual(series, f, g, h, order)
+    low = sum(1 for k in resid if k < order)
+    sig = associativity_sigma(series, f, g, h, order).get(order, {})
+    beyond = 0
+    worst = 0.0
+    top = resid.get(order)
+    if top is not None:
+        for e, c in top.terms.items():
+            mag = abs(c.to_complex())
+            bound = n_sigma * sig.get(e, 0.0)
+            if bound == 0.0:
+                beyond += int(mag != 0.0)
+            else:
+                worst = max(worst, mag / bound)
+                beyond += int(mag > bound)
+    return low, beyond, worst
+
+
 def so3_bivector() -> PolyVectorField:
     """Linear Poisson structure of so(3): Pi^{ij} = eps^{ijk} x_k."""
     d = 3
@@ -400,8 +403,6 @@ def u2_vector_fields(v1: PolyVectorField, v2: PolyVectorField, lam=0.5,
     (weight_result, loop_operator): the component is weight * operator,
     certified zero by |weight| falling below the sampling error.
     """
-    from .graphs import enumerate_graphs
-    from .weight_mc import two_valent_integral
     if v1.degree != 0 or v2.degree != 0:
         raise ValueError("u2_vector_fields needs two vector fields")
     candidates = [g for g in enumerate_graphs(2, 0, 1)]

@@ -26,7 +26,9 @@ Sampling: aerial points are drawn uniformly on the unit disk (square root
 trick) and pushed to H by the Mobius map z = i(1+w)/(1-w) with analytic
 density; ground points are standard-Cauchy draws (u -> tan(pi(u - 1/2))),
 sorted, with the 1/m! ordering factor folded into the estimator.
-rule="sobol" uses a scrambled Sobol sequence through the same maps.
+Uniforms come from numpy's default generator seeded with ``seed`` and are
+consumed in chunks of CHUNK samples; the singularity guard resamples the
+rare rejected points from a second generator seeded with ``seed + 77``.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .graphs import AdmissibleGraph, fan_graph, graph1_left, graph2
 
 FIXED_POINT = 1j
 SINGULAR_GUARD = 1e-12
+CHUNK = 500_000
 
 
 @dataclass
@@ -57,10 +60,6 @@ class MCResult:
     key: str = ""
     exact: bool = False
     meta: dict = field(default_factory=dict)
-
-    @property
-    def stderr_total(self) -> float:
-        return self.stderr
 
     def within(self, target: complex, abs_tol: float, n_sigma: float = 3.0):
         return abs(self.value - target) <= max(abs_tol, n_sigma * self.stderr)
@@ -94,18 +93,6 @@ def exact_zero_reason(g: AdmissibleGraph) -> str | None:
 # ---------------------------------------------------------------------
 # sampling maps
 # ---------------------------------------------------------------------
-
-def _uniform_points(n_samples: int, dim: int, seed, rule: str):
-    if rule == "plain":
-        rng = np.random.default_rng(seed)
-        return rng.random((n_samples, dim)), n_samples
-    if rule == "sobol":
-        from scipy.stats import qmc
-        mbits = max(1, math.ceil(math.log2(max(2, n_samples))))
-        sob = qmc.Sobol(d=dim, scramble=True, seed=seed)
-        return sob.random_base2(m=mbits), 2 ** mbits
-    raise ValueError(f"unknown rule {rule!r}")
-
 
 def _map_samples(u: np.ndarray, n: int, m: int):
     """(N, 2(n-1)+m) uniforms -> aerial positions, ground positions, weight.
@@ -204,8 +191,7 @@ def _config_ok(z: np.ndarray, r: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------
 
 def weight_mc(g: AdmissibleGraph, lam=0.5, n_samples: int = 200_000,
-              seed: int = 0, rule: str = "plain", convention: str = "raw",
-              chunk: int = 500_000) -> MCResult:
+              seed: int = 0, convention: str = "raw") -> MCResult:
     """Monte Carlo estimate of the weight of g at interpolation parameter lam."""
     if convention not in ("raw", "formality"):
         raise ValueError(f"unknown convention {convention!r}")
@@ -226,10 +212,10 @@ def weight_mc(g: AdmissibleGraph, lam=0.5, n_samples: int = 200_000,
     acc_re2 = 0.0
     acc_im2 = 0.0
     done = 0
-    u_all, n_actual = _uniform_points(n_samples, dim, seed, rule)
+    u_all = np.random.default_rng(seed).random((n_samples, dim))
     rng_extra = np.random.default_rng(None if seed is None else seed + 77)
-    while done < n_actual:
-        u = u_all[done:done + chunk]
+    while done < n_samples:
+        u = u_all[done:done + CHUNK]
         done += u.shape[0]
         z, r, w_imp = _map_samples(u, g.n, g.m)
         ok = _config_ok(z, r)
@@ -253,7 +239,7 @@ def weight_mc(g: AdmissibleGraph, lam=0.5, n_samples: int = 200_000,
     var_im = max(acc_im2 / total - mean.imag ** 2, 0.0)
     stderr = math.sqrt((var_re + var_im) / total)
     return MCResult(factor * mean, abs(factor) * stderr, total, seed, lam,
-                    convention, key, meta={"rule": rule})
+                    convention, key)
 
 
 # ---------------------------------------------------------------------
@@ -264,13 +250,6 @@ def two_valent_out_out_exact(w1: complex, w2: complex) -> float:
     """Closed form for the out-out integral:
     (1/pi) arg((1 - w1 cj(w2)) (1 - w2) / (1 - w1))."""
     return float(np.angle((1 - w1 * np.conj(w2)) * (1 - w2) / (1 - w1)) / np.pi)
-
-
-# orientation convention for the disk integrals: the raw dx^dy integral of
-# the wedge already reproduces +(1/pi) arg(...) in the out-out case, so no
-# extra sign is applied; the constant is kept as the single knob that would
-# absorb an orientation flip.
-_DISK_ORIENT = 1.0
 
 
 def two_valent_integral(kind: str, w1: complex, w2: complex, lam=0.5,
@@ -355,7 +334,6 @@ def two_valent_integral(kind: str, w1: complex, w2: complex, lam=0.5,
         a = prop.wirtinger_to_xy(a_t, a_tb)
         b = prop.wirtinger_to_xy(b_t, b_tb)
     f[use] = (a[0] * b[1] - a[1] * b[0]) / q[use]
-    f *= _DISK_ORIENT
 
     mean = f.mean()
     stderr = math.sqrt((f.real.var() + f.imag.var()) / n_samples)
@@ -403,7 +381,9 @@ def weight_poly_fit(g: AdmissibleGraph, degree: int | None = None,
 
     The weight is a polynomial in lam of degree at most the number of
     edges; by default degree+2 Chebyshev nodes on (0,1) are used, each with
-    its own seed, and the fit is inverse-variance weighted.
+    its own seed, and the fit is inverse-variance weighted.  Raises
+    ValueError when a node's estimate has stderr 0, whose weight would be
+    unbounded.
     """
     if degree is None:
         degree = g.n_edges
@@ -425,7 +405,11 @@ def weight_poly_fit(g: AdmissibleGraph, degree: int | None = None,
         results.append(res)
 
     a_mat = np.vander(nodes, degree + 1, increasing=True)
-    sig = np.array([max(r.stderr, 1e-300) for r in results])
+    sig = np.array([r.stderr for r in results])
+    if not np.all(sig > 0):
+        i = int(np.argmin(sig > 0))
+        raise ValueError(f"stderr {sig[i]} at lambda={nodes[i]}: the fit "
+                         "needs a positive stderr at every node")
     wts = 1.0 / sig
     aw = a_mat * wts[:, None]
     vals = np.array([r.value for r in results])
@@ -509,12 +493,10 @@ class WeightSource:
     requested labeling to the canonical one multiplies the stored value.
     """
 
-    def __init__(self, cache=None, n_samples: int = 2_000_000, seed: int = 0,
-                 rule: str = "plain"):
+    def __init__(self, cache=None, n_samples: int = 2_000_000, seed: int = 0):
         self.cache = cache
         self.n_samples = n_samples
         self.seed = seed
-        self.rule = rule
 
     def weight(self, g: AdmissibleGraph, lam=0.5,
                convention: str = "raw") -> MCResult:
@@ -548,7 +530,7 @@ class WeightSource:
         # class differences
         seed = self.seed + (zlib.crc32(key.encode()) & 0xFFFF)
         res = weight_mc(gc, lam=lam, n_samples=self.n_samples, seed=seed,
-                        rule=self.rule, convention="raw")
+                        convention="raw")
         if self.cache is not None:
             self.cache.put(res)
         return MCResult(par * factor * res.value, abs(factor) * res.stderr,

@@ -43,8 +43,8 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .exactnum import QC
-from .exactpoly import Poly
+from .exactnum import QC, perm_sign
+from .exactpoly import Poly, accumulate
 
 _I_HALF = QC(0, Fraction(1, 2))
 
@@ -57,13 +57,8 @@ def _merge_wedge(d1, d2):
         return 1, d1
     if set(d1) & set(d2):
         return 0, ()
-    arr = list(d1) + list(d2)
-    inv = 0
-    for i in range(len(arr)):
-        for j in range(i + 1, len(arr)):
-            if arr[i] > arr[j]:
-                inv += 1
-    return (-1) ** inv, tuple(sorted(arr))
+    arr = d1 + d2
+    return perm_sign(arr), tuple(sorted(arr))
 
 
 def _insert_dx(k, dxs):
@@ -162,12 +157,7 @@ class WeylElement:
         cap = min(self.cap, other.cap)
         out = dict(self.terms)
         for key, poly in other.terms.items():
-            cur = out.get(key)
-            s = poly if cur is None else cur + poly
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            accumulate(out, key, poly)
         return WeylElement(self.dim, cap, out)
 
     def __neg__(self):
@@ -183,10 +173,6 @@ class WeylElement:
             return WeylElement.zero(self.dim, self.cap)
         return WeylElement(self.dim, self.cap,
                            {k: p * c for k, p in self.terms.items()})
-
-    def mul_poly(self, poly: Poly) -> "WeylElement":
-        return WeylElement(self.dim, self.cap,
-                           {k: p * poly for k, p in self.terms.items()})
 
     def mul_hbar(self, k: int = 1) -> "WeylElement":
         return WeylElement(self.dim, self.cap,
@@ -243,7 +229,7 @@ class WeylElement:
                     if j == 0:
                         key = (tuple(x + y for x, y in zip(va, vb)),
                                dxm, ha + hb)
-                        _accum(out, key, base)
+                        accumulate(out, key, base)
                         continue
                     pref = _I_HALF ** j
                     for mult in combinations_with_replacement(pairs, j):
@@ -270,7 +256,7 @@ class WeylElement:
                             continue
                         key = (tuple(x + y for x, y in zip(ea, eb)),
                                dxm, ha + hb + j)
-                        _accum(out, key, poly)
+                        accumulate(out, key, poly)
         return WeylElement(dim, cap, out)
 
     # -- differentials ------------------------------------------------
@@ -286,8 +272,8 @@ class WeylElement:
                     continue
                 nv = list(vexp)
                 nv[k] -= 1
-                _accum(out, (tuple(nv), nd, hpow),
-                       poly * (sgn * vexp[k]))
+                accumulate(out, (tuple(nv), nd, hpow),
+                           poly * (sgn * vexp[k]))
         return WeylElement(self.dim, self.cap, out)
 
     def delta_inv(self) -> "WeylElement":
@@ -301,8 +287,8 @@ class WeylElement:
                 nv = list(vexp)
                 nv[j] += 1
                 nd = dxs[:pos] + dxs[pos + 1:]
-                _accum(out, (tuple(nv), nd, hpow),
-                       poly * (factor if pos % 2 == 0 else -factor))
+                accumulate(out, (tuple(nv), nd, hpow),
+                           poly * (factor if pos % 2 == 0 else -factor))
         return WeylElement(self.dim, self.cap, out)
 
     def sigma(self) -> "WeylElement":
@@ -327,8 +313,8 @@ class WeylElement:
                 if not dp.is_zero():
                     sgn, nd = _insert_dx(i, dxs)
                     if sgn != 0:
-                        _accum(out, (vexp, nd, hpow),
-                               dp if sgn > 0 else -dp)
+                        accumulate(out, (vexp, nd, hpow),
+                                   dp if sgn > 0 else -dp)
             if gamma is None:
                 continue
             for k in range(self.dim):
@@ -345,18 +331,9 @@ class WeylElement:
                         nv = list(vexp)
                         nv[k] -= 1
                         nv[j] += 1
-                        _accum(out, (tuple(nv), nd, hpow),
-                               poly * g * (-sgn * vexp[k]))
+                        accumulate(out, (tuple(nv), nd, hpow),
+                                   poly * g * (-sgn * vexp[k]))
         return WeylElement(self.dim, self.cap, out)
-
-
-def _accum(store, key, poly):
-    cur = store.get(key)
-    s = poly if cur is None else cur + poly
-    if s.is_zero():
-        store.pop(key, None)
-    else:
-        store[key] = s
 
 
 # -- derived operations ----------------------------------------------

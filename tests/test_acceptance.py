@@ -1,0 +1,72 @@
+"""The fast acceptance criteria, and the associativity gate that criterion 9
+shares with ``defquant star assoc``."""
+
+import json
+
+import pytest
+
+from defquant import acceptance, cli, star
+from defquant.weight_mc import WeightSource
+
+
+@pytest.mark.parametrize("criterion", [
+    acceptance.criterion_2, acceptance.criterion_5, acceptance.criterion_6,
+    acceptance.criterion_7,
+], ids=lambda fn: fn.__name__)
+def test_fast_criterion_passes(criterion):
+    res = criterion(quick=True)
+    assert res.passed, res.to_jsonable()
+    assert res.checks
+    for c in res.checks:
+        js = c.to_jsonable()
+        assert set(js) == {"name", "value", "target", "tolerance", "pass"}
+        assert isinstance(js["name"], str)
+        assert all(type(js[k]) is float
+                   for k in ("value", "target", "tolerance"))
+        assert js["pass"] is True
+    assert res.to_jsonable()["checks"] == [c.to_jsonable()
+                                           for c in res.checks]
+
+
+def test_check_defaults_to_the_tolerance_test():
+    assert acceptance.check("a", 1.5, 1, 0.5).passed
+    assert not acceptance.check("b", 1.6, 1, 0.5).passed
+    assert not acceptance.check("c", float("nan"), 0, 1).passed
+    assert acceptance.check("d", 7, 0, 0, passed=True).passed
+
+
+def test_criterion_9_and_star_assoc_take_their_gate_from_star(monkeypatch,
+                                                              capsys):
+    assert acceptance.associativity_gate is star.associativity_gate
+    assert cli.associativity_gate is star.associativity_gate
+    calls = []
+
+    def spy(*args, **kwargs):
+        out = star.associativity_gate(*args, **kwargs)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(acceptance, "associativity_gate", spy)
+    monkeypatch.setattr(cli, "associativity_gate", spy)
+    # a small budget: this test is about wiring, not the gate's verdict
+    monkeypatch.setattr(
+        acceptance, "WeightSource",
+        lambda n_samples, seed: WeightSource(n_samples=4000, seed=seed))
+
+    res = acceptance.criterion_9(quick=True)
+    assert len(calls) == 8
+    got = {c.name: c.value for c in res.checks}
+    assert got == {
+        "orders 0,1 exact": sum(low > 0 for low, _, _ in calls),
+        "order-2 monomials beyond 3 sigma": sum(b for _, b, _ in calls),
+        "worst |residual| / 3 sigma": max(w for _, _, w in calls),
+    }
+
+    calls.clear()
+    cli.main(["star", "assoc", "--samples", "4000", "--triples", "2"])
+    rep = json.loads(capsys.readouterr().out)
+    assert len(calls) == 2
+    assert [c["value"] for c in rep["checks"]] == [
+        v for low, beyond, _ in calls for v in (low, beyond)]
+    assert rep["results"]["worst_ratio_to_3sigma"] == max(
+        w for _, _, w in calls)

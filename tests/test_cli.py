@@ -1,0 +1,135 @@
+"""The command-line front end, run in-process through ``cli.main``."""
+
+import json
+import math
+import random
+
+import pytest
+
+from defquant import cli
+from defquant.cache import pool
+
+# A (3,2) class whose integrand vanishes at every sample although the
+# exact-zero screen does not catch it: its estimate has stderr exactly 0.
+ZERO_GRAPH = "K(3,2)[1>2#1, 1>b1#2, 2>1#1, 2>b1#2, 3>b1#1, 3>b2#2]"
+
+
+def run(capsys, *argv):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def report(capsys, *argv):
+    code, out, _ = run(capsys, *argv)
+    return code, json.loads(out)
+
+
+def test_exit_0_when_every_check_passes(capsys):
+    code, rep = report(capsys, "series", "zeta", "--n", "3")
+    assert code == 0
+    assert rep["pass"] is True
+    assert [c["name"] for c in rep["checks"]] == ["zeta(3)"]
+
+
+def test_exit_1_when_a_check_fails(capsys):
+    code, rep = report(capsys, "geodesic", "oracle", "--order", "2",
+                       "--steps", "100", "--tol", "1e-15")
+    assert code == 1
+    assert rep["pass"] is False
+    assert rep["checks"][0]["pass"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ("weight", "mc", "--graph", "graph2", "--samples", "4000", "--seed",
+     "3", "--target", "0.0416667,0"),
+    ("weight", "two-valent", "--kind", "in-out", "--w1", "0.2,0.1",
+     "--w2=-0.3,0.4", "--samples", "4000", "--seed", "5"),
+])
+def test_same_seed_gives_byte_identical_reports(capsys, argv):
+    first = run(capsys, *argv)
+    second = run(capsys, *argv)
+    assert first[0] == 0
+    assert first[1] == second[1]
+
+
+TWO_VALENT = ("weight", "two-valent", "--kind", "out-out")
+
+
+@pytest.mark.parametrize("argv", [
+    ("weight", "mc", "--graph", "graph2", "--lambda", "nan"),
+    ("weight", "mc", "--graph", "graph2", "--lambda", "0.5,inf"),
+    ("weight", "mc", "--graph", "graph2", "--target", "nan"),
+    TWO_VALENT + ("--w1", "nan", "--w2", "0.1"),
+    TWO_VALENT + ("--w1", "0.1", "--w2=-inf"),
+    TWO_VALENT + ("--w1", "0.1", "--w2", "0.2", "--lambda=-inf"),
+    ("geodesic", "oracle", "--x", "nan"),
+    ("geodesic", "oracle", "--v", "1,nan"),
+    ("weight", "mc", "--graph", "fan:0"),
+    ("weight", "mc", "--graph", "wheel:0"),
+    ("weight", "mc", "--graph", "cycle:0"),
+    ("fedosov", "solve", "--cap", "-1"),
+    ("geodesic", "oracle", "--steps", "0"),
+    ("weight", "mc", "--graph", "graph2", "--workers", "0"),
+    TWO_VALENT + ("--w1", "0.1", "--w2", "0.2", "--workers", "0"),
+    ("weight", "mc", "--graph", "graph2", "--samples", "1"),
+    ("weight", "mc", "--graph", "graph2", "--samples", "3", "--workers",
+     "2"),
+    ("weight", "mc", "--graph", "graph2", "--samples", "inf"),
+    ("star", "assemble", "--samples", "1"),
+    ("weight", "fit-lambda", "--graph", "fan:1", "--samples", "2000"),
+], ids=lambda argv: " ".join(argv))
+def test_bad_input_exits_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_zero_stderr_estimate_round_trips_through_the_cache(capsys,
+                                                            tmp_path):
+    path = str(tmp_path / "w.jsonl")
+    for seed in ("1", "2"):
+        code, rep = report(capsys, "weight", "mc", "--graph", ZERO_GRAPH,
+                           "--samples", "2000", "--seed", seed,
+                           "--write-cache", "--cache", path)
+        assert code == 0
+        assert rep["results"]["stderr"] == 0.0
+    code, rep = report(capsys, "weight", "mc", "--graph", ZERO_GRAPH,
+                       "--from-cache", "--cache", path)
+    assert code == 0
+    assert rep["results"]["value"] == [0.0, 0.0]
+    assert rep["results"]["stderr"] == 0.0
+    assert rep["results"]["n_samples"] == 4000
+
+
+def _inverse_variance(estimates):
+    """The pooling formula of record for positive stderr."""
+    num = 0j
+    den = 0.0
+    n_tot = 0
+    for value, stderr, n in estimates:
+        wgt = 1.0 / stderr ** 2
+        num += wgt * value
+        den += wgt
+        n_tot += n
+    return num / den, math.sqrt(1.0 / den), n_tot
+
+
+def test_pool_with_positive_stderr_is_the_inverse_variance_formula():
+    rng = random.Random(3)
+    for size in (1, 2, 5):
+        est = [(complex(rng.gauss(0, 1), rng.gauss(0, 1)),
+                rng.uniform(1e-6, 1.0), rng.randrange(2, 10_000))
+               for _ in range(size)]
+        assert pool(est) == _inverse_variance(est)
+
+
+def test_pool_with_zero_stderr_is_the_sample_weighted_mean():
+    est = [(0.5 + 0j, 0.0, 1), (9.0 + 1j, 0.1, 100), (0.25 + 0j, 0.0, 3)]
+    assert pool(est) == (0.3125 + 0j, 0.0, 104)
+    # a variance that underflows to 0 counts as zero variance
+    assert pool([(2j, 1e-200, 7), (1 + 0j, 0.5, 5)]) == (2j, 0.0, 12)
+    with pytest.raises(ValueError):
+        pool([(0j, 0.0, 0)])
