@@ -38,8 +38,7 @@ from .weyl import WeylElement
 from .fedosov import (FedosovInput, flat_input, curvature_tensor,
                       curvature_element, solve_connection, catalan_expansion,
                       fedosov_taylor, fedosov_star, moyal_star_jets)
-from .geodesics import (MetricJet, CovariantTensorJet, nabla_lower,
-                        exp_map_series, geodesic_ode_oracle,
-                        classical_fedosov_taylor)
+from .geodesics import (MetricJet, CovariantTensorJet, exp_map_series,
+                        geodesic_ode_oracle, classical_fedosov_taylor)
 
 __version__ = "0.1.0"

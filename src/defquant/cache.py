@@ -25,6 +25,7 @@ import json
 import math
 import os
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 from .weight_mc import MCResult
@@ -134,6 +135,20 @@ class WeightCache:
         return MCResult(value, stderr, n_tot,
                         lam=complex(*trip[1]), convention=convention,
                         key=key, meta={"pooled": len(recs)})
+
+    def get_graph(self, g, lam, convention: str = "raw") -> MCResult | None:
+        """``get`` for a labeled graph: the pooled estimate of its canonical
+        class times the relabeling parity, or None."""
+        gc, par, _ = g.canonical_form()
+        got = self.get(gc.to_text(), lam, convention)
+        if got is not None:
+            return replace(got, value=par * got.value, key=g.to_text())
+
+    def put_graph(self, g, res: MCResult) -> None:
+        """``put`` for an estimate of a labeled graph: stored under the
+        canonical key, with the value carried over by the parity."""
+        gc, par, _ = g.canonical_form()
+        self.put(replace(res, value=par * res.value, key=gc.to_text()))
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._records.values())

@@ -18,11 +18,12 @@ given.  ``--table`` switches to a human-readable layout.  Exit codes:
 0 all checks pass, 1 at least one check failed, 2 usage error.  A usage
 error prints one ``error:`` line to stderr and no report; besides
 malformed flags it covers input that would give a meaningless number:
-a non-finite ``--lambda``, ``--target``, ``--w1``, ``--w2``, ``--x`` or
-``--v``; a named graph of size below 1 (``fan:0``, ``wheel:0``,
-``cycle:0``); ``--workers`` below 1; ``--samples`` below 2 per worker
-(a chunk that small reports stderr 0); a negative ``--cap``;
-``--steps`` below 1; and a lambda fit whose nodes have stderr 0.
+a non-finite ``--lambda``, ``--target``, ``--w1``, ``--w2``, ``--x``,
+``--v`` or ``--t``; a named graph of size below 1 (``fan:0``,
+``wheel:0``, ``cycle:0``); ``--workers`` below 1; ``--samples`` below 2
+per worker (a chunk that small reports stderr 0); a negative ``--cap``
+or ``--degree``; ``--steps`` below 1; and a lambda fit whose nodes have
+stderr 0.
 
 The Monte Carlo subcommands accept ``--workers`` and split the sample
 budget over a process pool with per-chunk seeds; the chunk estimates are
@@ -43,9 +44,9 @@ import time
 from . import __version__
 from .exactnum import QC
 from .exactpoly import Poly
-from .graphs import (AdmissibleGraph, enumerate_graphs, fan_graph,
-                     cycle_graph, wheel_graph, graph1_left, graph1_right,
-                     graph2)
+from .graphs import (AdmissibleGraph, canonical_classes, enumerate_graphs,
+                     fan_graph, cycle_graph, wheel_graph, graph1_left,
+                     graph1_right, graph2)
 from .weight_mc import (MCResult, weight_mc, WeightSource,
                         two_valent_integral, two_valent_out_out_exact,
                         weight_poly_fit, funimp_residuals, midpoint_imag,
@@ -54,14 +55,12 @@ from .cache import WeightCache, pool
 from .series import (ZETA_TARGETS, merkulov_wheel_zeta, shadow_sum,
                      two_wheel_display, harmonic_identity)
 from .star import (PolyVectorField, star_order2, so3_bivector,
-                   associativity_gate)
+                   associativity_gate, random_triple)
 from .fedosov import (flat_input, curved_input, solve_connection,
-                      catalan_trees, catalan_expansion, catalan_number,
-                      fedosov_star, moyal_star_jets)
-from .geodesics import (MetricJet, exp_map_series, series_eval,
-                        geodesic_ode_oracle, sphere_gamma_fn,
-                        poincare_gamma_fn, metric_gamma_fn,
-                        classical_fedosov_taylor)
+                      catalan_checks, fedosov_star, flat_star_vs_moyal)
+from .geodesics import (MetricJet, exp_map_series, series_vs_ode,
+                        sphere_gamma_fn, poincare_gamma_fn, metric_gamma_fn,
+                        flat_section_mismatches)
 from . import acceptance
 from .acceptance import check
 
@@ -221,12 +220,9 @@ def cmd_graphs_enumerate(args, t0):
                               allow_parallel=args.allow_parallel)
     results = {"count": len(graphs)}
     if args.canonical:
-        classes = {}
-        for g in graphs:
-            gc, par, cons = g.canonical_form()
-            entry = classes.setdefault(
-                gc.to_text(), {"size": 0, "parity_consistent": cons})
-            entry["size"] += 1
+        classes = {key: {"size": size, "parity_consistent": cons}
+                   for key, (_, size, cons)
+                   in canonical_classes(graphs).items()}
         results["canonical_classes"] = classes
         results["n_classes"] = len(classes)
     else:
@@ -247,13 +243,12 @@ def cmd_weight_mc(args, t0):
     if args.from_cache:
         if not cache.path.exists():
             raise UsageError(f"cache file {cache.path} does not exist")
-        gc, par, _ = g.canonical_form()
-        got = cache.get(gc.to_text(), lam, args.convention)
+        got = cache.get_graph(g, lam, args.convention)
         if got is None:
             raise UsageError(
-                f"no cached estimate for {gc.to_text()} at lambda="
-                f"{lam} in {cache.path}")
-        value, stderr, n_used = par * got.value, got.stderr, got.n_samples
+                f"no cached estimate for the class of {g.to_text()} at "
+                f"lambda={lam} in {cache.path}")
+        value, stderr, n_used = got.value, got.stderr, got.n_samples
     elif reason is not None:
         value, stderr, n_used = 0j, 0.0, 0
     else:
@@ -269,11 +264,8 @@ def cmd_weight_mc(args, t0):
                "stderr": stderr, "n_samples": n_used,
                "exact_zero_reason": reason}
     if cache is not None and args.write_cache and reason is None:
-        gc, par, _ = g.canonical_form()
-        # transport the labeled-graph value to the canonical labeling;
-        # readers multiply by their own parity on the way out
-        cache.put(MCResult(par * value, stderr, n_used, args.seed, lam,
-                           args.convention, gc.to_text()))
+        cache.put_graph(g, MCResult(value, stderr, n_used, args.seed, lam,
+                                    args.convention, g.to_text()))
         results["cache_path"] = str(cache.path)
     params = {"graph": args.graph, "lambda": c_json(lam), "samples": n,
               "convention": args.convention, "workers": args.workers}
@@ -423,20 +415,12 @@ def cmd_star_assoc(args, t0):
     n = parse_samples(args.samples)
     src = WeightSource(n_samples=n, seed=args.seed)
     series = star_order2(pi, lam, src)
-    d = pi.dim
     rng = random.Random(args.seed + 1)
-
-    def mono():
-        while True:
-            e = tuple(rng.randrange(args.deg_max) for _ in range(d))
-            if 0 < sum(e) <= args.deg_max:
-                return Poly(d, {e: QC(1)})
-
     checks = []
     worst = 0.0
     for trial in range(args.triples):
-        low, beyond, ratio = associativity_gate(series, mono(), mono(),
-                                                mono())
+        low, beyond, ratio = associativity_gate(
+            series, *random_triple(rng, pi.dim, args.deg_max))
         checks.append(check(f"triple {trial} orders 0,1 exact", low, 0, 0))
         checks.append(check(f"triple {trial} order 2 within 3 sigma",
                             beyond, 0, 0))
@@ -470,12 +454,8 @@ def cmd_fedosov_solve(args, t0):
                "terms_by_deg": {str(k): v
                                 for k, v in sorted(by_deg.items())}}
     if args.example == "curved" and args.cap >= 5:
-        _, counts = catalan_trees(inp, 4)
-        ok = all(counts[k] == catalan_number(k) for k in range(1, 5))
-        checks.append(check("tree counts 1,1,2,5", 0 if ok else 1, 0, 0))
-        gap = catalan_expansion(inp, 4) - r
-        checks.append(check("catalan expansion == iterate",
-                            0 if gap.is_zero() else 1, 0, 0))
+        counts, gates = catalan_checks(inp, 4, r)
+        checks += [check(name, bad, 0, 0) for name, bad in gates.items()]
         results["tree_counts"] = {str(k): counts[k] for k in counts}
     params = {"example": args.example, "cap": args.cap}
     return emit(args, "fedosov solve", params, None, checks, results, t0)
@@ -485,14 +465,12 @@ def cmd_fedosov_star(args, t0):
     inp = _fedosov_example(args.example, args.cap)
     f = Poly(2, {parse_exponents(args.f, 2): QC(1)})
     g = Poly(2, {parse_exponents(args.g, 2): QC(1)})
-    st = fedosov_star(inp, f, g)
     checks = []
     if args.example == "flat":
-        my = moyal_star_jets([[0, 1], [-1, 0]], f, g, args.cap // 2)
-        keys = set(st) | set(my)
-        bad = sum(1 for h in keys
-                  if st.get(h, Poly.zero(2)) != my.get(h, Poly.zero(2)))
+        st, bad = flat_star_vs_moyal(inp, f, g)
         checks.append(check("equals moyal oracle", bad, 0, 0))
+    else:
+        st = fedosov_star(inp, f, g)
     results = {"example": args.example, "cap": args.cap,
                "f": f.to_jsonable(), "g": g.to_jsonable(),
                "star": {str(k): p.to_jsonable()
@@ -523,11 +501,8 @@ def cmd_geodesic_exp(args, t0):
                "series": {f"phi{i + 1}": p.to_jsonable()
                           for i, p in enumerate(phi)}}
     if args.taylor:
-        taus = [classical_fedosov_taylor(met, i, args.order)
-                for i in range(met.dim)]
-        gaps = sum(1 for i in range(met.dim)
-                   if not (taus[i] - phi[i]).is_zero())
-        results["flat_section_matches"] = gaps == 0
+        results["flat_section_matches"] = flat_section_mismatches(
+            met, phi, args.order) == 0
     params = {"metric": args.metric, "order": args.order,
               "taylor": args.taylor}
     return emit(args, "geodesic exp", params,
@@ -547,18 +522,15 @@ def cmd_geodesic_oracle(args, t0):
         gamma_fn = metric_gamma_fn(met)
     start = (base[0] + x.real, base[1] + x.imag)
     vel = (v.real, v.imag)
-    ode = geodesic_ode_oracle(gamma_fn, start, vel, args.t, steps=args.steps)
-    sv = series_eval(exp_map_series(met, args.order),
-                     (x.real, x.imag),
-                     (vel[0] * args.t, vel[1] * args.t))
-    ser = (start[0] + sv[0].real, start[1] + sv[1].real)
-    gap = max(abs(ser[0] - ode[0]), abs(ser[1] - ode[1]))
+    ser, ode, gap = series_vs_ode(exp_map_series(met, args.order), gamma_fn,
+                                  start, (x.real, x.imag), vel, args.t,
+                                  args.steps)
     checks = []
     if args.tol is not None:
         checks.append(check("series vs ODE", gap, 0.0, args.tol))
     results = {"metric": args.metric, "start": list(start),
                "velocity": list(vel), "t": args.t,
-               "ode_endpoint": list(ode), "series_endpoint": list(ser),
+               "ode_endpoint": ode, "series_endpoint": ser,
                "gap": gap}
     params = {"metric": args.metric, "x": c_json(x), "v": c_json(v),
               "t": args.t, "steps": args.steps, "order": args.order}
@@ -764,10 +736,7 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         return args.fn(args, t0)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, FileNotFoundError) as exc:
+    except (UsageError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

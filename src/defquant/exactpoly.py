@@ -227,8 +227,8 @@ class Poly:
 
 
 def accumulate(store: dict, key, poly: Poly) -> None:
-    """store[key] += poly on a sparse dict of Poly values, dropping the
-    entry when the sum vanishes."""
+    """store[key] += poly on a sparse dict of Poly (or QC) values,
+    dropping the entry when the sum vanishes."""
     cur = store.get(key)
     s = poly if cur is None else cur + poly
     if s.is_zero():

@@ -33,7 +33,7 @@ import numpy as np
 
 from .exactnum import QC
 from .exactpoly import Poly
-from .weyl import WeylElement, ihbar_circ, ihbar_commutator
+from .weyl import WeylElement, fixed_point, ihbar_circ, ihbar_commutator
 
 
 def _as_poly_matrix(entries, dim):
@@ -212,21 +212,6 @@ def curvature_square_scalar(inp: FedosovInput, samples) -> QC:
     raise ArithmeticError("no scalar matches nabla^2 against [R, .]")
 
 
-# -- geometric series helpers ----------------------------------------
-
-def neumann_delta_inv_nabla(inp: FedosovInput, a: WeylElement) -> WeylElement:
-    """(1 - delta_inv nabla)^{-1} a; terminates because delta_inv nabla
-    raises Deg by one per application."""
-    total = a
-    cur = a
-    for _ in range(inp.cap + 2):
-        cur = cur.nabla(inp.gamma).delta_inv()
-        if cur.is_zero():
-            break
-        total = total + cur
-    return total
-
-
 # -- the abelian-connection fixed point ------------------------------
 
 def solve_connection(inp: FedosovInput, max_rounds: int | None = None
@@ -234,20 +219,14 @@ def solve_connection(inp: FedosovInput, max_rounds: int | None = None
     """Unique solution of r = delta_inv(center + R + nabla r +
     (i/hbar) r o r) with delta_inv r = 0, by Deg-raising iteration."""
     source = inp.center + curvature_element(inp)
-    rounds = (inp.cap + 2) if max_rounds is None else max_rounds
-    r = inp.zero()
-    prev = None
-    for _ in range(rounds):
+
+    def step(r):
         quad = ihbar_circ(r, r, inp.pi) if not r.is_zero() else inp.zero()
-        r = (source + r.nabla(inp.gamma) + quad).delta_inv()
-        if prev is not None and r == prev:
-            break
-        prev = r
-    # fixed point reached and normalized
-    quad = ihbar_circ(r, r, inp.pi) if not r.is_zero() else inp.zero()
-    again = (source + r.nabla(inp.gamma) + quad).delta_inv()
-    if again != r:
-        raise ArithmeticError("connection iteration did not stabilize")
+        return (source + r.nabla(inp.gamma) + quad).delta_inv()
+
+    r = fixed_point(step, inp.zero(),
+                    (inp.cap + 2) if max_rounds is None else max_rounds,
+                    "connection iteration")
     if not r.delta_inv().is_zero():
         raise ArithmeticError("normalization delta_inv r = 0 violated")
     return r
@@ -256,16 +235,17 @@ def solve_connection(inp: FedosovInput, max_rounds: int | None = None
 # -- Catalan tree expansion ------------------------------------------
 
 def catalan_leaf(inp: FedosovInput) -> WeylElement:
-    """z = (1 - delta_inv nabla)^{-1} delta_inv(center + R)."""
+    """z = (1 - delta_inv nabla)^{-1} delta_inv(center + R), the homotopy
+    of the connection-free differential up to sign."""
     source = inp.center + curvature_element(inp)
-    return neumann_delta_inv_nabla(inp, source.delta_inv())
+    return -fedosov_homotopy(inp, inp.zero(), source)
 
 
 def catalan_node(inp: FedosovInput, a: WeylElement, b: WeylElement
                  ) -> WeylElement:
     """(i/2hbar) (1 - delta_inv nabla)^{-1} delta_inv [a, b]."""
     half = ihbar_commutator(a, b, inp.pi).scale(Fraction(1, 2))
-    return neumann_delta_inv_nabla(inp, half.delta_inv())
+    return -fedosov_homotopy(inp, inp.zero(), half)
 
 
 def catalan_trees(inp: FedosovInput, n_max: int):
@@ -289,15 +269,25 @@ def catalan_trees(inp: FedosovInput, n_max: int):
 
 def catalan_expansion(inp: FedosovInput, n_max: int) -> WeylElement:
     values, _ = catalan_trees(inp, n_max)
-    total = inp.zero()
-    for n in range(1, n_max + 1):
-        for t in values[n]:
-            total = total + t
-    return total
+    return sum((t for n in values for t in values[n]), inp.zero())
 
 
 def catalan_number(n: int) -> int:
     return comb(2 * n - 2, n - 1) // n
+
+
+def catalan_checks(inp: FedosovInput, n_max: int, connection: WeylElement):
+    """(counts, gates) for the trees with up to n_max leaves: counts[n]
+    trees have n leaves; gates maps a check name to its mismatch count (0
+    passes) for the counts against Catalan(n-1) and for the summed trees
+    against ``connection``, the fixed point of ``solve_connection``."""
+    _, counts = catalan_trees(inp, n_max)
+    want = [catalan_number(n) for n in counts]
+    gap = catalan_expansion(inp, n_max) - connection
+    return counts, {
+        f"tree counts {','.join(map(str, want))}":
+            int(list(counts.values()) != want),
+        "catalan expansion == iterate": int(not gap.is_zero())}
 
 
 # -- Taylor expansion and star product -------------------------------
@@ -309,18 +299,12 @@ def fedosov_taylor(inp: FedosovInput, f: Poly,
     if connection is None:
         connection = solve_connection(inp)
     f_el = inp.embed(f)
-    tau = f_el
-    prev = None
-    for _ in range(inp.cap + 2):
+
+    def step(tau):
         br = ihbar_commutator(connection, tau, inp.pi)
-        tau = f_el + (tau.nabla(inp.gamma) + br).delta_inv()
-        if prev is not None and tau == prev:
-            break
-        prev = tau
-    br = ihbar_commutator(connection, tau, inp.pi)
-    if f_el + (tau.nabla(inp.gamma) + br).delta_inv() != tau:
-        raise ArithmeticError("Taylor expansion did not stabilize")
-    return tau
+        return f_el + (tau.nabla(inp.gamma) + br).delta_inv()
+
+    return fixed_point(step, f_el, inp.cap + 2, "Taylor expansion")
 
 
 def fedosov_star(inp: FedosovInput, f: Poly, g: Poly,
@@ -364,6 +348,18 @@ def moyal_star_jets(pi_entries, f: Poly, g: Poly, order: int):
         if not acc.is_zero():
             out[j] = acc
     return out
+
+
+def flat_star_vs_moyal(inp: FedosovInput, f: Poly, g: Poly):
+    """(fedosov_star(inp, f, g), mismatches): the number of hbar orders at
+    which it differs from the Moyal oracle to order cap // 2 for the
+    bivector at the origin; 0 on a flat input."""
+    st = fedosov_star(inp, f, g)
+    pi0 = [[p.constant_term() for p in row] for row in inp.pi]
+    my = moyal_star_jets(pi0, f, g, inp.cap // 2)
+    zero = Poly.zero(inp.dim)
+    return st, sum(1 for h in set(st) | set(my)
+                   if st.get(h, zero) != my.get(h, zero))
 
 
 # -- the flat Fedosov differential and its homotopy -------------------

@@ -25,13 +25,15 @@ polynomial algebra recomputes the same series a third way.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 from .exactnum import QC
 from .exactpoly import Poly, accumulate, sin_jet
-from .weyl import WeylElement
+from .weyl import WeylElement, fixed_point
 
 
 # ---------------------------------------------------------------------
@@ -232,17 +234,10 @@ class CovariantTensorJet:
         """Average over lower-slot orderings (the raised slot stays put)."""
         out = {}
         norm = QC(Fraction(1, factorial(self.n_lower)))
-        from itertools import permutations
         for (up, lows), p in self.comps.items():
             for perm in permutations(lows):
-                key = (up, perm)
-                cur = out.get(key, Poly.zero(self.dim))
-                out[key] = cur + p * norm
+                accumulate(out, (up, perm), p * norm)
         return CovariantTensorJet(self.dim, self.n_lower, out)
-
-
-def nabla_lower(tensor: CovariantTensorJet, gamma) -> CovariantTensorJet:
-    return tensor.nabla_lower(gamma)
 
 
 # ---------------------------------------------------------------------
@@ -322,12 +317,7 @@ def restrict_velocity(p: Poly, dim: int, direction) -> Poly:
                 t_deg += vk
         if scale.is_zero():
             continue
-        key = e[:dim] + (t_deg,)
-        cur = out.get(key, QC(0)) + c * scale
-        if cur.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = cur
+        accumulate(out, e[:dim] + (t_deg,), c * scale)
     return Poly(dim + 1, out)
 
 
@@ -342,6 +332,8 @@ def geodesic_ode_oracle(gamma_fn, x, v, t: float, steps: int = 4000):
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     d = len(x)
     h = t / steps
     if abs(h) < 1e-15:
@@ -366,8 +358,17 @@ def geodesic_ode_oracle(gamma_fn, x, v, t: float, steps: int = 4000):
     return y[:d]
 
 
+def series_vs_ode(phi, gamma_fn, start, u, v, t: float, steps: int):
+    """Series endpoint, RK4 endpoint and their largest coordinate gap for
+    the geodesic from ``start`` with velocity v after time t; the offset
+    series phi is evaluated at base offset u and velocity v t."""
+    ode = geodesic_ode_oracle(gamma_fn, start, v, t, steps=steps)
+    sv = series_eval(phi, u, [c * t for c in v])
+    ser = [s + c.real for s, c in zip(start, sv)]
+    return ser, ode, max(abs(a - b) for a, b in zip(ser, ode))
+
+
 def sphere_gamma_fn(point):
-    import math
     th = point[0]
     s, c = math.sin(th), math.cos(th)
     cot = c / s
@@ -406,17 +407,19 @@ def classical_fedosov_taylor(metric: MetricJet, index: int, order: int
     d = metric.dim
     seed = WeylElement.from_function(Poly.var(d, index, metric.order),
                                      d, order)
-    a = seed
-    for _ in range(order + 2):
-        nxt = seed + a.nabla(metric.gamma).delta_inv()
-        if nxt == a:
-            break
-        a = nxt
-    else:
-        raise AssertionError("flat-section recursion did not stabilize")
+    a = fixed_point(lambda x: seed + x.nabla(metric.gamma).delta_inv(), seed,
+                    order + 2, "flat-section recursion")
     out = Poly.zero(2 * d)
     for (vexp, dxs, hpow), p in a.terms.items():
         assert hpow == 0 and dxs == ()
         vm = Poly(2 * d, {(0,) * d + tuple(vexp): QC(1)})
         out = out + _lift_to_uv(p, d) * vm
     return _reliability_trim(out, d, metric.order)
+
+
+def flat_section_mismatches(metric: MetricJet, phi, order: int) -> int:
+    """How many components of phi = exp_map_series(metric, order) differ
+    from the flat-section recursion (0 when all agree)."""
+    return sum(1 for i in range(metric.dim)
+               if not (classical_fedosov_taylor(metric, i, order)
+                       - phi[i]).is_zero())

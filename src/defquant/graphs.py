@@ -228,6 +228,17 @@ def enumerate_graphs(n: int, m: int, out_degree: int,
     return out
 
 
+def canonical_classes(graphs) -> dict:
+    """{canonical text: (canonical graph, members in ``graphs``,
+    parity_consistent)}, in order of first appearance."""
+    classes = {}
+    for g in graphs:
+        gc, _, consistent = g.canonical_form()
+        _, size, _ = classes.get(gc.to_text(), (gc, 0, consistent))
+        classes[gc.to_text()] = (gc, size + 1, consistent)
+    return classes
+
+
 # -- named graphs -----------------------------------------------------
 
 def fan_graph(m: int) -> AdmissibleGraph:

@@ -13,12 +13,15 @@ is the weighted sum
 
 with U_l the sum over out-degree-2 graphs of type (l, 2), each graph
 weighted by its configuration-space integral times 1/|Star(k)|! per
-aerial vertex.  Weight values come from a weight source (exact table,
-cache, or Monte Carlo); every Monte Carlo value carries a standard error
-which is propagated linearly into associativity residuals.
+aerial vertex.  Relabeling a graph changes its weight and its operator
+by the same sign, so U_l is assembled on canonical graph classes: one
+operator and one weight per class, times the class size.  Weight values
+come from a weight source (exact table, cache, or Monte Carlo); every
+Monte Carlo value carries a standard error which is propagated linearly
+into associativity residuals.
 
-Graphs whose operator vanishes identically on the given bivector (for
-instance every derivative-carrying graph when the bivector is constant)
+Classes whose operator vanishes identically on the given bivector (for
+instance every derivative-carrying class when the bivector is constant)
 are skipped before their weight is ever requested, so constant-
 coefficient assemblies stay exact and sampling-free.
 """
@@ -32,7 +35,7 @@ from math import factorial
 
 from .exactnum import QC, perm_sign
 from .exactpoly import Poly, accumulate
-from .graphs import AdmissibleGraph, enumerate_graphs
+from .graphs import AdmissibleGraph, canonical_classes, enumerate_graphs
 from .weight_mc import two_valent_integral
 
 _I = QC(0, 1)
@@ -273,38 +276,37 @@ def star_order2(pi: PolyVectorField, lam, source) -> StarProductSeries:
     """Assemble B_0, B_1, B_2 for the bivector ``pi`` at interpolation
     parameter ``lam`` from the given weight source.
 
-    Per order l the operator is (i^l / l!) sum_graphs w^formality U_graph;
-    weights are looked up once per canonical class and transported to the
-    labeled representatives by the relabeling parity.  Classes whose
-    summed operator vanishes on ``pi`` are skipped without a weight
-    lookup, so a constant bivector never triggers sampling.
+    Per order l the operator is (i^l / l!) sum_g w^formality(g) U(g) over
+    the labeled out-degree-2 graphs g of type (l, 2), where
+    w^formality = w / 2^l.  The sum is taken over canonical classes: with
+    the same bivector at every vertex, U(g) = par(g) U(gc) for the class
+    representative gc and the relabeling parity par(g), because renaming
+    aerial vertices moves edges in pairs (even) and swapping the two
+    labels at a star transposes Pi's indices (odd); likewise
+    w(g) = par(g) w(gc).  Every member therefore contributes w(gc) U(gc),
+    and a class of size s contributes s w(gc) U(gc): one operator per
+    class.  Classes with an odd automorphism (zero weight) or a zero
+    operator on ``pi`` are skipped without a weight lookup, so a constant
+    bivector never triggers sampling.
     """
     if pi.degree != 1:
         raise ValueError("star_order2 needs a bivector (degree 1)")
     dim = pi.dim
     series = StarProductSeries(dim, 2)
     series.ops[0] = PolyDiffOperator.multiplication(dim)
-    series.uncertainties = {1: [], 2: []}
-    for level in (1, 2):
-        classes = {}
-        for g in enumerate_graphs(level, 2, 2):
-            op = graph_operator(g, [pi] * level)
-            if op.is_zero():
-                continue
-            gc, par, consistent = g.canonical_form()
+    for level in range(1, series.order + 1):
+        series.uncertainties[level] = []
+        total = PolyDiffOperator.zero(dim, 2)
+        pref = (_I ** level) * Fraction(1, factorial(level) * 2 ** level)
+        classes = canonical_classes(enumerate_graphs(level, 2, 2))
+        for _, (gc, size, consistent) in sorted(classes.items()):
             if not consistent:
                 continue
-            key = gc.to_text()
-            entry = classes.setdefault(key, [gc, PolyDiffOperator.zero(dim, 2)])
-            entry[1] = entry[1] + (op if par > 0 else op.scale(-1))
-        total = PolyDiffOperator.zero(dim, 2)
-        pref = (_I ** level) * Fraction(1, factorial(level))
-        formality = Fraction(1, 2 ** level)  # 1/|Star(k)|! per vertex
-        for key, (gc, combo) in sorted(classes.items()):
-            if combo.is_zero():
+            op = graph_operator(gc, [pi] * level)
+            if op.is_zero():
                 continue
             res = source.weight(gc, lam=lam, convention="raw")
-            scaled = combo.scale(pref * formality)
+            scaled = op.scale(pref * size)
             w = res.value
             if isinstance(w, (complex, float)):
                 w = QC.coerce(complex(w))  # MC estimate, binary-exact float
@@ -381,6 +383,17 @@ def associativity_gate(series: StarProductSeries, f: Poly, g: Poly, h: Poly,
                 worst = max(worst, mag / bound)
                 beyond += int(mag > bound)
     return low, beyond, worst
+
+
+def random_triple(rng, dim: int, deg_max: int):
+    """Three random monomials for an associativity gate, each with
+    exponents below deg_max and total degree 1..deg_max."""
+    out = []
+    while len(out) < 3:
+        e = tuple(rng.randrange(deg_max) for _ in range(dim))
+        if 0 < sum(e) <= deg_max:
+            out.append(Poly(dim, {e: QC(1)}))
+    return out
 
 
 def so3_bivector() -> PolyVectorField:

@@ -381,12 +381,16 @@ def weight_poly_fit(g: AdmissibleGraph, degree: int | None = None,
 
     The weight is a polynomial in lam of degree at most the number of
     edges; by default degree+2 Chebyshev nodes on (0,1) are used, each with
-    its own seed, and the fit is inverse-variance weighted.  Raises
-    ValueError when a node's estimate has stderr 0, whose weight would be
+    its own seed, and the fit is inverse-variance weighted.  Node estimates
+    go through ``cache`` by canonical class (``get_graph``/``put_graph``)
+    while sampling stays on ``g``.  Raises ValueError for a negative
+    degree and when a node's estimate has stderr 0, whose weight would be
     unbounded.
     """
     if degree is None:
         degree = g.n_edges
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
     if nodes is None:
         k_nodes = degree + 2
         nodes = np.sort(0.5 + 0.5 * np.cos(
@@ -396,12 +400,12 @@ def weight_poly_fit(g: AdmissibleGraph, degree: int | None = None,
     for idx, lam in enumerate(nodes):
         res = None
         if cache is not None:
-            res = cache.get(g.to_text(), lam, convention)
+            res = cache.get_graph(g, lam, convention)
         if res is None:
             res = weight_mc(g, lam=float(lam), n_samples=n_samples,
                             seed=seed + 101 * idx, convention=convention)
             if cache is not None and not res.exact:
-                cache.put(res)
+                cache.put_graph(g, res)
         results.append(res)
 
     a_mat = np.vander(nodes, degree + 1, increasing=True)

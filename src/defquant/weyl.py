@@ -369,6 +369,19 @@ def ihbar_circ(a: WeylElement, b: WeylElement, pi) -> "WeylElement":
     return big.divide_hbar().scale(QC(0, 1)).with_cap(cap)
 
 
+def fixed_point(step, x: WeylElement, rounds: int, what: str) -> WeylElement:
+    """Iterate x -> step(x) until it repeats, at most ``rounds`` times;
+    raises ArithmeticError unless the result is a fixed point."""
+    for _ in range(rounds):
+        nxt = step(x)
+        if nxt == x:
+            return x
+        x = nxt
+    if step(x) != x:
+        raise ArithmeticError(f"{what} did not stabilize")
+    return x
+
+
 def constant_bivector(dim: int, entries) -> list:
     """Pi^{kl} from a nested list of scalars; antisymmetry is asserted."""
     out = [[Poly.const(dim, entries[k][l]) for l in range(dim)]
@@ -399,8 +412,5 @@ def random_element(dim: int, cap: int, rng, n_terms: int = 6,
             e[rng.randrange(dim)] += 1
         c = QC(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-        poly = Poly(dim, {tuple(e): c})
-        key = (tuple(vexp), dxs, hpow)
-        cur = terms.get(key)
-        terms[key] = poly if cur is None else cur + poly
+        accumulate(terms, (tuple(vexp), dxs, hpow), Poly(dim, {tuple(e): c}))
     return WeylElement(dim, cap, terms)

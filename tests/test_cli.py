@@ -78,6 +78,9 @@ TWO_VALENT = ("weight", "two-valent", "--kind", "out-out")
     ("weight", "mc", "--graph", "graph2", "--samples", "inf"),
     ("star", "assemble", "--samples", "1"),
     ("weight", "fit-lambda", "--graph", "fan:1", "--samples", "2000"),
+    ("weight", "fit-lambda", "--graph", "graph2", "--degree", "-1"),
+    ("geodesic", "oracle", "--order", "2", "--t", "nan"),
+    ("geodesic", "oracle", "--order", "2", "--t", "inf"),
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)

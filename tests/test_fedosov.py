@@ -11,7 +11,8 @@ from defquant.fedosov import (FedosovInput, flat_input, curvature_tensor,
                               curvature_element, curvature_square_scalar,
                               solve_connection, catalan_leaf, catalan_trees,
                               catalan_expansion, catalan_number,
-                              fedosov_taylor, fedosov_star, moyal_star_jets,
+                              catalan_checks, fedosov_taylor, fedosov_star,
+                              flat_star_vs_moyal, moyal_star_jets,
                               deformed_poincare_defect)
 from defquant.weyl import WeylElement, ihbar_circ, ihbar_commutator, \
     random_element
@@ -199,6 +200,18 @@ def test_tree_counts_and_expansion_match_iterate():
     assert catalan_expansion(inp, 4) == solve_connection(inp)
 
 
+def test_catalan_checks_name_and_count_their_mismatches():
+    inp = sympl_curved(5)
+    conn = solve_connection(inp)
+    counts, gates = catalan_checks(inp, 4, conn)
+    assert counts == {1: 1, 2: 1, 3: 2, 4: 5}
+    assert gates == {"tree counts 1,1,2,5": 0,
+                     "catalan expansion == iterate": 0}
+    # one leaf alone misses the quadratic part of the connection
+    _, gates = catalan_checks(inp, 1, conn)
+    assert gates == {"tree counts 1": 0, "catalan expansion == iterate": 1}
+
+
 def test_single_leaf_solves_the_linear_part():
     # with a constant center and no curvature the leaf already satisfies
     # the linear fixed point; trees with >= 2 leaves add the quadratic echo
@@ -248,6 +261,15 @@ def test_flat_star_equals_moyal_oracle(seed):
     want = moyal_star_jets([[0, 1], [-1, 0]], f, g, 3)
     for j in range(4):
         assert got.get(j, Poly.zero(2)) == want.get(j, Poly.zero(2))
+
+
+def test_flat_star_vs_moyal_counts_differing_orders():
+    f, g = X1 * X1 * X1, X2 * X2 * X2
+    inp = flat_input(cap=6)
+    st, bad = flat_star_vs_moyal(inp, f, g)
+    assert bad == 0 and st == fedosov_star(inp, f, g)
+    # the curved connection changes one order of the cubic product
+    assert flat_star_vs_moyal(sympl_curved(6), f, g)[1] == 1
 
 
 def test_moyal_oracle_spot_values():

@@ -12,7 +12,8 @@ from defquant.geodesics import (MetricJet, CovariantTensorJet,
                                 exp_map_series, series_eval,
                                 restrict_velocity, geodesic_ode_oracle,
                                 sphere_gamma_fn, poincare_gamma_fn,
-                                metric_gamma_fn, classical_fedosov_taylor)
+                                metric_gamma_fn, classical_fedosov_taylor,
+                                flat_section_mismatches, series_vs_ode)
 
 TH0 = math.asin(0.6)
 
@@ -193,6 +194,23 @@ def test_oracle_step_underflow_guard():
         geodesic_ode_oracle(sphere_gamma_fn, (TH0, 0.0), (1.0, 0.0), 1e-20)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_oracle_rejects_a_non_finite_time(t):
+    with pytest.raises(ValueError, match="finite"):
+        geodesic_ode_oracle(sphere_gamma_fn, (TH0, 0.0), (1.0, 0.0), t)
+
+
+def test_series_vs_ode_gap_shrinks_with_the_series_order(sphere8):
+    gaps = []
+    for order in (4, 8):
+        ser, ode, gap = series_vs_ode(exp_map_series(sphere8, order),
+                                      sphere_gamma_fn, (TH0, 0.2),
+                                      (0.0, 0.0), (0.7, 0.5), 0.5, 4000)
+        assert gap == max(abs(a - b) for a, b in zip(ser, ode))
+        gaps.append(gap)
+    assert gaps[1] < gaps[0] / 50 and gaps[0] > 1e-3
+
+
 # ---------------------------------------------------------------------
 # tensor symmetrization
 # ---------------------------------------------------------------------
@@ -231,3 +249,9 @@ def test_classical_recursion_matches_series(index, sphere8, poincare8):
         phi = exp_map_series(metric, 4)
         tau = classical_fedosov_taylor(metric, index, 4)
         assert tau == phi[index]
+
+
+def test_flat_section_mismatches_counts_components(sphere8):
+    phi = exp_map_series(sphere8, 4)
+    assert flat_section_mismatches(sphere8, phi, 4) == 0
+    assert flat_section_mismatches(sphere8, [phi[1], phi[1]], 4) == 1

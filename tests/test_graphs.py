@@ -2,9 +2,9 @@
 
 import pytest
 
-from defquant.graphs import (AdmissibleGraph, Edge, enumerate_graphs,
-                             fan_graph, cycle_graph, wheel_graph,
-                             graph1_left, graph1_right, graph2)
+from defquant.graphs import (AdmissibleGraph, Edge, canonical_classes,
+                             enumerate_graphs, fan_graph, cycle_graph,
+                             wheel_graph, graph1_left, graph1_right, graph2)
 from defquant.weight_mc import exact_zero_reason
 
 
@@ -64,13 +64,13 @@ def test_enumeration_empty_cases():
 
 def test_canonical_census_2_2():
     """The 36 labeled (2,2) out-degree-2 graphs pool into 6 classes."""
-    classes = {}
-    for g in enumerate_graphs(2, 2, 2):
-        gc, par, cons = g.canonical_form()
-        assert cons, g.to_text()
-        classes.setdefault(gc.to_text(), []).append(par)
+    classes = canonical_classes(enumerate_graphs(2, 2, 2))
     assert len(classes) == 6
-    assert sorted(len(v) for v in classes.values()) == [4, 4, 4, 8, 8, 8]
+    assert sorted(size for _, size, _ in classes.values()) \
+        == [4, 4, 4, 8, 8, 8]
+    for key, (gc, _, consistent) in classes.items():
+        assert consistent, key
+        assert gc.to_text() == key and gc.canonical_form()[1] == 1
 
 
 def test_canonical_form_idempotent():

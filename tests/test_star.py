@@ -2,12 +2,15 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from defquant import star
 from defquant.exactnum import QC
 from defquant.exactpoly import Poly
-from defquant.graphs import AdmissibleGraph, Edge, fan_graph, graph2
+from defquant.graphs import (AdmissibleGraph, Edge, canonical_classes,
+                             enumerate_graphs, fan_graph, graph2)
 from defquant.star import (PolyVectorField, PolyDiffOperator, graph_operator,
                            hkr_operator, StarProductSeries, star_order2,
                            associativity_residual, associativity_sigma,
@@ -246,3 +249,80 @@ def test_u2_on_vector_fields_is_certified_zero():
     assert abs(res.value) <= 3.0 * res.stderr
     with pytest.raises(ValueError, match="vector fields"):
         u2_vector_fields(so3_bivector(), so3_bivector())
+
+
+# ---------------------------------------------------------------------
+# assembly on canonical classes
+# ---------------------------------------------------------------------
+
+def _nambu_bivector():
+    """Quadratic Nambu structure Pi^{ij} = eps^{ijk} x_k^2."""
+    q = [Poly.var(3, i) * Poly.var(3, i) for i in range(3)]
+    z = Poly.zero(3)
+    return PolyVectorField.bivector(
+        3, [[z, q[2], -q[1]], [-q[2], z, q[0]], [q[1], -q[0], z]])
+
+
+def _moyal4_bivector():
+    return PolyVectorField.bivector(
+        4, [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+
+
+BIVECTORS = {"so3": so3_bivector, "nambu": _nambu_bivector,
+             "moyal4": _moyal4_bivector}
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("name", sorted(BIVECTORS))
+def test_class_operator_sum_is_size_times_representative(name, level):
+    pi = BIVECTORS[name]()
+    graphs = enumerate_graphs(level, 2, 2)
+    sums = {}
+    for g in graphs:
+        gc, par, _ = g.canonical_form()
+        key = gc.to_text()
+        sums[key] = (sums.get(key, PolyDiffOperator.zero(pi.dim, 2))
+                     + graph_operator(g, [pi] * level).scale(par))
+    classes = canonical_classes(graphs)
+    assert set(classes) == set(sums)
+    for key, (gc, size, _) in classes.items():
+        assert sums[key] == graph_operator(gc, [pi] * level).scale(size)
+    assert any(not op.is_zero() for op in sums.values())
+
+
+def _labeled_reference(pi, lam, source):
+    """B_1, B_2 summed over every labeled graph with its own weight."""
+    ops = {0: PolyDiffOperator.multiplication(pi.dim)}
+    for level in (1, 2):
+        total = PolyDiffOperator.zero(pi.dim, 2)
+        pref = QC(0, 1) ** level * Fraction(1, factorial(level) * 2 ** level)
+        for g in enumerate_graphs(level, 2, 2):
+            op = graph_operator(g, [pi] * level)
+            if op.is_zero():
+                continue
+            w = source.weight(g, lam=lam).value
+            total = total + op.scale(pref * QC.coerce(
+                complex(w) if isinstance(w, (complex, float)) else w))
+        ops[level] = total
+    return ops
+
+
+@pytest.mark.parametrize("name", sorted(BIVECTORS))
+def test_class_assembly_equals_labeled_reference(name):
+    pi = BIVECTORS[name]()
+    src = WeightSource(n_samples=2000, seed=41)
+    assert star_order2(pi, 0.5, src).ops == _labeled_reference(pi, 0.5, src)
+
+
+def test_so3_assembly_builds_one_operator_per_class(monkeypatch):
+    calls = []
+
+    def counted(g, gammas):
+        calls.append(g.to_text())
+        return graph_operator(g, gammas)
+
+    monkeypatch.setattr(star, "graph_operator", counted)
+    star_order2(so3_bivector(), 0.5, WeightSource(n_samples=2000, seed=0))
+    assert len(calls) == 7
+    assert all(g.canonical_form()[0].to_text() == g.to_text()
+               for g in map(AdmissibleGraph.from_text, calls))

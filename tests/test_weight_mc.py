@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from defquant.cache import WeightCache
 from defquant.graphs import (AdmissibleGraph, Edge, fan_graph, cycle_graph,
                              graph1_left, graph2)
 from defquant.weight_mc import (MCResult, WeightSource, weight_mc,
@@ -171,6 +172,31 @@ def test_weight_poly_fit_reflection_and_reality():
     assert abs(val.imag) <= 3.0 * max(sigma, 1e-12)
     mid, mid_sigma = fit.functional(half, half)
     assert abs(mid.real - 1.0 / 24.0) <= max(4.0 * mid_sigma, 1e-2)
+
+
+def test_weight_poly_fit_rejects_a_negative_degree():
+    with pytest.raises(ValueError, match="degree"):
+        weight_poly_fit(graph2(), degree=-1, n_samples=100)
+
+
+def test_weight_poly_fit_caches_under_the_canonical_key(tmp_path):
+    cache = WeightCache(tmp_path / "w.jsonl")
+    gc, par, _ = graph2().canonical_form()
+    assert par == -1
+    fit = weight_poly_fit(graph2(), n_samples=4000, seed=7, cache=cache)
+    assert len(cache) == len(fit.nodes)
+    for lam, res in zip(fit.nodes, fit.results):
+        got = cache.get(gc.to_text(), lam)
+        assert abs(got.value + res.value) <= 1e-12 * abs(res.value)
+    # the tiered source finds the records too, with the labeled sign
+    hit = WeightSource(cache=cache).weight(graph2(), lam=fit.nodes[0])
+    assert hit.meta["source"] == "cache"
+    assert abs(hit.value - fit.results[0].value) \
+        <= 1e-12 * abs(fit.results[0].value)
+    again = weight_poly_fit(graph2(), n_samples=4000, seed=8, cache=cache)
+    assert len(cache) == len(fit.nodes)
+    for a, b in zip(again.results, fit.results):
+        assert abs(a.value - b.value) <= 1e-12 * abs(b.value)
 
 
 def test_mcresult_within_helper():
