@@ -413,14 +413,18 @@ def cmd_star_assoc(args, t0):
     pi = _structure(args.structure, args.dim)
     lam = parse_complex(args.lam, "lambda")
     n = parse_samples(args.samples)
+    if args.triples < 1:
+        raise UsageError(f"invalid triple count {args.triples}: need at "
+                         "least 1")
+    rng = random.Random(args.seed + 1)
+    triples = [random_triple(rng, pi.dim, args.deg_max)
+               for _ in range(args.triples)]
     src = WeightSource(n_samples=n, seed=args.seed)
     series = star_order2(pi, lam, src)
-    rng = random.Random(args.seed + 1)
     checks = []
     worst = 0.0
-    for trial in range(args.triples):
-        low, beyond, ratio = associativity_gate(
-            series, *random_triple(rng, pi.dim, args.deg_max))
+    for trial, triple in enumerate(triples):
+        low, beyond, ratio = associativity_gate(series, *triple)
         checks.append(check(f"triple {trial} orders 0,1 exact", low, 0, 0))
         checks.append(check(f"triple {trial} order 2 within 3 sigma",
                             beyond, 0, 0))
@@ -454,7 +458,8 @@ def cmd_fedosov_solve(args, t0):
                "terms_by_deg": {str(k): v
                                 for k, v in sorted(by_deg.items())}}
     if args.example == "curved" and args.cap >= 5:
-        counts, gates = catalan_checks(inp, 4, r)
+        # a k-leaf tree starts at Deg 2k+1, so cap bounds the leaves
+        counts, gates = catalan_checks(inp, max(4, (args.cap - 1) // 2), r)
         checks += [check(name, bad, 0, 0) for name, bad in gates.items()]
         results["tree_counts"] = {str(k): counts[k] for k in counts}
     params = {"example": args.example, "cap": args.cap}

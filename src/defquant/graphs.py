@@ -10,7 +10,6 @@ short loops are forbidden, and the edges leaving vertex k are labeled
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from dataclasses import dataclass
 
@@ -111,28 +110,13 @@ class AdmissibleGraph:
         n, m = int(mat.group(1)), int(mat.group(2))
         return cls(n, m, _parse_edges(mat.group(3), n))
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n, "m": self.m,
-            "edges": [{"src": e.src, "dst": self._dst_name(e.dst),
-                       "label": e.label} for e in self.edges],
-        }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "AdmissibleGraph":
-        d = json.loads(s)
-        n = d["n"]
-        edges = [Edge(e["src"], _dst_from_name(e["dst"], n), e["label"])
-                 for e in d["edges"]]
-        return cls(n, d["m"], edges)
-
     def __repr__(self):
         return self.to_text()
 
     # -- canonical form -----------------------------------------------
 
     def canonical_form(self):
-        """Minimal representative under aerial renaming and per-star edge
+        """Minimal text form under aerial renaming and per-star edge
         relabeling.
 
         Both symmetries leave the weight integrand invariant up to the sign
@@ -142,38 +126,49 @@ class AdmissibleGraph:
         symmetry; if two minimizing symmetries induce opposite signs (an
         odd automorphism) parity_consistent is False and the weight
         vanishes identically.
+
+        Only the n! aerial renamings are searched.  For a fixed renaming
+        the smallest text numbers each star's edges in the order of their
+        rendered destination names.  Every star's block ``v>d#1, v>d#2,
+        ...`` has the same length under any labeling, since its names are
+        fixed, so blocks compare independently; inside a block the names
+        compare in label order, each followed by ``#``, and ``#`` sorts
+        before every digit, so a name precedes any longer name it prefixes
+        exactly as in string order.  A second minimizer arises from a
+        repeated destination in a star (swapping those two labels is odd)
+        or from two renamings that give the same text.
         """
+        n = self.n
+        base = self.edges
+        stars = [[i for i, e in enumerate(base) if e.src == v]
+                 for v in range(1, n + 1)]
         best = None
         best_sig = None
         parities = set()
-        base = list(self.edges)
-        stars = {v: [i for i, e in enumerate(base) if e.src == v]
-                 for v in range(1, self.n + 1)}
-        label_pools = [list(itertools.permutations(range(len(stars[v]))))
-                       for v in range(1, self.n + 1)]
-        for p in itertools.permutations(range(1, self.n + 1)):
-            perm = {i + 1: p[i] for i in range(self.n)}
-            for combo in itertools.product(*label_pools):
-                new_edges = []
-                origin = {}
-                for v in range(1, self.n + 1):
-                    lp = combo[v - 1]
-                    for pos, i in enumerate(stars[v]):
-                        e = base[i]
-                        dst = perm[e.dst] if e.dst <= self.n else e.dst
-                        ne = Edge(perm[v], dst, lp[pos] + 1)
-                        origin[(ne.src, ne.label)] = i
-                        new_edges.append(ne)
-                g2 = AdmissibleGraph(self.n, self.m, new_edges)
-                sig = g2.to_text()
-                if best_sig is not None and sig > best_sig:
-                    continue
-                order = [origin[(e.src, e.label)] for e in g2.edges]
-                par = perm_sign(order)
-                if best_sig is None or sig < best_sig:
-                    best, best_sig, parities = g2, sig, {par}
-                else:
-                    parities.add(par)
+        for p in itertools.permutations(range(1, n + 1)):
+            def dst(i):
+                d = base[i].dst
+                return p[d - 1] if d <= n else d
+
+            new_edges = []
+            order = []
+            for v in sorted(range(1, n + 1), key=lambda v: p[v - 1]):
+                star = sorted(stars[v - 1],
+                              key=lambda i: self._dst_name(dst(i)))
+                new_edges += [Edge(p[v - 1], dst(i), label)
+                              for label, i in enumerate(star, 1)]
+                order += star
+            g2 = AdmissibleGraph(n, self.m, new_edges)
+            sig = g2.to_text()
+            if best_sig is not None and sig > best_sig:
+                continue
+            par = perm_sign(order)
+            if best_sig is None or sig < best_sig:
+                best, best_sig, parities = g2, sig, {par}
+            else:
+                parities.add(par)
+        if len({(e.src, e.dst) for e in base}) < len(base):
+            parities = {1, -1}
         return best, (1 if 1 in parities else -1), len(parities) == 1
 
 
@@ -192,9 +187,7 @@ def _parse_edges(body: str, n: int):
     return edges
 
 
-def _dst_from_name(name, n: int) -> int:
-    if isinstance(name, int):
-        return name
+def _dst_from_name(name: str, n: int) -> int:
     if name.startswith("b"):
         return n + int(name[1:])
     return int(name)

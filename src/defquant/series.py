@@ -119,6 +119,8 @@ def merkulov_wheel_zeta(n: int, N: int = 10_000) -> ValueBound:
     """
     if n < 2:
         raise ValueError("needs n >= 2")
+    if N < 1:
+        raise ValueError(f"needs N >= 1 terms, got {N}")
     partial = float(np.sum(1.0 / np.arange(1, N + 1, dtype=float) ** n))
     mid = (N + 0.5) ** (1 - n) / (n - 1)
     low = (N + 1.0) ** (1 - n) / (n - 1)
@@ -194,6 +196,8 @@ def shadow_sum(n: int, w_abs: float, N: int | None = None) -> ShadowSum:
         raise ValueError("w_abs must lie in (0, 0.8]")
     if N is None:
         N = {2: 8000, 3: 300}.get(n, 100)
+    if N < 1:
+        raise ValueError(f"needs N >= 1 terms, got {N}")
     x = w_abs ** 2
     dmax = max(4, math.ceil(math.log(1e-18) / math.log(x)))
 

@@ -305,12 +305,9 @@ def star_order2(pi: PolyVectorField, lam, source) -> StarProductSeries:
             op = graph_operator(gc, [pi] * level)
             if op.is_zero():
                 continue
-            res = source.weight(gc, lam=lam, convention="raw")
+            res = source.weight(gc, lam=lam)
             scaled = op.scale(pref * size)
-            w = res.value
-            if isinstance(w, (complex, float)):
-                w = QC.coerce(complex(w))  # MC estimate, binary-exact float
-            total = total + scaled.scale(QC.coerce(w))
+            total = total + scaled.scale(QC.coerce(res.value))
             if res.stderr > 0:
                 series.uncertainties[level].append((res.stderr, scaled))
         series.ops[level] = total
@@ -388,6 +385,9 @@ def associativity_gate(series: StarProductSeries, f: Poly, g: Poly, h: Poly,
 def random_triple(rng, dim: int, deg_max: int):
     """Three random monomials for an associativity gate, each with
     exponents below deg_max and total degree 1..deg_max."""
+    if deg_max < 2:
+        raise ValueError(f"deg_max {deg_max} < 2 leaves no monomial with "
+                         "exponents below it and positive degree")
     out = []
     while len(out) < 3:
         e = tuple(rng.randrange(deg_max) for _ in range(dim))

@@ -502,41 +502,34 @@ class WeightSource:
         self.n_samples = n_samples
         self.seed = seed
 
-    def weight(self, g: AdmissibleGraph, lam=0.5,
-               convention: str = "raw") -> MCResult:
+    def weight(self, g: AdmissibleGraph, lam=0.5) -> MCResult:
         reason = exact_zero_reason(g)
         if reason is not None:
-            return MCResult(0j, 0.0, 0, None, lam, convention, g.to_text(),
+            return MCResult(0j, 0.0, 0, None, lam, "raw", g.to_text(),
                             exact=True, meta={"reason": reason})
-        factor = Fraction(1)
-        if convention == "formality":
-            for v in range(1, g.n + 1):
-                factor /= math.factorial(g.out_degree(v))
         gc, par, _ = g.canonical_form()
         key = gc.to_text()
         hit = _EXACT.get(key)
         if hit is not None:
             value, lam_only = hit
             if lam_only is None or complex(lam) == complex(lam_only):
-                return MCResult(par * factor * value, 0.0, 0, None, lam,
-                                convention, g.to_text(), exact=True,
+                return MCResult(par * value, 0.0, 0, None, lam, "raw",
+                                g.to_text(), exact=True,
                                 meta={"source": "exact-table"})
         if self.cache is not None:
             got = self.cache.get(key, lam, "raw")
             if got is not None:
-                return MCResult(par * factor * got.value,
-                                abs(factor) * got.stderr, got.n_samples,
-                                None, lam, convention, g.to_text(),
+                return MCResult(par * got.value, got.stderr, got.n_samples,
+                                None, lam, "raw", g.to_text(),
                                 meta={"source": "cache"})
         # per-class seed offset: estimates of different canonical classes
         # must come from independent sample streams, or downstream
         # quadrature error propagation would understate the variance of
         # class differences
         seed = self.seed + (zlib.crc32(key.encode()) & 0xFFFF)
-        res = weight_mc(gc, lam=lam, n_samples=self.n_samples, seed=seed,
-                        convention="raw")
+        res = weight_mc(gc, lam=lam, n_samples=self.n_samples, seed=seed)
         if self.cache is not None:
             self.cache.put(res)
-        return MCResult(par * factor * res.value, abs(factor) * res.stderr,
-                        res.n_samples, self.seed, lam, convention,
-                        g.to_text(), meta={"source": "mc"})
+        return MCResult(par * res.value, res.stderr, res.n_samples,
+                        self.seed, lam, "raw", g.to_text(),
+                        meta={"source": "mc"})

@@ -40,6 +40,16 @@ def test_exit_1_when_a_check_fails(capsys):
     assert rep["checks"][0]["pass"] is False
 
 
+def test_catalan_gate_cuts_at_the_leaves_the_cap_allows(capsys):
+    """A k-leaf tree starts at Deg 2k+1: at cap 11 the 5-leaf trees
+    count, and cutting at 4 leaves would report a false mismatch."""
+    code, rep = report(capsys, "fedosov", "solve", "--example", "curved",
+                       "--cap", "11")
+    assert code == 0
+    assert rep["results"]["tree_counts"] == {"1": 1, "2": 1, "3": 2,
+                                             "4": 5, "5": 14}
+
+
 @pytest.mark.parametrize("argv", [
     ("weight", "mc", "--graph", "graph2", "--samples", "4000", "--seed",
      "3", "--target", "0.0416667,0"),
@@ -81,6 +91,12 @@ TWO_VALENT = ("weight", "two-valent", "--kind", "out-out")
     ("weight", "fit-lambda", "--graph", "graph2", "--degree", "-1"),
     ("geodesic", "oracle", "--order", "2", "--t", "nan"),
     ("geodesic", "oracle", "--order", "2", "--t", "inf"),
+    ("star", "assoc", "--deg-max", "1"),
+    ("star", "assoc", "--deg-max", "0"),
+    ("star", "assoc", "--triples", "0"),
+    ("series", "zeta", "--n", "3", "--terms", "-5"),
+    ("series", "shadow", "--w", "0.5", "--terms", "0"),
+    ("series", "shadow", "--w", "0.5", "--terms", "-2"),
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -13,7 +13,7 @@ from defquant.fedosov import (FedosovInput, flat_input, curvature_tensor,
                               catalan_expansion, catalan_number,
                               catalan_checks, fedosov_taylor, fedosov_star,
                               flat_star_vs_moyal, moyal_star_jets,
-                              deformed_poincare_defect)
+                              deformed_poincare_defect, curved_input)
 from defquant.weyl import WeylElement, ihbar_circ, ihbar_commutator, \
     random_element
 
@@ -210,6 +210,16 @@ def test_catalan_checks_name_and_count_their_mismatches():
     # one leaf alone misses the quadratic part of the connection
     _, gates = catalan_checks(inp, 1, conn)
     assert gates == {"tree counts 1": 0, "catalan expansion == iterate": 1}
+
+
+def test_catalan_gate_at_cap_9_sees_every_tree_size():
+    """At cap 9 the expansion cut at 1, 2 or 3 leaves misses the fixed
+    point and only the 4-leaf cut reaches it."""
+    inp = curved_input(9)
+    conn = solve_connection(inp)
+    for leaves, bad in ((1, 1), (2, 1), (3, 1), (4, 0)):
+        _, gates = catalan_checks(inp, leaves, conn)
+        assert gates["catalan expansion == iterate"] == bad, leaves
 
 
 def test_single_leaf_solves_the_linear_part():

@@ -159,6 +159,9 @@ def test_shadow_rejects_bad_input():
         shadow_sum(2, 0.0)
     with pytest.raises(ValueError):
         shadow_sum(2, 0.9)
+    for N in (0, -2):
+        with pytest.raises(ValueError):
+            shadow_sum(2, 0.5, N)
 
 
 def test_two_wheel_display_is_half_shadow():

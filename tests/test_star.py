@@ -178,8 +178,8 @@ def test_fan_weight_label_parity():
 class _ExactOnlySource(WeightSource):
     """Weight lookups are fine; falling through to Monte Carlo is not."""
 
-    def weight(self, g, lam=0.5, convention="raw"):
-        res = super().weight(g, lam=lam, convention=convention)
+    def weight(self, g, lam=0.5):
+        res = super().weight(g, lam=lam)
         assert res.exact, "constant bivector must resolve from the exact table"
         return res
 
@@ -301,8 +301,7 @@ def _labeled_reference(pi, lam, source):
             if op.is_zero():
                 continue
             w = source.weight(g, lam=lam).value
-            total = total + op.scale(pref * QC.coerce(
-                complex(w) if isinstance(w, (complex, float)) else w))
+            total = total + op.scale(pref * QC.coerce(w))
         ops[level] = total
     return ops
 

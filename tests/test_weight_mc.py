@@ -67,11 +67,14 @@ def test_label_swap_transports_sign():
 
 
 def test_formality_convention_divides_star_factorials():
-    src_raw = WeightSource(n_samples=100, seed=0)
     for m in (2, 3):
-        raw = src_raw.weight(fan_graph(m), lam=0.5)
-        fmt = src_raw.weight(fan_graph(m), lam=0.5, convention="formality")
-        assert fmt.value == raw.value / math.factorial(m)
+        raw = weight_mc(fan_graph(m), lam=0.5, n_samples=100, seed=0)
+        fmt = weight_mc(fan_graph(m), lam=0.5, n_samples=100, seed=0,
+                        convention="formality")
+        assert fmt.value == pytest.approx(raw.value / math.factorial(m),
+                                          rel=1e-15)
+        assert fmt.stderr == pytest.approx(raw.stderr / math.factorial(m),
+                                           rel=1e-15)
 
 
 def test_seed_reproducibility_and_stderr_scaling():
