@@ -366,9 +366,10 @@ def _structure(name: str, dim_flag):
     if name == "so3":
         return so3_bivector()
     if name == "moyal":
-        d = dim_flag or 2
-        if d % 2:
-            raise UsageError("moyal structure needs even dimension")
+        d = 2 if dim_flag is None else dim_flag
+        if d < 2 or d % 2:
+            raise UsageError(f"invalid dimension {d}: the moyal structure "
+                             "needs a positive even --dim")
         mat = [[0] * d for _ in range(d)]
         for k in range(0, d, 2):
             mat[k][k + 1] = 1

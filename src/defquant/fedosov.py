@@ -191,27 +191,6 @@ def curvature_element(inp: FedosovInput) -> WeylElement:
     return out
 
 
-def curvature_square_scalar(inp: FedosovInput, samples) -> QC:
-    """Calibrate the scalar c with nabla^2 a = c * (i/hbar)[R, a] on the
-    supplied sample elements; raises if no candidate matches."""
-    r_el = curvature_element(inp)
-    candidates = [QC(1), QC(-1), QC(0, 1), QC(0, -1),
-                  QC(Fraction(1, 2)), QC(Fraction(-1, 2)),
-                  QC(0, Fraction(1, 2)), QC(0, Fraction(-1, 2)),
-                  QC(2), QC(-2)]
-    for c in candidates:
-        ok = True
-        for a in samples:
-            lhs = a.nabla(inp.gamma).nabla(inp.gamma)
-            rhs = ihbar_commutator(r_el, a, inp.pi).scale(c)
-            if lhs != rhs:
-                ok = False
-                break
-        if ok:
-            return c
-    raise ArithmeticError("no scalar matches nabla^2 against [R, .]")
-
-
 # -- the abelian-connection fixed point ------------------------------
 
 def solve_connection(inp: FedosovInput, max_rounds: int | None = None
@@ -281,9 +260,9 @@ def catalan_checks(inp: FedosovInput, n_max: int, connection: WeylElement):
     trees have n leaves; gates maps a check name to its mismatch count (0
     passes) for the counts against Catalan(n-1) and for the summed trees
     against ``connection``, the fixed point of ``solve_connection``."""
-    _, counts = catalan_trees(inp, n_max)
+    values, counts = catalan_trees(inp, n_max)
     want = [catalan_number(n) for n in counts]
-    gap = catalan_expansion(inp, n_max) - connection
+    gap = sum((t for n in values for t in values[n]), inp.zero()) - connection
     return counts, {
         f"tree counts {','.join(map(str, want))}":
             int(list(counts.values()) != want),

@@ -61,6 +61,11 @@ def _constant_matrix_inverse(mat):
     return [[a[i][d + j] for j in range(d)] for i in range(d)]
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError(f"invalid order {order}: a jet order must be >= 0")
+
+
 def _matrix_inverse_jet(g, dim, order):
     """Jet inverse: g = g0 (1 + g0^{-1} E) with E the non-constant part,
     then a terminating Neumann series."""
@@ -94,6 +99,7 @@ class MetricJet:
     """
 
     def __init__(self, dim: int, order: int, g):
+        _check_order(order)
         self.dim = dim
         self.order = order
         self.g = [[gij if isinstance(gij, Poly)
@@ -145,6 +151,7 @@ class MetricJet:
     def poincare_half_plane(order: int) -> "MetricJet":
         """Hyperbolic upper half plane (dx1^2 + dx2^2)/x2^2 around the
         base point with second coordinate 1."""
+        _check_order(order)     # the inverse below runs before __init__
         x2 = Poly.one(2, order) + Poly.var(2, 1, order)
         w = x2.inverse()
         w2 = w * w

@@ -200,8 +200,12 @@ def enumerate_graphs(n: int, m: int, out_degree: int,
     """All labeled graphs with the given uniform aerial out-degree.
 
     The edge leaving vertex k with label j points at the j-th entry of the
-    chosen target tuple.  With n = 0 the list is empty.
+    chosen target tuple.  With n = 0 the list is empty; a negative count
+    raises ValueError.
     """
+    for name, val in (("n", n), ("m", m), ("out-degree", out_degree)):
+        if val < 0:
+            raise ValueError(f"invalid {name} {val}: must be >= 0")
     if n == 0:
         return []
     out = []

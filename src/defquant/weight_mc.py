@@ -26,9 +26,11 @@ Sampling: aerial points are drawn uniformly on the unit disk (square root
 trick) and pushed to H by the Mobius map z = i(1+w)/(1-w) with analytic
 density; ground points are standard-Cauchy draws (u -> tan(pi(u - 1/2))),
 sorted, with the 1/m! ordering factor folded into the estimator.
-Uniforms come from numpy's default generator seeded with ``seed`` and are
-consumed in chunks of CHUNK samples; the singularity guard resamples the
-rare rejected points from a second generator seeded with ``seed + 77``.
+Each estimate draws its uniforms from one numpy default generator seeded
+with ``seed``, CHUNK rows at a time, so memory stays bounded by the chunk
+and the numbers equal those of one big draw.  The singularity guard drops
+a rejected sample: it counts in n_samples and contributes 0, as in
+two_valent_integral.
 """
 
 from __future__ import annotations
@@ -207,29 +209,16 @@ def weight_mc(g: AdmissibleGraph, lam=0.5, n_samples: int = 200_000,
                         meta={"reason": reason})
 
     dim = g.dim_config()
+    rng = np.random.default_rng(seed)
     total = 0
     acc = 0j
     acc_re2 = 0.0
     acc_im2 = 0.0
-    done = 0
-    u_all = np.random.default_rng(seed).random((n_samples, dim))
-    rng_extra = np.random.default_rng(None if seed is None else seed + 77)
-    while done < n_samples:
-        u = u_all[done:done + CHUNK]
-        done += u.shape[0]
+    while total < n_samples:
+        u = rng.random((min(CHUNK, n_samples - total), dim))
         z, r, w_imp = _map_samples(u, g.n, g.m)
         ok = _config_ok(z, r)
-        retries = 0
-        while not ok.all():
-            retries += 1
-            if retries > 50:
-                raise RuntimeError("singular guard kept rejecting samples")
-            bad = ~ok
-            u_new = rng_extra.random((int(bad.sum()), dim))
-            z2, r2, w2 = _map_samples(u_new, g.n, g.m)
-            z[bad], r[bad], w_imp[bad] = z2, r2, w2
-            ok = _config_ok(z, r)
-        vals = integrand_value(g, lam, z, r) * w_imp
+        vals = np.where(ok, integrand_value(g, lam, z, r) * w_imp, 0)
         total += vals.size
         acc += vals.sum()
         acc_re2 += (vals.real ** 2).sum()
@@ -375,14 +364,14 @@ class LambdaPolyFit:
 
 
 def weight_poly_fit(g: AdmissibleGraph, degree: int | None = None,
-                    nodes=None, n_samples: int = 1_000_000, seed: int = 0,
-                    convention: str = "raw", cache=None) -> LambdaPolyFit:
-    """Fit the lambda-dependence of a weight from independent MC runs.
+                    n_samples: int = 1_000_000, seed: int = 0,
+                    cache=None) -> LambdaPolyFit:
+    """Fit the lambda-dependence of a raw weight from independent MC runs.
 
     The weight is a polynomial in lam of degree at most the number of
-    edges; by default degree+2 Chebyshev nodes on (0,1) are used, each with
-    its own seed, and the fit is inverse-variance weighted.  Node estimates
-    go through ``cache`` by canonical class (``get_graph``/``put_graph``)
+    edges; degree+2 Chebyshev nodes on (0,1) are used, each with its own
+    seed, and the fit is inverse-variance weighted.  Node estimates go
+    through ``cache`` by canonical class (``get_graph``/``put_graph``)
     while sampling stays on ``g``.  Raises ValueError for a negative
     degree and when a node's estimate has stderr 0, whose weight would be
     unbounded.
@@ -391,19 +380,17 @@ def weight_poly_fit(g: AdmissibleGraph, degree: int | None = None,
         degree = g.n_edges
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    if nodes is None:
-        k_nodes = degree + 2
-        nodes = np.sort(0.5 + 0.5 * np.cos(
-            np.pi * (2 * np.arange(k_nodes) + 1) / (2 * k_nodes)))
-    nodes = np.asarray(nodes, float)
+    k_nodes = degree + 2
+    nodes = np.sort(0.5 + 0.5 * np.cos(
+        np.pi * (2 * np.arange(k_nodes) + 1) / (2 * k_nodes)))
     results = []
     for idx, lam in enumerate(nodes):
         res = None
         if cache is not None:
-            res = cache.get_graph(g, lam, convention)
+            res = cache.get_graph(g, lam)
         if res is None:
             res = weight_mc(g, lam=float(lam), n_samples=n_samples,
-                            seed=seed + 101 * idx, convention=convention)
+                            seed=seed + 101 * idx)
             if cache is not None and not res.exact:
                 cache.put_graph(g, res)
         results.append(res)
@@ -430,9 +417,10 @@ def weight_poly_fit(g: AdmissibleGraph, degree: int | None = None,
 def funimp_residuals(fit: LambdaPolyFit):
     """Residuals of conj(a_n) = (-1)^n sum_{l>=n} C(l,n) a_l, one per n.
 
-    Returns [(n, residual, stderr)]: the relation couples Re and Im parts
-    with different signs, so both are propagated through the shared
-    parameter covariance.
+    Returns [(n, residual, stderr)].  With c picking a_n and lin the
+    right-hand sum, the real part of the residual is (c - lin) . Re a and
+    the imaginary part (-c - lin) . Im a; ``fit.functional`` propagates
+    both through the shared parameter covariance.
     """
     d = fit.degree
     out = []
@@ -442,22 +430,15 @@ def funimp_residuals(fit: LambdaPolyFit):
         lin = np.zeros(d + 1)
         for l in range(n, d + 1):
             lin[l] = (-1) ** n * math.comb(l, n)
-        # conj(a_n) - sum: real part uses c - lin, imaginary -(c) - lin
-        val_re = float((c - lin) @ fit.coeffs.real)
-        val_im = float((-c - lin) @ fit.coeffs.imag)
-        var = float((c - lin) @ fit.cov @ (c - lin)
-                    + (c + lin) @ fit.cov @ (c + lin))
-        out.append((n, complex(val_re, val_im), math.sqrt(max(var, 0.0))))
+        out.append((n, *fit.functional(c - lin, -c - lin)))
     return out
 
 
 def midpoint_imag(fit: LambdaPolyFit):
     """(Im W(1/2), stderr): the midpoint weight should be real."""
-    d = fit.degree
-    c = 0.5 ** np.arange(d + 1)
-    val = float(c @ fit.coeffs.imag)
-    sig = math.sqrt(max(float(c @ fit.cov @ c), 0.0))
-    return val, sig
+    c = 0.5 ** np.arange(fit.degree + 1)
+    val, sig = fit.functional(np.zeros_like(c), c)
+    return val.imag, sig
 
 
 # ---------------------------------------------------------------------

@@ -97,6 +97,18 @@ TWO_VALENT = ("weight", "two-valent", "--kind", "out-out")
     ("series", "zeta", "--n", "3", "--terms", "-5"),
     ("series", "shadow", "--w", "0.5", "--terms", "0"),
     ("series", "shadow", "--w", "0.5", "--terms", "-2"),
+    ("graphs", "enumerate", "--n", "2", "--m", "-1"),
+    ("graphs", "enumerate", "--n", "2", "--m", "2", "--out-degree", "-1"),
+    ("star", "assemble", "--structure", "moyal", "--dim", "0"),
+    ("star", "assemble", "--structure", "moyal", "--dim", "-2"),
+    ("star", "assemble", "--structure", "moyal", "--dim", "3"),
+    ("star", "assoc", "--structure", "moyal", "--dim", "0"),
+    ("star", "assoc", "--structure", "moyal", "--dim", "-2"),
+    ("geodesic", "exp", "--metric", "flat", "--order", "-1"),
+    ("geodesic", "exp", "--metric", "sphere", "--order", "-1"),
+    ("geodesic", "exp", "--metric", "random", "--order", "-1"),
+    ("geodesic", "exp", "--metric", "poincare", "--order", "-1"),
+    ("geodesic", "oracle", "--metric", "poincare", "--order", "-1"),
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -104,6 +116,23 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("graphs", "enumerate", "--n", "2", "--m", "-1"), "invalid m -1"),
+    (("graphs", "enumerate", "--n", "2", "--m", "2", "--out-degree", "-1"),
+     "invalid out-degree -1"),
+    (("star", "assoc", "--structure", "moyal", "--dim", "0"),
+     "invalid dimension 0"),
+    (("geodesic", "exp", "--metric", "flat", "--order", "-1"),
+     "invalid order -1"),
+    (("geodesic", "exp", "--metric", "poincare", "--order", "-1"),
+     "invalid order -1"),
+], ids=lambda x: " ".join(x) if isinstance(x, tuple) else "")
+def test_bad_input_error_names_the_input(capsys, argv, named):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: {named}:")
 
 
 def test_zero_stderr_estimate_round_trips_through_the_cache(capsys,

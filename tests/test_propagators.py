@@ -208,8 +208,6 @@ def test_central_form_transitive_differentials(lam, a, b, c):
     """d[f(a,b) + f(b,c)] in b vanishes identically for the central form."""
     if min(abs(a), abs(b), abs(c)) < 0.1:
         return
-    _, _, d_t, d_tb = prop.dphi_central_pair(lam, a, b) \
-        if hasattr(prop, "dphi_central_pair") else (None, None, None, None)
     # no dedicated differential helper: check transitivity of values
     # against the branch lattice instead
     total = (prop.phi_central(lam, a, b) + prop.phi_central(lam, b, c)

@@ -1,5 +1,6 @@
 """Monte Carlo weights: exact table, estimates, two-valent integrals, fits."""
 
+import importlib
 import math
 from fractions import Fraction
 
@@ -12,7 +13,10 @@ from defquant.graphs import (AdmissibleGraph, Edge, fan_graph, cycle_graph,
 from defquant.weight_mc import (MCResult, WeightSource, weight_mc,
                                 exact_zero_reason, two_valent_integral,
                                 two_valent_out_out_exact, weight_poly_fit,
-                                funimp_residuals)
+                                funimp_residuals, midpoint_imag)
+
+# the package exports the function ``weight_mc`` under the module's name
+wmc = importlib.import_module("defquant.weight_mc")
 
 
 def test_fan_weights_exact_and_mc():
@@ -83,6 +87,78 @@ def test_seed_reproducibility_and_stderr_scaling():
     assert a.value == b.value and a.stderr == b.stderr
     big = weight_mc(graph2(), lam=0.5, n_samples=200_000, seed=11)
     assert big.stderr < a.stderr
+
+
+def _sliced_reference(g, lam, u, chunk, rejected=()):
+    """(mean, stderr) of the estimator over ``chunk``-row slices of the
+    one uniform draw ``u``, with the ``rejected`` rows contributing 0."""
+    acc, re2, im2 = 0j, 0.0, 0.0
+    for start in range(0, len(u), chunk):
+        z, r, w_imp = wmc._map_samples(u[start:start + chunk], g.n, g.m)
+        vals = wmc.integrand_value(g, lam, z, r) * w_imp
+        vals[[i - start for i in rejected if start <= i < start + chunk]] = 0
+        acc += vals.sum()
+        re2 += (vals.real ** 2).sum()
+        im2 += (vals.imag ** 2).sum()
+    n = len(u)
+    mean = acc / n
+    var = (max(re2 / n - mean.real ** 2, 0.0)
+           + max(im2 / n - mean.imag ** 2, 0.0))
+    return mean, math.sqrt(var / n)
+
+
+def test_chunked_draws_equal_one_draw(monkeypatch):
+    """One generator per estimate, read CHUNK rows at a time: the result
+    is bit-identical to slicing one big draw, and no chunk is larger."""
+    monkeypatch.setattr(wmc, "CHUNK", 1000)
+    rows = []
+    real_map = wmc._map_samples
+
+    def counting_map(u, n, m):
+        rows.append(len(u))
+        return real_map(u, n, m)
+
+    monkeypatch.setattr(wmc, "_map_samples", counting_map)
+    g = graph2()
+    res = weight_mc(g, lam=0.3, n_samples=3500, seed=17)
+    assert rows == [1000, 1000, 1000, 500]
+    u = np.random.default_rng(17).random((3500, g.dim_config()))
+    assert (res.value, res.stderr) == _sliced_reference(g, 0.3, u, 1000)
+    assert res.n_samples == 3500
+
+
+def test_guard_drops_rejected_samples(monkeypatch):
+    """A sample the singularity guard rejects counts in n_samples and
+    contributes 0; nothing is redrawn."""
+    monkeypatch.setattr(wmc, "CHUNK", 1000)
+    rejected = (0, 999, 1000, 2718, 3499)
+    seen = [0]
+    real_ok = wmc._config_ok
+
+    def guard(z, r):
+        ok = real_ok(z, r)
+        start = seen[0]
+        seen[0] += len(ok)
+        ok[[i - start for i in rejected if start <= i < start + len(ok)]] = 0
+        return ok
+
+    g = graph2()
+    plain = weight_mc(g, lam=0.3, n_samples=3500, seed=17)
+    monkeypatch.setattr(wmc, "_config_ok", guard)
+    res = weight_mc(g, lam=0.3, n_samples=3500, seed=17)
+    assert seen == [3500]
+    assert res.n_samples == 3500
+    assert np.isfinite(res.value) and np.isfinite(res.stderr)
+    assert res.value != plain.value
+    u = np.random.default_rng(17).random((3500, g.dim_config()))
+    assert (res.value, res.stderr) == _sliced_reference(g, 0.3, u, 1000,
+                                                        rejected)
+
+
+def test_unseeded_estimate_runs():
+    res = weight_mc(graph2(), lam=0.5, n_samples=2000, seed=None)
+    assert res.seed is None and res.n_samples == 2000
+    assert np.isfinite(res.value) and res.stderr > 0
 
 
 # -- exact-zero screening ---------------------------------------------
@@ -175,6 +251,25 @@ def test_weight_poly_fit_reflection_and_reality():
     assert abs(val.imag) <= 3.0 * max(sigma, 1e-12)
     mid, mid_sigma = fit.functional(half, half)
     assert abs(mid.real - 1.0 / 24.0) <= max(4.0 * mid_sigma, 1e-2)
+
+
+def test_fit_functionals_propagate_the_shared_covariance():
+    """funimp_residuals and midpoint_imag go through fit.functional and
+    equal the explicit propagation with Re and Im signs written out."""
+    for g, seed in ((graph2(), 3), (graph1_left(), 11)):
+        fit = weight_poly_fit(g, n_samples=4000, seed=seed)
+        d = fit.degree
+        re, im, cov = fit.coeffs.real, fit.coeffs.imag, fit.cov
+        for n, resid, sig in funimp_residuals(fit):
+            c = np.eye(d + 1)[n]
+            lin = np.array([(-1) ** n * math.comb(l, n) if l >= n else 0
+                            for l in range(d + 1)], float)
+            want = complex((c - lin) @ re, (-c - lin) @ im)
+            var = (c - lin) @ cov @ (c - lin) + (c + lin) @ cov @ (c + lin)
+            assert (resid, sig) == (want, math.sqrt(max(var, 0.0)))
+        half = 0.5 ** np.arange(d + 1)
+        assert midpoint_imag(fit) == (
+            float(half @ im), math.sqrt(max(float(half @ cov @ half), 0.0)))
 
 
 def test_weight_poly_fit_rejects_a_negative_degree():
