@@ -22,8 +22,8 @@ a non-finite ``--lambda``, ``--target``, ``--w1``, ``--w2``, ``--x``,
 ``--v`` or ``--t``; a named graph of size below 1 (``fan:0``,
 ``wheel:0``, ``cycle:0``); ``--workers`` below 1; ``--samples`` below 2
 per worker (a chunk that small reports stderr 0); a negative ``--cap``
-or ``--degree``; ``--steps`` below 1; and a lambda fit whose nodes have
-stderr 0.
+or ``--degree``; ``--steps`` below 1; a ``--dim`` other than 3 for the
+so3 structure; and a lambda fit whose nodes have stderr 0.
 
 The Monte Carlo subcommands accept ``--workers`` and split the sample
 budget over a process pool with per-chunk seeds; the chunk estimates are
@@ -364,6 +364,9 @@ def cmd_series_harmonic(args, t0):
 
 def _structure(name: str, dim_flag):
     if name == "so3":
+        if dim_flag not in (None, 3):
+            raise UsageError(f"invalid dimension {dim_flag}: the so3 "
+                             "structure is 3-dimensional")
         return so3_bivector()
     if name == "moyal":
         d = 2 if dim_flag is None else dim_flag

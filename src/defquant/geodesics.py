@@ -4,12 +4,16 @@ oracle.
 The geodesic flow from a base point solves d^2 phi/dt^2 + Gamma(dphi, dphi)
 = 0; expanding phi in the initial velocity gives
 
-    phi^i(x, v) = x^i + v^i
-                  - sum_{n >= 0} 1/(n+2)! (nabla^n Gamma)^(i)_{c...} v^c...
+    phi^i(u, v) = u^i + v^i - sum_{n >= 0} T_n^i(u, v) / (n+2)!,
+    T_n^i = (nabla^n Gamma)^(i)(v, ..., v),
 
 where nabla differentiates the lower indices only (the raised index is
-never touched) and only the totally symmetric part of each tensor
-survives the contraction with the v's.
+never touched).  Only these velocity-contracted tensors enter, so they
+are built directly: T_0 = Gamma^i(u; v, v) and
+
+    T_{n+1}^i = v^b d_{u^b} T_n^i - Gamma^c(u; v, v) d_{v^c} T_n^i,
+
+d polynomials per step (CovariantTensorJet).
 
 Polynomials live in 2*dim variables: the first dim are offsets u from the
 base point, the last dim are fiber velocities v.  All outputs are the
@@ -28,7 +32,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
 
 from .exactnum import QC
@@ -182,87 +185,66 @@ class MetricJet:
 
 
 # ---------------------------------------------------------------------
-# covariant tensors with one raised slot
+# velocity-contracted covariant tensors
 # ---------------------------------------------------------------------
 
 class CovariantTensorJet:
-    """a^(i)_{c_1...c_n}: one raised slot, n lowered slots, Poly jets.
+    """T^i(u, v) = (nabla^n Gamma)^(i)(v, ..., v): d Polys in (u, v).
 
-    nabla_lower appends a lowered slot by the covariant rule that never
-    differentiates the raised index:
+    nabla_lower takes T_n to T_{n+1} by the covariant rule contracted with
+    one more velocity; it never differentiates the raised index:
 
-        (nabla a)^(i)_{c_1...c_n b}
-            = d_b a^(i)_{c_1...c_n} - sum_l Gamma^c_{b c_l} a^(i)_{...c...}
+        T_{n+1}^i = v^b d_{u^b} T_n^i - Gamma^c(u; v, v) d_{v^c} T_n^i
+
+    With metric jet order N, T_n is homogeneous of v-degree n + 2 and
+    exact to total degree N + 1 (u-degree N - 1 - n), so every product is
+    cut there; the derivatives are re-cut at N + 1 too, since Poly.diff
+    lowers trunc by one but v^b d_{u^b} keeps the total degree.
     """
 
-    def __init__(self, dim: int, n_lower: int, comps=None):
-        self.dim = dim
-        self.n_lower = n_lower
-        self.comps = {}
-        if comps:
-            for (up, lows), p in comps.items():
-                assert len(lows) == n_lower
-                if not p.is_zero():
-                    self.comps[(up, tuple(lows))] = p
+    def __init__(self, comps, gamma_vv, cut: int):
+        self.dim = len(comps)
+        self.comps = comps
+        self.gamma_vv = gamma_vv
+        self.cut = cut
 
     @staticmethod
     def from_christoffel(metric: MetricJet) -> "CovariantTensorJet":
-        comps = {}
-        for k in range(metric.dim):
-            for i in range(metric.dim):
-                for j in range(metric.dim):
-                    comps[(k, (i, j))] = metric.gamma[k][i][j]
-        return CovariantTensorJet(metric.dim, 2, comps)
+        d, cut = metric.dim, metric.order + 1
+        gamma_vv = []
+        for k in range(d):
+            terms = {}
+            for i in range(d):
+                for j in range(d):
+                    vv = tuple((m == i) + (m == j) for m in range(d))
+                    for e, c in metric.gamma[k][i][j].terms.items():
+                        accumulate(terms, e + vv, c)
+            gamma_vv.append(Poly(2 * d, terms, cut))
+        return CovariantTensorJet(gamma_vv, gamma_vv, cut)
 
-    def component(self, up: int, lows) -> Poly:
-        return self.comps.get((up, tuple(lows)), Poly.zero(self.dim))
-
-    def nabla_lower(self, gamma) -> "CovariantTensorJet":
-        d = self.dim
-        out = {}
-        # iterate over stored components, so the contraction term is the
-        # transpose of the defining formula: the stored slot index l feeds
-        # outputs with c in its place, weighted by -Gamma^l_{bc}
-        for (up, lows), p in self.comps.items():
-            for b in range(d):
-                dp = p.diff(b)
-                if not dp.is_zero():
-                    accumulate(out, (up, lows + (b,)), dp)
-                for pos, l in enumerate(lows):
-                    for c in range(d):
-                        glc = gamma[l][b][c]
-                        if glc.is_zero():
-                            continue
-                        nl = lows[:pos] + (c,) + lows[pos + 1:]
-                        accumulate(out, (up, nl + (b,)), -(glc * p))
-        return CovariantTensorJet(d, self.n_lower + 1, out)
-
-    def symmetrized(self) -> "CovariantTensorJet":
-        """Average over lower-slot orderings (the raised slot stays put)."""
-        out = {}
-        norm = QC(Fraction(1, factorial(self.n_lower)))
-        for (up, lows), p in self.comps.items():
-            for perm in permutations(lows):
-                accumulate(out, (up, perm), p * norm)
-        return CovariantTensorJet(self.dim, self.n_lower, out)
+    def nabla_lower(self) -> "CovariantTensorJet":
+        d, cut = self.dim, self.cut
+        out = []
+        for t in self.comps:
+            dt = [Poly(2 * d, t.diff(k).terms, cut) for k in range(2 * d)]
+            out.append(sum((Poly.var(2 * d, d + b, cut) * dt[b]
+                            - self.gamma_vv[b] * dt[d + b]
+                            for b in range(d)), Poly.zero(2 * d, cut)))
+        return CovariantTensorJet(out, self.gamma_vv, cut)
 
 
 # ---------------------------------------------------------------------
 # the exponential-map series
 # ---------------------------------------------------------------------
 
-def _lift_to_uv(p: Poly, dim: int) -> Poly:
-    """Reinterpret a Poly in the offsets u as one in (u, v)."""
-    return Poly(2 * dim, {e + (0,) * dim: c for e, c in p.terms.items()})
-
-
 def _reliability_trim(p: Poly, dim: int, order: int) -> Poly:
     """Drop (u, v) terms beyond the jet-reliability ladder.
 
     Each covariant step consumes one order of metric jet, so the v^k
     coefficient (k >= 2) of the series is only determined to u-degree
-    order + 1 - k.  Trimming both series constructions to this region
-    makes their agreement an exact polynomial identity.
+    order + 1 - k.  exp_map_series stays in this region by construction;
+    trimming the flat-section recursion to it makes their agreement an
+    exact polynomial identity.
     """
     out = {}
     for e, c in p.terms.items():
@@ -277,28 +259,22 @@ def exp_map_series(metric: MetricJet, order: int):
     """Per-coordinate offset series phi^i - base^i as Polys in (u, v).
 
     order bounds the total v-degree; it may not exceed the metric jet
-    order (each nabla consumes one order of x-differentiation).
+    order (each nabla consumes one order of x-differentiation).  Every
+    term lies in the jet-reliability region of ``_reliability_trim``.
     """
     if order > metric.order:
         raise ValueError(
             f"series order {order} exceeds metric jet order {metric.order}")
     d = metric.dim
-    phi = [Poly(2 * d, {tuple(e): QC(1) for e in
-                        ([int(k == i) for k in range(d)] + [0] * d,
-                         [0] * d + [int(k == i) for k in range(d)])})
-           for i in range(d)]
+    phi = [Poly.var(2 * d, i) + Poly.var(2 * d, d + i) for i in range(d)]
     tensor = CovariantTensorJet.from_christoffel(metric)
     for n in range(order - 1):
         coeff = QC(Fraction(-1, factorial(n + 2)))
-        for (up, lows), p in tensor.comps.items():
-            mono = [0] * d
-            for l in lows:
-                mono[l] += 1
-            vm = Poly(2 * d, {(0,) * d + tuple(mono): coeff})
-            phi[up] = phi[up] + _lift_to_uv(p, d) * vm
+        phi = [p + t * coeff for p, t in zip(phi, tensor.comps)]
         if n < order - 2:
-            tensor = tensor.nabla_lower(metric.gamma)
-    return [_reliability_trim(p, d, metric.order) for p in phi]
+            tensor = tensor.nabla_lower()
+    # untruncated, so that arithmetic with another series keeps every term
+    return [Poly(2 * d, p.terms) for p in phi]
 
 
 def series_eval(phi, u, v):
@@ -416,17 +392,15 @@ def classical_fedosov_taylor(metric: MetricJet, index: int, order: int
                                      d, order)
     a = fixed_point(lambda x: seed + x.nabla(metric.gamma).delta_inv(), seed,
                     order + 2, "flat-section recursion")
-    out = Poly.zero(2 * d)
+    terms = {}
     for (vexp, dxs, hpow), p in a.terms.items():
         assert hpow == 0 and dxs == ()
-        vm = Poly(2 * d, {(0,) * d + tuple(vexp): QC(1)})
-        out = out + _lift_to_uv(p, d) * vm
-    return _reliability_trim(out, d, metric.order)
+        terms.update((e + tuple(vexp), c) for e, c in p.terms.items())
+    return _reliability_trim(Poly(2 * d, terms), d, metric.order)
 
 
 def flat_section_mismatches(metric: MetricJet, phi, order: int) -> int:
     """How many components of phi = exp_map_series(metric, order) differ
     from the flat-section recursion (0 when all agree)."""
     return sum(1 for i in range(metric.dim)
-               if not (classical_fedosov_taylor(metric, i, order)
-                       - phi[i]).is_zero())
+               if classical_fedosov_taylor(metric, i, order) != phi[i])

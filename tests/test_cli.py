@@ -104,6 +104,8 @@ TWO_VALENT = ("weight", "two-valent", "--kind", "out-out")
     ("star", "assemble", "--structure", "moyal", "--dim", "3"),
     ("star", "assoc", "--structure", "moyal", "--dim", "0"),
     ("star", "assoc", "--structure", "moyal", "--dim", "-2"),
+    ("star", "assemble", "--structure", "so3", "--dim", "4"),
+    ("star", "assoc", "--structure", "so3", "--dim", "4"),
     ("geodesic", "exp", "--metric", "flat", "--order", "-1"),
     ("geodesic", "exp", "--metric", "sphere", "--order", "-1"),
     ("geodesic", "exp", "--metric", "random", "--order", "-1"),
@@ -124,6 +126,8 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
      "invalid out-degree -1"),
     (("star", "assoc", "--structure", "moyal", "--dim", "0"),
      "invalid dimension 0"),
+    (("star", "assemble", "--structure", "so3", "--dim", "4"),
+     "invalid dimension 4"),
     (("geodesic", "exp", "--metric", "flat", "--order", "-1"),
      "invalid order -1"),
     (("geodesic", "exp", "--metric", "poincare", "--order", "-1"),

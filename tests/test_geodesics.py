@@ -8,8 +8,7 @@ import pytest
 
 from defquant.exactnum import QC
 from defquant.exactpoly import Poly, sin_jet, cos_jet
-from defquant.geodesics import (MetricJet, CovariantTensorJet,
-                                exp_map_series, series_eval,
+from defquant.geodesics import (MetricJet, exp_map_series, series_eval,
                                 restrict_velocity, geodesic_ode_oracle,
                                 sphere_gamma_fn, poincare_gamma_fn,
                                 metric_gamma_fn, classical_fedosov_taylor,
@@ -212,43 +211,26 @@ def test_series_vs_ode_gap_shrinks_with_the_series_order(sphere8):
 
 
 # ---------------------------------------------------------------------
-# tensor symmetrization
-# ---------------------------------------------------------------------
-
-def _velocity_buckets(tensor, trunc):
-    """Sum components over lower-slot orderings (what a symmetric velocity
-    contraction sees), truncated to the common reliability level."""
-    out = {}
-    for (up, lows), p in tensor.comps.items():
-        key = (up, tuple(sorted(lows)))
-        cur = out.get(key, Poly.zero(tensor.dim))
-        out[key] = cur + p
-    return {k: p.truncate(trunc) for k, p in out.items()
-            if not p.truncate(trunc).is_zero()}
-
-
-def test_symmetrization_is_invisible_to_the_contraction(sphere8):
-    tensor = CovariantTensorJet.from_christoffel(sphere8)
-    tensor = tensor.nabla_lower(sphere8.gamma).nabla_lower(sphere8.gamma)
-    sym = tensor.symmetrized()
-    assert tensor.comps != sym.comps       # the tensor itself does change
-    # components reach the contraction with mixed per-path truncations;
-    # compare at the worst one, which is what any consumer may rely on
-    tmin = min(p.trunc for p in tensor.comps.values())
-    assert _velocity_buckets(tensor, tmin) == _velocity_buckets(sym, tmin)
-
-
-# ---------------------------------------------------------------------
 # the commutative flat-section recursion
 # ---------------------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def recursion_cases(sphere8, sphere_series):
+    cases = [(sphere8, 8, sphere_series)]
+    for metric in (MetricJet.poincare_half_plane(6),
+                   MetricJet.random_metric(2, 6, random.Random(99)),
+                   MetricJet.random_metric(3, 4, random.Random(5))):
+        cases.append((metric, metric.order,
+                      exp_map_series(metric, metric.order)))
+    return cases
+
+
 @pytest.mark.parametrize("index", [0, 1])
-def test_classical_recursion_matches_series(index, sphere8, poincare8):
-    rnd = MetricJet.random_metric(2, 6, random.Random(99))
-    for metric in (sphere8, poincare8, rnd):
-        phi = exp_map_series(metric, 4)
-        tau = classical_fedosov_taylor(metric, index, 4)
-        assert tau == phi[index]
+def test_classical_recursion_matches_series(index, recursion_cases):
+    # index 0 takes the even components, index 1 the odd ones
+    for metric, order, phi in recursion_cases:
+        for i in range(index, metric.dim, 2):
+            assert classical_fedosov_taylor(metric, i, order) == phi[i]
 
 
 def test_flat_section_mismatches_counts_components(sphere8):
