@@ -7,6 +7,7 @@ Everything runs inside the Deg-truncated Weyl algebra of ``weyl``:
   * the abelian-connection fixed point
         r = delta_inv(Omega + R + nabla r + (i/hbar) r o r),
     solved by iteration (the map raises Deg, so cap+2 rounds stabilize);
+    r is the only element found by iterating a nonlinear map;
   * the same element assembled from rooted full binary trees with leaf
         z = (1 - delta_inv nabla)^{-1} delta_inv(Omega + R)
     and node
@@ -14,6 +15,8 @@ Everything runs inside the Deg-truncated Weyl algebra of ``weyl``:
     whose per-leaf-count tree numbers are the Catalan numbers;
   * the Taylor-expansion fixed point tau(f) and the induced star product
         f * g = sigma(tau(f) o tau(g)),
+    with tau(f) and the homotopy D^{-1} summed as terminating Neumann
+    series of the Deg-raising map delta_inv(nabla + (i/hbar)[r, .]);
     plus an independent constant-coefficient Moyal oracle to pin the
     conventions down in the flat case.
 
@@ -33,17 +36,12 @@ import numpy as np
 
 from .exactnum import QC
 from .exactpoly import Poly
-from .weyl import WeylElement, fixed_point, ihbar_circ, ihbar_commutator
+from .weyl import WeylElement, fixed_point, ihbar_commutator, neumann
 
 
 def _as_poly_matrix(entries, dim):
-    out = []
-    for row in entries:
-        new = []
-        for e in row:
-            new.append(e if isinstance(e, Poly) else Poly.const(dim, e))
-        out.append(new)
-    return out
+    return [[e if isinstance(e, Poly) else Poly.const(dim, e) for e in row]
+            for row in entries]
 
 
 @dataclass
@@ -196,11 +194,12 @@ def curvature_element(inp: FedosovInput) -> WeylElement:
 def solve_connection(inp: FedosovInput, max_rounds: int | None = None
                      ) -> WeylElement:
     """Unique solution of r = delta_inv(center + R + nabla r +
-    (i/hbar) r o r) with delta_inv r = 0, by Deg-raising iteration."""
+    (i/hbar) r o r) with delta_inv r = 0, by Deg-raising iteration.  r is
+    a 1-form, so (i/hbar) r o r = (1/2) (i/hbar)[r, r]."""
     source = inp.center + curvature_element(inp)
 
     def step(r):
-        quad = ihbar_circ(r, r, inp.pi) if not r.is_zero() else inp.zero()
+        quad = ihbar_commutator(r, r, inp.pi).scale(Fraction(1, 2))
         return (source + r.nabla(inp.gamma) + quad).delta_inv()
 
     r = fixed_point(step, inp.zero(),
@@ -271,19 +270,21 @@ def catalan_checks(inp: FedosovInput, n_max: int, connection: WeylElement):
 
 # -- Taylor expansion and star product -------------------------------
 
+def _raise_by_d(inp: FedosovInput, connection: WeylElement):
+    """The Deg-raising linear map a -> delta_inv(nabla a + (i/hbar)[r, a])
+    whose Neumann series gives tau and D^{-1}."""
+    return lambda a: (a.nabla(inp.gamma) + ihbar_commutator(
+        connection, a, inp.pi)).delta_inv()
+
+
 def fedosov_taylor(inp: FedosovInput, f: Poly,
                    connection: WeylElement | None = None) -> WeylElement:
-    """tau(f): fixed point of tau = f + delta_inv(nabla tau +
-    (i/hbar)[r, tau])."""
+    """tau(f): the solution of tau = f + delta_inv(nabla tau +
+    (i/hbar)[r, tau]), summed as a Neumann series from f."""
     if connection is None:
         connection = solve_connection(inp)
-    f_el = inp.embed(f)
-
-    def step(tau):
-        br = ihbar_commutator(connection, tau, inp.pi)
-        return f_el + (tau.nabla(inp.gamma) + br).delta_inv()
-
-    return fixed_point(step, f_el, inp.cap + 2, "Taylor expansion")
+    return neumann(_raise_by_d(inp, connection), inp.embed(f), inp.cap + 2,
+                   "Taylor expansion")
 
 
 def fedosov_star(inp: FedosovInput, f: Poly, g: Poly,
@@ -353,15 +354,8 @@ def fedosov_differential(inp: FedosovInput, connection: WeylElement,
 def fedosov_homotopy(inp: FedosovInput, connection: WeylElement,
                      a: WeylElement) -> WeylElement:
     """D^{-1} a = -(1 - delta_inv(nabla + (i/hbar)[r, .]))^{-1} delta_inv a."""
-    cur = a.delta_inv()
-    total = cur
-    for _ in range(inp.cap + 2):
-        cur = (cur.nabla(inp.gamma)
-               + ihbar_commutator(connection, cur, inp.pi)).delta_inv()
-        if cur.is_zero():
-            break
-        total = total + cur
-    return -total
+    return -neumann(_raise_by_d(inp, connection), a.delta_inv(),
+                    inp.cap + 2, "deformed homotopy")
 
 
 def deformed_poincare_defect(inp: FedosovInput, a: WeylElement

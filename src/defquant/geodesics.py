@@ -21,10 +21,11 @@ offsets phi^i - base^i, so irrational base data (a sphere base angle, say)
 never enters the exact arithmetic -- closed-form charts only need the
 metric entries at the base point as exact rationals.
 
-A fixed-step 4th-order integrator of the geodesic equations acts as an
+A fixed-step 4th-order integrator of the geodesic equations, fed float
+Christoffel symbols (a point where they fail is a ValueError), acts as an
 independent numeric oracle, and the commutative (hbar-free, Pi-free)
-flat-section recursion tau = (1 - delta_inv nabla)^{-1} on the fiberwise
-polynomial algebra recomputes the same series a third way.
+flat-section recursion tau = (1 - delta_inv nabla)^{-1}, summed as a
+terminating Neumann series, recomputes the same series a third way.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from math import factorial
 
 from .exactnum import QC
 from .exactpoly import Poly, accumulate, sin_jet
-from .weyl import WeylElement, fixed_point
+from .weyl import WeylElement, neumann
 
 
 # ---------------------------------------------------------------------
@@ -311,7 +312,8 @@ def restrict_velocity(p: Poly, dim: int, direction) -> Poly:
 def geodesic_ode_oracle(gamma_fn, x, v, t: float, steps: int = 4000):
     """Integrate d^2 phi/dt^2 + Gamma^k(dphi, dphi) = 0 from (x, v) for
     time t.  gamma_fn(point) -> nested [k][i][j] floats.  Returns the end
-    point; classic 4th-order Runge-Kutta with a fixed step.
+    point; classic 4th-order Runge-Kutta with a fixed step.  A point
+    where gamma_fn raises ArithmeticError is named in a ValueError.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -324,7 +326,11 @@ def geodesic_ode_oracle(gamma_fn, x, v, t: float, steps: int = 4000):
 
     def deriv(state):
         pos, vel = state[:d], state[d:]
-        gam = gamma_fn(pos)
+        try:
+            gam = gamma_fn(pos)
+        except ArithmeticError as exc:
+            raise ValueError(f"invalid point {pos}: the Christoffel symbols "
+                             f"cannot be evaluated there ({exc})") from exc
         acc = [-sum(gam[k][i][j] * vel[i] * vel[j]
                     for i in range(d) for j in range(d))
                for k in range(d)]
@@ -366,13 +372,26 @@ def poincare_gamma_fn(point):
 
 
 def metric_gamma_fn(metric: MetricJet):
-    """Float Christoffel callable from the jets (valid near the base)."""
+    """Float Christoffel callable from the jets (valid near the base).  The
+    coefficients turn complex once; a call sums each Gamma^k_{ij} with
+    i <= j once, in Poly.eval_complex's term order, and mirrors it."""
+    d = metric.dim
+    jets = [(k, i, j, [(c.to_complex(),
+                        [(m, n) for m, n in enumerate(e) if n])
+                       for e, c in metric.gamma[k][i][j].terms.items()])
+            for k in range(d) for i in range(d) for j in range(i, d)]
+
     def fn(point):
         vals = [complex(c) for c in point]
-        return [[[metric.gamma[k][i][j].eval_complex(vals).real
-                  for j in range(metric.dim)]
-                 for i in range(metric.dim)]
-                for k in range(metric.dim)]
+        out = [[[0.0] * d for _ in range(d)] for _ in range(d)]
+        for k, i, j, terms in jets:
+            total = 0j
+            for term, powers in terms:
+                for m, n in powers:
+                    term *= vals[m] ** n
+                total += term
+            out[k][i][j] = out[k][j][i] = total.real
+        return out
     return fn
 
 
@@ -383,15 +402,16 @@ def metric_gamma_fn(metric: MetricJet):
 def classical_fedosov_taylor(metric: MetricJet, index: int, order: int
                              ) -> Poly:
     """tau(x^index) via the commutative fixed point
-    a = u_index + delta_inv(nabla a) on fiberwise polynomials, returned as
-    a Poly in (u, v); contracts to exp_map_series component index."""
+    a = u_index + delta_inv(nabla a) on fiberwise polynomials, summed as
+    the Neumann series of delta_inv nabla and returned as a Poly in
+    (u, v); contracts to exp_map_series component index."""
     if order > metric.order:
         raise ValueError("order exceeds metric jet order")
     d = metric.dim
     seed = WeylElement.from_function(Poly.var(d, index, metric.order),
                                      d, order)
-    a = fixed_point(lambda x: seed + x.nabla(metric.gamma).delta_inv(), seed,
-                    order + 2, "flat-section recursion")
+    a = neumann(lambda x: x.nabla(metric.gamma).delta_inv(), seed,
+                order + 2, "flat-section recursion")
     terms = {}
     for (vexp, dxs, hpow), p in a.terms.items():
         assert hpow == 0 and dxs == ()

@@ -21,7 +21,12 @@ Products:
   * ``circ`` -- the fiberwise Moyal-type deformation of ``mul`` by
     exp(hbar * P) with P = (i/2) Pi^{kl} d/dv^k (x) d/dv^l; the bivector
     Pi may have polynomial coefficients (it is never differentiated, so
-    associativity survives x-dependence).
+    associativity survives x-dependence).  One pass builds the order-j
+    term of exp(hbar P) from order j-1 by one more (k, l) pair of Pi.
+  * ``commutator`` -- the super bracket [a, b] = a o b - (-1)^{q_a q_b}
+    b o a.  For antisymmetric Pi, swapping the factors multiplies the
+    order-j term by (-1)^{q_a q_b} (-1)^j, so the bracket is twice the
+    odd orders of that same pass: one product, not two.
 
 Differentials:
   * ``delta``      dx^i d/dv^i  (left wedge).
@@ -31,17 +36,21 @@ Differentials:
   * ``nabla``      dx^i d/dx^i - Gamma^k_{ij} dx^i v^j d/dv^k for a
     torsion-free connection given as polynomial Christoffel data.
 
+Fixed points:
+  * ``neumann``      x + L x + L^2 x + ... for a linear L that raises Deg,
+    so that the series terminates in the truncated algebra; it raises
+    ArithmeticError when it does not.
+  * ``fixed_point``  plain iteration, for the nonlinear connection only.
+
 Division by hbar (used for (i/hbar)[.,.]) asserts that every term really
 carries a positive hbar power; callers that need the quotient to full
 accuracy must compute the product with the cap raised by 2 first --- the
-helpers ``ihbar_commutator`` / ``ihbar_circ`` do exactly that.
+helper ``ihbar_commutator`` does exactly that.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from .exactnum import QC, perm_sign
 from .exactpoly import Poly, accumulate
@@ -69,19 +78,55 @@ def _insert_dx(k, dxs):
     return (-1) ** below, tuple(sorted(dxs + (k,)))
 
 
-def _v_derivative(vexp, beta):
-    """Coefficient and exponent of (d/dv)^beta applied to v^vexp; None if 0."""
-    coeff = 1
-    out = []
-    for a, b in zip(vexp, beta):
-        if b > a:
-            return None, ()
-        c = 1
-        for t in range(b):
-            c *= (a - t)
-        coeff *= c
-        out.append(a - b)
-    return coeff, tuple(out)
+def _shift(vexp, k, step):
+    """The fiber exponent vexp with its k-th entry moved by step."""
+    return vexp[:k] + (vexp[k] + step,) + vexp[k + 1:]
+
+
+def _moyal_orders(va, vb, half_pi, odd):
+    """{(j, fiber exponent): Poly}: the order-j terms (1/j!) P^j of
+    exp(hbar P), P = (i/2) Pi^{kl} d/dv^k (x) d/dv^l, on v^va (x) v^vb,
+    without the hbar^j; every order, or twice the odd ones if ``odd``.
+    Order j applies one more (k, l, (i/2) Pi^{kl}) of ``half_pi`` to the
+    order j-1 table {(a-side, b-side exponent): Poly} and divides by j."""
+    table, out, j = {(va, vb): Poly.one(len(va))}, {}, 0
+    while table:
+        if not odd or j % 2:
+            for (ea, eb), c in table.items():
+                accumulate(out, (j, tuple(x + y for x, y in zip(ea, eb))),
+                           c * 2 if odd else c)
+        j += 1
+        nxt = {}
+        for (ea, eb), c in table.items():
+            for k, l, h in half_pi:
+                if ea[k] and eb[l]:
+                    accumulate(nxt, (_shift(ea, k, -1), _shift(eb, l, -1)),
+                               c * (h * Fraction(ea[k] * eb[l], j)))
+        table = nxt
+    return out
+
+
+def _moyal(a, b, pi, odd):
+    """a o b, or the bracket [a, b] as twice its odd orders (see
+    ``commutator``), as a WeylElement."""
+    assert a.dim == b.dim
+    dim, cap = a.dim, min(a.cap, b.cap)
+    half_pi = [] if pi is None else [
+        (k, l, pi[k][l] * _I_HALF) for k in range(dim) for l in range(dim)
+        if not pi[k][l].is_zero()]
+    out = {}
+    for (va, dxa, ha), pa in a.terms.items():
+        deg_a = sum(va) + 2 * ha
+        for (vb, dxb, hb), pb in b.terms.items():
+            if deg_a + sum(vb) + 2 * hb > cap:
+                continue
+            sgn, dxm = _merge_wedge(dxa, dxb)
+            if sgn == 0:
+                continue
+            base = pa * pb if sgn > 0 else -(pa * pb)
+            for (j, e), c in _moyal_orders(va, vb, half_pi, odd).items():
+                accumulate(out, (e, dxm, ha + hb + j), base * c)
+    return WeylElement(dim, cap, out)
 
 
 class WeylElement:
@@ -203,61 +248,7 @@ class WeylElement:
         ``pi`` is a dim x dim nested list of Poly (the bivector Pi^{kl});
         None means Pi = 0, i.e. the undeformed product.
         """
-        assert self.dim == other.dim
-        dim = self.dim
-        cap = min(self.cap, other.cap)
-        out = {}
-        pairs = []
-        if pi is not None:
-            for k in range(dim):
-                for l in range(dim):
-                    if not pi[k][l].is_zero():
-                        pairs.append((k, l))
-        for (va, dxa, ha), pa in self.terms.items():
-            deg_a = sum(va) + 2 * ha
-            for (vb, dxb, hb), pb in other.terms.items():
-                if deg_a + sum(vb) + 2 * hb > cap:
-                    continue
-                sgn, dxm = _merge_wedge(dxa, dxb)
-                if sgn == 0:
-                    continue
-                base = pa * pb
-                if sgn < 0:
-                    base = -base
-                jmax = min(sum(va), sum(vb)) if pairs else 0
-                for j in range(jmax + 1):
-                    if j == 0:
-                        key = (tuple(x + y for x, y in zip(va, vb)),
-                               dxm, ha + hb)
-                        accumulate(out, key, base)
-                        continue
-                    pref = _I_HALF ** j
-                    for mult in combinations_with_replacement(pairs, j):
-                        beta_k = [0] * dim
-                        beta_l = [0] * dim
-                        for (k, l) in mult:
-                            beta_k[k] += 1
-                            beta_l[l] += 1
-                        ca, ea = _v_derivative(va, beta_k)
-                        if ca is None:
-                            continue
-                        cb, eb = _v_derivative(vb, beta_l)
-                        if cb is None:
-                            continue
-                        sym = 1
-                        for c in Counter(mult).values():
-                            for t in range(2, c + 1):
-                                sym *= t
-                        coeff = pref * Fraction(ca * cb, sym)
-                        poly = base * coeff
-                        for (k, l) in mult:
-                            poly = poly * pi[k][l]
-                        if poly.is_zero():
-                            continue
-                        key = (tuple(x + y for x, y in zip(ea, eb)),
-                               dxm, ha + hb + j)
-                        accumulate(out, key, poly)
-        return WeylElement(dim, cap, out)
+        return _moyal(self, other, pi, odd=False)
 
     # -- differentials ------------------------------------------------
 
@@ -270,9 +261,7 @@ class WeylElement:
                 sgn, nd = _insert_dx(k, dxs)
                 if sgn == 0:
                     continue
-                nv = list(vexp)
-                nv[k] -= 1
-                accumulate(out, (tuple(nv), nd, hpow),
+                accumulate(out, (_shift(vexp, k, -1), nd, hpow),
                            poly * (sgn * vexp[k]))
         return WeylElement(self.dim, self.cap, out)
 
@@ -284,10 +273,8 @@ class WeylElement:
                 continue
             factor = Fraction(1, s + q)
             for pos, j in enumerate(dxs):
-                nv = list(vexp)
-                nv[j] += 1
                 nd = dxs[:pos] + dxs[pos + 1:]
-                accumulate(out, (tuple(nv), nd, hpow),
+                accumulate(out, (_shift(vexp, j, 1), nd, hpow),
                            poly * (factor if pos % 2 == 0 else -factor))
         return WeylElement(self.dim, self.cap, out)
 
@@ -328,10 +315,8 @@ class WeylElement:
                         g = gamma[k][i][j]
                         if g.is_zero():
                             continue
-                        nv = list(vexp)
-                        nv[k] -= 1
-                        nv[j] += 1
-                        accumulate(out, (tuple(nv), nd, hpow),
+                        nv = _shift(_shift(vexp, k, -1), j, 1)
+                        accumulate(out, (nv, nd, hpow),
                                    poly * g * (-sgn * vexp[k]))
         return WeylElement(self.dim, self.cap, out)
 
@@ -339,19 +324,13 @@ class WeylElement:
 # -- derived operations ----------------------------------------------
 
 def commutator(a: WeylElement, b: WeylElement, pi) -> "WeylElement":
-    """Super bracket [a, b] = a o b - (-1)^{q_a q_b} b o a (form-graded)."""
-    out = WeylElement.zero(a.dim, min(a.cap, b.cap))
-    for qa in a.form_degrees():
-        ea = a.form_part(qa)
-        for qb in b.form_degrees():
-            eb = b.form_part(qb)
-            term = ea.circ(eb, pi)
-            swap = eb.circ(ea, pi)
-            if (qa * qb) % 2 == 1:
-                out = out + term + swap
-            else:
-                out = out + term - swap
-    return out
+    """Super bracket [a, b] = a o b - (-1)^{q_a q_b} b o a (form-graded).
+
+    Requires an antisymmetric Pi: then swapping the factors multiplies the
+    order-j term of the product by (-1)^{q_a q_b} (-1)^j, so the bracket
+    is twice the odd orders of the one product a o b.
+    """
+    return _moyal(a, b, pi, odd=True)
 
 
 def ihbar_commutator(a: WeylElement, b: WeylElement, pi) -> "WeylElement":
@@ -362,24 +341,28 @@ def ihbar_commutator(a: WeylElement, b: WeylElement, pi) -> "WeylElement":
     return big.divide_hbar().scale(QC(0, 1)).with_cap(cap)
 
 
-def ihbar_circ(a: WeylElement, b: WeylElement, pi) -> "WeylElement":
-    """(i/hbar) (a o b) for hbar-divisible products (e.g. odd a = b)."""
-    cap = min(a.cap, b.cap)
-    big = a.with_cap(cap + 2).circ(b.with_cap(cap + 2), pi)
-    return big.divide_hbar().scale(QC(0, 1)).with_cap(cap)
+def neumann(step, x: WeylElement, rounds: int, what: str) -> WeylElement:
+    """x + L x + L^2 x + ... for the linear map L = ``step``.  When L
+    raises Deg the series terminates in the truncated algebra; raises
+    ArithmeticError if no term has vanished within ``rounds`` steps."""
+    total = term = x
+    for _ in range(rounds):
+        term = step(term)
+        if term.is_zero():
+            return total
+        total = total + term
+    raise ArithmeticError(f"{what} did not terminate")
 
 
 def fixed_point(step, x: WeylElement, rounds: int, what: str) -> WeylElement:
     """Iterate x -> step(x) until it repeats, at most ``rounds`` times;
     raises ArithmeticError unless the result is a fixed point."""
-    for _ in range(rounds):
+    for _ in range(rounds + 1):
         nxt = step(x)
         if nxt == x:
             return x
         x = nxt
-    if step(x) != x:
-        raise ArithmeticError(f"{what} did not stabilize")
-    return x
+    raise ArithmeticError(f"{what} did not stabilize")
 
 
 def constant_bivector(dim: int, entries) -> list:

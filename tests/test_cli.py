@@ -111,6 +111,10 @@ TWO_VALENT = ("weight", "two-valent", "--kind", "out-out")
     ("geodesic", "exp", "--metric", "random", "--order", "-1"),
     ("geodesic", "exp", "--metric", "poincare", "--order", "-1"),
     ("geodesic", "oracle", "--metric", "poincare", "--order", "-1"),
+    ("geodesic", "oracle", "--metric", "poincare", "--x", "0,-1"),
+    ("geodesic", "oracle", "--metric", "sphere",
+     "--x=-0.6435011087932844,0"),
+    ("geodesic", "oracle", "--metric", "random", "--x", "5,5"),
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -132,6 +136,8 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
      "invalid order -1"),
     (("geodesic", "exp", "--metric", "poincare", "--order", "-1"),
      "invalid order -1"),
+    (("geodesic", "oracle", "--metric", "poincare", "--x", "0,-1"),
+     "invalid point [0.0, 0.0]"),
 ], ids=lambda x: " ".join(x) if isinstance(x, tuple) else "")
 def test_bad_input_error_names_the_input(capsys, argv, named):
     code, _, err = run(capsys, *argv)

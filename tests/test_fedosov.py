@@ -13,9 +13,9 @@ from defquant.fedosov import (FedosovInput, flat_input, curvature_tensor,
                               catalan_expansion, catalan_number,
                               catalan_checks, fedosov_taylor, fedosov_star,
                               flat_star_vs_moyal, moyal_star_jets,
-                              deformed_poincare_defect, curved_input)
-from defquant.weyl import WeylElement, ihbar_circ, ihbar_commutator, \
-    random_element
+                              deformed_poincare_defect, curved_input,
+                              fedosov_homotopy)
+from defquant.weyl import WeylElement, ihbar_commutator, random_element
 
 X1 = Poly(2, {(1, 0): QC(1)})
 X2 = Poly(2, {(0, 1): QC(1)})
@@ -31,6 +31,13 @@ def sympl_curved(cap: int) -> FedosovInput:
 
 def const_center(cap: int, c=1) -> WeylElement:
     return WeylElement.monomial(2, cap, c, dxs=(0, 1), hpow=1)
+
+
+def ihbar_circ_by_definition(a, b, pi):
+    """(i/hbar) a o b from circ with the cap raised by 2."""
+    cap = min(a.cap, b.cap)
+    big = a.with_cap(cap + 2).circ(b.with_cap(cap + 2), pi)
+    return big.divide_hbar().scale(QC(0, 1)).with_cap(cap)
 
 
 def rand_poly(rng, deg=2):
@@ -169,7 +176,7 @@ def test_constant_center_low_cap_is_delta_inv():
 def test_constant_center_cap6_picks_up_quadratic_echo():
     inp = flat_input(cap=6, center=const_center(6))
     z = inp.center.delta_inv()
-    want = z + ihbar_circ(z, z, inp.pi).delta_inv()
+    want = z + ihbar_circ_by_definition(z, z, inp.pi).delta_inv()
     got = solve_connection(inp)
     assert got == want
     assert got != z           # the quadratic echo is really there
@@ -332,3 +339,16 @@ def test_deformed_poincare_identity_curved():
     inp = sympl_curved(4)
     a = random_element(2, 4, random.Random(77), n_terms=4)
     assert deformed_poincare_defect(inp, a).is_zero()
+
+
+def test_homotopy_refuses_a_step_that_keeps_deg():
+    # with the Deg-1 "connection" r = v^0 dx^1, (i/hbar)[r, .] lowers Deg
+    # by one, so delta_inv(nabla + (i/hbar)[r, .]) keeps it and maps
+    # (v^1)^2 to -(v^1)^2: the Neumann series never ends, and the
+    # homotopy must say so instead of returning a truncated sum
+    inp = flat_input(cap=4)
+    r = WeylElement.monomial(2, 4, 1, (1, 0), dxs=(1,))
+    a = WeylElement.monomial(2, 4, 1, (0, 1), dxs=(1,))
+    with pytest.raises(ArithmeticError, match="deformed homotopy"):
+        fedosov_homotopy(inp, r, a)
+    assert not fedosov_homotopy(inp, inp.zero(), a).is_zero()

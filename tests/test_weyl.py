@@ -8,9 +8,12 @@ import pytest
 from defquant.exactnum import QC
 from defquant.exactpoly import Poly
 from defquant.weyl import (WeylElement, commutator, ihbar_commutator,
-                           ihbar_circ, constant_bivector, random_element)
+                           constant_bivector, fixed_point, neumann,
+                           random_element)
 
 PI_STD = constant_bivector(2, [[0, 1], [-1, 0]])
+PI_3D = constant_bivector(3, [[0, 1, Fraction(-1, 2)], [-1, 0, 2],
+                              [Fraction(1, 2), -2, 0]])
 
 
 def v(dim, cap, *exp, dxs=(), hpow=0, coeff=1):
@@ -19,6 +22,37 @@ def v(dim, cap, *exp, dxs=(), hpow=0, coeff=1):
 
 def seeded(seed, dim=2, cap=4, **kw):
     return random_element(dim, cap, random.Random(seed), **kw)
+
+
+def poly_bivector(dim):
+    """Antisymmetric Pi with x-dependent entries Pi^{kl} = (l - k) + x_k."""
+    pi = [[Poly.const(dim, 0) for _ in range(dim)] for _ in range(dim)]
+    for k in range(dim):
+        for l in range(k + 1, dim):
+            xk = Poly(dim, {tuple(int(m == k) for m in range(dim)): QC(1)})
+            pi[k][l] = Poly.const(dim, l - k) + xk
+            pi[l][k] = -pi[k][l]
+    return pi
+
+
+def bracket_by_definition(a, b, pi):
+    """a o b - (-1)^{q_a q_b} b o a over form parts, from two circ calls
+    per pair of parts (the reference for ``commutator``)."""
+    out = WeylElement.zero(a.dim, min(a.cap, b.cap))
+    for qa in a.form_degrees():
+        ea = a.form_part(qa)
+        for qb in b.form_degrees():
+            eb = b.form_part(qb)
+            out = (out + ea.circ(eb, pi)
+                   - eb.circ(ea, pi).scale((-1) ** (qa * qb)))
+    return out
+
+
+def ihbar_circ_by_definition(a, b, pi):
+    """(i/hbar) a o b from circ with the cap raised by 2."""
+    cap = min(a.cap, b.cap)
+    big = a.with_cap(cap + 2).circ(b.with_cap(cap + 2), pi)
+    return big.divide_hbar().scale(QC(0, 1)).with_cap(cap)
 
 
 # ---------------------------------------------------------------------
@@ -71,6 +105,31 @@ def test_deg_is_conserved_by_circ():
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_plain_product_is_supercommutative(seed):
     a, b = seeded(seed), seeded(seed + 100)
+    swapped = WeylElement.zero(2, 4)
+    for qa in a.form_degrees():
+        for qb in b.form_degrees():
+            swapped = swapped + b.form_part(qb).mul(
+                a.form_part(qa)).scale((-1) ** (qa * qb))
+    assert not swapped.is_zero()
+    assert a.mul(b) == swapped
+
+
+@pytest.mark.parametrize("seed", [36, 37, 38])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", ["constant", "polynomial"])
+def test_bracket_matches_its_definition(seed, dim, kind):
+    # the one-pass bracket (twice the odd orders of a o b) against two
+    # full products per pair of form parts
+    pi = poly_bivector(dim) if kind == "polynomial" else (
+        PI_STD if dim == 2 else PI_3D)
+    a = seeded(seed, dim=dim, cap=6, n_terms=8)
+    b = seeded(seed + 40, dim=dim, cap=6, n_terms=8)
+    want = bracket_by_definition(a, b, pi)
+    assert not want.is_zero()
+    assert commutator(a, b, pi) == want
+    big = bracket_by_definition(a.with_cap(8), b.with_cap(8), pi)
+    assert (ihbar_commutator(a, b, pi)
+            == big.divide_hbar().scale(QC(0, 1)).with_cap(6))
     assert commutator(a, b, None).is_zero()
 
 
@@ -103,9 +162,12 @@ def test_canonical_commutation_relation():
 
 
 def test_odd_square_matches_half_bracket():
-    a = seeded(12).form_part(1)
+    # seed 17: the 1-form part has both dx^0 and dx^1 terms, so its
+    # square is not zero
+    a = seeded(17).form_part(1)
     assert a.form_degrees() == [1]
-    sq = ihbar_circ(a, a, PI_STD)
+    sq = ihbar_circ_by_definition(a, a, PI_STD)
+    assert not sq.is_zero()
     assert sq == ihbar_commutator(a, a, PI_STD).scale(Fraction(1, 2))
 
 
@@ -114,6 +176,27 @@ def test_divide_hbar_guard():
     with pytest.raises(ArithmeticError):
         a.divide_hbar()
     assert v(2, 4, 1, 0).mul_hbar().divide_hbar() == v(2, 4, 1, 0)
+
+
+def test_neumann_sums_the_deg_raising_series():
+    # x + L x + L^2 x + ... is the fixed point of y = x + L y
+    gamma = _poly_gamma(2)
+    x = seeded(39, cap=5)
+
+    def step(e):
+        return e.nabla(gamma).delta_inv()
+    assert not step(x).is_zero()
+    want = fixed_point(lambda y: x + step(y), x, 7, "reference")
+    assert neumann(step, x, 7, "series") == want
+
+
+def test_neumann_rejects_a_step_that_keeps_deg():
+    x = seeded(40)
+    with pytest.raises(ArithmeticError, match="identity did not terminate"):
+        neumann(lambda e: e, x, 10, "identity")
+    # one round too few is also refused, not returned truncated
+    with pytest.raises(ArithmeticError):
+        neumann(lambda e: e.delta_inv(), v(2, 4, 0, 0, dxs=(0, 1)), 1, "d")
 
 
 def test_constant_bivector_rejects_symmetric_part():
