@@ -532,7 +532,7 @@ def cmd_geodesic_oracle(args, t0):
     start = (base[0] + x.real, base[1] + x.imag)
     vel = (v.real, v.imag)
     ser, ode, gap = series_vs_ode(exp_map_series(met, args.order), gamma_fn,
-                                  start, (x.real, x.imag), vel, args.t,
+                                  base, (x.real, x.imag), vel, args.t,
                                   args.steps)
     checks = []
     if args.tol is not None:

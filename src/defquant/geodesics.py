@@ -347,13 +347,15 @@ def geodesic_ode_oracle(gamma_fn, x, v, t: float, steps: int = 4000):
     return y[:d]
 
 
-def series_vs_ode(phi, gamma_fn, start, u, v, t: float, steps: int):
+def series_vs_ode(phi, gamma_fn, base, u, v, t: float, steps: int):
     """Series endpoint, RK4 endpoint and their largest coordinate gap for
-    the geodesic from ``start`` with velocity v after time t; the offset
-    series phi is evaluated at base offset u and velocity v t."""
+    the geodesic from base + u with velocity v after time t.  The ODE
+    starts at base + u; the offset series phi, taken about ``base``,
+    already contains u, so its endpoint is base + phi(u, v t)."""
+    start = [b + c for b, c in zip(base, u)]
     ode = geodesic_ode_oracle(gamma_fn, start, v, t, steps=steps)
     sv = series_eval(phi, u, [c * t for c in v])
-    ser = [s + c.real for s, c in zip(start, sv)]
+    ser = [b + c.real for b, c in zip(base, sv)]
     return ser, ode, max(abs(a - b) for a, b in zip(ser, ode))
 
 

@@ -62,16 +62,20 @@ def dphi_h(lam, s, t):
     """Wirtinger coefficients (d/ds, d/d cj s, d/dt, d/d cj t) of phi_h.
 
     These are rational in (s, cj s, t, cj t); no logarithm branches enter.
+    Only two reciprocals are taken, a = 1/(t - s) and b = 1/(t - cj s):
+    the other two denominators are their conjugates, 1/(cj t - cj s) =
+    cj a and 1/(cj t - s) = cj b.
     """
     s, t = np.asarray(s, complex), np.asarray(t, complex)
-    c = 1.0 / TWO_PI_I
-    mu = 1 - lam
-    ts, tsb = t - s, t - np.conj(s)
-    tbsb, tbs = np.conj(t) - np.conj(s), np.conj(t) - s
-    d_s = c * (-lam / ts - mu / tbs)
-    d_sb = c * (lam / tsb + mu / tbsb)
-    d_t = c * lam * (1.0 / ts - 1.0 / tsb)
-    d_tb = c * (-mu) * (1.0 / tbsb - 1.0 / tbs)
+    c_lam = lam / TWO_PI_I
+    c_mu = (1 - lam) / TWO_PI_I
+    a = 1.0 / (t - s)
+    b = 1.0 / (t - np.conj(s))
+    a_b = a - b
+    d_s = -c_lam * a - c_mu * np.conj(b)
+    d_sb = c_lam * b + c_mu * np.conj(a)
+    d_t = c_lam * a_b
+    d_tb = -c_mu * np.conj(a_b)
     return d_s, d_sb, d_t, d_tb
 
 

@@ -51,6 +51,22 @@ def test_catalan_gate_cuts_at_the_leaves_the_cap_allows(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("--order", "8", "--x", "0.1,0"),
+    ("--order", "8", "--x", "0,0.2"),
+    # at the default t = 0.5 the order-5 series misses the ODE by 1e-5
+    # already at --x 0,0, so this case shortens the geodesic
+    ("--metric", "random", "--order", "5", "--seed", "2", "--x", "0.1,0",
+     "--t", "0.1"),
+], ids=" ".join)
+def test_oracle_starts_the_series_and_the_ode_at_the_offset(capsys, argv):
+    """The offset series about the base already contains --x: series and
+    ODE start at base + x, and the gap stays at series accuracy."""
+    code, rep = report(capsys, "geodesic", "oracle", *argv, "--tol", "1e-6")
+    assert code == 0
+    assert rep["results"]["gap"] <= 1e-6
+
+
+@pytest.mark.parametrize("argv", [
     ("weight", "mc", "--graph", "graph2", "--samples", "4000", "--seed",
      "3", "--target", "0.0416667,0"),
     ("weight", "two-valent", "--kind", "in-out", "--w1", "0.2,0.1",

@@ -7,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from defquant import propagators as prop
 from defquant.cache import WeightCache
 from defquant.graphs import (AdmissibleGraph, Edge, fan_graph, cycle_graph,
-                             graph1_left, graph2)
+                             wheel_graph, graph1_left, graph2,
+                             enumerate_graphs, canonical_classes)
 from defquant.weight_mc import (MCResult, WeightSource, weight_mc,
                                 exact_zero_reason, two_valent_integral,
                                 two_valent_out_out_exact, weight_poly_fit,
@@ -159,6 +161,112 @@ def test_unseeded_estimate_runs():
     res = weight_mc(graph2(), lam=0.5, n_samples=2000, seed=None)
     assert res.seed is None and res.n_samples == 2000
     assert np.isfinite(res.value) and res.stderr > 0
+
+
+# -- the integrand kernel ----------------------------------------------
+
+# the (3,2) classes that pass the exact-zero screen but whose edge rows
+# cannot be matched to the coordinate columns they touch
+SINGULAR_3_2 = {
+    "K(3,2)[1>2#1, 1>b1#2, 2>1#1, 2>b1#2, 3>1#1, 3>b2#2]",
+    "K(3,2)[1>2#1, 1>b1#2, 2>1#1, 2>b1#2, 3>b1#1, 3>b2#2]",
+    "K(3,2)[1>2#1, 1>b2#2, 2>1#1, 2>b2#2, 3>b1#1, 3>b2#2]",
+}
+
+
+@pytest.fixture(scope="module")
+def classes_3_2():
+    return [gc for gc, _, _ in
+            canonical_classes(enumerate_graphs(3, 2, 2)).values()]
+
+
+def _dense_matrix(g, lam, z, r):
+    """The full (N, E, E) coefficient matrix, one dphi_h call per edge."""
+    n = g.n
+    pos = [None] + [z[:, k] for k in range(n)] + [
+        r[:, k].astype(complex) for k in range(g.m)]
+    mat = np.zeros((z.shape[0], g.n_edges, g.n_edges), complex)
+    for row, e in enumerate(g.edges):
+        d_s, d_sb, d_t, d_tb = prop.dphi_h(lam, pos[e.src], pos[e.dst])
+        if e.src >= 2:
+            mat[:, row, 2 * e.src - 4:2 * e.src - 2] = np.stack(
+                prop.wirtinger_to_xy(d_s, d_sb), axis=1)
+        if e.dst > n:
+            mat[:, row, 2 * n - 2 + e.dst - n - 1] = d_t + d_tb
+        elif e.dst >= 2:
+            mat[:, row, 2 * e.dst - 4:2 * e.dst - 2] = np.stack(
+                prop.wirtinger_to_xy(d_t, d_tb), axis=1)
+    return mat
+
+
+def test_expansion_matches_dense_determinant(classes_3_2):
+    """integrand_matrix holds exactly the nonzero entries of the full
+    matrix, and integrand_value is its determinant to 1e-12 of the
+    Hadamard bound prod_k ||row_k||."""
+    graphs = (enumerate_graphs(2, 2, 2) + classes_3_2
+              + [fan_graph(m) for m in range(1, 5)]
+              + [wheel_graph(k) for k in range(2, 5)])
+    for idx, g in enumerate(graphs):
+        u = np.random.default_rng(idx).random((2000, g.dim_config()))
+        z, r, _ = wmc._map_samples(u, g.n, g.m)
+        for lam in (0.5, 0.3, 0.3 + 0.2j):
+            dense = _dense_matrix(g, lam, z, r)
+            scattered = np.zeros_like(dense)
+            for (row, col), val in wmc.integrand_matrix(g, lam, z, r).items():
+                scattered[:, row, col] = val
+            assert np.array_equal(scattered, dense), g
+            bound = np.prod(np.linalg.norm(dense, axis=2), axis=1)
+            diff = np.abs(wmc.integrand_value(g, lam, z, r)
+                          - np.linalg.det(dense))
+            assert np.all(diff <= 1e-12 * bound), g
+
+
+def test_unmatched_rows_give_exact_zeros(classes_3_2):
+    """Exactly three screen-passing (3,2) classes have no row-to-column
+    matching; their integrand is 0 at every sample, and no other's is."""
+    u = np.random.default_rng(4).random((2000, 6))
+    z, r, _ = wmc._map_samples(u, 3, 2)
+    zero = {g.to_text() for g in classes_3_2
+            if exact_zero_reason(g) is None
+            and not np.any(wmc.integrand_value(g, 0.5, z, r))}
+    assert zero == SINGULAR_3_2
+    for key in SINGULAR_3_2:
+        res = WeightSource(n_samples=20_000, seed=1).weight(
+            AdmissibleGraph.from_text(key))
+        assert res.value == 0 and res.stderr == 0.0
+
+
+def _agree(a, b):
+    """Estimates equal up to summation order: value within 1e-12 of
+    max(|value|, stderr), stderr within 1e-12 of itself."""
+    assert a.n_samples == b.n_samples
+    assert abs(a.value - b.value) <= 1e-12 * max(abs(b.value), b.stderr)
+    assert abs(a.stderr - b.stderr) <= 1e-12 * b.stderr
+
+
+def test_block_size_moves_only_the_last_digits(monkeypatch, classes_3_2):
+    g32 = next(g for g in classes_3_2 if exact_zero_reason(g) is None
+               and g.to_text() not in SINGULAR_3_2)
+    cases = [(graph2(), 0.5), (graph1_left(), 0.3 + 0.2j), (g32, 0.3)]
+    default = [weight_mc(g, lam=lam, n_samples=40_000, seed=21)
+               for g, lam in cases]
+    monkeypatch.setattr(wmc, "CHUNK", 1000)
+    for (g, lam), ref in zip(cases, default):
+        _agree(weight_mc(g, lam=lam, n_samples=40_000, seed=21), ref)
+
+
+@pytest.mark.parametrize("propagator", ["disk", "shoikhet"])
+@pytest.mark.parametrize("kind", ["out-out", "in-out", "in-in"])
+def test_two_valent_block_size_moves_only_the_last_digits(
+        monkeypatch, kind, propagator):
+    """In-out and in-in are near 0, so agreement is relative to the
+    stderr there, not to the value."""
+    ref = two_valent_integral(kind, W1, W2, lam=0.3 + 0.2j, n_samples=40_000,
+                              seed=5, propagator=propagator)
+    monkeypatch.setattr(wmc, "CHUNK", 1000)
+    _agree(two_valent_integral(kind, W1, W2, lam=0.3 + 0.2j,
+                               n_samples=40_000, seed=5,
+                               propagator=propagator), ref)
 
 
 # -- exact-zero screening ---------------------------------------------
