@@ -26,9 +26,11 @@ or ``--degree``; ``--steps`` below 1; a ``--dim`` other than 3 for the
 so3 structure; and a lambda fit whose nodes have stderr 0.
 
 The Monte Carlo subcommands accept ``--workers`` and split the sample
-budget over a process pool with per-chunk seeds; the chunk estimates are
-combined by ``cache.pool``, so the result is deterministic for a fixed
-(seed, samples, workers) triple.
+budget over a process pool with per-chunk seeds: each worker runs the
+estimator itself (``weight_mc`` or ``two_valent_integral`` with the
+command's arguments bound by ``functools.partial``) on its share, and the
+chunk estimates are combined by ``cache.pool``, so the result is
+deterministic for a fixed (seed, samples, workers) triple.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import multiprocessing
 import random
 import sys
 import time
+from functools import partial
 
 from . import __version__
 from .exactnum import QC
@@ -182,34 +185,25 @@ def _print_table(report: dict) -> None:
 
 # -- worker pool for the MC subcommands -------------------------------
 
-def _mc_chunk(task):
-    kind = task["kind"]
-    if kind == "weight":
-        g = AdmissibleGraph.from_text(task["graph"])
-        res = weight_mc(g, lam=complex(*task["lam"]),
-                        n_samples=task["n"], seed=task["seed"],
-                        convention=task["convention"])
-    else:
-        res = two_valent_integral(task["valence_kind"],
-                                  complex(*task["w1"]), complex(*task["w2"]),
-                                  lam=complex(*task["lam"]),
-                                  n_samples=task["n"], seed=task["seed"],
-                                  propagator=task["propagator"])
-    return complex(res.value), res.stderr, res.n_samples
+def _run(estimate, n, seed):
+    res = estimate(n_samples=n, seed=seed)
+    return res.value, res.stderr, res.n_samples
 
 
-def pooled_mc(task: dict, n_samples: int, seed: int, workers: int):
-    """Split the budget into per-worker chunks and pool the estimates
-    (n_samples >= 2 * workers, as parse_samples guarantees)."""
+def pooled_mc(estimate, n_samples: int, seed: int, workers: int):
+    """Run ``estimate`` (weight_mc or two_valent_integral with every
+    argument bound but n_samples and seed) on per-worker chunks of the
+    budget and pool the estimates (n_samples >= 2 * workers, as
+    parse_samples guarantees)."""
     chunk_sizes = [n_samples // workers] * workers
     chunk_sizes[0] += n_samples - sum(chunk_sizes)
-    tasks = [dict(task, n=n, seed=seed + 1_000_003 * w)
-             for w, n in enumerate(chunk_sizes)]
+    jobs = [(estimate, n, seed + 1_000_003 * w)
+            for w, n in enumerate(chunk_sizes)]
     if workers == 1:
-        outs = [_mc_chunk(tasks[0])]
+        outs = [_run(*jobs[0])]
     else:
         with multiprocessing.Pool(processes=workers) as procs:
-            outs = procs.map(_mc_chunk, tasks)
+            outs = procs.starmap(_run, jobs)
     return pool(outs)
 
 
@@ -252,9 +246,10 @@ def cmd_weight_mc(args, t0):
     elif reason is not None:
         value, stderr, n_used = 0j, 0.0, 0
     else:
-        task = {"kind": "weight", "graph": g.to_text(),
-                "lam": [lam.real, lam.imag], "convention": args.convention}
-        value, stderr, n_used = pooled_mc(task, n, args.seed, args.workers)
+        estimate = partial(weight_mc, g, lam=lam,
+                           convention=args.convention)
+        value, stderr, n_used = pooled_mc(estimate, n, args.seed,
+                                          args.workers)
     checks = []
     if args.target is not None:
         tgt = parse_complex(args.target, "target")
@@ -307,10 +302,9 @@ def cmd_weight_two_valent(args, t0):
     n = parse_samples(args.samples, args.workers)
     if max(abs(w1), abs(w2)) >= 1.0:
         raise UsageError("w1 and w2 must lie in the open unit disk")
-    task = {"kind": "two-valent", "valence_kind": args.kind,
-            "w1": [w1.real, w1.imag], "w2": [w2.real, w2.imag],
-            "lam": [lam.real, lam.imag], "propagator": args.propagator}
-    value, stderr, n_used = pooled_mc(task, n, args.seed, args.workers)
+    estimate = partial(two_valent_integral, args.kind, w1, w2, lam=lam,
+                       propagator=args.propagator)
+    value, stderr, n_used = pooled_mc(estimate, n, args.seed, args.workers)
     checks = []
     results = {"kind": args.kind, "value": c_json(value), "stderr": stderr,
                "n_samples": n_used}

@@ -253,13 +253,5 @@ def sin_jet(s0, c0, nvars: int, i: int, trunc: int) -> Poly:
 
 
 def cos_jet(s0, c0, nvars: int, i: int, trunc: int) -> Poly:
-    """Jet of cos(theta0 + xi_i): cos(a+x) = cos a cos x - sin a sin x."""
-    xi = Poly.var(nvars, i, trunc)
-    out = Poly.zero(nvars, trunc)
-    p = Poly.one(nvars, trunc)
-    for k in range(trunc + 1):
-        coeff = Fraction((-1) ** ((k + 1) // 2), factorial(k))
-        base = QC.coerce(s0) if k % 2 else QC.coerce(c0)
-        out = out + p * (base * coeff)
-        p = p * xi
-    return out
+    """Jet of cos(theta0 + xi_i) = sin(theta0 + pi/2 + xi_i)."""
+    return sin_jet(c0, -s0, nvars, i, trunc)

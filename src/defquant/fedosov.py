@@ -108,14 +108,14 @@ class FedosovInput:
         return WeylElement.from_function(f, self.dim, self.cap, hpow)
 
 
-def flat_input(dim: int = 2, cap: int = 6, center: WeylElement | None = None,
-               pi12=1) -> FedosovInput:
-    """Standard-symplectic flat plane: omega = dx^1 ^ dx^2, Pi^{12} = pi12."""
+def flat_input(dim: int = 2, cap: int = 6, center: WeylElement | None = None
+               ) -> FedosovInput:
+    """Standard-symplectic flat plane: omega = dx^1 ^ dx^2, Pi^{12} = 1."""
     assert dim == 2
     return FedosovInput(
         dim, cap,
         omega=[[0, 1], [-1, 0]],
-        pi=[[0, pi12], [-pi12, 0]],
+        pi=[[0, 1], [-1, 0]],
         gamma=None,
         center=center)
 

@@ -142,11 +142,11 @@ class MetricJet:
                            for j in range(dim)] for i in range(dim)])
 
     @staticmethod
-    def sphere(order: int, s0=Fraction(3, 5), c0=Fraction(4, 5)
-               ) -> "MetricJet":
+    def sphere(order: int) -> "MetricJet":
         """Unit round sphere in polar/azimuthal coordinates, expanded
-        around a base polar angle with exact sine s0 and cosine c0."""
-        s = sin_jet(s0, c0, 2, 0, order)
+        around the base polar angle asin(3/5) (exact sine 3/5, cosine
+        4/5)."""
+        s = sin_jet(Fraction(3, 5), Fraction(4, 5), 2, 0, order)
         zero = Poly.zero(2, order)
         one = Poly.one(2, order)
         return MetricJet(2, order, [[one, zero], [zero, s * s]])
@@ -163,8 +163,8 @@ class MetricJet:
         return MetricJet(2, order, [[w2, zero], [zero, w2]])
 
     @staticmethod
-    def random_metric(dim: int, order: int, rng: random.Random,
-                      denom: int = 4) -> "MetricJet":
+    def random_metric(dim: int, order: int, rng: random.Random
+                      ) -> "MetricJet":
         """Identity plus a small random polynomial perturbation (symmetric,
         exact rational coefficients); invertible near the base point."""
         g = [[Poly.const(dim, 1 if i == j else 0, order)
@@ -177,7 +177,7 @@ class MetricJet:
                     e[rng.randrange(dim)] += 1
                     if rng.random() < 0.5:
                         e[rng.randrange(dim)] += 1
-                    c = QC(Fraction(rng.randrange(-2, 3), denom))
+                    c = QC(Fraction(rng.randrange(-2, 3), 4))
                     pert = pert + Poly(dim, {tuple(e): c}, order)
                 g[i][j] = g[i][j] + pert
                 if j != i:

@@ -16,6 +16,12 @@ Disk versions (unit disk model via w = (z-i)/(z+i)) and the center-subtracted
 disk propagator used for cyclic-linear quantization are included, together
 with the transitive "central" form.
 
+One rule interpolates every model.  A model supplies only its log-ratio L
+(ln((t-s)/(t-cj s)) on H, ln Q on the disk, ...); the value is
+(lam L - (1-lam) cj L) / 2 pi i (``_phi``), and the differentials follow
+from L's own Wirtinger derivatives alone (``_wirtinger``), because the
+second half is the conjugate of the first: ln cj Q = cj ln Q.
+
 Functions are numpy-vectorized: scalars or same-shape arrays work alike.
 """
 
@@ -37,6 +43,32 @@ def mobius_to_h(w):
 
 
 # ---------------------------------------------------------------------
+# the lambda rule shared by every model
+# ---------------------------------------------------------------------
+
+def _phi(lam, ln):
+    """The family value (lam L - (1-lam) cj L) / 2 pi i of a log-ratio L."""
+    return (lam * ln - (1 - lam) * np.conj(ln)) / TWO_PI_I
+
+
+def _wirtinger(lam, l_s, l_sb, l_t):
+    """Wirtinger coefficients (d/ds, d/d cj s, d/dt, d/d cj t) of _phi(lam, L)
+    from L's Wirtinger derivatives L_s, L_{cj s} and L_t.
+
+    With c_lam = lam / 2 pi i and c_mu = (1-lam) / 2 pi i, the conjugate
+    half contributes -c_mu cj(L_{cj z}) to d/dz, since d/dz cj L =
+    cj(d/d cj z L).  Each model's L is holomorphic in the target t, so
+    L_{cj t} = 0: d/dt has no mu part and d/d cj t no lam part.
+    """
+    c_lam = lam / TWO_PI_I
+    c_mu = (1 - lam) / TWO_PI_I
+    return (c_lam * l_s - c_mu * np.conj(l_sb),
+            c_lam * l_sb - c_mu * np.conj(l_s),
+            c_lam * l_t,
+            -c_mu * np.conj(l_t))
+
+
+# ---------------------------------------------------------------------
 # upper half-plane family
 # ---------------------------------------------------------------------
 
@@ -48,8 +80,7 @@ def phi_h(lam, s, t):
     exactly rather than up to an integer.
     """
     s, t = np.asarray(s, complex), np.asarray(t, complex)
-    ln_a = np.log((t - s) / (t - np.conj(s)))
-    return (lam * ln_a - (1 - lam) * np.conj(ln_a)) / TWO_PI_I
+    return _phi(lam, np.log((t - s) / (t - np.conj(s))))
 
 
 def phi_angle(s, t):
@@ -62,21 +93,13 @@ def dphi_h(lam, s, t):
     """Wirtinger coefficients (d/ds, d/d cj s, d/dt, d/d cj t) of phi_h.
 
     These are rational in (s, cj s, t, cj t); no logarithm branches enter.
-    Only two reciprocals are taken, a = 1/(t - s) and b = 1/(t - cj s):
-    the other two denominators are their conjugates, 1/(cj t - cj s) =
-    cj a and 1/(cj t - s) = cj b.
+    With a = 1/(t - s) and b = 1/(t - cj s), L = ln(t-s) - ln(t - cj s)
+    has L_s = -a, L_{cj s} = b and L_t = a - b: two reciprocals.
     """
     s, t = np.asarray(s, complex), np.asarray(t, complex)
-    c_lam = lam / TWO_PI_I
-    c_mu = (1 - lam) / TWO_PI_I
     a = 1.0 / (t - s)
     b = 1.0 / (t - np.conj(s))
-    a_b = a - b
-    d_s = -c_lam * a - c_mu * np.conj(b)
-    d_sb = c_lam * b + c_mu * np.conj(a)
-    d_t = c_lam * a_b
-    d_tb = -c_mu * np.conj(a_b)
-    return d_s, d_sb, d_t, d_tb
+    return _wirtinger(lam, -a, b, a - b)
 
 
 # ---------------------------------------------------------------------
@@ -92,29 +115,22 @@ def phi_disk(lam, ws, wt):
     """
     ws, wt = np.asarray(ws, complex), np.asarray(wt, complex)
     wsb = np.conj(ws)
-    ln_q = np.log((1 - wsb) * (ws - wt) / ((1 - ws) * (1 - wsb * wt)))
-    return (lam * ln_q - (1 - lam) * np.conj(ln_q)) / TWO_PI_I
+    return _phi(lam, np.log((1 - wsb) * (ws - wt)
+                            / ((1 - ws) * (1 - wsb * wt))))
 
 
 def dphi_disk(lam, ws, wt):
-    """Wirtinger coefficients (d/dws, d/d cj ws, d/dwt, d/d cj wt)."""
+    """Wirtinger coefficients (d/dws, d/d cj ws, d/dwt, d/d cj wt).
+
+    L = ln(1 - cj ws) + ln(ws - wt) - ln(1 - ws) - ln(1 - cj ws wt); the
+    reciprocal of 1 - cj ws is the conjugate of 1/(1 - ws).
+    """
     ws, wt = np.asarray(ws, complex), np.asarray(wt, complex)
-    wsb, wtb = np.conj(ws), np.conj(wt)
-    c = 1.0 / TWO_PI_I
-    mu = 1 - lam
-    # ln Q = ln(1-wsb) + ln(ws-wt) - ln(1-ws) - ln(1-wsb*wt)
-    q_ws = 1.0 / (ws - wt) + 1.0 / (1 - ws)
-    q_wsb = -1.0 / (1 - wsb) + wt / (1 - wsb * wt)
-    q_wt = -1.0 / (ws - wt) + wsb / (1 - wsb * wt)
-    # ln Qbar = ln(1-ws) + ln(wsb-wtb) - ln(1-wsb) - ln(1-ws*wtb)
-    r_ws = -1.0 / (1 - ws) + wtb / (1 - ws * wtb)
-    r_wsb = 1.0 / (wsb - wtb) + 1.0 / (1 - wsb)
-    r_wtb = -1.0 / (wsb - wtb) + ws / (1 - ws * wtb)
-    d_ws = c * (lam * q_ws - mu * r_ws)
-    d_wsb = c * (lam * q_wsb - mu * r_wsb)
-    d_wt = c * lam * q_wt
-    d_wtb = c * (-mu) * r_wtb
-    return d_ws, d_wsb, d_wt, d_wtb
+    wsb = np.conj(ws)
+    a = 1.0 / (ws - wt)
+    b = 1.0 / (1 - ws)
+    d = 1 - wsb * wt
+    return _wirtinger(lam, a + b, wt / d - np.conj(b), wsb / d - a)
 
 
 # ---------------------------------------------------------------------
@@ -125,39 +141,28 @@ def phi_shoikhet(lam, ws, wt):
     """Disk propagator minus its value on the target at the center:
     phi_disk(ws, wt) - phi_disk(ws, 0)."""
     ws, wt = np.asarray(ws, complex), np.asarray(wt, complex)
-    wsb = np.conj(ws)
-    ln_x = np.log((ws - wt) / (ws * (1 - wsb * wt)))
-    return (lam * ln_x - (1 - lam) * np.conj(ln_x)) / TWO_PI_I
+    return _phi(lam, np.log((ws - wt) / (ws * (1 - np.conj(ws) * wt))))
 
 
 def dphi_shoikhet(lam, ws, wt):
-    """Wirtinger coefficients (d/dws, d/d cj ws, d/dwt, d/d cj wt)."""
-    ws, wt = np.asarray(ws, complex), np.asarray(wt, complex)
-    wsb, wtb = np.conj(ws), np.conj(wt)
-    c = 1.0 / TWO_PI_I
-    mu = 1 - lam
-    x_ws = 1.0 / (ws - wt) - 1.0 / ws
-    x_wsb = wt / (1 - wsb * wt)
-    x_wt = -1.0 / (ws - wt) + wsb / (1 - wsb * wt)
-    xb_ws = wtb / (1 - ws * wtb)
-    xb_wsb = 1.0 / (wsb - wtb) - 1.0 / wsb
-    xb_wtb = -1.0 / (wsb - wtb) + ws / (1 - ws * wtb)
-    d_ws = c * (lam * x_ws - mu * xb_ws)
-    d_wsb = c * (lam * x_wsb - mu * xb_wsb)
-    d_wt = c * lam * x_wt
-    d_wtb = c * (-mu) * xb_wtb
-    return d_ws, d_wsb, d_wt, d_wtb
+    """Wirtinger coefficients (d/dws, d/d cj ws, d/dwt, d/d cj wt).
 
-
-def phi_shoikhet_center(lam, wt, u1=1.0 + 0j):
-    """Center-sourced limit: (1/2pi i)[lam ln(wt/u1) - (1-lam) ln(cj wt/cj u1)].
-
-    On the unit circle wt = exp(i a), u1 = 1 this is (1/2pi) * a (the
-    normalized boundary angle), and 0 at wt = u1.
+    L = ln(ws - wt) - ln(ws) - ln(1 - cj ws wt).
     """
-    wt = np.asarray(wt, complex)
-    ln = np.log(wt / complex(u1))
-    return (lam * ln - (1 - lam) * np.conj(ln)) / TWO_PI_I
+    ws, wt = np.asarray(ws, complex), np.asarray(wt, complex)
+    wsb = np.conj(ws)
+    a = 1.0 / (ws - wt)
+    d = 1 - wsb * wt
+    return _wirtinger(lam, a - 1.0 / ws, wt / d, wsb / d - a)
+
+
+def phi_shoikhet_center(lam, wt):
+    """Center-sourced limit: (1/2pi i)[lam ln(wt) - (1-lam) ln(cj wt)].
+
+    On the unit circle wt = exp(i a) this is (1/2pi) * a (the normalized
+    boundary angle), and 0 at wt = 1.
+    """
+    return _phi(lam, np.log(np.asarray(wt, complex)))
 
 
 def phi_central(lam, ws, wt):
@@ -168,8 +173,7 @@ def phi_central(lam, ws, wt):
     transitive.
     """
     ws, wt = np.asarray(ws, complex), np.asarray(wt, complex)
-    ln = np.log(ws / wt)
-    return (lam * ln - (1 - lam) * np.conj(ln)) / TWO_PI_I
+    return _phi(lam, np.log(ws / wt))
 
 
 # ---------------------------------------------------------------------

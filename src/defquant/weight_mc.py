@@ -26,14 +26,19 @@ Sampling: aerial points are drawn uniformly on the unit disk (square root
 trick) and pushed to H by the Mobius map z = i(1+w)/(1-w) with analytic
 density; ground points are standard-Cauchy draws (u -> tan(pi(u - 1/2))),
 sorted, with the 1/m! ordering factor folded into the estimator.
-Each estimate draws its uniforms from one numpy default generator seeded
-with ``seed``, CHUNK rows at a time, so memory stays bounded by the block
-and the samples equal those of one big draw.  CHUNK is cache-sized: every
+Both estimators, weight_mc and two_valent_integral, run one block loop
+(``_mc_mean``): one numpy default generator seeded with ``seed`` is read
+CHUNK rows of uniforms at a time, and a per-estimator map turns each block
+into sample values, so memory is O(CHUNK) whatever n_samples is and the
+samples equal those of one big draw.  CHUNK is cache-sized: every
 per-sample array of a block (16,384 complex values, 256 KiB) stays small,
-and no (N, E, E) matrix is ever built.  The singularity guard drops a
-rejected sample: it counts in n_samples and contributes 0, as in
-two_valent_integral.  Both estimators accumulate the sums of f, (Re f)^2
-and (Im f)^2 block by block (``_Moments``).
+and no (N, E, E) matrix is ever built.  A weight sample reads the
+2(n-1)+m coordinates above; a two-valent sample reads three uniforms,
+(component, radius, angle) of the mixture proposal.  The singularity guard
+drops a rejected sample: it counts in n_samples and contributes 0.  The
+loop sums f for the mean and the squares about the first sample for the
+spread; a spread within 4 eps |mean| is rounding of a constant integrand
+and gives stderr exactly 0.
 
 The integrand: an edge's one-form has nonzero coefficients only in the
 columns of its free endpoints (two for an aerial vertex other than 1, one
@@ -268,28 +273,38 @@ def _config_ok(z: np.ndarray, r: np.ndarray) -> np.ndarray:
 # the estimators
 # ---------------------------------------------------------------------
 
-class _Moments:
-    """Running sums of f, (Re f)^2 and (Im f)^2 over blocks of samples; a
-    sample that contributes 0 still counts in n."""
+def _mc_mean(n_samples: int, seed, dim: int, block):
+    """(mean, stderr of the mean) of ``block`` over n_samples samples.
 
-    def __init__(self):
-        self.n = 0
-        self.total = 0j
-        self.re2 = 0.0
-        self.im2 = 0.0
-
-    def add(self, f: np.ndarray) -> None:
-        self.n += f.size
-        self.total += f.sum()
-        self.re2 += (f.real ** 2).sum()
-        self.im2 += (f.imag ** 2).sum()
-
-    def estimate(self):
-        """(mean, stderr of the mean)."""
-        mean = self.total / self.n
-        var_re = max(self.re2 / self.n - mean.real ** 2, 0.0)
-        var_im = max(self.im2 / self.n - mean.imag ** 2, 0.0)
-        return mean, math.sqrt((var_re + var_im) / self.n)
+    One generator, seeded once, is read CHUNK rows of ``dim`` uniforms at
+    a time; ``block`` maps each (k, dim) array to the k sample values, a
+    guarded sample being a 0 that still counts.  The mean is Sum f / n.
+    The squares are summed about the first sample f0, so that a spread of
+    a few ulps is not lost to cancelling Sum f^2 / n against mean^2.
+    Rounding alone spreads a constant integrand by an ulp or two of the
+    mean (0.6 to 2 eps |mean| for the fans with one to four ground points,
+    over real and complex lam), so a per-sample spread within 4 eps |mean|
+    is roundoff, not variance, and the stderr is reported as exactly 0.
+    """
+    rng = np.random.default_rng(seed)
+    done = 0
+    total = f0 = 0j
+    re2 = im2 = 0.0
+    while done < n_samples:
+        f = block(rng.random((min(CHUNK, n_samples - done), dim)))
+        if done == 0:
+            f0 = f[0]
+        done += f.size
+        total += f.sum()
+        re2 += ((f.real - f0.real) ** 2).sum()
+        im2 += ((f.imag - f0.imag) ** 2).sum()
+    mean = total / n_samples
+    shift = mean - f0
+    var = (max(re2 / n_samples - shift.real ** 2, 0.0)
+           + max(im2 / n_samples - shift.imag ** 2, 0.0))
+    if var <= (4 * np.finfo(float).eps * abs(mean)) ** 2:
+        return mean, 0.0
+    return mean, math.sqrt(var / n_samples)
 
 
 def weight_mc(g: AdmissibleGraph, lam=0.5, n_samples: int = 200_000,
@@ -308,16 +323,13 @@ def weight_mc(g: AdmissibleGraph, lam=0.5, n_samples: int = 200_000,
         return MCResult(0j, 0.0, 0, seed, lam, convention, key, exact=True,
                         meta={"reason": reason})
 
-    dim = g.dim_config()
-    rng = np.random.default_rng(seed)
-    moments = _Moments()
-    while moments.n < n_samples:
-        u = rng.random((min(CHUNK, n_samples - moments.n), dim))
+    def block(u):
         z, r, w_imp = _map_samples(u, g.n, g.m)
         ok = _config_ok(z, r)
-        moments.add(np.where(ok, integrand_value(g, lam, z, r) * w_imp, 0))
-    mean, stderr = moments.estimate()
-    return MCResult(factor * mean, abs(factor) * stderr, moments.n, seed, lam,
+        return np.where(ok, integrand_value(g, lam, z, r) * w_imp, 0)
+
+    mean, stderr = _mc_mean(n_samples, seed, g.dim_config(), block)
+    return MCResult(factor * mean, abs(factor) * stderr, n_samples, seed, lam,
                     convention, key)
 
 
@@ -329,6 +341,45 @@ def two_valent_out_out_exact(w1: complex, w2: complex) -> float:
     """Closed form for the out-out integral:
     (1/pi) arg((1 - w1 cj(w2)) (1 - w2) / (1 - w1))."""
     return float(np.angle((1 - w1 * np.conj(w2)) * (1 - w2) / (1 - w1)) / np.pi)
+
+
+# per kind: is the free point w the source of the edge to w1, of the edge
+# to w2
+_TWO_VALENT_KINDS = {"out-out": (True, True), "in-out": (True, False),
+                     "in-in": (False, False)}
+_P_UNIFORM = 0.4
+_CAP_RADIUS = 0.6
+
+
+def _mixture_map(u: np.ndarray, centers):
+    """(k, 3) uniforms -> (w, q): points of the defensive mixture and its
+    density on C.
+
+    The mixture is the uniform unit disk with probability _P_UNIFORM, else
+    one of the caps (c, beta) in ``centers``, each equally likely.  A row
+    is read as (component, radius, angle): the component from u0 against
+    the mixture cdf (as ``Generator.choice`` picks it), then
+    w = c + R u1^{1/(2-beta)} e^{2 pi i u2} with R = _CAP_RADIUS, or
+    sqrt(u1) e^{2 pi i u2} for the disk.  That radial law has planar
+    density (2-beta) r^{-beta} / (2 pi R^{2-beta}) inside its cap.
+    """
+    p_each = (1 - _P_UNIFORM) / len(centers)
+    cdf = np.cumsum([_P_UNIFORM] + [p_each] * len(centers))
+    comp = (cdf / cdf[-1]).searchsorted(u[:, 0], side="right")
+    spin = np.exp(2j * np.pi * u[:, 2])
+    w = np.sqrt(u[:, 1]) * spin
+    for i, (c, beta) in enumerate(centers):
+        sel = comp == i + 1
+        w[sel] = c + (_CAP_RADIUS * u[sel, 1] ** (1.0 / (2.0 - beta))
+                      * spin[sel])
+    q = np.where(np.abs(w) < 1, _P_UNIFORM / np.pi, 0.0)
+    for c, beta in centers:
+        d = np.abs(w - c)
+        near = d < _CAP_RADIUS
+        q[near] += (p_each * (2.0 - beta)
+                    / (2 * np.pi * _CAP_RADIUS ** (2.0 - beta)
+                       * d[near] ** beta))
+    return w, q
 
 
 def two_valent_integral(kind: str, w1: complex, w2: complex, lam=0.5,
@@ -346,80 +397,41 @@ def two_valent_integral(kind: str, w1: complex, w2: complex, lam=0.5,
     Contracts: in-out and in-in vanish; disk out-out equals
     two_valent_out_out_exact (lambda-independent).
     Importance sampling puts 1/|w - c| mass at each first-order pole so the
-    estimator has finite variance.
+    estimator has finite variance (``_mixture_map``).  The samples run
+    through weight_mc's block loop, three uniforms per sample.
     """
-    if kind not in ("out-out", "in-out", "in-in"):
+    if kind not in _TWO_VALENT_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
+    if propagator not in ("disk", "shoikhet"):
+        raise ValueError(f"unknown propagator {propagator!r}")
     dfun = prop.dphi_disk if propagator == "disk" else prop.dphi_shoikhet
 
-    # mixture components: uniform disk + a 1/|w-c| cap at each interior
-    # pole + a steeper 1/|w-1|^{3/2} cap at the boundary pole (both edge
-    # factors can blow up there, so the square of the ratio needs the
-    # extra half power to stay integrable).
+    # a cap at each interior pole and a steeper 1/|w-1|^{3/2} cap at the
+    # boundary pole (both edge factors can blow up there, so the square of
+    # the ratio needs the extra half power to stay integrable)
     centers = [(w1, 1.0), (w2, 1.0), (1.0 + 0j, 1.5)]
     if propagator == "shoikhet":
         centers.append((0j, 1.0))
-    radius = 0.6
-    p_uniform = 0.4
-    p_each = (1 - p_uniform) / len(centers)
 
-    rng = np.random.default_rng(seed)
-    comp = rng.choice(len(centers) + 1, size=n_samples,
-                      p=[p_uniform] + [p_each] * len(centers))
-    w = np.empty(n_samples, complex)
-    uni = comp == 0
-    k_uni = int(uni.sum())
-    w[uni] = (np.sqrt(rng.random(k_uni))
-              * np.exp(2j * np.pi * rng.random(k_uni)))
-    for i, (c, beta) in enumerate(centers):
-        sel = comp == i + 1
-        k = int(sel.sum())
-        rad = radius * rng.random(k) ** (1.0 / (2.0 - beta))
-        w[sel] = c + rad * np.exp(2j * np.pi * rng.random(k))
+    def one_form(w, c, w_is_source):
+        """(d/dx, d/dy) of the edge between w and c, in w's coordinates."""
+        if w_is_source:
+            return prop.wirtinger_to_xy(*dfun(lam, w, c)[:2])
+        return prop.wirtinger_to_xy(*dfun(lam, c, w)[2:])
 
-    # mixture density on C; the radial law r = R u^{1/(2-beta)} has planar
-    # density (2-beta) r^{-beta} / (2 pi R^{2-beta}) inside its cap
-    moments = _Moments()
-    for lo in range(0, n_samples, CHUNK):
-        wb = w[lo:lo + CHUNK]
-        q = np.zeros(wb.size)
-        inside = np.abs(wb) < 1
-        q[inside] += p_uniform / np.pi
-        for c, beta in centers:
-            d = np.abs(wb - c)
-            near = d < radius
-            q[near] += (p_each * (2.0 - beta)
-                        / (2 * np.pi * radius ** (2.0 - beta)
-                           * d[near] ** beta))
-
-        guard = np.abs(wb - w1) > SINGULAR_GUARD
-        guard &= np.abs(wb - w2) > SINGULAR_GUARD
-        guard &= np.abs(1 - wb) > SINGULAR_GUARD
-        if propagator == "shoikhet":
-            guard &= np.abs(wb) > SINGULAR_GUARD
-        use = inside & guard
-
-        f = np.zeros(wb.size, complex)
-        ww = wb[use]
-        if kind == "out-out":
-            a_s, a_sb, _, _ = dfun(lam, ww, w1)
-            b_s, b_sb, _, _ = dfun(lam, ww, w2)
-            a = prop.wirtinger_to_xy(a_s, a_sb)
-            b = prop.wirtinger_to_xy(b_s, b_sb)
-        elif kind == "in-out":
-            a_s, a_sb, _, _ = dfun(lam, ww, w1)
-            _, _, b_t, b_tb = dfun(lam, w2, ww)
-            a = prop.wirtinger_to_xy(a_s, a_sb)
-            b = prop.wirtinger_to_xy(b_t, b_tb)
-        else:
-            _, _, a_t, a_tb = dfun(lam, w1, ww)
-            _, _, b_t, b_tb = dfun(lam, w2, ww)
-            a = prop.wirtinger_to_xy(a_t, a_tb)
-            b = prop.wirtinger_to_xy(b_t, b_tb)
+    def block(u):
+        w, q = _mixture_map(u, centers)
+        use = np.abs(w) < 1
+        for c, _ in centers:
+            use &= np.abs(w - c) > SINGULAR_GUARD
+        f = np.zeros(w.size, complex)
+        ww = w[use]
+        a, b = (one_form(ww, c, src)
+                for c, src in zip((w1, w2), _TWO_VALENT_KINDS[kind]))
         f[use] = (a[0] * b[1] - a[1] * b[0]) / q[use]
-        moments.add(f)
+        return f
 
-    mean, stderr = moments.estimate()
+    mean, stderr = _mc_mean(n_samples, seed, 3, block)
     return MCResult(complex(mean), stderr, n_samples, seed, lam,
                     "disk-oriented", f"two-valent:{kind}:{propagator}")
 

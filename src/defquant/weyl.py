@@ -70,14 +70,6 @@ def _merge_wedge(d1, d2):
     return perm_sign(arr), tuple(sorted(arr))
 
 
-def _insert_dx(k, dxs):
-    """Sign and tuple for dx^k ^ dx^{dxs} (left wedge); sign 0 if k repeats."""
-    if k in dxs:
-        return 0, ()
-    below = sum(1 for j in dxs if j < k)
-    return (-1) ** below, tuple(sorted(dxs + (k,)))
-
-
 def _shift(vexp, k, step):
     """The fiber exponent vexp with its k-th entry moved by step."""
     return vexp[:k] + (vexp[k] + step,) + vexp[k + 1:]
@@ -258,7 +250,7 @@ class WeylElement:
             for k in range(self.dim):
                 if vexp[k] == 0:
                     continue
-                sgn, nd = _insert_dx(k, dxs)
+                sgn, nd = _merge_wedge((k,), dxs)
                 if sgn == 0:
                     continue
                 accumulate(out, (_shift(vexp, k, -1), nd, hpow),
@@ -298,7 +290,7 @@ class WeylElement:
             for i in range(self.dim):
                 dp = poly.diff(i)
                 if not dp.is_zero():
-                    sgn, nd = _insert_dx(i, dxs)
+                    sgn, nd = _merge_wedge((i,), dxs)
                     if sgn != 0:
                         accumulate(out, (vexp, nd, hpow),
                                    dp if sgn > 0 else -dp)
@@ -308,7 +300,7 @@ class WeylElement:
                 if vexp[k] == 0:
                     continue
                 for i in range(self.dim):
-                    sgn, nd = _insert_dx(i, dxs)
+                    sgn, nd = _merge_wedge((i,), dxs)
                     if sgn == 0:
                         continue
                     for j in range(self.dim):
@@ -375,12 +367,12 @@ def constant_bivector(dim: int, entries) -> list:
     return out
 
 
-def random_element(dim: int, cap: int, rng, n_terms: int = 6,
-                   max_x_deg: int = 2, max_h: int = 1) -> WeylElement:
+def random_element(dim: int, cap: int, rng, n_terms: int = 6
+                   ) -> WeylElement:
     """Small random element for property tests (exact rational coeffs)."""
     terms = {}
     for _ in range(n_terms):
-        hpow = rng.randint(0, max_h)
+        hpow = rng.randint(0, 1)
         v_budget = cap - 2 * hpow
         if v_budget < 0:
             hpow, v_budget = 0, cap
@@ -391,7 +383,7 @@ def random_element(dim: int, cap: int, rng, n_terms: int = 6,
         q = rng.randint(0, min(2, dim))
         dxs = tuple(sorted(rng.sample(range(dim), q)))
         e = [0] * dim
-        for _ in range(rng.randint(0, max_x_deg)):
+        for _ in range(rng.randint(0, 2)):
             e[rng.randrange(dim)] += 1
         c = QC(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                Fraction(rng.randint(-4, 4), rng.randint(1, 3)))

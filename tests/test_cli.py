@@ -104,6 +104,7 @@ TWO_VALENT = ("weight", "two-valent", "--kind", "out-out")
     ("weight", "mc", "--graph", "graph2", "--samples", "inf"),
     ("star", "assemble", "--samples", "1"),
     ("weight", "fit-lambda", "--graph", "fan:1", "--samples", "2000"),
+    ("weight", "fit-lambda", "--graph", "fan:3", "--samples", "2000"),
     ("weight", "fit-lambda", "--graph", "graph2", "--degree", "-1"),
     ("geodesic", "oracle", "--order", "2", "--t", "nan"),
     ("geodesic", "oracle", "--order", "2", "--t", "inf"),

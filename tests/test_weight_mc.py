@@ -31,10 +31,17 @@ def test_fan_weights_exact_and_mc():
     assert mc.within(0.5, 1e-3)
 
 
-def test_fan_mc_is_zero_variance_at_one_edge():
-    res = weight_mc(fan_graph(1), lam=0.8, n_samples=2_000, seed=1)
-    assert res.value == pytest.approx(1.0, abs=1e-12)
-    assert res.stderr < 1e-12
+@pytest.mark.parametrize("chunk", [wmc.CHUNK, 1000])
+@pytest.mark.parametrize("n_samples", [2_000, 50_000, 200_000])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_fan_mc_is_zero_variance_at_one_edge(monkeypatch, m, n_samples,
+                                             chunk):
+    """A fan's integrand is constant up to rounding, so its stderr is
+    exactly 0, not a cancellation residue of order eps |mean|."""
+    monkeypatch.setattr(wmc, "CHUNK", chunk)
+    res = weight_mc(fan_graph(m), lam=0.8, n_samples=n_samples, seed=1)
+    assert res.value == pytest.approx(1 / math.factorial(m), abs=1e-12)
+    assert res.stderr == 0.0
 
 
 def test_double_fan_quarter():
@@ -91,22 +98,33 @@ def test_seed_reproducibility_and_stderr_scaling():
     assert big.stderr < a.stderr
 
 
+def _sliced_moments(blocks):
+    """(mean, stderr) over the sample values in ``blocks``: the sum of f for
+    the mean, the squares summed about the first sample for the spread."""
+    f0 = blocks[0][0]
+    acc, re2, im2 = 0j, 0.0, 0.0
+    for vals in blocks:
+        acc += vals.sum()
+        re2 += ((vals.real - f0.real) ** 2).sum()
+        im2 += ((vals.imag - f0.imag) ** 2).sum()
+    n = sum(len(vals) for vals in blocks)
+    mean = acc / n
+    shift = mean - f0
+    var = (max(re2 / n - shift.real ** 2, 0.0)
+           + max(im2 / n - shift.imag ** 2, 0.0))
+    return mean, math.sqrt(var / n)
+
+
 def _sliced_reference(g, lam, u, chunk, rejected=()):
     """(mean, stderr) of the estimator over ``chunk``-row slices of the
     one uniform draw ``u``, with the ``rejected`` rows contributing 0."""
-    acc, re2, im2 = 0j, 0.0, 0.0
+    blocks = []
     for start in range(0, len(u), chunk):
         z, r, w_imp = wmc._map_samples(u[start:start + chunk], g.n, g.m)
         vals = wmc.integrand_value(g, lam, z, r) * w_imp
         vals[[i - start for i in rejected if start <= i < start + chunk]] = 0
-        acc += vals.sum()
-        re2 += (vals.real ** 2).sum()
-        im2 += (vals.imag ** 2).sum()
-    n = len(u)
-    mean = acc / n
-    var = (max(re2 / n - mean.real ** 2, 0.0)
-           + max(im2 / n - mean.imag ** 2, 0.0))
-    return mean, math.sqrt(var / n)
+        blocks.append(vals)
+    return _sliced_moments(blocks)
 
 
 def test_chunked_draws_equal_one_draw(monkeypatch):
@@ -333,9 +351,81 @@ def test_shoikhet_in_out_vanishes():
     assert abs(res.value) <= max(1.5e-3, 3 * res.stderr)
 
 
+def _two_valent_values(kind, lam, u, propagator):
+    """Sample values of the two-valent estimator at W1, W2, one branch per
+    kind."""
+    centers = [(W1, 1.0), (W2, 1.0), (1.0 + 0j, 1.5)]
+    if propagator == "shoikhet":
+        centers.append((0j, 1.0))
+    dfun = prop.dphi_disk if propagator == "disk" else prop.dphi_shoikhet
+    w, q = wmc._mixture_map(u, centers)
+    use = np.abs(w) < 1
+    for c, _ in centers:
+        use &= np.abs(w - c) > wmc.SINGULAR_GUARD
+    ww = w[use]
+    if kind == "out-out":
+        a = prop.wirtinger_to_xy(*dfun(lam, ww, W1)[:2])
+        b = prop.wirtinger_to_xy(*dfun(lam, ww, W2)[:2])
+    elif kind == "in-out":
+        a = prop.wirtinger_to_xy(*dfun(lam, ww, W1)[:2])
+        b = prop.wirtinger_to_xy(*dfun(lam, W2, ww)[2:])
+    else:
+        a = prop.wirtinger_to_xy(*dfun(lam, W1, ww)[2:])
+        b = prop.wirtinger_to_xy(*dfun(lam, W2, ww)[2:])
+    vals = np.zeros(len(u), complex)
+    vals[use] = (a[0] * b[1] - a[1] * b[0]) / q[use]
+    return vals
+
+
+@pytest.mark.parametrize("propagator", ["disk", "shoikhet"])
+@pytest.mark.parametrize("kind", ["out-out", "in-out", "in-in"])
+def test_two_valent_chunked_draws_equal_one_draw(monkeypatch, kind,
+                                                 propagator):
+    """two_valent_integral reads one generator CHUNK rows of (component,
+    radius, angle) at a time, through the loop weight_mc uses: the result
+    is bit-identical to slicing one big draw."""
+    monkeypatch.setattr(wmc, "CHUNK", 1000)
+    rows = []
+    real_map = wmc._mixture_map
+
+    def counting_map(u, centers):
+        rows.append(u.shape)
+        return real_map(u, centers)
+
+    monkeypatch.setattr(wmc, "_mixture_map", counting_map)
+    res = two_valent_integral(kind, W1, W2, lam=0.3 + 0.2j, n_samples=3500,
+                              seed=17, propagator=propagator)
+    assert rows == [(1000, 3)] * 3 + [(500, 3)]
+    u = np.random.default_rng(17).random((3500, 3))
+    blocks = [_two_valent_values(kind, 0.3 + 0.2j, u[lo:lo + 1000],
+                                 propagator) for lo in range(0, 3500, 1000)]
+    assert (res.value, res.stderr) == _sliced_moments(blocks)
+    assert res.n_samples == 3500
+
+
+@pytest.mark.parametrize("propagator", ["disk", "shoikhet"])
+def test_mixture_map_samples_its_density(propagator):
+    """E[1{|w| < 1} / q(w)] is the disk's area pi when the points follow
+    q; q >= 0.4/pi inside the disk keeps the variance finite."""
+    centers = [(W1, 1.0), (W2, 1.0), (1.0 + 0j, 1.5)]
+    if propagator == "shoikhet":
+        centers.append((0j, 1.0))
+    u = np.random.default_rng(3).random((200_000, 3))
+    w, q = wmc._mixture_map(u, centers)
+    inside = np.abs(w) < 1
+    assert np.all(q[inside] >= 0.4 / np.pi)
+    vals = np.where(inside, 1 / q, 0.0)
+    sigma = vals.std() / math.sqrt(len(vals))
+    assert abs(vals.mean() - np.pi) <= 4 * sigma
+
+
 def test_two_valent_rejects_unknown_kind():
     with pytest.raises(ValueError):
         two_valent_integral("sideways", W1, W2)
+    # a mistyped model name must not fall through to the center-subtracted
+    # integrand
+    with pytest.raises(ValueError):
+        two_valent_integral("out-out", W1, W2, propagator="Disk")
 
 
 # -- polynomial fit over the interpolation parameter ------------------
