@@ -4,6 +4,11 @@ Coefficients throughout the symbolic modules are complex numbers with
 rational real and imaginary parts, kept exact with fractions.Fraction.
 Enough arithmetic is implemented for the graded-algebra and jet code:
 +, -, *, / (by nonzero), integer powers, conjugation, equality, hashing.
+Invariant: ``re`` and ``im`` are always exactly ``Fraction`` (never an
+int, a float or a Fraction subclass), so the arithmetic below combines the
+parts without converting them; a Fraction argument is stored as it is.
+The jets of the exact stack are mostly real, so a product of two reals
+costs one Fraction product.
 ``perm_sign`` is the one permutation-sign routine the graded code shares
 (edge reorderings, antisymmetric components, wedge products).
 """
@@ -11,6 +16,8 @@ Enough arithmetic is implemented for the graded-algebra and jet code:
 from __future__ import annotations
 
 from fractions import Fraction
+
+_ZERO = Fraction(0)
 
 
 class QC:
@@ -20,11 +27,13 @@ class QC:
 
     def __init__(self, re=0, im=0):
         if isinstance(re, QC):
-            assert im == 0
+            if im != 0:
+                raise TypeError("QC(QC, im): a QC argument takes no "
+                                "imaginary part")
             self.re, self.im = re.re, re.im
             return
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     # -- constructors -------------------------------------------------
 
@@ -41,7 +50,7 @@ class QC:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        o = QC.coerce(other)
+        o = other if isinstance(other, QC) else QC.coerce(other)
         return QC(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
@@ -50,13 +59,16 @@ class QC:
         return QC(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-QC.coerce(other))
+        o = other if isinstance(other, QC) else QC.coerce(other)
+        return QC(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         return QC.coerce(other) + (-self)
 
     def __mul__(self, other):
-        o = QC.coerce(other)
+        o = other if isinstance(other, QC) else QC.coerce(other)
+        if not self.im and not o.im:
+            return QC(self.re * o.re, _ZERO)
         return QC(self.re * o.re - self.im * o.im,
                   self.re * o.im + self.im * o.re)
 
@@ -97,10 +109,13 @@ class QC:
         return not self.is_zero()
 
     def __eq__(self, other):
-        try:
-            o = QC.coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
+        if isinstance(other, QC):
+            o = other
+        else:
+            try:
+                o = QC.coerce(other)
+            except (TypeError, ValueError):
+                return NotImplemented
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):

@@ -5,12 +5,16 @@ truncation order `trunc`; when set, every operation drops monomials of total
 degree > trunc, which turns the class into a jet (truncated power series)
 around the origin.  trunc=None means genuinely polynomial arithmetic with no
 dropping.  Mixing a jet with a polynomial propagates the tighter truncation.
+Every Poly holds QC values only, none of them zero, and no monomial of
+degree above trunc; the arithmetic keeps that true as it goes and builds
+its results without filtering them again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import add
 
 from .exactnum import QC
 
@@ -21,6 +25,22 @@ def _min_trunc(a, b):
     if b is None:
         return a
     return min(a, b)
+
+
+def _from_terms(nvars: int, terms: dict, trunc) -> "Poly":
+    """A Poly that takes ``terms`` as they are.  Only for dicts that already
+    hold what ``Poly.__init__`` would keep: QC values, none zero, no
+    monomial of degree above ``trunc``."""
+    p = object.__new__(Poly)
+    p.nvars, p.terms, p.trunc = nvars, terms, trunc
+    return p
+
+
+def _terms_within(p: "Poly", trunc) -> dict:
+    """p's terms of total degree <= trunc, for trunc p.trunc or tighter."""
+    if p.trunc == trunc:
+        return p.terms
+    return {e: c for e, c in p.terms.items() if sum(e) <= trunc}
 
 
 class Poly:
@@ -88,20 +108,24 @@ class Poly:
             other = Poly.const(self.nvars, other, self.trunc)
         assert self.nvars == other.nvars
         tr = _min_trunc(self.trunc, other.trunc)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, QC(0)) + c
+        out = dict(_terms_within(self, tr))
+        for e, c in _terms_within(other, tr).items():
+            s = out.get(e)
+            if s is None:
+                out[e] = c
+                continue
+            s = s + c
             if s.is_zero():
-                out.pop(e, None)
+                del out[e]
             else:
                 out[e] = s
-        return Poly(self.nvars, out, tr)
+        return _from_terms(self.nvars, out, tr)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()},
-                    self.trunc)
+        return _from_terms(self.nvars, {e: -c for e, c in self.terms.items()},
+                           self.trunc)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -116,25 +140,31 @@ class Poly:
             c = QC.coerce(other)
             if c.is_zero():
                 return Poly.zero(self.nvars, self.trunc)
-            return Poly(self.nvars,
-                        {e: v * c for e, v in self.terms.items()}, self.trunc)
+            return _from_terms(self.nvars,
+                               {e: v * c for e, v in self.terms.items()},
+                               self.trunc)
         assert self.nvars == other.nvars
         tr = _min_trunc(self.trunc, other.trunc)
+        right = [(e2, sum(e2), c2) for e2, c2 in other.terms.items()]
         out = {}
+        # a product of two nonzero Gaussian rationals is never zero, so
+        # only a sum can cancel
         for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if tr is not None and d1 + sum(e2) > tr:
+            room = None if tr is None else tr - sum(e1)
+            for e2, d2, c2 in right:
+                if room is not None and d2 > room:
                     continue
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e)
-                p = c1 * c2
-                s = p if s is None else s + p
+                if s is None:
+                    out[e] = c1 * c2
+                    continue
+                s = s + c1 * c2
                 if s.is_zero():
-                    out.pop(e, None)
+                    del out[e]
                 else:
                     out[e] = s
-        return Poly(self.nvars, out, tr)
+        return _from_terms(self.nvars, out, tr)
 
     __rmul__ = __mul__
 
@@ -161,7 +191,7 @@ class Poly:
             e2 = list(e)
             e2[i] -= 1
             out[tuple(e2)] = c * e[i]
-        return Poly(self.nvars, out, tr)
+        return _from_terms(self.nvars, out, tr)
 
     def truncate(self, k: int) -> "Poly":
         return Poly(self.nvars,

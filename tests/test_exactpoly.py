@@ -1,7 +1,12 @@
 """Exact scalar and polynomial/jet arithmetic."""
 
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -139,3 +144,166 @@ def test_sin_cos_pythagoras_exact():
     s = sin_jet(Fraction(3, 5), Fraction(4, 5), 1, 0, 6)
     c = cos_jet(Fraction(3, 5), Fraction(4, 5), 1, 0, 6)
     assert s * s + c * c == Poly.one(1, trunc=6)
+
+
+# ---------------------------------------------------------------------
+# fast paths of QC and Poly against their schoolbook definitions
+
+
+def _qc_grid():
+    """Seeded Gaussian rationals: 0, pure reals, pure imaginaries and
+    general ones."""
+    rng = random.Random(11)
+
+    def frac():
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
+
+    out = [QC(0), QC(1), QC(-1), QC(0, 1), QC(0, Fraction(-2, 3))]
+    for _ in range(6):
+        out += [QC(frac()), QC(0, frac()), QC(frac(), frac())]
+    return out
+
+
+def _parts(q):
+    assert type(q) is QC and type(q.re) is Fraction and type(q.im) is Fraction
+    return q.re, q.im
+
+
+def test_qc_arithmetic_matches_the_four_product_formula():
+    grid = _qc_grid()
+    others = [3, -1, 0, Fraction(5, 4), complex(0.5, -0.25), 0.75]
+    for a in grid:
+        ar, ai = a.re, a.im
+        for b in grid + others:
+            br, bi = _parts(QC.coerce(b))
+            assert _parts(a * b) == (ar * br - ai * bi, ar * bi + ai * br)
+            assert _parts(b * a) == (ar * br - ai * bi, ar * bi + ai * br)
+            assert _parts(a + b) == (ar + br, ai + bi)
+            assert _parts(b + a) == (ar + br, ai + bi)
+            assert _parts(a - b) == (ar - br, ai - bi)
+            assert _parts(b - a) == (br - ar, bi - ai)
+            assert (a == b) is ((ar, ai) == (br, bi))
+            assert (b == a) is ((ar, ai) == (br, bi))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: QC(), lambda: QC(3), lambda: QC(3, -2), lambda: QC(True),
+    lambda: QC(Fraction(2, 3)), lambda: QC(Fraction(2, 3), Fraction(1, 5)),
+    lambda: QC("3/4"), lambda: QC("1/2", "-5"), lambda: QC(0.1),
+    lambda: QC(0.5, 2), lambda: QC.coerce(complex(0.1, -3.0)),
+    lambda: QC.coerce(7), lambda: QC(QC(1, 2)), lambda: QC(QC(3), 0),
+    lambda: QC(2) * QC(Fraction(1, 3)), lambda: QC(2) * 3,
+    lambda: QC(0, 2) * QC(0, 3), lambda: QC(1) - 1, lambda: -QC(1, 1),
+    lambda: QC(1, 2) / QC(3, -1), lambda: QC(1, 1).conj(),
+    lambda: QC(Fraction(1, 2)) ** 3,
+])
+def test_qc_parts_are_always_fractions(make):
+    _parts(make())
+
+
+def test_qc_hash_of_a_real_is_the_hash_of_its_fraction():
+    assert hash(QC(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(QC(Fraction(1, 2)) * QC(2)) == hash(1)
+    assert QC(Fraction(1, 2)) == Fraction(1, 2)
+
+
+def test_qc_of_a_qc_takes_no_imaginary_part():
+    with pytest.raises(TypeError):
+        QC(QC(1), 5)
+    # the check must not be an assert, which python -O removes
+    code = ("from defquant.exactnum import QC\n"
+            "try:\n    QC(QC(1), 5)\nexcept TypeError:\n    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env).returncode == 0
+
+
+def _random_poly(rng, nvars, trunc, n_terms=6):
+    coeffs = [QC(1), QC(-1), QC(Fraction(1, 2)), QC(0, 1), QC(2, -1),
+              QC(Fraction(-3, 4), Fraction(1, 3))]
+    terms = {}
+    for _ in range(n_terms):
+        e = [0] * nvars
+        for _ in range(rng.randrange(4)):
+            e[rng.randrange(nvars)] += 1
+        terms[tuple(e)] = rng.choice(coeffs)
+    return Poly(nvars, terms, trunc)
+
+
+def _tighter(a, b):
+    return b if a is None else a if b is None else min(a, b)
+
+
+def _naive_product(p, q):
+    """Schoolbook product on (re, im) Fraction pairs: a coefficient that
+    cancels to 0 is dropped and comes back at the end of the dict if a
+    later product hits its monomial again."""
+    tr = _tighter(p.trunc, q.trunc)
+    out = {}
+    cancelled = 0
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if tr is not None and sum(e) > tr:
+                continue
+            re = c1.re * c2.re - c1.im * c2.im
+            im = c1.re * c2.im + c1.im * c2.re
+            if e in out:
+                re, im = out[e][0] + re, out[e][1] + im
+                if re == 0 and im == 0:
+                    del out[e]
+                    cancelled += 1
+                    continue
+            out[e] = (re, im)
+    return out, tr, cancelled
+
+
+def _assert_clean(p):
+    for e, c in p.terms.items():
+        assert type(c) is QC and not c.is_zero()
+        assert len(e) == p.nvars
+        assert p.trunc is None or sum(e) <= p.trunc
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+@pytest.mark.parametrize("truncs", [(None, None), (3, None), (None, 2),
+                                    (4, 3)])
+def test_poly_product_matches_the_schoolbook_product(nvars, truncs):
+    rng = random.Random(100 * nvars + 7)
+    cancelled = 0
+    for _ in range(12):
+        a = _random_poly(rng, nvars, truncs[0])
+        b = _random_poly(rng, nvars, truncs[1])
+        # (a + b)(a - b) = a^2 - b^2: the cross terms cancel
+        for p, q in ((a, b), (a + b, a - b), (a - b * QC(0, 1), a + b)):
+            got = p * q
+            want, tr, n = _naive_product(p, q)
+            cancelled += n
+            assert got.trunc == tr and got.nvars == nvars
+            assert [(e, (c.re, c.im)) for e, c in got.terms.items()] \
+                == list(want.items())
+            _assert_clean(got)
+    assert cancelled > 0
+
+
+@pytest.mark.parametrize("truncs", [(None, None), (5, None), (None, 2),
+                                    (2, 4), (3, 3)])
+def test_poly_sums_and_derivatives_keep_the_invariants(truncs):
+    rng = random.Random(31)
+    for nvars in (1, 2, 3):
+        for _ in range(10):
+            a = _random_poly(rng, nvars, truncs[0], 8)
+            b = _random_poly(rng, nvars, truncs[1], 8)
+            tr = _tighter(*truncs)
+            for got, sign in ((a + b, 1), (a - b, -1), (b + a, 1)):
+                want = dict(a.terms)
+                for e, c in b.terms.items():
+                    want[e] = want.get(e, QC(0)) + c * sign
+                assert got == Poly(nvars, want, tr) and got.trunc == tr
+                _assert_clean(got)
+            assert (a - a).is_zero()
+            for q in (-a, a * QC(0, 2), a * 3, a.diff(nvars - 1)):
+                _assert_clean(q)
+            assert a + (-a) == Poly.zero(nvars)

@@ -239,6 +239,22 @@ def test_expansion_matches_dense_determinant(classes_3_2):
             assert np.all(diff <= 1e-12 * bound), g
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_ground_points_come_out_sorted_bit_for_bit(n, m):
+    """_map_samples orders the ground points as np.sort does, ties and the
+    u = 0 end of the Cauchy map included."""
+    u = np.random.default_rng(10 * n + m).random((5000, 2 * (n - 1) + m))
+    ground = u[:, 2 * (n - 1):]
+    ground[:7] = 0.0
+    if m > 1:
+        ground[7:50, 1] = ground[7:50, 0]
+    raw = np.tan(np.pi * (ground - 0.5))
+    _, r, _ = wmc._map_samples(u, n, m)
+    assert r.shape == raw.shape
+    assert r.tobytes() == np.sort(raw, axis=1).tobytes()
+
+
 def test_unmatched_rows_give_exact_zeros(classes_3_2):
     """Exactly three screen-passing (3,2) classes have no row-to-column
     matching; their integrand is 0 at every sample, and no other's is."""
