@@ -131,19 +131,19 @@ def merkulov_wheel_zeta(n: int, N: int = 10_000) -> ValueBound:
 # the shadow of the n-wheels
 # ---------------------------------------------------------------------
 
-def _geo_sum(x: float, power: int, start: int = 1, rtol: float = 1e-18):
+def _geo_sum(x: float, power: int, start: int = 1):
     """sum_{d>=start} x^d (d+1)^power with a rigorous geometric cutoff.
 
     The term ratio is x ((d+2)/(d+1))^power, which is eventually < 1; the
-    remainder after the cutoff is bounded by a geometric series with that
-    ratio.  Returns (value, bound_on_remainder).
+    sum stops at a term below 1e-18 with ratio < 1 and bounds the rest by
+    a geometric series with that ratio.  Returns (value, bound_on_remainder).
     """
     total = 0.0
     d = start
     term = x ** d * (d + 1) ** power
     while True:
         ratio = x * ((d + 2) / (d + 1)) ** power
-        if term < rtol and ratio < 1:
+        if term < 1e-18 and ratio < 1:
             return total, term * ratio / (1 - ratio) + term
         total += term
         d += 1

@@ -5,9 +5,9 @@ routing one summation index along every edge: each aerial vertex
 contributes the component of its polyvector field picked out by the
 indices of its outgoing edges (in label order), differentiated once per
 incoming edge; each ground vertex becomes an argument slot carrying the
-derivatives of its incoming edges.  Summing over all index assignments
-gives a polydifferential operator, and the star product to second order
-is the weighted sum
+derivatives of its incoming edges.  Only signed orderings of each vertex's
+nonzero components contribute; summing them gives a polydifferential
+operator, and the star product to second order is the weighted sum
 
     f * g = fg + (i hbar) U_1(f, g) + ((i hbar)^2 / 2!) U_2(f, g) + ...
 
@@ -44,9 +44,9 @@ _I = QC(0, 1)
 class PolyVectorField:
     """Totally antisymmetric (degree+1)-vector field with Poly components.
 
-    Components are stored on strictly increasing index tuples; lookups
-    with permuted indices pick up the permutation sign, repeated indices
-    give zero.
+    Components are stored on strictly increasing tuples of indices below
+    dim (ValueError otherwise); lookups with permuted indices pick up the
+    permutation sign, repeated indices give zero.
     """
 
     def __init__(self, dim: int, degree: int, comps=None):
@@ -56,9 +56,11 @@ class PolyVectorField:
         if comps:
             for idx, poly in comps.items():
                 idx = tuple(idx)
-                assert len(idx) == degree + 1
-                assert all(a < b for a, b in zip(idx, idx[1:])), \
-                    "components must be keyed by increasing tuples"
+                if (len(idx) != degree + 1 or list(idx) != sorted(set(idx))
+                        or not all(0 <= i < dim for i in idx)):
+                    raise ValueError(f"component key {idx} is not a strictly "
+                                     f"increasing {degree + 1}-tuple of "
+                                     f"indices below {dim}")
                 if not isinstance(poly, Poly):
                     poly = Poly.const(dim, poly)
                 if not poly.is_zero():
@@ -118,9 +120,9 @@ class PolyDiffOperator:
         return PolyDiffOperator(dim, arity)
 
     @staticmethod
-    def multiplication(dim: int, arity: int = 2) -> "PolyDiffOperator":
-        key = tuple((0,) * dim for _ in range(arity))
-        return PolyDiffOperator(dim, arity, {key: Poly.one(dim)})
+    def multiplication(dim: int) -> "PolyDiffOperator":
+        key = ((0,) * dim, (0,) * dim)
+        return PolyDiffOperator(dim, 2, {key: Poly.one(dim)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -177,7 +179,8 @@ class PolyDiffOperator:
 
 def graph_operator(g: AdmissibleGraph, gammas) -> PolyDiffOperator:
     """Operator of a labeled graph acting on one polyvector field per
-    aerial vertex; arity = number of ground slots."""
+    aerial vertex; arity = number of ground slots.  Each vertex picks an
+    ordering idx of a stored component key, with sign perm_sign(idx)."""
     if len(gammas) != g.n:
         raise ValueError(f"need {g.n} polyvector fields, got {len(gammas)}")
     dim = gammas[0].dim
@@ -187,37 +190,31 @@ def graph_operator(g: AdmissibleGraph, gammas) -> PolyDiffOperator:
             raise ValueError(
                 f"vertex {v} has out-degree {want} but its field takes "
                 f"{gammas[v - 1].degree + 1} indices")
-    edges = list(g.edges)
-    out_edges = {v: sorted((e for e in edges if e.src == v),
-                           key=lambda e: e.label)
-                 for v in range(1, g.n + 1)}
-    in_edges = {v: [e for e in edges if e.dst == v]
-                for v in range(1, g.n + g.m + 1)}
+    ins = [[k for k, e in enumerate(g.edges) if e.dst == v]
+           for v in range(1, g.n + g.m + 1)]
+    # g.edges is sorted by (source, label), so the picked orderings
+    # concatenate to the index of every edge in edge order
+    choices = [[(idx, poly if perm_sign(idx) > 0 else -poly)
+                for key, poly in gamma.comps.items()
+                for idx in permutations(key)] for gamma in gammas]
     terms = {}
-    for assign in iproduct(range(dim), repeat=len(edges)):
-        index = {id(e): i for e, i in zip(edges, assign)}
+    for pick in iproduct(*choices):
+        index = [i for idx, _ in pick for i in idx]
         coeff = Poly.one(dim)
-        ok = True
-        for v in range(1, g.n + 1):
-            comp = gammas[v - 1].component(
-                tuple(index[id(e)] for e in out_edges[v]))
-            for e in in_edges[v]:
-                comp = comp.diff(index[id(e)])
-                if comp.is_zero():
-                    break
-            if comp.is_zero():
-                ok = False
-                break
+        for (_, comp), v_in in zip(pick, ins):
+            for k in v_in:
+                comp = comp.diff(index[k])
             coeff = coeff * comp
-        if not ok:
-            continue
-        slots = []
-        for j in range(1, g.m + 1):
-            alpha = [0] * dim
-            for e in in_edges[g.n + j]:
-                alpha[index[id(e)]] += 1
-            slots.append(tuple(alpha))
-        accumulate(terms, tuple(slots), coeff)
+            if coeff.is_zero():
+                break
+        else:
+            slots = []
+            for v_in in ins[g.n:]:
+                alpha = [0] * dim
+                for k in v_in:
+                    alpha[index[k]] += 1
+                slots.append(tuple(alpha))
+            accumulate(terms, tuple(slots), coeff)
     return PolyDiffOperator(dim, g.m, terms)
 
 
@@ -353,17 +350,16 @@ def associativity_sigma(series: StarProductSeries, f: Poly, g: Poly,
     return out
 
 
-def associativity_gate(series: StarProductSeries, f: Poly, g: Poly, h: Poly,
-                       order: int = 2, n_sigma: float = 3.0):
-    """Gate the associativity residual of one triple against its error.
+def associativity_gate(series: StarProductSeries, f: Poly, g: Poly, h: Poly):
+    """Gate one triple's associativity residual at the series' top order.
 
-    Returns (low, beyond, worst): ``low`` counts the orders below
-    ``order`` whose residual is nonzero (they must vanish exactly);
-    ``beyond`` counts the order-``order`` coefficients larger than
-    n_sigma propagated standard errors, where a coefficient with no
-    error must vanish exactly; ``worst`` is the largest
-    |residual| / (n_sigma sigma) over the coefficients with an error.
+    Returns (low, beyond, worst): ``low`` counts the lower orders whose
+    residual is nonzero (they must vanish exactly); ``beyond`` counts the
+    top-order coefficients larger than 3 propagated standard errors, where
+    a coefficient with no error must vanish exactly; ``worst`` is the
+    largest |residual| / (3 sigma) over the coefficients with an error.
     """
+    order = series.order
     resid = associativity_residual(series, f, g, h, order)
     low = sum(1 for k in resid if k < order)
     sig = associativity_sigma(series, f, g, h, order).get(order, {})
@@ -373,7 +369,7 @@ def associativity_gate(series: StarProductSeries, f: Poly, g: Poly, h: Poly,
     if top is not None:
         for e, c in top.terms.items():
             mag = abs(c.to_complex())
-            bound = n_sigma * sig.get(e, 0.0)
+            bound = 3.0 * sig.get(e, 0.0)
             if bound == 0.0:
                 beyond += int(mag != 0.0)
             else:

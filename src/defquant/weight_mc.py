@@ -86,9 +86,6 @@ class MCResult:
     exact: bool = False
     meta: dict = field(default_factory=dict)
 
-    def within(self, target: complex, abs_tol: float, n_sigma: float = 3.0):
-        return abs(self.value - target) <= max(abs_tol, n_sigma * self.stderr)
-
 
 # ---------------------------------------------------------------------
 # exact-zero screening

@@ -1,5 +1,6 @@
 """The command-line front end, run in-process through ``cli.main``."""
 
+import hashlib
 import json
 import math
 import random
@@ -77,6 +78,30 @@ def test_same_seed_gives_byte_identical_reports(capsys, argv):
     second = run(capsys, *argv)
     assert first[0] == 0
     assert first[1] == second[1]
+
+
+# Reports computed in exact arithmetic only, pinned byte for byte by the
+# first 16 hex digits of the sha256 of stdout.  Monte Carlo reports stay
+# out: numpy's transcendental kernels can differ by an ulp across CPUs.
+EXACT_REPORTS = {
+    ("fedosov", "star"): "2274ba05dff56b0b",
+    ("fedosov", "solve", "--example", "curved", "--cap", "9"):
+        "1dffdbb5362c1d19",
+    ("geodesic", "exp", "--metric", "sphere", "--order", "8", "--taylor"):
+        "a11a139c71ae000f",
+    ("graphs", "enumerate", "--n", "3", "--m", "2", "--canonical"):
+        "4ed2d7da4d0e5fb8",
+    ("star", "assemble", "--structure", "moyal", "--dim", "4", "--samples",
+     "20000", "--dump-ops"): "524bb6350f2785b1",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(EXACT_REPORTS), ids=" ".join)
+def test_exact_report_bytes_are_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] \
+        == EXACT_REPORTS[argv]
 
 
 TWO_VALENT = ("weight", "two-valent", "--kind", "out-out")

@@ -1,14 +1,19 @@
 """Graph operators, HKR components, star assembly, associativity gates."""
 
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
 from defquant import star
 from defquant.exactnum import QC
-from defquant.exactpoly import Poly
+from defquant.exactpoly import Poly, accumulate
 from defquant.graphs import (AdmissibleGraph, Edge, canonical_classes,
                              enumerate_graphs, fan_graph, graph2)
 from defquant.star import (PolyVectorField, PolyDiffOperator, graph_operator,
@@ -33,6 +38,29 @@ def rand_poly(rng, dim, deg=2):
 def test_bivector_requires_antisymmetry():
     with pytest.raises(ValueError, match="antisymmetric"):
         PolyVectorField.bivector(2, [[0, 1], [1, 0]])
+
+
+BAD_KEYS = [(1, 0), (0, 0), (0,), (0, 1, 2), (0, 3), (-1, 0)]
+
+
+@pytest.mark.parametrize("key", BAD_KEYS, ids=str)
+def test_bad_component_keys_raise(key):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PolyVectorField(3, 1, {key: 1})
+
+
+def test_bad_component_keys_raise_under_python_O():
+    # graph_operator reads the keys as given, so the check must not be an
+    # assert, which python -O removes
+    code = ("from defquant.star import PolyVectorField\n"
+            f"for key in {BAD_KEYS!r}:\n"
+            "    try:\n        PolyVectorField(3, 1, {key: 1})\n"
+            "    except ValueError:\n        continue\n"
+            "    raise SystemExit(1)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env).returncode == 0
 
 
 def test_component_signs():
@@ -112,6 +140,92 @@ def test_arity_and_degree_mismatches_raise():
 def test_derivatives_of_constant_bivector_vanish():
     pi_const = PolyVectorField.bivector(2, [[0, 1], [-1, 0]])
     assert graph_operator(graph2(), [pi_const, pi_const]).is_zero()
+
+
+def _sweep_operator(g, gammas):
+    """Reference for ``graph_operator``: sweep all dim^E assignments of an
+    index to each edge (in edge order), looking each factor up through
+    ``PolyVectorField.component``."""
+    dim = gammas[0].dim
+    edges = g.edges
+    out_edges = {v: sorted((k for k, e in enumerate(edges) if e.src == v),
+                           key=lambda k: edges[k].label)
+                 for v in range(1, g.n + 1)}
+    in_edges = {v: [k for k, e in enumerate(edges) if e.dst == v]
+                for v in range(1, g.n + g.m + 1)}
+    terms = {}
+    for index in itertools.product(range(dim), repeat=len(edges)):
+        coeff = Poly.one(dim)
+        ok = True
+        for v in range(1, g.n + 1):
+            comp = gammas[v - 1].component(
+                tuple(index[k] for k in out_edges[v]))
+            for k in in_edges[v]:
+                comp = comp.diff(index[k])
+                if comp.is_zero():
+                    break
+            if comp.is_zero():
+                ok = False
+                break
+            coeff = coeff * comp
+        if not ok:
+            continue
+        slots = []
+        for j in range(1, g.m + 1):
+            alpha = [0] * dim
+            for k in in_edges[g.n + j]:
+                alpha[index[k]] += 1
+            slots.append(tuple(alpha))
+        accumulate(terms, tuple(slots), coeff)
+    return PolyDiffOperator(dim, g.m, terms)
+
+
+def _rand_field(rng, dim, p):
+    comps = {idx: rand_poly(rng, dim)
+             for idx in itertools.combinations(range(dim), p)}
+    return PolyVectorField(dim, p - 1, comps)
+
+
+def _operator_cases():
+    """(graph, fields): every labeled (1,2) and (2,2) graph, parallel edges
+    included, and the (3,2) classes on three bivectors; every labeled fan
+    with a p-vector; the (2,0) and (2,1) graphs on two different vector
+    fields; a vertex without out-edges carrying a function."""
+    cases = []
+    classes3 = [gc for gc, _, _ in
+                canonical_classes(enumerate_graphs(3, 2, 2)).values()]
+    for name in sorted(BIVECTORS):
+        pi = BIVECTORS[name]()
+        for level in (1, 2):
+            cases += [(g, [pi] * level)
+                      for g in enumerate_graphs(level, 2, 2,
+                                                allow_parallel=True)]
+        cases += [(gc, [pi] * 3) for gc in classes3]
+    rng = random.Random(5)
+    for dim in (3, 4):
+        for p in (1, 2, 3):
+            gamma = _rand_field(rng, dim, p)
+            cases += [(g, [gamma]) for g in _labeled_fans(p)]
+    for dim in (2, 3):
+        v1, v2 = _rand_field(rng, dim, 1), _rand_field(rng, dim, 1)
+        cases += [(g, [v1, v2]) for m in (0, 1)
+                  for g in enumerate_graphs(2, m, 1)]
+    fn = PolyVectorField(3, -1, {(): rand_poly(rng, 3)})
+    cases.append((AdmissibleGraph(2, 1, [Edge(1, 2, 1), Edge(1, 3, 2)]),
+                  [so3_bivector(), fn]))
+    return cases
+
+
+def test_graph_operator_equals_the_index_sweep():
+    cases = _operator_cases()
+    assert len(cases) == 416
+    nonzero = 0
+    for g, gammas in cases:
+        got, want = graph_operator(g, gammas), _sweep_operator(g, gammas)
+        assert got == want, g.to_text()
+        assert got.to_jsonable() == want.to_jsonable(), g.to_text()
+        nonzero += not got.is_zero()
+    assert nonzero == 149
 
 
 def test_second_derivative_of_linear_bivector_vanishes():

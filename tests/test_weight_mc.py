@@ -12,7 +12,7 @@ from defquant.cache import WeightCache
 from defquant.graphs import (AdmissibleGraph, Edge, fan_graph, cycle_graph,
                              wheel_graph, graph1_left, graph2,
                              enumerate_graphs, canonical_classes)
-from defquant.weight_mc import (MCResult, WeightSource, weight_mc,
+from defquant.weight_mc import (WeightSource, weight_mc,
                                 exact_zero_reason, two_valent_integral,
                                 two_valent_out_out_exact, weight_poly_fit,
                                 funimp_residuals, midpoint_imag)
@@ -28,7 +28,7 @@ def test_fan_weights_exact_and_mc():
         assert res.exact and res.stderr == 0.0
         assert res.value == Fraction(1, math.factorial(m))
     mc = weight_mc(fan_graph(2), lam=0.3, n_samples=100_000, seed=5)
-    assert mc.within(0.5, 1e-3)
+    assert abs(mc.value - 0.5) <= max(1e-3, 3 * mc.stderr)
 
 
 @pytest.mark.parametrize("chunk", [wmc.CHUNK, 1000])
@@ -65,7 +65,7 @@ def test_double_fan_estimator_lam_independent():
 
 def test_two_cycle_midpoint():
     res = weight_mc(graph2(), lam=0.5, n_samples=400_000, seed=3)
-    assert res.within(1.0 / 24.0, 2e-3)
+    assert abs(res.value - 1.0 / 24.0) <= max(2e-3, 3 * res.stderr)
     assert abs(complex(res.value).imag) <= max(1e-3, 3 * res.stderr)
 
 
@@ -509,9 +509,3 @@ def test_weight_poly_fit_caches_under_the_canonical_key(tmp_path):
     assert len(cache) == len(fit.nodes)
     for a, b in zip(again.results, fit.results):
         assert abs(a.value - b.value) <= 1e-12 * abs(b.value)
-
-
-def test_mcresult_within_helper():
-    r = MCResult(0.105 + 0j, stderr=0.01, n_samples=10)
-    assert r.within(0.1, 1e-3)          # inside 3 sigma
-    assert not r.within(0.2, 1e-3)
