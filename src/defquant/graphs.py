@@ -9,6 +9,7 @@ short loops are forbidden, and the edges leaving vertex k are labeled
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -23,10 +24,6 @@ class Edge:
     label: int
 
 
-def _sorted_edges(edges):
-    return tuple(sorted(edges, key=lambda e: (e.src, e.label)))
-
-
 class AdmissibleGraph:
     """Upper-half-plane graph with ordered boundary slots.
 
@@ -38,9 +35,18 @@ class AdmissibleGraph:
     def __init__(self, n: int, m: int, edges):
         self.n = n
         self.m = m
-        self.edges = _sorted_edges(Edge(*e) if not isinstance(e, Edge) else e
-                                   for e in edges)
+        self.edges = tuple(sorted((e if isinstance(e, Edge) else Edge(*e)
+                                   for e in edges),
+                                  key=lambda e: (e.src, e.label)))
         self._validate()
+
+    @classmethod
+    def _trusted(cls, n: int, m: int, edges: tuple) -> "AdmissibleGraph":
+        """A graph that takes ``edges`` as they are: only for a tuple of
+        valid ``Edge`` sorted by (src, label)."""
+        g = object.__new__(cls)
+        g.n, g.m, g.edges = n, m, edges
+        return g
 
     def _validate(self):
         n, m = self.n, self.m
@@ -127,49 +133,65 @@ class AdmissibleGraph:
         odd automorphism) parity_consistent is False and the weight
         vanishes identically.
 
-        Only the n! aerial renamings are searched.  For a fixed renaming
-        the smallest text numbers each star's edges in the order of their
-        rendered destination names.  Every star's block ``v>d#1, v>d#2,
-        ...`` has the same length under any labeling, since its names are
-        fixed, so blocks compare independently; inside a block the names
-        compare in label order, each followed by ``#``, and ``#`` sorts
-        before every digit, so a name precedes any longer name it prefixes
-        exactly as in string order.  A second minimizer arises from a
-        repeated destination in a star (swapping those two labels is odd)
-        or from two renamings that give the same text.
+        Only the n! aerial renamings are searched.  The smallest text of a
+        renaming numbers each star's edges in the order of their rendered
+        destination names (parallel edges keep their order), and is never
+        rendered: each edge becomes the integer (source rank, destination
+        rank) of ``_ranks``, and these lists compare exactly as the texts.
+        Where two texts first differ, either the sources differ and the
+        tokens ``S>`` decide (``>`` sorts after the digits: ``10>`` < ``2>``)
+        or the names after ``>`` decide in string order (``#`` follows each
+        and sorts before every digit); equal source and name imply equal
+        labels.  A second minimizer arises from a repeated destination in
+        a star (swapping those two labels is odd) or from two renamings
+        with the same key.
         """
-        n = self.n
+        n, m = self.n, self.m
         base = self.edges
-        stars = [[i for i, e in enumerate(base) if e.src == v]
-                 for v in range(1, n + 1)]
-        best = None
-        best_sig = None
-        parities = set()
+        size = len(base) or 1
+        width = n + m
+        dst_rank, src_key = _ranks(n, m)
+        ends = [(e.src, e.dst, i) for i, e in enumerate(base)]
+        ground = tuple(range(n + 1, n + m + 1))
+        best, parities = None, set()
         for p in itertools.permutations(range(1, n + 1)):
-            def dst(i):
-                d = base[i].dst
-                return p[d - 1] if d <= n else d
-
-            new_edges = []
-            order = []
-            for v in sorted(range(1, n + 1), key=lambda v: p[v - 1]):
-                star = sorted(stars[v - 1],
-                              key=lambda i: self._dst_name(dst(i)))
-                new_edges += [Edge(p[v - 1], dst(i), label)
-                              for label, i in enumerate(star, 1)]
-                order += star
-            g2 = AdmissibleGraph(n, self.m, new_edges)
-            sig = g2.to_text()
-            if best_sig is not None and sig > best_sig:
+            new = (0,) + p + ground
+            codes = sorted([(new[s] * width + dst_rank[new[d]]) * size + i
+                            for s, d, i in ends])
+            key = [src_key[c // size] for c in codes]
+            if best and key > best[0]:
                 continue
-            par = perm_sign(order)
-            if best_sig is None or sig < best_sig:
-                best, best_sig, parities = g2, sig, {par}
-            else:
-                parities.add(par)
+            order = [c % size for c in codes]
+            if not best or key < best[0]:
+                best, parities = (key, new, order), set()
+            parities.add(perm_sign(order))
         if len({(e.src, e.dst) for e in base}) < len(base):
             parities = {1, -1}
-        return best, (1 if 1 in parities else -1), len(parities) == 1
+        _, new, order = best
+        edges = []
+        for i in order:
+            s, d, _ = ends[i]
+            label = label + 1 if edges and edges[-1].src == new[s] else 1
+            edges.append(Edge(new[s], new[d], label))
+        return (AdmissibleGraph._trusted(n, m, tuple(edges)),
+                1 if 1 in parities else -1, len(parities) == 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _ranks(n: int, m: int):
+    """For ``canonical_form``: ``dst_rank[d]``, the rank of vertex d's
+    name among all names of a K(n,m) text in string order, and
+    ``src_key[s * (n + m) + r]`` = rank(s) * (n + m) + r, with rank(s) the
+    rank of the token ``f"{s}>"`` among the aerial sources' tokens."""
+    width = n + m
+    names = [str(v) for v in range(1, n + 1)]
+    names += [f"b{j}" for j in range(1, m + 1)]
+    dst_rank = (0,) + tuple(sorted(names).index(x) for x in names)
+    tokens = sorted(f"{s}>" for s in range(1, n + 1))
+    src_key = (0,) * width + tuple(tokens.index(f"{s}>") * width + r
+                                   for s in range(1, n + 1)
+                                   for r in range(width))
+    return dst_rank, src_key
 
 
 def _parse_edges(body: str, n: int):
@@ -178,19 +200,13 @@ def _parse_edges(body: str, n: int):
     if not body:
         return edges
     for part in body.split(","):
-        mat = re.fullmatch(r"\s*(\d+)>(b?\d+)#(\d+)\s*", part)
+        mat = re.fullmatch(r"\s*(\d+)>(b?)(\d+)#(\d+)\s*", part)
         if not mat:
             raise ValueError(f"cannot parse edge {part!r}")
-        edges.append(Edge(int(mat.group(1)),
-                          _dst_from_name(mat.group(2), n),
-                          int(mat.group(3))))
+        src, ground, dst, label = mat.groups()
+        edges.append(Edge(int(src), int(dst) + (n if ground else 0),
+                          int(label)))
     return edges
-
-
-def _dst_from_name(name: str, n: int) -> int:
-    if name.startswith("b"):
-        return n + int(name[1:])
-    return int(name)
 
 
 # -- enumeration ------------------------------------------------------
@@ -212,16 +228,19 @@ def enumerate_graphs(n: int, m: int, out_degree: int,
     per_vertex = []
     for v in range(1, n + 1):
         targets = [t for t in range(1, n + m + 1) if t != v]
-        if allow_parallel:
-            choices = list(itertools.product(targets, repeat=out_degree))
-        else:
-            choices = list(itertools.permutations(targets, out_degree))
-        per_vertex.append(choices)
+        choices = (itertools.product(targets, repeat=out_degree)
+                   if allow_parallel
+                   else itertools.permutations(targets, out_degree))
+        per_vertex.append([tuple(Edge(v, dst, j)
+                                 for j, dst in enumerate(tup, 1))
+                           for tup in choices])
+    # valid and sorted edges, each star's built once; the first graph is
+    # checked for 2n + 2 - m >= 0
     for combo in itertools.product(*per_vertex):
-        edges = [Edge(v + 1, dst, j + 1)
-                 for v, tup in enumerate(combo)
-                 for j, dst in enumerate(tup)]
-        out.append(AdmissibleGraph(n, m, edges))
+        out.append(AdmissibleGraph._trusted(
+            n, m, tuple(itertools.chain.from_iterable(combo))))
+    if out:
+        AdmissibleGraph(n, m, out[0].edges)
     return out
 
 
@@ -231,8 +250,9 @@ def canonical_classes(graphs) -> dict:
     classes = {}
     for g in graphs:
         gc, _, consistent = g.canonical_form()
-        _, size, _ = classes.get(gc.to_text(), (gc, 0, consistent))
-        classes[gc.to_text()] = (gc, size + 1, consistent)
+        key = gc.to_text()
+        _, size, _ = classes.get(key, (gc, 0, consistent))
+        classes[key] = (gc, size + 1, consistent)
     return classes
 
 

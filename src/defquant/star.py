@@ -35,7 +35,8 @@ from math import factorial
 
 from .exactnum import QC, perm_sign
 from .exactpoly import Poly, accumulate
-from .graphs import AdmissibleGraph, canonical_classes, enumerate_graphs
+from .graphs import (AdmissibleGraph, canonical_classes, cycle_graph,
+                     enumerate_graphs)
 from .weight_mc import two_valent_integral
 
 _I = QC(0, 1)
@@ -134,7 +135,10 @@ class PolyDiffOperator:
                 and self.terms == other.terms)
 
     def __add__(self, other):
-        assert (self.dim, self.arity) == (other.dim, other.arity)
+        if (self.dim, self.arity) != (other.dim, other.arity):
+            raise ValueError(f"cannot add an operator of (dim, arity) "
+                             f"{other.dim, other.arity} to one of "
+                             f"{self.dim, self.arity}")
         out = dict(self.terms)
         for key, poly in other.terms.items():
             accumulate(out, key, poly)
@@ -148,7 +152,8 @@ class PolyDiffOperator:
                                 {k: p * c for k, p in self.terms.items()})
 
     def apply(self, *fs: Poly) -> Poly:
-        assert len(fs) == self.arity
+        if len(fs) != self.arity:
+            raise ValueError(f"arity {self.arity} operator on {len(fs)} slots")
         out = Poly.zero(self.dim)
         for key, coeff in self.terms.items():
             prod = coeff
@@ -183,6 +188,8 @@ def graph_operator(g: AdmissibleGraph, gammas) -> PolyDiffOperator:
     ordering idx of a stored component key, with sign perm_sign(idx)."""
     if len(gammas) != g.n:
         raise ValueError(f"need {g.n} polyvector fields, got {len(gammas)}")
+    if g.n == 0:
+        raise ValueError(f"graph {g} has no aerial vertex to give a dim")
     dim = gammas[0].dim
     for v in range(1, g.n + 1):
         want = g.out_degree(v)
@@ -314,7 +321,8 @@ def star_order2(pi: PolyVectorField, lam, source) -> StarProductSeries:
 def associativity_residual(series: StarProductSeries, f: Poly, g: Poly,
                            h: Poly, order: int) -> dict:
     """Per hbar-order coefficients of (f*g)*h - f*(g*h)."""
-    assert order <= series.order
+    if order > series.order:
+        raise ValueError(f"order {order} > series order {series.order}")
     out = {}
     for l in range(order + 1):
         acc = Poly.zero(series.dim)
@@ -414,9 +422,7 @@ def u2_vector_fields(v1: PolyVectorField, v2: PolyVectorField, lam=0.5,
     """
     if v1.degree != 0 or v2.degree != 0:
         raise ValueError("u2_vector_fields needs two vector fields")
-    candidates = [g for g in enumerate_graphs(2, 0, 1)]
-    assert len(candidates) == 1, "only the aerial two-cycle has the degrees"
-    loop_op = graph_operator(candidates[0], [v1, v2])
+    loop_op = graph_operator(cycle_graph(2), [v1, v2])
     res = two_valent_integral("in-out", 0.35 + 0.1j, 0.35 + 0.1j, lam=lam,
                               n_samples=n_samples, seed=seed)
     return res, loop_op

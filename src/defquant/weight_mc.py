@@ -91,8 +91,9 @@ class MCResult:
 # exact-zero screening
 # ---------------------------------------------------------------------
 
-def exact_zero_reason(g: AdmissibleGraph) -> str | None:
-    """A reason string if the weight vanishes exactly, else None."""
+def exact_zero_reason(g: AdmissibleGraph, *, canonical=None) -> str | None:
+    """A reason string if the weight vanishes exactly, else None;
+    ``canonical`` is g's ``canonical_form()`` triple if already known."""
     if g.n_edges != g.dim_config():
         return f"edge count {g.n_edges} != dimension {g.dim_config()}"
     if g.unhit_ground():
@@ -106,7 +107,7 @@ def exact_zero_reason(g: AdmissibleGraph) -> str | None:
         for v in range(1, g.n + 1):
             if g.valence(v) == 1:
                 return f"aerial vertex {v} has valence 1"
-    _, _, consistent = g.canonical_form()
+    _, _, consistent = canonical or g.canonical_form()
     if not consistent:
         return "odd automorphism"
     return None
@@ -311,8 +312,10 @@ def _mc_mean(n_samples: int, seed, dim: int, block):
 
 
 def weight_mc(g: AdmissibleGraph, lam=0.5, n_samples: int = 200_000,
-              seed: int = 0, convention: str = "raw") -> MCResult:
-    """Monte Carlo estimate of the weight of g at interpolation parameter lam."""
+              seed: int = 0, convention: str = "raw", *,
+              canonical=None) -> MCResult:
+    """Monte Carlo estimate of the weight of g at interpolation parameter
+    lam; ``canonical`` as in ``exact_zero_reason``."""
     if convention not in ("raw", "formality"):
         raise ValueError(f"unknown convention {convention!r}")
     factor = 1.0
@@ -320,7 +323,7 @@ def weight_mc(g: AdmissibleGraph, lam=0.5, n_samples: int = 200_000,
         for v in range(1, g.n + 1):
             factor /= math.factorial(g.out_degree(v))
 
-    reason = exact_zero_reason(g)
+    reason = exact_zero_reason(g, canonical=canonical)
     key = g.to_text()
     if reason is not None:
         return MCResult(0j, 0.0, 0, seed, lam, convention, key, exact=True,
@@ -593,11 +596,11 @@ class WeightSource:
         self.seed = seed
 
     def weight(self, g: AdmissibleGraph, lam=0.5) -> MCResult:
-        reason = exact_zero_reason(g)
+        gc, par, _ = triple = g.canonical_form()
+        reason = exact_zero_reason(g, canonical=triple)
         if reason is not None:
             return MCResult(0j, 0.0, 0, None, lam, "raw", g.to_text(),
                             exact=True, meta={"reason": reason})
-        gc, par, _ = g.canonical_form()
         key = gc.to_text()
         hit = _EXACT.get(key)
         if hit is not None:
@@ -615,9 +618,10 @@ class WeightSource:
         # per-class seed offset: estimates of different canonical classes
         # must come from independent sample streams, or downstream
         # quadrature error propagation would understate the variance of
-        # class differences
+        # class differences; gc is its own canonical form, with parity 1
         seed = self.seed + (zlib.crc32(key.encode()) & 0xFFFF)
-        res = weight_mc(gc, lam=lam, n_samples=self.n_samples, seed=seed)
+        res = weight_mc(gc, lam=lam, n_samples=self.n_samples, seed=seed,
+                        canonical=(gc, 1, True))
         if self.cache is not None:
             self.cache.put(res)
         return MCResult(par * res.value, res.stderr, res.n_samples,

@@ -91,6 +91,10 @@ EXACT_REPORTS = {
         "a11a139c71ae000f",
     ("graphs", "enumerate", "--n", "3", "--m", "2", "--canonical"):
         "4ed2d7da4d0e5fb8",
+    ("graphs", "enumerate", "--n", "2", "--m", "3", "--out-degree", "3",
+     "--allow-parallel", "--canonical"): "5dc49e2fa542817b",
+    ("graphs", "enumerate", "--n", "3", "--m", "0", "--out-degree", "1",
+     "--canonical"): "a3b5888190b3b192",
     ("star", "assemble", "--structure", "moyal", "--dim", "4", "--samples",
      "20000", "--dump-ops"): "524bb6350f2785b1",
 }

@@ -1,12 +1,13 @@
 """Admissible graphs: validation, serialization, enumeration, canonical form."""
 
 import itertools
+import math
 import random
 
 import pytest
 
 from defquant.exactnum import perm_sign
-from defquant.graphs import (AdmissibleGraph, Edge, canonical_classes,
+from defquant.graphs import (AdmissibleGraph, Edge, _ranks, canonical_classes,
                              enumerate_graphs, fan_graph, cycle_graph,
                              wheel_graph, graph1_left, graph1_right, graph2)
 from defquant.weight_mc import exact_zero_reason
@@ -63,6 +64,12 @@ def test_enumeration_counts(n, m, od, parallel, count):
 
 def test_enumeration_empty_cases():
     assert enumerate_graphs(0, 2, 2) == []
+
+
+def test_enumeration_rejects_too_many_ground_slots():
+    with pytest.raises(ValueError, match=r"2n\+2-m = -1 < 0"):
+        enumerate_graphs(1, 5, 1)
+    assert enumerate_graphs(1, 5, 6) == []  # no graph, nothing to reject
 
 
 def test_canonical_census_2_2():
@@ -202,3 +209,162 @@ def test_wheel_graph_shape():
     assert (g.n, g.m) == (4, 0)
     assert g.out_degree(4) == 3
     assert all(g.in_degree(k) == 2 for k in (1, 2, 3))
+
+
+# ---------------------------------------------------------------------
+# the rank key against the text-minimising search
+# ---------------------------------------------------------------------
+
+def text_minimising_canonical_form(g):
+    """Reference: for each of the n! aerial renamings, build the graph
+    whose stars are numbered in order of their rendered destination names,
+    render it, and keep the smallest text with the parities of all
+    minimizers (the search ``canonical_form`` made before it compared
+    integer rank keys)."""
+    n = g.n
+    base = g.edges
+    stars = [[i for i, e in enumerate(base) if e.src == v]
+             for v in range(1, n + 1)]
+    best = None
+    best_sig = None
+    parities = set()
+    for p in itertools.permutations(range(1, n + 1)):
+        def dst(i):
+            d = base[i].dst
+            return p[d - 1] if d <= n else d
+
+        new_edges = []
+        order = []
+        for v in sorted(range(1, n + 1), key=lambda v: p[v - 1]):
+            star = sorted(stars[v - 1], key=lambda i: g._dst_name(dst(i)))
+            new_edges += [Edge(p[v - 1], dst(i), label)
+                          for label, i in enumerate(star, 1)]
+            order += star
+        g2 = AdmissibleGraph(n, g.m, new_edges)
+        sig = g2.to_text()
+        if best_sig is not None and sig > best_sig:
+            continue
+        par = perm_sign(order)
+        if best_sig is None or sig < best_sig:
+            best, best_sig, parities = g2, sig, {par}
+        else:
+            parities.add(par)
+    if len({(e.src, e.dst) for e in base}) < len(base):
+        parities = {1, -1}
+    return best, (1 if 1 in parities else -1), len(parities) == 1
+
+
+def assert_same_canonical_form(graphs):
+    for g in graphs:
+        gc, par, consistent = g.canonical_form()
+        ref, ref_par, ref_consistent = text_minimising_canonical_form(g)
+        assert (gc, gc.to_text(), par, consistent) \
+            == (ref, ref.to_text(), ref_par, ref_consistent), g
+
+
+def _enumeration_size(n, m, od, parallel):
+    per_vertex = (n + m - 1) ** od if parallel else math.perm(n + m - 1, od)
+    return per_vertex ** n
+
+
+# every nonempty (n, m, out-degree, parallel) enumeration of at most 20,000
+# labeled graphs with n 1..3, m 0..4, out-degree 1..3 and 2n + 2 - m >= 0
+ENUMERATIONS = [(n, m, od, parallel)
+                for n in (1, 2, 3) for m in range(5) if 2 * n + 2 - m >= 0
+                for od in (1, 2, 3) for parallel in (False, True)
+                if 0 < _enumeration_size(n, m, od, parallel) <= 20_000]
+
+
+@pytest.mark.parametrize("n,m,od,parallel", ENUMERATIONS,
+                         ids=lambda v: str(v))
+def test_canonical_form_matches_text_search_on_enumerations(n, m, od,
+                                                            parallel):
+    graphs = enumerate_graphs(n, m, od, allow_parallel=parallel)
+    assert len(graphs) == _enumeration_size(n, m, od, parallel)
+    for g in graphs:
+        assert g == AdmissibleGraph(n, m, g.edges)
+    assert_same_canonical_form(graphs)
+
+
+def _seeded_graphs(count, seed, n, m_range, out_degrees, big_star=0):
+    """``count`` graphs with n aerial vertices, m drawn from ``m_range``,
+    each vertex's out-degree drawn from ``out_degrees`` (targets drawn with
+    repetition) and, if ``big_star``, one random vertex given that many
+    edges instead."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        m = rng.choice(m_range)
+        big = rng.randint(1, n) if big_star else 0
+        edges = []
+        for v in range(1, n + 1):
+            targets = [t for t in range(1, n + m + 1) if t != v]
+            k = big_star if v == big else rng.choice(out_degrees)
+            labels = rng.sample(range(1, k + 1), k)
+            edges += [Edge(v, rng.choice(targets), lab) for lab in labels]
+        out.append(AdmissibleGraph(n, m, edges))
+    return out
+
+
+def _seeded_4_2_graphs(count, seed):
+    """(4,2) graphs of out-degree 2 without parallel edges."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        edges = []
+        for v in range(1, 5):
+            a, b = rng.sample([t for t in range(1, 7) if t != v], 2)
+            edges += [Edge(v, a, 1), Edge(v, b, 2)]
+        out.append(AdmissibleGraph(4, 2, edges))
+    return out
+
+
+RANK_KEY_SETS = {
+    "(4,2) seeded": lambda: _seeded_4_2_graphs(5000, seed=13),
+    "mixed out-degrees": lambda: _random_graphs(3000, seed=17),
+    "wheels and cycles": lambda: [g for k in range(2, 6)
+                                  for g in (wheel_graph(k), cycle_graph(k))],
+    # b10 sorts before b2 as text, and a 10-edge star has a label 10
+    "multi-digit names and labels": lambda: _seeded_graphs(
+        300, seed=19, n=4, m_range=range(7, 11), out_degrees=range(5),
+        big_star=10),
+}
+
+
+@pytest.mark.parametrize("name", RANK_KEY_SETS)
+def test_canonical_form_matches_text_search(name):
+    assert_same_canonical_form(RANK_KEY_SETS[name]())
+
+
+def test_rank_keys_order_as_texts_with_multi_digit_names():
+    """Edge lists of the same length compare as their texts once every
+    edge is mapped to its rank code; n and m reach 12, so ``10>`` must
+    precede ``2>`` among sources and ``b10`` precede ``b2`` among
+    destinations."""
+    rng = random.Random(23)
+    for _ in range(2000):
+        n, m = rng.randint(1, 12), rng.randint(0, 12)
+        m = min(m, 2 * n + 2)
+        width = n + m
+        if width < 2:
+            continue
+        dst_rank, src_key = _ranks(n, m)
+        size = rng.randint(1, 6)
+
+        def draw():
+            edges = {}
+            for _ in range(size):
+                src = rng.randint(1, n)
+                dst = rng.choice([t for t in range(1, width + 1)
+                                  if t != src])
+                edges.setdefault(src, []).append(dst)
+            return AdmissibleGraph(n, m, [
+                Edge(src, dst, j) for src, dsts in edges.items()
+                for j, dst in enumerate(dsts, 1)])
+
+        a, b = draw(), draw()
+        key_a, key_b = ([src_key[e.src * width + dst_rank[e.dst]]
+                         for e in g.edges] for g in (a, b))
+        assert (key_a < key_b, key_a == key_b) \
+            == (a.to_text() < b.to_text(), a.to_text() == b.to_text()), \
+            (a, b)

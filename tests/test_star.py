@@ -439,3 +439,55 @@ def test_so3_assembly_builds_one_operator_per_class(monkeypatch):
     assert len(calls) == 7
     assert all(g.canonical_form()[0].to_text() == g.to_text()
                for g in map(AdmissibleGraph.from_text, calls))
+
+
+# ---------------------------------------------------------------------
+# mismatched operator input raises, also under python -O
+# ---------------------------------------------------------------------
+
+OPERATOR_MISMATCHES = {
+    "apply arity": (
+        "PolyDiffOperator.multiplication(2).apply(Poly.var(2, 0))",
+        "arity 2 operator on 1 slots"),
+    "add dim": (
+        "PolyDiffOperator.zero(2, 2) + PolyDiffOperator.multiplication(3)",
+        r"\(dim, arity\) \(3, 2\) to one of \(2, 2\)"),
+    "add arity": (
+        "PolyDiffOperator.zero(2, 1) + PolyDiffOperator.multiplication(2)",
+        r"\(dim, arity\) \(2, 2\) to one of \(2, 1\)"),
+    "residual order": (
+        "associativity_residual(StarProductSeries(2, 2), Poly.one(2), "
+        "Poly.one(2), Poly.one(2), 3)",
+        "order 3 > series order 2"),
+}
+_MISMATCH_IMPORTS = ("from defquant.exactpoly import Poly\n"
+                     "from defquant.star import (PolyDiffOperator, "
+                     "StarProductSeries, associativity_residual)\n")
+
+
+@pytest.mark.parametrize("case", OPERATOR_MISMATCHES)
+def test_operator_mismatch_raises(case):
+    code, message = OPERATOR_MISMATCHES[case]
+    with pytest.raises(ValueError, match=message):
+        exec(_MISMATCH_IMPORTS + code, {})
+
+
+@pytest.mark.parametrize("case", OPERATOR_MISMATCHES)
+def test_operator_mismatch_raises_under_python_O(case):
+    # under -O an assert would vanish: apply would zip the slots short and
+    # __add__ would mix exponent lengths
+    code, message = OPERATOR_MISMATCHES[case]
+    script = (_MISMATCH_IMPORTS + "import re\ntry:\n    " + code + "\n"
+              "except ValueError as exc:\n"
+              f"    raise SystemExit(0 if re.search({message!r}, str(exc))"
+              " else 2)\n"
+              "raise SystemExit(1)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-O", "-c", script],
+                          env=env).returncode == 0
+
+
+def test_graph_operator_without_aerial_vertex_raises():
+    with pytest.raises(ValueError, match=r"K\(0,2\)\[\] has no aerial"):
+        graph_operator(AdmissibleGraph(0, 2, []), [])

@@ -509,3 +509,31 @@ def test_weight_poly_fit_caches_under_the_canonical_key(tmp_path):
     assert len(cache) == len(fit.nodes)
     for a, b in zip(again.results, fit.results):
         assert abs(a.value - b.value) <= 1e-12 * abs(b.value)
+
+
+def test_weight_source_canonicalizes_once(monkeypatch):
+    """One ``canonical_form`` call per lookup, whichever tier answers:
+    the screen and the sampler get the class triple passed down."""
+    calls = []
+    real = AdmissibleGraph.canonical_form
+
+    def counted(self):
+        calls.append(self.to_text())
+        return real(self)
+
+    monkeypatch.setattr(AdmissibleGraph, "canonical_form", counted)
+    src = WeightSource(n_samples=2_000, seed=3)
+    sampled = next(g for g in enumerate_graphs(3, 2, 2)
+                   if exact_zero_reason(g) is None
+                   and real(g)[0].to_text() not in SINGULAR_3_2)
+    unscreened = [sampled, graph2(), cycle_graph(2),
+                  AdmissibleGraph(2, 2, [Edge(1, 2, 1), Edge(1, 3, 2),
+                                         Edge(2, 1, 1), Edge(2, 3, 2)])]
+    sources = []
+    for g in unscreened:
+        calls.clear()
+        res = src.weight(g)
+        assert calls == [g.to_text()], g
+        sources.append(res.meta.get("source", res.meta.get("reason")))
+    assert sources == ["mc", "exact-table", "odd automorphism",
+                       "ground vertex with no incoming edge"]
