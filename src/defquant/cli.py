@@ -132,7 +132,7 @@ def parse_graph(text: str) -> AdmissibleGraph:
                 if size < 1:
                     raise ValueError("size must be at least 1")
                 return fn(size)
-            except (ValueError, AssertionError) as exc:
+            except ValueError as exc:
                 raise UsageError(f"bad graph spec {text!r}: {exc}")
     try:
         return AdmissibleGraph.from_text(text)
@@ -147,13 +147,15 @@ def c_json(z) -> list:
     return [z.real, z.imag]
 
 
-def emit(args, command: str, parameters: dict, seed, checks: list,
-         results: dict, t0: float) -> int:
+def emit(args, parts: tuple, t0: float) -> int:
+    """Print the report of ``parts``, the (parameters, seed, checks,
+    results) a command returns; the exit code says whether it passed."""
+    parameters, seed, checks, results = parts
     ok = all(c.passed for c in checks)
     report = {
         "schema": "defquant-report/1",
         "version": __version__,
-        "command": command,
+        "command": f"{args.group} {args.action}",
         "parameters": parameters,
         "seed": seed,
         "checks": [c.to_jsonable() for c in checks],
@@ -209,7 +211,7 @@ def pooled_mc(estimate, n_samples: int, seed: int, workers: int):
 
 # -- subcommand bodies ------------------------------------------------
 
-def cmd_graphs_enumerate(args, t0):
+def cmd_graphs_enumerate(args):
     graphs = enumerate_graphs(args.n, args.m, args.out_degree,
                               allow_parallel=args.allow_parallel)
     results = {"count": len(graphs)}
@@ -224,10 +226,10 @@ def cmd_graphs_enumerate(args, t0):
     params = {"n": args.n, "m": args.m, "out_degree": args.out_degree,
               "allow_parallel": args.allow_parallel,
               "canonical": args.canonical}
-    return emit(args, "graphs enumerate", params, None, [], results, t0)
+    return params, None, [], results
 
 
-def cmd_weight_mc(args, t0):
+def cmd_weight_mc(args):
     g = parse_graph(args.graph)
     lam = parse_complex(args.lam, "lambda")
     n = parse_samples(args.samples, args.workers)
@@ -264,10 +266,10 @@ def cmd_weight_mc(args, t0):
         results["cache_path"] = str(cache.path)
     params = {"graph": args.graph, "lambda": c_json(lam), "samples": n,
               "convention": args.convention, "workers": args.workers}
-    return emit(args, "weight mc", params, args.seed, checks, results, t0)
+    return params, args.seed, checks, results
 
 
-def cmd_weight_fit_lambda(args, t0):
+def cmd_weight_fit_lambda(args):
     g = parse_graph(args.graph)
     n = parse_samples(args.samples)
     cache = WeightCache(args.cache) if args.cache else None
@@ -291,11 +293,10 @@ def cmd_weight_fit_lambda(args, t0):
         "midpoint_value": c_json(fit(0.5)),
     }
     params = {"graph": args.graph, "samples": n, "degree": args.degree}
-    return emit(args, "weight fit-lambda", params, args.seed, checks,
-                results, t0)
+    return params, args.seed, checks, results
 
 
-def cmd_weight_two_valent(args, t0):
+def cmd_weight_two_valent(args):
     w1 = parse_complex(args.w1, "w1")
     w2 = parse_complex(args.w2, "w2")
     lam = parse_complex(args.lam, "lambda")
@@ -319,22 +320,20 @@ def cmd_weight_two_valent(args, t0):
     params = {"kind": args.kind, "w1": c_json(w1), "w2": c_json(w2),
               "lambda": c_json(lam), "samples": n,
               "propagator": args.propagator, "workers": args.workers}
-    return emit(args, "weight two-valent", params, args.seed, checks,
-                results, t0)
+    return params, args.seed, checks, results
 
 
-def cmd_series_zeta(args, t0):
+def cmd_series_zeta(args):
     vb = merkulov_wheel_zeta(args.n, args.terms)
     checks = []
     if args.n in ZETA_TARGETS:
         checks.append(check(f"zeta({args.n})", vb.value,
                             ZETA_TARGETS[args.n], 1e-6))
     results = {"n": args.n, "value": vb.value, "bound": vb.bound}
-    params = {"n": args.n, "terms": args.terms}
-    return emit(args, "series zeta", params, None, checks, results, t0)
+    return {"n": args.n, "terms": args.terms}, None, checks, results
 
 
-def cmd_series_shadow(args, t0):
+def cmd_series_shadow(args):
     vb = shadow_sum(args.n, args.w, args.terms)
     disp = two_wheel_display(args.w) if args.n == 2 else None
     results = {"n": args.n, "w": args.w, "value": vb.value,
@@ -342,18 +341,16 @@ def cmd_series_shadow(args, t0):
     if disp is not None:
         results["two_wheel_display"] = {"value": disp.value,
                                         "bound": disp.bound}
-    params = {"n": args.n, "w": args.w, "terms": args.terms}
-    return emit(args, "series shadow", params, None, [], results, t0)
+    return {"n": args.n, "w": args.w, "terms": args.terms}, None, [], results
 
 
-def cmd_series_harmonic(args, t0):
+def cmd_series_harmonic(args):
     lhs, mid, rhs = harmonic_identity(args.m)
     ok = lhs == mid == rhs
     checks = [check("exact equality", 0 if ok else 1, 0, 0)]
     results = {"m": args.m, "lhs": str(lhs), "mid": str(mid),
                "rhs": str(rhs), "pass": ok}
-    return emit(args, "series harmonic", {"m": args.m}, None, checks,
-                results, t0)
+    return {"m": args.m}, None, checks, results
 
 
 def _structure(name: str, dim_flag):
@@ -362,26 +359,30 @@ def _structure(name: str, dim_flag):
             raise UsageError(f"invalid dimension {dim_flag}: the so3 "
                              "structure is 3-dimensional")
         return so3_bivector()
-    if name == "moyal":
-        d = 2 if dim_flag is None else dim_flag
-        if d < 2 or d % 2:
-            raise UsageError(f"invalid dimension {d}: the moyal structure "
-                             "needs a positive even --dim")
-        mat = [[0] * d for _ in range(d)]
-        for k in range(0, d, 2):
-            mat[k][k + 1] = 1
-            mat[k + 1][k] = -1
-        return PolyVectorField.bivector(d, mat)
-    raise UsageError(f"unknown structure {name!r}")
+    d = 2 if dim_flag is None else dim_flag
+    if d < 2 or d % 2:
+        raise UsageError(f"invalid dimension {d}: the moyal structure "
+                         "needs a positive even --dim")
+    mat = [[0] * d for _ in range(d)]
+    for k in range(0, d, 2):
+        mat[k][k + 1] = 1
+        mat[k + 1][k] = -1
+    return PolyVectorField.bivector(d, mat)
 
 
-def cmd_star_assemble(args, t0):
-    pi = _structure(args.structure, args.dim)
+def _star_series(args, pi, cache_path=None):
+    """--lambda, --samples and the order-2 series of ``pi``, with weights
+    from the cache at ``cache_path``, else sampled at --samples, --seed."""
     lam = parse_complex(args.lam, "lambda")
     n = parse_samples(args.samples)
-    cache = WeightCache(args.cache) if args.cache else None
+    cache = WeightCache(cache_path) if cache_path else None
     src = WeightSource(cache=cache, n_samples=n, seed=args.seed)
-    series = star_order2(pi, lam, src)
+    return lam, n, star_order2(pi, lam, src)
+
+
+def cmd_star_assemble(args):
+    pi = _structure(args.structure, args.dim)
+    lam, n, series = _star_series(args, pi, args.cache)
     d = pi.dim
     f = Poly(d, {parse_exponents(args.f, d) if args.f else
                  tuple([2] + [0] * (d - 1)): QC(1)})
@@ -404,21 +405,18 @@ def cmd_star_assemble(args, t0):
                                 for k, op in series.ops.items()}
     params = {"structure": args.structure, "lambda": c_json(lam),
               "samples": n, "f": args.f, "g": args.g}
-    return emit(args, "star assemble", params, args.seed, [], results, t0)
+    return params, args.seed, [], results
 
 
-def cmd_star_assoc(args, t0):
+def cmd_star_assoc(args):
     pi = _structure(args.structure, args.dim)
-    lam = parse_complex(args.lam, "lambda")
-    n = parse_samples(args.samples)
     if args.triples < 1:
         raise UsageError(f"invalid triple count {args.triples}: need at "
                          "least 1")
     rng = random.Random(args.seed + 1)
     triples = [random_triple(rng, pi.dim, args.deg_max)
                for _ in range(args.triples)]
-    src = WeightSource(n_samples=n, seed=args.seed)
-    series = star_order2(pi, lam, src)
+    lam, n, series = _star_series(args, pi)
     checks = []
     worst = 0.0
     for trial, triple in enumerate(triples):
@@ -432,18 +430,14 @@ def cmd_star_assoc(args, t0):
     params = {"structure": args.structure, "lambda": c_json(lam),
               "samples": n, "triples": args.triples,
               "deg_max": args.deg_max}
-    return emit(args, "star assoc", params, args.seed, checks, results, t0)
+    return params, args.seed, checks, results
 
 
 def _fedosov_example(name: str, cap: int):
-    if name == "flat":
-        return flat_input(dim=2, cap=cap)
-    if name == "curved":
-        return curved_input(cap)
-    raise UsageError(f"unknown example {name!r} (flat or curved)")
+    return flat_input(dim=2, cap=cap) if name == "flat" else curved_input(cap)
 
 
-def cmd_fedosov_solve(args, t0):
+def cmd_fedosov_solve(args):
     inp = _fedosov_example(args.example, args.cap)
     r = solve_connection(inp)
     by_deg = {}
@@ -460,11 +454,10 @@ def cmd_fedosov_solve(args, t0):
         counts, gates = catalan_checks(inp, max(4, (args.cap - 1) // 2), r)
         checks += [check(name, bad, 0, 0) for name, bad in gates.items()]
         results["tree_counts"] = {str(k): counts[k] for k in counts}
-    params = {"example": args.example, "cap": args.cap}
-    return emit(args, "fedosov solve", params, None, checks, results, t0)
+    return {"example": args.example, "cap": args.cap}, None, checks, results
 
 
-def cmd_fedosov_star(args, t0):
+def cmd_fedosov_star(args):
     inp = _fedosov_example(args.example, args.cap)
     f = Poly(2, {parse_exponents(args.f, 2): QC(1)})
     g = Poly(2, {parse_exponents(args.g, 2): QC(1)})
@@ -480,7 +473,7 @@ def cmd_fedosov_star(args, t0):
                         for k, p in sorted(st.items())}}
     params = {"example": args.example, "cap": args.cap, "f": args.f,
               "g": args.g}
-    return emit(args, "fedosov star", params, None, checks, results, t0)
+    return params, None, checks, results
 
 
 def _metric(name: str, order: int, seed: int):
@@ -490,13 +483,10 @@ def _metric(name: str, order: int, seed: int):
         return MetricJet.poincare_half_plane(order)
     if name == "flat":
         return MetricJet.flat(2, order)
-    if name == "random":
-        return MetricJet.random_metric(2, order, random.Random(seed))
-    raise UsageError(f"unknown metric {name!r} "
-                     "(sphere, poincare, flat, random)")
+    return MetricJet.random_metric(2, order, random.Random(seed))
 
 
-def cmd_geodesic_exp(args, t0):
+def cmd_geodesic_exp(args):
     met = _metric(args.metric, args.order, args.seed)
     phi = exp_map_series(met, args.order)
     results = {"metric": args.metric, "order": args.order,
@@ -508,21 +498,18 @@ def cmd_geodesic_exp(args, t0):
             met, phi, args.order) == 0
     params = {"metric": args.metric, "order": args.order,
               "taylor": args.taylor}
-    return emit(args, "geodesic exp", params,
-                args.seed if args.metric == "random" else None, [],
-                results, t0)
+    return (params, args.seed if args.metric == "random" else None, [],
+            results)
 
 
-def cmd_geodesic_oracle(args, t0):
+def cmd_geodesic_oracle(args):
     met = _metric(args.metric, args.order, args.seed)
     x = parse_complex(args.x, "x")
     v = parse_complex(args.v, "v")
     base = {"sphere": (math.asin(3.0 / 5.0), 0.0), "poincare": (0.0, 1.0),
             "flat": (0.0, 0.0), "random": (0.0, 0.0)}[args.metric]
-    gamma_fn = {"sphere": sphere_gamma_fn,
-                "poincare": poincare_gamma_fn}.get(args.metric)
-    if gamma_fn is None:
-        gamma_fn = metric_gamma_fn(met)
+    gamma_fn = {"sphere": sphere_gamma_fn, "poincare": poincare_gamma_fn
+                }.get(args.metric) or metric_gamma_fn(met)
     start = (base[0] + x.real, base[1] + x.imag)
     vel = (v.real, v.imag)
     ser, ode, gap = series_vs_ode(exp_map_series(met, args.order), gamma_fn,
@@ -537,35 +524,52 @@ def cmd_geodesic_oracle(args, t0):
                "gap": gap}
     params = {"metric": args.metric, "x": c_json(x), "v": c_json(v),
               "t": args.t, "steps": args.steps, "order": args.order}
-    return emit(args, "geodesic oracle", params,
-                args.seed if args.metric == "random" else None, checks,
-                results, t0)
+    return (params, args.seed if args.metric == "random" else None, checks,
+            results)
 
 
-def cmd_verify_all(args, t0):
+def cmd_verify_all(args):
     echo = print if args.table else (lambda s: print(s, file=sys.stderr))
     results = acceptance.run_all(quick=args.quick, echo=echo)
-    checks = []
-    for res in results:
-        checks.append(check(f"criterion {res.index} {res.name}",
-                            0 if res.passed else 1, 0, 0))
+    checks = [check(f"criterion {r.index} {r.name}", 0 if r.passed else 1,
+                    0, 0) for r in results]
     payload = {"quick": args.quick,
                "criteria": [r.to_jsonable() for r in results]}
     if not args.timing:
         for crit in payload["criteria"]:
             crit.pop("seconds", None)
-    return emit(args, "verify all", {"quick": args.quick}, None, checks,
-                payload, t0)
+    return {"quick": args.quick}, None, checks, payload
 
 
 # -- parser -----------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--table", action="store_true",
-                   help="human-readable output instead of JSON")
-    p.add_argument("--timing", action="store_true",
-                   help="include wall-clock seconds (breaks byte-for-byte "
-                        "report reproducibility)")
+def _seed_flags(p, samples=None, lam=True):
+    """--lambda if ``lam``, --samples if the command samples, and --seed."""
+    if lam:
+        p.add_argument("--lambda", dest="lam", default="0.5,0")
+    if samples:
+        p.add_argument("--samples", default=samples)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _structure_flags(p):
+    p.add_argument("--structure", choices=["moyal", "so3"], default="so3")
+    p.add_argument("--dim", type=int, default=None)
+
+
+def _metric_flag(p):
+    p.add_argument("--metric",
+                   choices=["sphere", "poincare", "flat", "random"],
+                   default="sphere")
+
+
+_GROUPS = {"graphs": "graph enumeration",
+           "weight": "Monte Carlo graph weights",
+           "series": "closed-form series recipes",
+           "star": "star-product assembly",
+           "fedosov": "Weyl-bundle fixed points",
+           "geodesic": "exponential-map series",
+           "verify": "acceptance suite"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -573,28 +577,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="defquant",
         description="graph weights, star products, and geodesic series")
     sub = ap.add_subparsers(dest="group", required=True)
+    groups = {name: sub.add_parser(name, help=text).add_subparsers(
+        dest="action", required=True) for name, text in _GROUPS.items()}
 
-    g = sub.add_parser("graphs", help="graph enumeration")
-    gs = g.add_subparsers(dest="action", required=True)
-    p = gs.add_parser("enumerate")
+    def command(group, action, fn):
+        p = groups[group].add_parser(action)
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("graphs", "enumerate", cmd_graphs_enumerate)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--out-degree", type=int, default=2)
     p.add_argument("--allow-parallel", action="store_true")
     p.add_argument("--canonical", action="store_true",
                    help="group into canonical classes")
-    _add_common(p)
-    p.set_defaults(fn=cmd_graphs_enumerate)
 
-    w = sub.add_parser("weight", help="Monte Carlo graph weights")
-    ws = w.add_subparsers(dest="action", required=True)
-    p = ws.add_parser("mc")
+    p = command("weight", "mc", cmd_weight_mc)
     p.add_argument("--graph", required=True,
                    help="K(n,m)[...] text or a named graph "
                         "(graph2, fan:3, ...)")
-    p.add_argument("--lambda", dest="lam", default="0.5,0")
-    p.add_argument("--samples", default="200000")
-    p.add_argument("--seed", type=int, default=0)
+    _seed_flags(p, "200000")
     p.add_argument("--convention", choices=["raw", "formality"],
                    default="raw")
     p.add_argument("--workers", type=int, default=1)
@@ -606,139 +609,97 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--write-cache", action="store_true")
     p.add_argument("--from-cache", action="store_true",
                    help="report the pooled cached estimate; no sampling")
-    _add_common(p)
-    p.set_defaults(fn=cmd_weight_mc)
 
-    p = ws.add_parser("fit-lambda")
+    p = command("weight", "fit-lambda", cmd_weight_fit_lambda)
     p.add_argument("--graph", required=True)
-    p.add_argument("--samples", default="400000")
-    p.add_argument("--seed", type=int, default=0)
+    _seed_flags(p, "400000", lam=False)
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--cache", default=None)
-    _add_common(p)
-    p.set_defaults(fn=cmd_weight_fit_lambda)
 
-    p = ws.add_parser("two-valent")
+    p = command("weight", "two-valent", cmd_weight_two_valent)
     p.add_argument("--kind", choices=["out-out", "in-out", "in-in"],
                    required=True)
     p.add_argument("--w1", required=True,
                    help="'re,im' in the unit disk; write --w1=-0.2,0.4 "
                         "for negative real parts")
     p.add_argument("--w2", required=True)
-    p.add_argument("--lambda", dest="lam", default="0.5,0")
-    p.add_argument("--samples", default="400000")
-    p.add_argument("--seed", type=int, default=0)
+    _seed_flags(p, "400000")
     p.add_argument("--propagator", choices=["disk", "shoikhet"],
                    default="disk")
     p.add_argument("--workers", type=int, default=1)
-    _add_common(p)
-    p.set_defaults(fn=cmd_weight_two_valent)
 
-    s = sub.add_parser("series", help="closed-form series recipes")
-    ss = s.add_subparsers(dest="action", required=True)
-    p = ss.add_parser("zeta")
+    p = command("series", "zeta", cmd_series_zeta)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--terms", type=int, default=10_000)
-    _add_common(p)
-    p.set_defaults(fn=cmd_series_zeta)
-    p = ss.add_parser("shadow")
+    p = command("series", "shadow", cmd_series_shadow)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--w", type=float, required=True)
     p.add_argument("--terms", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(fn=cmd_series_shadow)
-    p = ss.add_parser("harmonic")
+    p = command("series", "harmonic", cmd_series_harmonic)
     p.add_argument("--m", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_series_harmonic)
 
-    st = sub.add_parser("star", help="star-product assembly")
-    sts = st.add_subparsers(dest="action", required=True)
-    p = sts.add_parser("assemble")
-    p.add_argument("--structure", choices=["moyal", "so3"], default="so3")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", default="0.5,0")
-    p.add_argument("--samples", default="400000")
-    p.add_argument("--seed", type=int, default=0)
+    p = command("star", "assemble", cmd_star_assemble)
+    _structure_flags(p)
+    _seed_flags(p, "400000")
     p.add_argument("--f", default=None, help="monomial exponents 'a,b,...'")
     p.add_argument("--g", default=None)
     p.add_argument("--cache", default=None)
     p.add_argument("--dump-ops", action="store_true",
                    help="include the full bidifferential operators")
-    _add_common(p)
-    p.set_defaults(fn=cmd_star_assemble)
-    p = sts.add_parser("assoc")
-    p.add_argument("--structure", choices=["moyal", "so3"], default="so3")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", default="0.5,0")
-    p.add_argument("--samples", default="400000")
-    p.add_argument("--seed", type=int, default=0)
+    p = command("star", "assoc", cmd_star_assoc)
+    _structure_flags(p)
+    _seed_flags(p, "400000")
     p.add_argument("--triples", type=int, default=5)
     p.add_argument("--deg-max", type=int, default=3)
-    _add_common(p)
-    p.set_defaults(fn=cmd_star_assoc)
 
-    f = sub.add_parser("fedosov", help="Weyl-bundle fixed points")
-    fs = f.add_subparsers(dest="action", required=True)
-    p = fs.add_parser("solve")
+    p = command("fedosov", "solve", cmd_fedosov_solve)
     p.add_argument("--example", choices=["flat", "curved"],
                    default="curved")
     p.add_argument("--cap", type=int, default=5)
-    _add_common(p)
-    p.set_defaults(fn=cmd_fedosov_solve)
-    p = fs.add_parser("star")
+    p = command("fedosov", "star", cmd_fedosov_star)
     p.add_argument("--example", choices=["flat", "curved"], default="flat")
     p.add_argument("--cap", type=int, default=6)
     p.add_argument("--f", default="2,0")
     p.add_argument("--g", default="0,1")
-    _add_common(p)
-    p.set_defaults(fn=cmd_fedosov_star)
 
-    ge = sub.add_parser("geodesic", help="exponential-map series")
-    ges = ge.add_subparsers(dest="action", required=True)
-    p = ges.add_parser("exp")
-    p.add_argument("--metric",
-                   choices=["sphere", "poincare", "flat", "random"],
-                   default="sphere")
+    p = command("geodesic", "exp", cmd_geodesic_exp)
+    _metric_flag(p)
     p.add_argument("--order", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    _seed_flags(p, lam=False)
     p.add_argument("--taylor", action="store_true",
                    help="also run the flat-section recursion and compare")
-    _add_common(p)
-    p.set_defaults(fn=cmd_geodesic_exp)
-    p = ges.add_parser("oracle")
-    p.add_argument("--metric",
-                   choices=["sphere", "poincare", "flat", "random"],
-                   default="sphere")
+    p = command("geodesic", "oracle", cmd_geodesic_oracle)
+    _metric_flag(p)
     p.add_argument("--x", default="0,0", help="offset from the base point")
     p.add_argument("--v", default="1,0", help="initial velocity 're,im'")
     p.add_argument("--t", type=float, default=0.5)
     p.add_argument("--steps", type=int, default=4000)
     p.add_argument("--order", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    _seed_flags(p, lam=False)
     p.add_argument("--tol", type=float, default=None,
                    help="gate the series-vs-ODE gap at this tolerance")
-    _add_common(p)
-    p.set_defaults(fn=cmd_geodesic_oracle)
 
-    v = sub.add_parser("verify", help="acceptance suite")
-    vs = v.add_subparsers(dest="action", required=True)
-    p = vs.add_parser("all")
+    p = command("verify", "all", cmd_verify_all)
     p.add_argument("--quick", action="store_true",
                    help="reduced sample sizes; statistical gates widen to "
                         "4 sigma of the reduced run")
-    _add_common(p)
-    p.set_defaults(fn=cmd_verify_all)
 
+    # after each command's own flags, so every help screen keeps its order
+    for actions in groups.values():
+        for p in actions.choices.values():
+            p.add_argument("--table", action="store_true",
+                           help="human-readable output instead of JSON")
+            p.add_argument("--timing", action="store_true",
+                           help="include wall-clock seconds (breaks "
+                                "byte-for-byte report reproducibility)")
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
-        return args.fn(args, t0)
+        return emit(args, args.fn(args), t0)
     except (UsageError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

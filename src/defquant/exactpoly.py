@@ -87,12 +87,6 @@ class Poly:
     def constant_term(self) -> QC:
         return self.terms.get((0,) * self.nvars, QC(0))
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
@@ -106,7 +100,9 @@ class Poly:
     def __add__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(self.nvars, other, self.trunc)
-        assert self.nvars == other.nvars
+        if self.nvars != other.nvars:
+            raise ValueError(f"cannot add a {other.nvars}-variable Poly to "
+                             f"a {self.nvars}-variable one")
         tr = _min_trunc(self.trunc, other.trunc)
         out = dict(_terms_within(self, tr))
         for e, c in _terms_within(other, tr).items():
@@ -143,7 +139,9 @@ class Poly:
             return _from_terms(self.nvars,
                                {e: v * c for e, v in self.terms.items()},
                                self.trunc)
-        assert self.nvars == other.nvars
+        if self.nvars != other.nvars:
+            raise ValueError(f"cannot multiply a {self.nvars}-variable Poly "
+                             f"by a {other.nvars}-variable one")
         tr = _min_trunc(self.trunc, other.trunc)
         right = [(e2, sum(e2), c2) for e2, c2 in other.terms.items()]
         out = {}
@@ -169,7 +167,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        assert k >= 0
+        if k < 0:
+            raise ValueError(f"negative exponent {k}")
         out = Poly.one(self.nvars, self.trunc)
         base = self
         while k:

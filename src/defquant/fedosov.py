@@ -111,7 +111,8 @@ class FedosovInput:
 def flat_input(dim: int = 2, cap: int = 6, center: WeylElement | None = None
                ) -> FedosovInput:
     """Standard-symplectic flat plane: omega = dx^1 ^ dx^2, Pi^{12} = 1."""
-    assert dim == 2
+    if dim != 2:
+        raise ValueError(f"flat_input is the plane: dim must be 2, got {dim}")
     return FedosovInput(
         dim, cap,
         omega=[[0, 1], [-1, 0]],

@@ -276,6 +276,16 @@ class StarProductSeries:
         return op.apply(f, g)
 
 
+# the parity-consistent classes of labeled out-degree-2 graphs of type
+# (level, 2) for levels 1 and 2, sorted by canonical text, with their sizes;
+# they never change, so they are built once, at import
+_STAR_CLASSES = {
+    level: [(gc, size) for _, (gc, size, consistent) in sorted(
+        canonical_classes(enumerate_graphs(level, 2, 2)).items())
+        if consistent]
+    for level in (1, 2)}
+
+
 def star_order2(pi: PolyVectorField, lam, source) -> StarProductSeries:
     """Assemble B_0, B_1, B_2 for the bivector ``pi`` at interpolation
     parameter ``lam`` from the given weight source.
@@ -302,10 +312,7 @@ def star_order2(pi: PolyVectorField, lam, source) -> StarProductSeries:
         series.uncertainties[level] = []
         total = PolyDiffOperator.zero(dim, 2)
         pref = (_I ** level) * Fraction(1, factorial(level) * 2 ** level)
-        classes = canonical_classes(enumerate_graphs(level, 2, 2))
-        for _, (gc, size, consistent) in sorted(classes.items()):
-            if not consistent:
-                continue
+        for gc, size in _STAR_CLASSES[level]:
             op = graph_operator(gc, [pi] * level)
             if op.is_zero():
                 continue

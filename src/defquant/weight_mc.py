@@ -466,10 +466,8 @@ class LambdaPolyFit:
     def __call__(self, lam) -> complex:
         return complex(np.polyval(self.coeffs[::-1], complex(lam)))
 
-    def functional(self, c_re: np.ndarray, c_im: np.ndarray | None = None):
+    def functional(self, c_re: np.ndarray, c_im: np.ndarray):
         """Value and stderr of sum_i (c_re[i] Re a_i + i c_im[i] Im a_i)."""
-        if c_im is None:
-            c_im = c_re
         val = complex(c_re @ self.coeffs.real, c_im @ self.coeffs.imag)
         var = float(c_re @ self.cov @ c_re + c_im @ self.cov @ c_im)
         return val, math.sqrt(max(var, 0.0))

@@ -42,7 +42,7 @@ Fixed points:
     ArithmeticError when it does not.
   * ``fixed_point``  plain iteration, for the nonlinear connection only.
 
-Division by hbar (used for (i/hbar)[.,.]) asserts that every term really
+Division by hbar (used for (i/hbar)[.,.]) checks that every term really
 carries a positive hbar power; callers that need the quotient to full
 accuracy must compute the product with the cap raised by 2 first --- the
 helper ``ihbar_commutator`` does exactly that.
@@ -101,7 +101,9 @@ def _moyal_orders(va, vb, half_pi, odd):
 def _moyal(a, b, pi, odd):
     """a o b, or the bracket [a, b] as twice its odd orders (see
     ``commutator``), as a WeylElement."""
-    assert a.dim == b.dim
+    if a.dim != b.dim:
+        raise ValueError(f"Weyl product of dim {a.dim} and dim {b.dim} "
+                         "elements")
     dim, cap = a.dim, min(a.cap, b.cap)
     half_pi = [] if pi is None else [
         (k, l, pi[k][l] * _I_HALF) for k in range(dim) for l in range(dim)
@@ -152,7 +154,8 @@ class WeylElement:
             vexp = (0,) * dim
         vexp = tuple(vexp)
         dxs = tuple(sorted(dxs))
-        assert len(dxs) == len(set(dxs))
+        if len(dxs) != len(set(dxs)):
+            raise ValueError(f"repeated dx index in {dxs}")
         if not isinstance(coeff, Poly):
             coeff = Poly.const(dim, coeff)
         return WeylElement(dim, cap, {(vexp, dxs, hpow): coeff})
@@ -189,8 +192,11 @@ class WeylElement:
     # -- linear structure ---------------------------------------------
 
     def __add__(self, other):
-        assert isinstance(other, WeylElement)
-        assert self.dim == other.dim
+        if not isinstance(other, WeylElement):
+            return NotImplemented
+        if self.dim != other.dim:
+            raise ValueError(f"cannot add a dim {other.dim} element to a "
+                             f"dim {self.dim} one")
         cap = min(self.cap, other.cap)
         out = dict(self.terms)
         for key, poly in other.terms.items():
@@ -358,12 +364,14 @@ def fixed_point(step, x: WeylElement, rounds: int, what: str) -> WeylElement:
 
 
 def constant_bivector(dim: int, entries) -> list:
-    """Pi^{kl} from a nested list of scalars; antisymmetry is asserted."""
+    """Pi^{kl} from a nested list of scalars; antisymmetry is checked."""
     out = [[Poly.const(dim, entries[k][l]) for l in range(dim)]
            for k in range(dim)]
     for k in range(dim):
         for l in range(dim):
-            assert out[k][l] == -out[l][k], "bivector must be antisymmetric"
+            if out[k][l] != -out[l][k]:
+                raise ValueError("bivector must be antisymmetric: entries "
+                                 f"({k}, {l}) and ({l}, {k})")
     return out
 
 

@@ -10,8 +10,9 @@ from defquant.weight_mc import WeightSource
 
 
 @pytest.mark.parametrize("criterion", [
-    acceptance.criterion_2, acceptance.criterion_5, acceptance.criterion_6,
-    acceptance.criterion_7, acceptance.criterion_11,
+    acceptance.criterion_1, acceptance.criterion_2, acceptance.criterion_5,
+    acceptance.criterion_6, acceptance.criterion_7, acceptance.criterion_8,
+    acceptance.criterion_10, acceptance.criterion_11,
 ], ids=lambda fn: fn.__name__)
 def test_fast_criterion_passes(criterion):
     res = criterion(quick=True)

@@ -9,6 +9,8 @@ import pytest
 
 from defquant import cli
 from defquant.cache import pool
+from defquant.graphs import graph2
+from defquant.weight_mc import weight_mc
 
 # A (3,2) class whose integrand vanishes at every sample although the
 # exact-zero screen does not catch it: its estimate has stderr exactly 0.
@@ -97,6 +99,10 @@ EXACT_REPORTS = {
      "--canonical"): "a3b5888190b3b192",
     ("star", "assemble", "--structure", "moyal", "--dim", "4", "--samples",
      "20000", "--dump-ops"): "524bb6350f2785b1",
+    ("series", "harmonic", "--m", "7"): "c2e503a68d4ef84f",
+    ("graphs", "enumerate", "--n", "2", "--m", "2"): "a2d97eb3eee53d57",
+    ("fedosov", "star", "--example", "curved", "--cap", "6"):
+        "d2cd6a23ac181fa5",
 }
 
 
@@ -161,6 +167,10 @@ TWO_VALENT = ("weight", "two-valent", "--kind", "out-out")
     ("geodesic", "oracle", "--metric", "sphere",
      "--x=-0.6435011087932844,0"),
     ("geodesic", "oracle", "--metric", "random", "--x", "5,5"),
+    ("weight", "mc", "--graph", "graph2", "--lambda", "half"),
+    ("weight", "mc", "--graph", "graph2", "--samples", "many"),
+    ("weight", "mc", "--graph", "K(2,2)[1>"),
+    ("fedosov", "star", "--f", "2,x"),
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -237,3 +247,168 @@ def test_pool_with_zero_stderr_is_the_sample_weighted_mean():
     assert pool([(2j, 1e-200, 7), (1 + 0j, 0.5, 5)]) == (2j, 0.0, 12)
     with pytest.raises(ValueError):
         pool([(0j, 0.0, 0)])
+
+
+# ---------------------------------------------------------------------
+# every subcommand and output mode
+# ---------------------------------------------------------------------
+
+def test_verify_all_reports_each_criterion(monkeypatch, capsys):
+    from defquant import acceptance
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [acceptance.criterion_5, acceptance.criterion_10])
+    code, out, err = run(capsys, "verify", "all", "--quick")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["command"] == "verify all"
+    assert rep["parameters"] == {"quick": True}
+    assert "seconds" not in rep
+    assert [c["index"] for c in rep["results"]["criteria"]] == [5, 10]
+    assert all("seconds" not in c for c in rep["results"]["criteria"])
+    assert [c["name"] for c in rep["checks"]] == [
+        f"criterion {c['index']} {c['name']}"
+        for c in rep["results"]["criteria"]]
+    # the progress lines go to stderr, so stdout stays one JSON document
+    assert [line.split()[:2] for line in err.splitlines()] == [
+        ["criterion", "5"], ["criterion", "10"]]
+
+    code, rep = report(capsys, "verify", "all", "--quick", "--timing")
+    assert code == 0
+    assert rep["seconds"] >= 0
+    assert all(c["seconds"] >= 0 for c in rep["results"]["criteria"])
+
+    code, out, err = run(capsys, "verify", "all", "--quick", "--table")
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0].split()[:2] == ["criterion", "5"]
+    assert lines[1].split()[:2] == ["criterion", "10"]
+    assert lines[2] == f"defquant {cli.__version__}  --  verify all"
+    assert lines[-1] == "pass: True"
+
+
+def test_table_and_timing_layout(capsys):
+    code, out, _ = run(capsys, "series", "zeta", "--n", "3", "--table",
+                       "--timing")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"defquant {cli.__version__}  --  series zeta"
+    assert lines[1:3] == [f"  {'n':>14s} : 3", f"  {'terms':>14s} : 10000"]
+    assert lines[3].startswith(f"  {'seconds':>14s} : ")
+    assert lines[4].startswith("  [PASS] zeta(3): value=1.20206")
+    assert json.loads("\n".join(lines[5:-1]))["n"] == 3
+    assert lines[-1] == "pass: True"
+
+    code, rep = report(capsys, "series", "zeta", "--n", "3", "--timing")
+    assert code == 0
+    assert rep["seconds"] >= 0
+    code, rep = report(capsys, "series", "zeta", "--n", "3")
+    assert "seconds" not in rep
+
+
+def test_worker_pool_is_deterministic(capsys):
+    argv = ("weight", "mc", "--graph", "graph2", "--samples", "4000",
+            "--seed", "3", "--workers", "2")
+    first = run(capsys, *argv)
+    second = run(capsys, *argv)
+    assert first[0] == 0
+    assert first[1] == second[1]
+    # the pool of one estimate per worker, each on its own seed
+    chunks = [weight_mc(graph2(), lam=0.5 + 0j, n_samples=2000, seed=seed)
+              for seed in (3, 3 + 1_000_003)]
+    value, stderr, n = pool([(r.value, r.stderr, r.n_samples)
+                             for r in chunks])
+    res = json.loads(first[1])["results"]
+    assert res["value"] == [value.real, value.imag]
+    assert (res["stderr"], res["n_samples"]) == (stderr, n)
+
+
+def test_exact_zero_graph_is_not_sampled(capsys):
+    code, rep = report(capsys, "weight", "mc", "--graph", "cycle:2")
+    assert code == 0
+    res = rep["results"]
+    assert res["exact_zero_reason"] is not None
+    assert (res["value"], res["stderr"], res["n_samples"]) == (
+        [0.0, 0.0], 0.0, 0)
+
+
+def test_from_cache_errors(capsys, tmp_path):
+    missing = str(tmp_path / "missing.jsonl")
+    code, out, err = run(capsys, "weight", "mc", "--graph", "graph2",
+                         "--from-cache", "--cache", missing)
+    assert (code, out) == (2, "")
+    assert err == f"error: cache file {missing} does not exist\n"
+
+    path = str(tmp_path / "w.jsonl")
+    code, _, _ = run(capsys, "weight", "mc", "--graph", "graph2",
+                     "--samples", "2000", "--write-cache", "--cache", path)
+    assert code == 0
+    code, out, err = run(capsys, "weight", "mc", "--graph", "graph2",
+                         "--lambda", "0.25", "--from-cache", "--cache", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no cached estimate for the class of ")
+    assert err.count("\n") == 1
+
+
+def test_fit_lambda_passes(capsys):
+    code, rep = report(capsys, "weight", "fit-lambda", "--graph", "graph2",
+                       "--samples", "20000", "--seed", "1")
+    assert code == 0
+    assert rep["pass"] is True
+    res = rep["results"]
+    assert [c["name"] for c in rep["checks"]] == [
+        f"reflection relation order {k}" for k in range(res["degree"] + 1)
+    ] + ["Im W at midpoint"]
+    assert len(res["nodes"]) == res["degree"] + 2
+    assert len(res["coefficients"]) == res["degree"] + 1
+
+
+def test_two_valent_out_out_matches_the_closed_form(capsys):
+    code, rep = report(capsys, "weight", "two-valent", "--kind", "out-out",
+                       "--w1", "0.2,0.1", "--w2=-0.3,0.4", "--samples",
+                       "20000")
+    assert code == 0
+    assert [c["name"] for c in rep["checks"]] == ["matches closed form"]
+    assert isinstance(rep["results"]["closed_form"], float)
+
+
+def test_two_valent_point_outside_the_disk_exits_2(capsys):
+    code, out, err = run(capsys, "weight", "two-valent", "--kind", "out-out",
+                         "--w1", "1.2", "--w2", "0.1")
+    assert (code, out) == (2, "")
+    assert err == "error: w1 and w2 must lie in the open unit disk\n"
+
+
+@pytest.mark.parametrize("n, display", [("2", True), ("3", False)])
+def test_series_shadow(capsys, n, display):
+    code, rep = report(capsys, "series", "shadow", "--n", n, "--w", "0.5")
+    assert code == 0
+    assert rep["checks"] == []
+    res = rep["results"]
+    assert res["bound"] >= 0
+    assert ("two_wheel_display" in res) is display
+
+
+def test_series_harmonic(capsys):
+    code, rep = report(capsys, "series", "harmonic", "--m", "7")
+    assert code == 0
+    res = rep["results"]
+    assert res["pass"] is True
+    assert res["lhs"] == res["mid"] == res["rhs"]
+
+
+def test_enumerate_lists_every_labeled_graph(capsys):
+    code, rep = report(capsys, "graphs", "enumerate", "--n", "2", "--m", "2")
+    assert code == 0
+    graphs = rep["results"]["graphs"]
+    assert rep["results"]["count"] == len(graphs) == len(set(graphs))
+    assert "canonical_classes" not in rep["results"]
+
+
+def test_fedosov_star_curved_has_no_oracle_check(capsys):
+    code, rep = report(capsys, "fedosov", "star", "--example", "curved",
+                       "--cap", "6")
+    assert code == 0
+    assert rep["checks"] == []
+    assert rep["results"]["example"] == "curved"
+    assert rep["results"]["star"]

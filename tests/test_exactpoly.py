@@ -307,3 +307,38 @@ def test_poly_sums_and_derivatives_keep_the_invariants(truncs):
             for q in (-a, a * QC(0, 2), a * 3, a.diff(nvars - 1)):
                 _assert_clean(q)
             assert a + (-a) == Poly.zero(nvars)
+
+
+# ---------------------------------------------------------------------
+# mismatched Poly input raises, also under python -O
+# ---------------------------------------------------------------------
+
+POLY_MISMATCHES = {
+    "add nvars": ("Poly.var(2, 0) + Poly.var(3, 2)",
+                  "cannot add a 3-variable Poly to a 2-variable one"),
+    "mul nvars": ("Poly.var(2, 0) * Poly.var(3, 2)",
+                  "cannot multiply a 2-variable Poly by a 3-variable one"),
+    "negative power": ("Poly.var(2, 0) ** -1", "negative exponent -1"),
+}
+
+
+@pytest.mark.parametrize("case", POLY_MISMATCHES)
+def test_poly_mismatch_raises(case):
+    code, message = POLY_MISMATCHES[case]
+    with pytest.raises(ValueError, match=message):
+        eval(code, {"Poly": Poly})
+
+
+@pytest.mark.parametrize("case", POLY_MISMATCHES)
+def test_poly_mismatch_raises_under_python_O(case):
+    # under -O an assert would vanish: + and * would mix exponent lengths
+    # and a negative power would shift -1 right forever
+    code, message = POLY_MISMATCHES[case]
+    script = ("from defquant.exactpoly import Poly\nimport re\ntry:\n    "
+              + code + "\nexcept ValueError as exc:\n"
+              f"    raise SystemExit(0 if re.search({message!r}, str(exc))"
+              " else 2)\nraise SystemExit(1)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          timeout=60).returncode == 0

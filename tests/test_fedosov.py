@@ -1,7 +1,11 @@
 """Fedosov machinery: inputs, curvature, fixed points, star products."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -352,3 +356,16 @@ def test_homotopy_refuses_a_step_that_keeps_deg():
     with pytest.raises(ArithmeticError, match="deformed homotopy"):
         fedosov_homotopy(inp, r, a)
     assert not fedosov_homotopy(inp, inp.zero(), a).is_zero()
+
+
+def test_flat_input_rejects_other_dimensions():
+    with pytest.raises(ValueError, match="dim must be 2, got 3"):
+        flat_input(dim=3)
+    # the check must not be an assert, which python -O removes
+    code = ("from defquant.fedosov import flat_input\n"
+            "try:\n    flat_input(dim=3)\nexcept ValueError:\n"
+            "    raise SystemExit(0)\nraise SystemExit(1)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env).returncode == 0

@@ -1,7 +1,11 @@
 """Truncated Weyl algebra: grading, products, homotopy, connections."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -200,7 +204,7 @@ def test_neumann_rejects_a_step_that_keeps_deg():
 
 
 def test_constant_bivector_rejects_symmetric_part():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="antisymmetric"):
         constant_bivector(2, [[0, 1], [1, 0]])
 
 
@@ -305,3 +309,46 @@ def test_sigma_projects_to_function_part():
     jets = (a + WeylElement.from_function(poly, 2, 4, hpow=1)).sigma_jets()
     assert set(jets) == {0, 1}
     assert jets[0] == poly and jets[1] == poly
+
+
+# ---------------------------------------------------------------------
+# mismatched Weyl input raises, also under python -O
+# ---------------------------------------------------------------------
+
+WEYL_MISMATCHES = {
+    "product dim": ("WeylElement.zero(2, 4).circ(WeylElement.zero(3, 4), "
+                    "None)", ValueError,
+                    "Weyl product of dim 2 and dim 3 elements"),
+    "add dim": ("WeylElement.zero(2, 4) + WeylElement.zero(3, 4)",
+                ValueError, "cannot add a dim 3 element to a dim 2 one"),
+    "add scalar": ("WeylElement.zero(2, 4) + 1", TypeError,
+                   "unsupported operand"),
+    "repeated dx": ("WeylElement.monomial(2, 4, 1, dxs=(1, 0, 1))",
+                    ValueError, r"repeated dx index in \(0, 1, 1\)"),
+    "symmetric bivector": ("constant_bivector(2, [[0, 1], [1, 0]])",
+                           ValueError, r"antisymmetric: entries \(0, 1\)"),
+}
+
+
+@pytest.mark.parametrize("case", WEYL_MISMATCHES)
+def test_weyl_mismatch_raises(case):
+    code, exc_type, message = WEYL_MISMATCHES[case]
+    with pytest.raises(exc_type, match=message):
+        eval(code, {"WeylElement": WeylElement,
+                    "constant_bivector": constant_bivector})
+
+
+@pytest.mark.parametrize("case", WEYL_MISMATCHES)
+def test_weyl_mismatch_raises_under_python_O(case):
+    # under -O an assert would vanish and the mismatch would pass silently
+    # or fail later, elsewhere
+    code, exc_type, message = WEYL_MISMATCHES[case]
+    script = ("from defquant.weyl import WeylElement, constant_bivector\n"
+              f"import re\ntry:\n    {code}\n"
+              f"except {exc_type.__name__} as exc:\n"
+              f"    raise SystemExit(0 if re.search({message!r}, str(exc))"
+              " else 2)\nraise SystemExit(1)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-O", "-c", script],
+                          env=env).returncode == 0
