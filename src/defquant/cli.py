@@ -19,11 +19,12 @@ given.  ``--table`` switches to a human-readable layout.  Exit codes:
 error prints one ``error:`` line to stderr and no report; besides
 malformed flags it covers input that would give a meaningless number:
 a non-finite ``--lambda``, ``--target``, ``--w1``, ``--w2``, ``--x``,
-``--v`` or ``--t``; a named graph of size below 1 (``fan:0``,
-``wheel:0``, ``cycle:0``); ``--workers`` below 1; ``--samples`` below 2
-per worker (a chunk that small reports stderr 0); a negative ``--cap``
-or ``--degree``; ``--steps`` below 1; a ``--dim`` other than 3 for the
-so3 structure; and a lambda fit whose nodes have stderr 0.
+``--v`` or ``--t``; a non-finite or negative ``--tol``; a named graph of
+size below 1 (``fan:0``, ``wheel:0``, ``cycle:0``); ``--workers`` below
+1; ``--samples`` below 2 per worker (a chunk that small reports stderr
+0); a negative ``--cap`` or ``--degree``; ``--steps`` below 1; a
+``--dim`` other than 3 for the so3 structure; and a lambda fit whose
+nodes have stderr 0.
 
 The Monte Carlo subcommands accept ``--workers`` and split the sample
 budget over a process pool with per-chunk seeds: each worker runs the
@@ -110,6 +111,14 @@ def parse_samples(s: str, workers: int = 1) -> int:
         raise UsageError(f"invalid sample count {s!r}: need an integer "
                          f">= {2 * workers} (2 per worker)")
     return int(val)
+
+
+def check_tolerance(tol):
+    """--tol as given (None when absent), if finite and >= 0."""
+    if tol is not None and not 0 <= tol < math.inf:
+        raise UsageError(f"invalid tolerance {tol}: expected a finite "
+                         "number >= 0")
+    return tol
 
 
 _NAMED_GRAPHS = {
@@ -233,8 +242,9 @@ def cmd_weight_mc(args):
     g = parse_graph(args.graph)
     lam = parse_complex(args.lam, "lambda")
     n = parse_samples(args.samples, args.workers)
+    tol = check_tolerance(args.tol)
     reason = exact_zero_reason(g)
-    cache = WeightCache(args.cache) if (args.cache or args.write_cache
+    cache = WeightCache(args.cache) if (args.write_cache
                                         or args.from_cache) else None
     if args.from_cache:
         if not cache.path.exists():
@@ -255,12 +265,12 @@ def cmd_weight_mc(args):
     checks = []
     if args.target is not None:
         tgt = parse_complex(args.target, "target")
-        tol = max(args.tol, 3.0 * stderr)
-        checks.append(check("value vs target", abs(value - tgt), 0.0, tol))
+        checks.append(check("value vs target", abs(value - tgt), 0.0,
+                            max(tol, 3.0 * stderr)))
     results = {"graph": g.to_text(), "value": c_json(value),
                "stderr": stderr, "n_samples": n_used,
                "exact_zero_reason": reason}
-    if cache is not None and args.write_cache and reason is None:
+    if args.write_cache and reason is None:
         cache.put_graph(g, MCResult(value, stderr, n_used, args.seed, lam,
                                     args.convention, g.to_text()))
         results["cache_path"] = str(cache.path)
@@ -506,6 +516,7 @@ def cmd_geodesic_oracle(args):
     met = _metric(args.metric, args.order, args.seed)
     x = parse_complex(args.x, "x")
     v = parse_complex(args.v, "v")
+    tol = check_tolerance(args.tol)
     base = {"sphere": (math.asin(3.0 / 5.0), 0.0), "poincare": (0.0, 1.0),
             "flat": (0.0, 0.0), "random": (0.0, 0.0)}[args.metric]
     gamma_fn = {"sphere": sphere_gamma_fn, "poincare": poincare_gamma_fn
@@ -516,8 +527,8 @@ def cmd_geodesic_oracle(args):
                                   base, (x.real, x.imag), vel, args.t,
                                   args.steps)
     checks = []
-    if args.tol is not None:
-        checks.append(check("series vs ODE", gap, 0.0, args.tol))
+    if tol is not None:
+        checks.append(check("series vs ODE", gap, 0.0, tol))
     results = {"metric": args.metric, "start": list(start),
                "velocity": list(vel), "t": args.t,
                "ode_endpoint": ode, "series_endpoint": ser,

@@ -227,7 +227,8 @@ class Poly:
 
     def inverse(self) -> "Poly":
         """Multiplicative inverse as a jet (requires trunc and a nonzero
-        constant term): 1/(c + u) = (1/c) sum_k (-u/c)^k."""
+        constant term): 1/(c + u) = (1/c) sum_k (-u/c)^k, whose term
+        k = trunc + 1 vanishes."""
         if self.trunc is None:
             raise ValueError("inverse requires a truncation order")
         c0 = self.constant_term()
@@ -235,14 +236,9 @@ class Poly:
             raise ZeroDivisionError("jet has zero constant term")
         u = self - Poly.const(self.nvars, c0, self.trunc)
         inv_c0 = QC(1) / c0
-        out = Poly.const(self.nvars, inv_c0, self.trunc)
-        acc = Poly.const(self.nvars, inv_c0, self.trunc)
-        for _ in range(self.trunc):
-            acc = acc * u * (-inv_c0)
-            if acc.is_zero():
-                break
-            out = out + acc
-        return out
+        return neumann(lambda acc: acc * u * (-inv_c0),
+                       Poly.const(self.nvars, inv_c0, self.trunc),
+                       self.trunc + 1, "jet inverse")
 
     def __repr__(self):
         if not self.terms:
@@ -253,6 +249,36 @@ class Poly:
             bits.append(f"({c.re}{'+' if c.im >= 0 else ''}{c.im}i)"
                         + (f"*{mono}" if mono else ""))
         return "Poly[" + " + ".join(bits) + "]"
+
+
+def neumann(step, x, rounds: int, what: str):
+    """x + L x + L^2 x + ... for the linear map L = ``step`` on Polys or
+    Weyl elements.  When L raises the degree the series terminates in the
+    truncated algebra; raises ArithmeticError if no term has vanished
+    within ``rounds`` steps."""
+    total = term = x
+    for _ in range(rounds):
+        term = step(term)
+        if term.is_zero():
+            return total
+        total = total + term
+    raise ArithmeticError(f"{what} did not terminate")
+
+
+def poly_matrix(dim: int, rows, sign: int, what: str, trunc=None) -> list:
+    """A dim x dim matrix of Polys from nested rows: a scalar entry becomes
+    a constant Poly cut at ``trunc``, a Poly entry is kept as given.
+    Raises ValueError naming ``what`` unless entry (i, j) equals ``sign``
+    (1 or -1) times entry (j, i)."""
+    mat = [[e if isinstance(e, Poly) else Poly.const(dim, e, trunc)
+            for e in row] for row in rows]
+    for i in range(dim):
+        for j in range(i, dim):
+            if mat[i][j] != mat[j][i] * sign:
+                raise ValueError(f"{what} must be {'anti' * (sign < 0)}"
+                                 f"symmetric: entries ({i}, {j}) and "
+                                 f"({j}, {i})")
+    return mat
 
 
 def accumulate(store: dict, key, poly: Poly) -> None:

@@ -35,13 +35,8 @@ from math import comb, factorial
 import numpy as np
 
 from .exactnum import QC
-from .exactpoly import Poly
-from .weyl import WeylElement, fixed_point, ihbar_commutator, neumann
-
-
-def _as_poly_matrix(entries, dim):
-    return [[e if isinstance(e, Poly) else Poly.const(dim, e) for e in row]
-            for row in entries]
+from .exactpoly import Poly, neumann, poly_matrix
+from .weyl import WeylElement, fixed_point, ihbar_commutator
 
 
 @dataclass
@@ -67,28 +62,16 @@ class FedosovInput:
         if self.cap < 0:
             raise ValueError(f"cap must be >= 0, got {self.cap}")
         d = self.dim
-        self.omega = _as_poly_matrix(self.omega, d)
-        self.pi = _as_poly_matrix(self.pi, d)
-        for a in range(d):
-            for b in range(d):
-                if self.omega[a][b] != -self.omega[b][a]:
-                    raise ValueError("omega must be antisymmetric")
-                if self.pi[a][b] != -self.pi[b][a]:
-                    raise ValueError("pi must be antisymmetric")
+        self.omega = poly_matrix(d, self.omega, -1, "omega")
+        self.pi = poly_matrix(d, self.pi, -1, "pi")
         origin = [0] * d
         mat = [[self.omega[a][b].eval_complex(origin) for b in range(d)]
                for a in range(d)]
         if abs(np.linalg.det(np.array(mat))) < 1e-12:
             raise ValueError("omega is degenerate at the base point")
         if self.gamma is not None:
-            self.gamma = [_as_poly_matrix(layer, d) for layer in self.gamma]
-            for k in range(d):
-                for i in range(d):
-                    for j in range(d):
-                        if self.gamma[k][i][j] != self.gamma[k][j][i]:
-                            raise ValueError(
-                                "Christoffel symbols must be symmetric "
-                                "in the lower indices")
+            self.gamma = [poly_matrix(d, layer, 1, f"Gamma^{k}_ij")
+                          for k, layer in enumerate(self.gamma)]
         if self.center is None:
             self.center = WeylElement.zero(d, self.cap)
         for (vexp, dxs, hpow), _ in self.center.terms.items():
@@ -104,8 +87,8 @@ class FedosovInput:
     def zero(self) -> WeylElement:
         return WeylElement.zero(self.dim, self.cap)
 
-    def embed(self, f: Poly, hpow: int = 0) -> WeylElement:
-        return WeylElement.from_function(f, self.dim, self.cap, hpow)
+    def embed(self, f: Poly) -> WeylElement:
+        return WeylElement.from_function(f, self.dim, self.cap)
 
 
 def flat_input(dim: int = 2, cap: int = 6, center: WeylElement | None = None
@@ -124,13 +107,11 @@ def flat_input(dim: int = 2, cap: int = 6, center: WeylElement | None = None
 def curved_input(cap: int) -> FedosovInput:
     """Standard-symplectic plane with the curved torsion-free connection
     Gamma^1_{00} = x_2, every other Christoffel symbol zero."""
-    zero = Poly.zero(2)
     return FedosovInput(
         2, cap,
         omega=[[0, 1], [-1, 0]],
         pi=[[0, 1], [-1, 0]],
-        gamma=[[[zero, zero], [zero, zero]],
-               [[Poly.var(2, 1), zero], [zero, zero]]])
+        gamma=[[[0, 0], [0, 0]], [[Poly.var(2, 1), 0], [0, 0]]])
 
 
 # -- curvature --------------------------------------------------------

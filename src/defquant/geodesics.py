@@ -36,65 +36,39 @@ from fractions import Fraction
 from math import factorial
 
 from .exactnum import QC
-from .exactpoly import Poly, accumulate, sin_jet
-from .weyl import WeylElement, neumann
+from .exactpoly import Poly, accumulate, neumann, poly_matrix, sin_jet
+from .weyl import WeylElement
 
 
 # ---------------------------------------------------------------------
 # exact matrix inverse of a jet-valued metric
 # ---------------------------------------------------------------------
 
-def _constant_matrix_inverse(mat):
-    """Exact inverse of a QC matrix by Gaussian elimination."""
-    d = len(mat)
-    a = [[QC(mat[i][j]) for j in range(d)] + [QC(1) if j == i else QC(0)
-                                              for j in range(d)]
-         for i in range(d)]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if not a[r][col].is_zero()),
-                   None)
-        if piv is None:
-            raise ValueError("metric is singular at the base point")
-        a[col], a[piv] = a[piv], a[col]
-        inv = QC(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(d):
-            if r != col and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [[a[i][d + j] for j in range(d)] for i in range(d)]
-
-
 def _check_order(order: int) -> None:
     if order < 0:
         raise ValueError(f"invalid order {order}: a jet order must be >= 0")
 
 
-def _matrix_inverse_jet(g, dim, order):
-    """Jet inverse: g = g0 (1 + g0^{-1} E) with E the non-constant part,
-    then a terminating Neumann series."""
-    g0 = [[gij.constant_term() for gij in row] for row in g]
-    g0_inv = _constant_matrix_inverse(g0)
-
-    def mat_mul(a, b):
-        return [[sum((a[i][k] * b[k][j] for k in range(dim)),
-                     Poly.zero(dim, order)) for j in range(dim)]
-                for i in range(dim)]
-
-    e = [[g[i][j] - Poly.const(dim, g0[i][j], order) for j in range(dim)]
-         for i in range(dim)]
-    m = [[Poly.const(dim, g0_inv[i][j], order) for j in range(dim)]
-         for i in range(dim)]
-    em = mat_mul(e, m)
-    out = [row[:] for row in m]
-    power = [row[:] for row in m]
-    for _ in range(order):
-        power = [[-p for p in row] for row in mat_mul(power, em)]
-        if all(p.is_zero() for row in power for p in row):
-            break
-        out = [[out[i][j] + power[i][j] for j in range(dim)]
-               for i in range(dim)]
-    return out
+def _matrix_inverse_jet(g, order):
+    """Inverse by Gauss-Jordan elimination over jets cut at ``order``.  A
+    jet is a unit exactly when its constant term is nonzero, so each
+    pivot is one Poly.inverse, with a row swap when needed."""
+    d = len(g)
+    a = [row + [Poly.const(d, int(i == j), order) for j in range(d)]
+         for i, row in enumerate(g)]
+    for col in range(d):
+        piv = next((r for r in range(col, d)
+                    if not a[r][col].constant_term().is_zero()), None)
+        if piv is None:
+            raise ValueError("metric is singular at the base point")
+        a[col], a[piv] = a[piv], a[col]
+        inv = a[col][col].truncate(order).inverse()
+        a[col] = [x * inv for x in a[col]]
+        for r in range(d):
+            f = a[r][col]
+            if r != col and not f.is_zero():
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[d:] for row in a]
 
 
 class MetricJet:
@@ -106,14 +80,8 @@ class MetricJet:
         _check_order(order)
         self.dim = dim
         self.order = order
-        self.g = [[gij if isinstance(gij, Poly)
-                   else Poly.const(dim, gij, order)
-                   for gij in row] for row in g]
-        for i in range(dim):
-            for j in range(dim):
-                if self.g[i][j] != self.g[j][i]:
-                    raise ValueError("metric jets must be symmetric")
-        self.g_inv = _matrix_inverse_jet(self.g, dim, order)
+        self.g = poly_matrix(dim, g, 1, "metric jets", order)
+        self.g_inv = _matrix_inverse_jet(self.g, order)
         self.gamma = self._christoffel()
 
     def _christoffel(self):
@@ -137,9 +105,8 @@ class MetricJet:
 
     @staticmethod
     def flat(dim: int, order: int) -> "MetricJet":
-        return MetricJet(dim, order,
-                         [[Poly.const(dim, 1 if i == j else 0, order)
-                           for j in range(dim)] for i in range(dim)])
+        return MetricJet(dim, order, [[int(i == j) for j in range(dim)]
+                                      for i in range(dim)])
 
     @staticmethod
     def sphere(order: int) -> "MetricJet":
@@ -147,9 +114,7 @@ class MetricJet:
         around the base polar angle asin(3/5) (exact sine 3/5, cosine
         4/5)."""
         s = sin_jet(Fraction(3, 5), Fraction(4, 5), 2, 0, order)
-        zero = Poly.zero(2, order)
-        one = Poly.one(2, order)
-        return MetricJet(2, order, [[one, zero], [zero, s * s]])
+        return MetricJet(2, order, [[1, 0], [0, s * s]])
 
     @staticmethod
     def poincare_half_plane(order: int) -> "MetricJet":
@@ -159,8 +124,7 @@ class MetricJet:
         x2 = Poly.one(2, order) + Poly.var(2, 1, order)
         w = x2.inverse()
         w2 = w * w
-        zero = Poly.zero(2, order)
-        return MetricJet(2, order, [[w2, zero], [zero, w2]])
+        return MetricJet(2, order, [[w2, 0], [0, w2]])
 
     @staticmethod
     def random_metric(dim: int, order: int, rng: random.Random

@@ -253,7 +253,7 @@ def shadow_sum(n: int, w_abs: float, N: int | None = None) -> ShadowSum:
     return ShadowSum(value, bound, n, w_abs, N, blocks)
 
 
-def two_wheel_display(w_abs: float, N: int = 4000) -> ValueBound:
+def two_wheel_display(w_abs: float) -> ValueBound:
     """The displayed four-series combination for the 2-wheel shadow.
 
     sum_m (1 - 2x^m + x^{2m})/(2 m^2)
@@ -266,6 +266,7 @@ def two_wheel_display(w_abs: float, N: int = 4000) -> ValueBound:
     """
     if not 0 < w_abs <= 0.8:
         raise ValueError("w_abs must lie in (0, 0.8]")
+    N = 4000                # terms per series; the tails are bounded
     x = w_abs ** 2
     ks = np.arange(1, N + 1, dtype=float)
     xk = x ** ks

@@ -34,7 +34,7 @@ from itertools import permutations, product as iproduct
 from math import factorial
 
 from .exactnum import QC, perm_sign
-from .exactpoly import Poly, accumulate
+from .exactpoly import Poly, accumulate, poly_matrix
 from .graphs import (AdmissibleGraph, canonical_classes, cycle_graph,
                      enumerate_graphs)
 from .weight_mc import two_valent_integral
@@ -70,17 +70,10 @@ class PolyVectorField:
     @staticmethod
     def bivector(dim: int, upper: list) -> "PolyVectorField":
         """Degree-1 field from a matrix of upper components Pi^{ij}
-        (antisymmetry of the matrix is asserted)."""
-        comps = {}
-        mat = [[e if isinstance(e, Poly) else Poly.const(dim, e)
-                for e in row] for row in upper]
-        for i in range(dim):
-            for j in range(dim):
-                if mat[i][j] != -mat[j][i]:
-                    raise ValueError("bivector matrix must be antisymmetric")
-                if i < j:
-                    comps[(i, j)] = mat[i][j]
-        return PolyVectorField(dim, 1, comps)
+        (antisymmetry of the matrix is checked)."""
+        mat = poly_matrix(dim, upper, -1, "bivector matrix")
+        return PolyVectorField(dim, 1, {(i, j): mat[i][j] for i in range(dim)
+                                        for j in range(i + 1, dim)})
 
     @staticmethod
     def vector(dim: int, comps_list) -> "PolyVectorField":
@@ -417,19 +410,19 @@ def so3_bivector() -> PolyVectorField:
             [x[1], -x[0], Poly.zero(d)]])
 
 
-def u2_vector_fields(v1: PolyVectorField, v2: PolyVectorField, lam=0.5,
+def u2_vector_fields(v1: PolyVectorField, v2: PolyVectorField,
                      n_samples: int = 400_000, seed: int = 0):
     """Second Taylor component on two vector fields.
 
     The single candidate graph is the aerial two-cycle with no ground
     slots; its weight is the closed in-out loop integral of one propagator
-    differential against a reversed one, which vanishes.  Returns
-    (weight_result, loop_operator): the component is weight * operator,
-    certified zero by |weight| falling below the sampling error.
+    differential against a reversed one at lambda = 1/2, which vanishes.
+    Returns (weight_result, loop_operator): the component is weight *
+    operator, certified zero by |weight| falling below the sampling error.
     """
     if v1.degree != 0 or v2.degree != 0:
         raise ValueError("u2_vector_fields needs two vector fields")
     loop_op = graph_operator(cycle_graph(2), [v1, v2])
-    res = two_valent_integral("in-out", 0.35 + 0.1j, 0.35 + 0.1j, lam=lam,
+    res = two_valent_integral("in-out", 0.35 + 0.1j, 0.35 + 0.1j, lam=0.5,
                               n_samples=n_samples, seed=seed)
     return res, loop_op

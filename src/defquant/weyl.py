@@ -36,11 +36,9 @@ Differentials:
   * ``nabla``      dx^i d/dx^i - Gamma^k_{ij} dx^i v^j d/dv^k for a
     torsion-free connection given as polynomial Christoffel data.
 
-Fixed points:
-  * ``neumann``      x + L x + L^2 x + ... for a linear L that raises Deg,
-    so that the series terminates in the truncated algebra; it raises
-    ArithmeticError when it does not.
-  * ``fixed_point``  plain iteration, for the nonlinear connection only.
+Fixed points: a linear L that raises Deg is summed as the terminating
+Neumann series x + L x + L^2 x + ... of ``exactpoly.neumann``; the
+nonlinear connection alone is found by plain iteration, ``fixed_point``.
 
 Division by hbar (used for (i/hbar)[.,.]) checks that every term really
 carries a positive hbar power; callers that need the quotient to full
@@ -53,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactnum import QC, perm_sign
-from .exactpoly import Poly, accumulate
+from .exactpoly import Poly, accumulate, poly_matrix
 
 _I_HALF = QC(0, Fraction(1, 2))
 
@@ -339,19 +337,6 @@ def ihbar_commutator(a: WeylElement, b: WeylElement, pi) -> "WeylElement":
     return big.divide_hbar().scale(QC(0, 1)).with_cap(cap)
 
 
-def neumann(step, x: WeylElement, rounds: int, what: str) -> WeylElement:
-    """x + L x + L^2 x + ... for the linear map L = ``step``.  When L
-    raises Deg the series terminates in the truncated algebra; raises
-    ArithmeticError if no term has vanished within ``rounds`` steps."""
-    total = term = x
-    for _ in range(rounds):
-        term = step(term)
-        if term.is_zero():
-            return total
-        total = total + term
-    raise ArithmeticError(f"{what} did not terminate")
-
-
 def fixed_point(step, x: WeylElement, rounds: int, what: str) -> WeylElement:
     """Iterate x -> step(x) until it repeats, at most ``rounds`` times;
     raises ArithmeticError unless the result is a fixed point."""
@@ -365,14 +350,7 @@ def fixed_point(step, x: WeylElement, rounds: int, what: str) -> WeylElement:
 
 def constant_bivector(dim: int, entries) -> list:
     """Pi^{kl} from a nested list of scalars; antisymmetry is checked."""
-    out = [[Poly.const(dim, entries[k][l]) for l in range(dim)]
-           for k in range(dim)]
-    for k in range(dim):
-        for l in range(dim):
-            if out[k][l] != -out[l][k]:
-                raise ValueError("bivector must be antisymmetric: entries "
-                                 f"({k}, {l}) and ({l}, {k})")
-    return out
+    return poly_matrix(dim, entries, -1, "bivector")
 
 
 def random_element(dim: int, cap: int, rng, n_terms: int = 6

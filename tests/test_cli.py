@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import warnings
 
 import pytest
 
@@ -103,6 +104,12 @@ EXACT_REPORTS = {
     ("graphs", "enumerate", "--n", "2", "--m", "2"): "a2d97eb3eee53d57",
     ("fedosov", "star", "--example", "curved", "--cap", "6"):
         "d2cd6a23ac181fa5",
+    ("geodesic", "exp", "--metric", "random", "--order", "4", "--seed", "2"):
+        "d2bfc62f7947e90d",
+    ("geodesic", "exp", "--metric", "poincare", "--order", "6"):
+        "acdfb2e53894c38e",
+    ("fedosov", "solve", "--example", "flat", "--cap", "4"):
+        "5d88174dffc89927",
 }
 
 
@@ -171,6 +178,14 @@ TWO_VALENT = ("weight", "two-valent", "--kind", "out-out")
     ("weight", "mc", "--graph", "graph2", "--samples", "many"),
     ("weight", "mc", "--graph", "K(2,2)[1>"),
     ("fedosov", "star", "--f", "2,x"),
+    ("weight", "mc", "--graph", "graph2", "--samples", "2000", "--target",
+     "0.0416667,0", "--tol", "inf"),
+    ("weight", "mc", "--graph", "graph2", "--samples", "2000", "--target",
+     "0.0416667,0", "--tol", "nan"),
+    ("weight", "mc", "--graph", "graph2", "--samples", "2000", "--tol=-1"),
+    ("geodesic", "oracle", "--order", "2", "--tol", "inf"),
+    ("geodesic", "oracle", "--order", "2", "--tol", "nan"),
+    ("geodesic", "oracle", "--order", "2", "--tol=-1"),
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -194,6 +209,10 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
      "invalid order -1"),
     (("geodesic", "oracle", "--metric", "poincare", "--x", "0,-1"),
      "invalid point [0.0, 0.0]"),
+    (("weight", "mc", "--graph", "graph2", "--tol", "inf"),
+     "invalid tolerance inf"),
+    (("geodesic", "oracle", "--order", "2", "--tol=-1"),
+     "invalid tolerance -1.0"),
 ], ids=lambda x: " ".join(x) if isinstance(x, tuple) else "")
 def test_bad_input_error_names_the_input(capsys, argv, named):
     code, _, err = run(capsys, *argv)
@@ -348,6 +367,19 @@ def test_from_cache_errors(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("error: no cached estimate for the class of ")
     assert err.count("\n") == 1
+
+
+def test_cache_alone_is_not_read(capsys, tmp_path):
+    """Without --write-cache or --from-cache nothing reads the cache, so
+    a corrupt file gives no warning and the report of no --cache."""
+    path = tmp_path / "corrupt.jsonl"
+    path.write_text("not json\n")
+    argv = ("weight", "mc", "--graph", "graph2", "--samples", "2000")
+    _, plain, _ = run(capsys, *argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, "--cache", str(path))
+    assert (code, out, err) == (0, plain, "")
 
 
 def test_fit_lambda_passes(capsys):

@@ -117,6 +117,12 @@ def test_inverse_roundtrip():
         Poly.var(2, 0, trunc=4).inverse()
 
 
+def test_inverse_at_trunc_0_is_the_constant_inverse():
+    p = Poly(2, {(0, 0): QC(2, 1), (1, 0): 3}, trunc=0)
+    assert p.inverse() == Poly.const(2, QC(1) / QC(2, 1), 0)
+    assert p.inverse().trunc == 0
+
+
 def test_eval_matches_float():
     p = xy({(2, 1): Fraction(3, 7), (0, 0): 1})
     got = p.eval_complex((0.5, -2.0))

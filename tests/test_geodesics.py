@@ -56,15 +56,39 @@ def test_metric_rejects_singular_base_point():
                          [Poly.zero(2, 4), Poly.one(2, 4)]])
 
 
-def test_inverse_jet_really_inverts():
-    m = MetricJet.random_metric(2, 5, random.Random(12))
-    for i in range(2):
-        for j in range(2):
-            acc = Poly.zero(2, 5)
-            for k in range(2):
+def assert_inverts(m):
+    d, n = m.dim, m.order
+    for i in range(d):
+        for j in range(d):
+            acc = Poly.zero(d, n)
+            for k in range(d):
                 acc = acc + m.g[i][k] * m.g_inv[k][j]
-            want = Poly.const(2, 1 if i == j else 0, 5)
-            assert acc == want
+            assert acc == Poly.const(d, 1 if i == j else 0, n)
+
+
+def test_inverse_jet_really_inverts():
+    assert_inverts(MetricJet.random_metric(2, 5, random.Random(12)))
+
+
+def test_inverse_jet_of_a_random_3d_metric():
+    assert_inverts(MetricJet.random_metric(3, 4, random.Random(7)))
+
+
+def test_inverse_jet_pivots_past_a_zero_diagonal():
+    """Constant part [[0, 1], [1, 0]]: the first pivot needs a row swap."""
+    x1, x2 = Poly.var(2, 0, 4), Poly.var(2, 1, 4)
+    off = Poly.one(2, 4) + x2 * x1
+    assert_inverts(MetricJet(2, 4, [[x1 + x2 * x2, off],
+                                    [off, x1 * x1 * 3 - x2]]))
+
+
+def test_inverse_jet_cuts_untruncated_entries():
+    x1 = Poly.var(2, 0)
+    m = MetricJet(2, 3, [[2 + x1, 0], [0, 1 - x1 * x1]])
+    assert_inverts(m)
+    cut = Poly.var(2, 0, 3)
+    assert m.g_inv == MetricJet(2, 3, [[2 + cut, 0],
+                                       [0, 1 - cut * cut]]).g_inv
 
 
 def test_sphere_christoffels_are_the_closed_forms(sphere8):

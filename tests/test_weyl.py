@@ -10,10 +10,9 @@ from pathlib import Path
 import pytest
 
 from defquant.exactnum import QC
-from defquant.exactpoly import Poly
+from defquant.exactpoly import Poly, neumann
 from defquant.weyl import (WeylElement, commutator, ihbar_commutator,
-                           constant_bivector, fixed_point, neumann,
-                           random_element)
+                           constant_bivector, fixed_point, random_element)
 
 PI_STD = constant_bivector(2, [[0, 1], [-1, 0]])
 PI_3D = constant_bivector(3, [[0, 1, Fraction(-1, 2)], [-1, 0, 2],
