@@ -8,8 +8,11 @@ Layers, bottom up:
 - propagators: the one-parameter interpolation family of angle one-forms
   on the half-plane and the disk.
 - weight_mc: configuration-space Monte Carlo graph weights, the two-valent
-  disk integrals, polynomial-in-parameter fits, and the tiered weight
-  source (exact table > cache > sampling).
+  disk integrals, weights as polynomials in the interpolation parameter
+  read from one sample stream, and the tiered weight source (exact table
+  > cache > sampling).  The polynomials' reflection relations are gated
+  at roundoff: they re-check the propagators' conjugation identity
+  phi_{1-cj lam} = cj phi_lam through the integrand, not the integral.
 - series: closed-form wheel/zeta recipes, shadow sums, harmonic identities.
 - star: graph operators on polynomial data and the order-2 star product
   with error propagation into associativity residuals.
@@ -26,7 +29,7 @@ from .graphs import (AdmissibleGraph, Edge, enumerate_graphs, fan_graph,
                      graph2)
 from .weight_mc import (MCResult, WeightSource, weight_mc,
                         two_valent_integral, two_valent_out_out_exact,
-                        weight_poly_fit, funimp_residuals)
+                        weight_poly_fit, relation_residuals)
 from .cache import WeightCache
 from .series import (merkulov_wheel_zeta, shadow_sum, two_wheel_display,
                      harmonic_identity, merkulov_vanishing_check)

@@ -22,9 +22,8 @@ a non-finite ``--lambda``, ``--target``, ``--w1``, ``--w2``, ``--x``,
 ``--v`` or ``--t``; a non-finite or negative ``--tol``; a named graph of
 size below 1 (``fan:0``, ``wheel:0``, ``cycle:0``); ``--workers`` below
 1; ``--samples`` below 2 per worker (a chunk that small reports stderr
-0); a negative ``--cap`` or ``--degree``; ``--steps`` below 1; a
-``--dim`` other than 3 for the so3 structure; and a lambda fit whose
-nodes have stderr 0.
+0); a negative ``--cap``; ``--steps`` below 1; and a ``--dim`` other
+than 3 for the so3 structure.
 
 The Monte Carlo subcommands accept ``--workers`` and split the sample
 budget over a process pool with per-chunk seeds: each worker runs the
@@ -53,7 +52,7 @@ from .graphs import (AdmissibleGraph, canonical_classes, enumerate_graphs,
                      graph1_right, graph2)
 from .weight_mc import (MCResult, weight_mc, WeightSource,
                         two_valent_integral, two_valent_out_out_exact,
-                        weight_poly_fit, funimp_residuals, midpoint_imag,
+                        weight_poly_fit, relation_residuals,
                         exact_zero_reason)
 from .cache import WeightCache, pool
 from .series import (ZETA_TARGETS, merkulov_wheel_zeta, shadow_sum,
@@ -282,28 +281,18 @@ def cmd_weight_mc(args):
 def cmd_weight_fit_lambda(args):
     g = parse_graph(args.graph)
     n = parse_samples(args.samples)
-    cache = WeightCache(args.cache) if args.cache else None
-    fit = weight_poly_fit(g, degree=args.degree, n_samples=n,
-                          seed=args.seed, cache=cache)
-    checks = []
-    for order, resid, sig in funimp_residuals(fit):
-        checks.append(check(f"reflection relation order {order}",
-                            abs(resid), 0.0, 3.0 * max(sig, 1e-12)))
-    val, sig = midpoint_imag(fit)
-    checks.append(check("Im W at midpoint", abs(val), 0.0,
-                        3.0 * max(sig, 1e-12)))
+    fit = weight_poly_fit(g, n_samples=n, seed=args.seed)
+    checks = [check(what, resid, 0.0, fit.tolerance)
+              for what, resid in relation_residuals(fit)]
     results = {
         "graph": g.to_text(),
         "degree": fit.degree,
         "coefficients": [c_json(c) for c in fit.coeffs],
-        "nodes": [c_json(x) for x in fit.nodes],
-        "node_values": [c_json(r.value) for r in fit.results],
-        "node_stderr": [r.stderr for r in fit.results],
-        "chi2": fit.chi2,
+        "stderr": list(map(float, fit.stderr)),
+        "scale": fit.scale,
         "midpoint_value": c_json(fit(0.5)),
     }
-    params = {"graph": args.graph, "samples": n, "degree": args.degree}
-    return params, args.seed, checks, results
+    return {"graph": args.graph, "samples": n}, args.seed, checks, results
 
 
 def cmd_weight_two_valent(args):
@@ -624,8 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("weight", "fit-lambda", cmd_weight_fit_lambda)
     p.add_argument("--graph", required=True)
     _seed_flags(p, "400000", lam=False)
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--cache", default=None)
 
     p = command("weight", "two-valent", cmd_weight_two_valent)
     p.add_argument("--kind", choices=["out-out", "in-out", "in-in"],

@@ -281,6 +281,30 @@ def poly_matrix(dim: int, rows, sign: int, what: str, trunc=None) -> list:
     return mat
 
 
+def matrix_inverse_jet(mat, order: int, what: str) -> list:
+    """Inverse of a square Poly matrix by Gauss-Jordan elimination over
+    jets cut at ``order``.  A jet is a unit exactly when its constant term
+    is nonzero, so each pivot is one Poly.inverse, with a row swap when
+    needed; raises ValueError("<what> at the base point") when no row has
+    a nonzero constant term in the pivot column."""
+    d = len(mat)
+    a = [row + [Poly.const(d, int(i == j), order) for j in range(d)]
+         for i, row in enumerate(mat)]
+    for col in range(d):
+        piv = next((r for r in range(col, d)
+                    if not a[r][col].constant_term().is_zero()), None)
+        if piv is None:
+            raise ValueError(f"{what} at the base point")
+        a[col], a[piv] = a[piv], a[col]
+        inv = a[col][col].truncate(order).inverse()
+        a[col] = [x * inv for x in a[col]]
+        for r in range(d):
+            f = a[r][col]
+            if r != col and not f.is_zero():
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[d:] for row in a]
+
+
 def accumulate(store: dict, key, poly: Poly) -> None:
     """store[key] += poly on a sparse dict of Poly (or QC) values,
     dropping the entry when the sum vanishes."""

@@ -32,10 +32,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, factorial
 
-import numpy as np
-
 from .exactnum import QC
-from .exactpoly import Poly, neumann, poly_matrix
+from .exactpoly import Poly, matrix_inverse_jet, neumann, poly_matrix
 from .weyl import WeylElement, fixed_point, ihbar_commutator
 
 
@@ -64,11 +62,8 @@ class FedosovInput:
         d = self.dim
         self.omega = poly_matrix(d, self.omega, -1, "omega")
         self.pi = poly_matrix(d, self.pi, -1, "pi")
-        origin = [0] * d
-        mat = [[self.omega[a][b].eval_complex(origin) for b in range(d)]
-               for a in range(d)]
-        if abs(np.linalg.det(np.array(mat))) < 1e-12:
-            raise ValueError("omega is degenerate at the base point")
+        # exact: an invertible constant term, or ValueError
+        matrix_inverse_jet(self.omega, 0, "omega is degenerate")
         if self.gamma is not None:
             self.gamma = [poly_matrix(d, layer, 1, f"Gamma^{k}_ij")
                           for k, layer in enumerate(self.gamma)]
@@ -173,8 +168,7 @@ def curvature_element(inp: FedosovInput) -> WeylElement:
 
 # -- the abelian-connection fixed point ------------------------------
 
-def solve_connection(inp: FedosovInput, max_rounds: int | None = None
-                     ) -> WeylElement:
+def solve_connection(inp: FedosovInput) -> WeylElement:
     """Unique solution of r = delta_inv(center + R + nabla r +
     (i/hbar) r o r) with delta_inv r = 0, by Deg-raising iteration.  r is
     a 1-form, so (i/hbar) r o r = (1/2) (i/hbar)[r, r]."""
@@ -184,9 +178,7 @@ def solve_connection(inp: FedosovInput, max_rounds: int | None = None
         quad = ihbar_commutator(r, r, inp.pi).scale(Fraction(1, 2))
         return (source + r.nabla(inp.gamma) + quad).delta_inv()
 
-    r = fixed_point(step, inp.zero(),
-                    (inp.cap + 2) if max_rounds is None else max_rounds,
-                    "connection iteration")
+    r = fixed_point(step, inp.zero(), inp.cap + 2, "connection iteration")
     if not r.delta_inv().is_zero():
         raise ArithmeticError("normalization delta_inv r = 0 violated")
     return r

@@ -36,39 +36,18 @@ from fractions import Fraction
 from math import factorial
 
 from .exactnum import QC
-from .exactpoly import Poly, accumulate, neumann, poly_matrix, sin_jet
+from .exactpoly import (Poly, accumulate, matrix_inverse_jet, neumann,
+                        poly_matrix, sin_jet)
 from .weyl import WeylElement
 
 
 # ---------------------------------------------------------------------
-# exact matrix inverse of a jet-valued metric
+# metric jets
 # ---------------------------------------------------------------------
 
 def _check_order(order: int) -> None:
     if order < 0:
         raise ValueError(f"invalid order {order}: a jet order must be >= 0")
-
-
-def _matrix_inverse_jet(g, order):
-    """Inverse by Gauss-Jordan elimination over jets cut at ``order``.  A
-    jet is a unit exactly when its constant term is nonzero, so each
-    pivot is one Poly.inverse, with a row swap when needed."""
-    d = len(g)
-    a = [row + [Poly.const(d, int(i == j), order) for j in range(d)]
-         for i, row in enumerate(g)]
-    for col in range(d):
-        piv = next((r for r in range(col, d)
-                    if not a[r][col].constant_term().is_zero()), None)
-        if piv is None:
-            raise ValueError("metric is singular at the base point")
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col].truncate(order).inverse()
-        a[col] = [x * inv for x in a[col]]
-        for r in range(d):
-            f = a[r][col]
-            if r != col and not f.is_zero():
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[d:] for row in a]
 
 
 class MetricJet:
@@ -81,7 +60,7 @@ class MetricJet:
         self.dim = dim
         self.order = order
         self.g = poly_matrix(dim, g, 1, "metric jets", order)
-        self.g_inv = _matrix_inverse_jet(self.g, order)
+        self.g_inv = matrix_inverse_jet(self.g, order, "metric is singular")
         self.gamma = self._christoffel()
 
     def _christoffel(self):

@@ -13,8 +13,7 @@ and integration code uses only the Wirtinger derivatives below, so it is
 branch-free.
 
 Disk versions (unit disk model via w = (z-i)/(z+i)) and the center-subtracted
-disk propagator used for cyclic-linear quantization are included, together
-with the transitive "central" form.
+disk propagator used for cyclic-linear quantization are included.
 
 One rule interpolates every model.  A model supplies only its log-ratio L
 (ln((t-s)/(t-cj s)) on H, ln Q on the disk, ...); the value is
@@ -154,26 +153,6 @@ def dphi_shoikhet(lam, ws, wt):
     a = 1.0 / (ws - wt)
     d = 1 - wsb * wt
     return _wirtinger(lam, a - 1.0 / ws, wt / d, wsb / d - a)
-
-
-def phi_shoikhet_center(lam, wt):
-    """Center-sourced limit: (1/2pi i)[lam ln(wt) - (1-lam) ln(cj wt)].
-
-    On the unit circle wt = exp(i a) this is (1/2pi) * a (the normalized
-    boundary angle), and 0 at wt = 1.
-    """
-    return _phi(lam, np.log(np.asarray(wt, complex)))
-
-
-def phi_central(lam, ws, wt):
-    """Transitive central form (1/2pi i)[lam ln(ws/wt) - (1-lam) ln(cj ws/cj wt)].
-
-    Satisfies f(x,y) + f(y,z) = f(x,z) up to the 2 pi branch lattice of the
-    separate principal logs; the Wirtinger differentials are exactly
-    transitive.
-    """
-    ws, wt = np.asarray(ws, complex), np.asarray(wt, complex)
-    return _phi(lam, np.log(ws / wt))
 
 
 # ---------------------------------------------------------------------

@@ -26,19 +26,31 @@ Sampling: aerial points are drawn uniformly on the unit disk (square root
 trick) and pushed to H by the Mobius map z = i(1+w)/(1-w) with analytic
 density; ground points are standard-Cauchy draws (u -> tan(pi(u - 1/2))),
 sorted, with the 1/m! ordering factor folded into the estimator.
-Both estimators, weight_mc and two_valent_integral, run one block loop
-(``_mc_mean``): one numpy default generator seeded with ``seed`` is read
-CHUNK rows of uniforms at a time, and a per-estimator map turns each block
-into sample values, so memory is O(CHUNK) whatever n_samples is and the
-samples equal those of one big draw.  CHUNK is cache-sized: every
-per-sample array of a block (16,384 complex values, 256 KiB) stays small,
-and no (N, E, E) matrix is ever built.  A weight sample reads the
+Every estimator (weight_mc, two_valent_integral, weight_poly_fit) runs
+one block loop (``_mc_mean``): one numpy default generator seeded with
+``seed`` is read CHUNK rows of uniforms at a time, and a per-estimator map
+turns each block into sample values, so memory is O(CHUNK) whatever
+n_samples is and the samples equal those of one big draw.  CHUNK is
+cache-sized: every per-sample array of a block (16,384 complex values,
+256 KiB) stays small, and no (N, E, E) matrix is ever built.  A weight sample reads the
 2(n-1)+m coordinates above; a two-valent sample reads three uniforms,
 (component, radius, angle) of the mixture proposal.  The singularity guard
 drops a rejected sample: it counts in n_samples and contributes 0.  The
-loop sums f for the mean and the squares about the first sample for the
-spread; a spread within 4 eps |mean| is rounding of a constant integrand
-and gives stderr exactly 0.
+loop sums f for the mean and the products about the first sample for the
+covariance; for a scalar estimate, a spread within 4 eps |mean| is
+rounding of a constant integrand and gives stderr exactly 0.
+
+The lam-polynomial: det M has degree at most E in lam (every entry is
+affine in it), and ``weight_poly_fit`` reads each sample's coefficients
+off one stream.  The relations conj a_n = (-1)^n sum_{l>=n} C(l,n) a_l
+and Im W(1/2) = 0 hold for every sample, since phi_{1 - cj lam} =
+cj phi_lam holds at every point: they re-check that identity through the
+whole integrand path (sample map, guard, Laplace expansion), not a
+property of the integral, so they are gated at roundoff.  The bound is
+RELATION_BOUND = 1e-12 times the mean per-sample Hadamard bound
+w Prod_k ||row k of M|| >= |w det M|, the size that rounding acts on;
+the largest |a_n| is no such scale, since an integrand that cancels to
+roundoff has coefficients as small as its residuals.
 
 The integrand: an edge's one-form has nonzero coefficients only in the
 columns of its free endpoints (two for an aerial vertex other than 1, one
@@ -232,12 +244,16 @@ def integrand_value(g: AdmissibleGraph, lam, z: np.ndarray, r: np.ndarray):
     minor computed once (``_laplace_plan``); exact zeros when no
     row-to-column matching exists.
     """
-    entries = integrand_matrix(g, lam, z, r)
-    plan = _laplace_plan(entries, g.n_edges)
+    return _expand(integrand_matrix(g, lam, z, r), g.n_edges, z.shape[0])
+
+
+def _expand(entries, n_rows: int, size: int):
+    """det M at ``size`` samples from the entries of ``integrand_matrix``."""
+    plan = _laplace_plan(entries, n_rows)
     if not plan:
-        return np.zeros(z.shape[0], complex)
+        return np.zeros(size, complex)
     minors = {}
-    term = np.empty(z.shape[0], complex)
+    term = np.empty(size, complex)
     for mask, terms in plan:
         (sign, row, col, sub), *rest = terms
         if sub == 0:
@@ -278,34 +294,54 @@ def _config_ok(z: np.ndarray, r: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------
 
 def _mc_mean(n_samples: int, seed, dim: int, block):
-    """(mean, stderr of the mean) of ``block`` over n_samples samples.
+    """(mean, cov_re, cov_im) of ``block``'s sample vectors over n_samples
+    samples: the (K,) mean and the (K, K) covariances of the real and of
+    the imaginary parts of one sample.
 
     One generator, seeded once, is read CHUNK rows of ``dim`` uniforms at
-    a time; ``block`` maps each (k, dim) array to the k sample values, a
-    guarded sample being a 0 that still counts.  The mean is Sum f / n.
-    The squares are summed about the first sample f0, so that a spread of
-    a few ulps is not lost to cancelling Sum f^2 / n against mean^2.
+    a time; ``block`` maps each (k, dim) array to the k sample values, as
+    a (k,) array or one (K, k) row per component, a guarded sample being
+    a 0 that still counts.  The mean is Sum f / n.  The products are
+    summed about the first sample f0, so that a spread of a few ulps is
+    not lost to cancelling Sum f f^T / n against the mean's square.  Every
+    sum runs along a row, which numpy adds pairwise.
+    """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    rng = np.random.default_rng(seed)
+    done = 0
+    while done < n_samples:
+        k = min(CHUNK, n_samples - done)
+        f = block(rng.random((k, dim))).reshape(-1, k)
+        if done == 0:
+            f0 = f[:, :1].copy()    # a view would keep the block alive
+            total = np.zeros(len(f), complex)
+            re2, im2 = np.zeros((2, len(f), len(f)))
+        done += k
+        total += f.sum(axis=1)
+        re2 += _products(f.real - f0.real)
+        im2 += _products(f.imag - f0.imag)
+    mean = total / n_samples
+    shift = mean - f0[:, 0]
+    return (mean, re2 / n_samples - np.outer(shift.real, shift.real),
+            im2 / n_samples - np.outer(shift.imag, shift.imag))
+
+
+def _products(d):
+    """Sum over samples of d d^T for (K, k) rows d (freed on return)."""
+    return (d[:, None, :] * d[None, :, :]).sum(axis=2)
+
+
+def _mc_scalar(n_samples: int, seed, dim: int, block):
+    """(mean, stderr of the mean) of a scalar ``block`` through _mc_mean.
+
     Rounding alone spreads a constant integrand by an ulp or two of the
     mean (0.6 to 2 eps |mean| for the fans with one to four ground points,
     over real and complex lam), so a per-sample spread within 4 eps |mean|
     is roundoff, not variance, and the stderr is reported as exactly 0.
     """
-    rng = np.random.default_rng(seed)
-    done = 0
-    total = f0 = 0j
-    re2 = im2 = 0.0
-    while done < n_samples:
-        f = block(rng.random((min(CHUNK, n_samples - done), dim)))
-        if done == 0:
-            f0 = f[0]
-        done += f.size
-        total += f.sum()
-        re2 += ((f.real - f0.real) ** 2).sum()
-        im2 += ((f.imag - f0.imag) ** 2).sum()
-    mean = total / n_samples
-    shift = mean - f0
-    var = (max(re2 / n_samples - shift.real ** 2, 0.0)
-           + max(im2 / n_samples - shift.imag ** 2, 0.0))
+    (mean,), cov_re, cov_im = _mc_mean(n_samples, seed, dim, block)
+    var = max(cov_re.item(), 0.0) + max(cov_im.item(), 0.0)
     if var <= (4 * np.finfo(float).eps * abs(mean)) ** 2:
         return mean, 0.0
     return mean, math.sqrt(var / n_samples)
@@ -334,7 +370,7 @@ def weight_mc(g: AdmissibleGraph, lam=0.5, n_samples: int = 200_000,
         ok = _config_ok(z, r)
         return np.where(ok, integrand_value(g, lam, z, r) * w_imp, 0)
 
-    mean, stderr = _mc_mean(n_samples, seed, g.dim_config(), block)
+    mean, stderr = _mc_scalar(n_samples, seed, g.dim_config(), block)
     return MCResult(factor * mean, abs(factor) * stderr, n_samples, seed, lam,
                     convention, key)
 
@@ -437,7 +473,7 @@ def two_valent_integral(kind: str, w1: complex, w2: complex, lam=0.5,
         f[use] = (a[0] * b[1] - a[1] * b[0]) / q[use]
         return f
 
-    mean, stderr = _mc_mean(n_samples, seed, 3, block)
+    mean, stderr = _mc_scalar(n_samples, seed, 3, block)
     return MCResult(complex(mean), stderr, n_samples, seed, lam,
                     "disk-oriented", f"two-valent:{kind}:{propagator}")
 
@@ -446,109 +482,103 @@ def two_valent_integral(kind: str, w1: complex, w2: complex, lam=0.5,
 # polynomial dependence on the interpolation parameter
 # ---------------------------------------------------------------------
 
+# the lambda relations are gated at RELATION_BOUND times the fit's scale
+RELATION_BOUND = 1e-12
+
+
 @dataclass
 class LambdaPolyFit:
-    """Weighted least-squares fit W(lam) = sum_i coeffs[i] lam^i.
+    """W(lam) = sum_n coeffs[n] lam^n, estimated from one sample stream.
 
-    cov is the parameter covariance (shared by the real and imaginary
-    coefficient vectors, since both carry the same per-node stderr).
+    cov_re and cov_im are the covariances of the real and imaginary parts
+    of the coefficients; scale is the mean Hadamard bound (its largest
+    value over the nodes at each sample; module docstring).
     """
     coeffs: np.ndarray            # complex, ascending powers
-    cov: np.ndarray               # (d+1, d+1) real
-    nodes: np.ndarray
-    results: list
-    chi2: float
+    cov_re: np.ndarray            # (d+1, d+1)
+    cov_im: np.ndarray
+    scale: float
+    n_samples: int
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    @property
+    def stderr(self) -> np.ndarray:
+        """Per coefficient; 0 where one sample's spread is within the
+        roundoff bound, as for a coefficient that is 0 in every sample."""
+        var = (np.maximum(np.diag(self.cov_re), 0)
+               + np.maximum(np.diag(self.cov_im), 0))
+        return np.where(var * self.n_samples <= self.tolerance ** 2, 0.0,
+                        np.sqrt(var))
+
+    @property
+    def tolerance(self) -> float:
+        return RELATION_BOUND * self.scale
+
     def __call__(self, lam) -> complex:
         return complex(np.polyval(self.coeffs[::-1], complex(lam)))
 
-    def functional(self, c_re: np.ndarray, c_im: np.ndarray):
-        """Value and stderr of sum_i (c_re[i] Re a_i + i c_im[i] Im a_i)."""
-        val = complex(c_re @ self.coeffs.real, c_im @ self.coeffs.imag)
-        var = float(c_re @ self.cov @ c_re + c_im @ self.cov @ c_im)
-        return val, math.sqrt(max(var, 0.0))
 
+def weight_poly_fit(g: AdmissibleGraph, n_samples: int = 1_000_000,
+                    seed: int = 0) -> LambdaPolyFit:
+    """The raw weight of g as a polynomial in lam, from one sample stream.
 
-def weight_poly_fit(g: AdmissibleGraph, degree: int | None = None,
-                    n_samples: int = 1_000_000, seed: int = 0,
-                    cache=None) -> LambdaPolyFit:
-    """Fit the lambda-dependence of a raw weight from independent MC runs.
-
-    The weight is a polynomial in lam of degree at most the number of
-    edges; degree+2 Chebyshev nodes on (0,1) are used, each with its own
-    seed, and the fit is inverse-variance weighted.  Node estimates go
-    through ``cache`` by canonical class (``get_graph``/``put_graph``)
-    while sampling stays on ``g``.  Raises ValueError for a negative
-    degree and when a node's estimate has stderr 0, whose weight would be
-    unbounded.
+    det M has degree at most E = g.n_edges in lam, since every entry is
+    affine in it.  Each sample is evaluated at the K = E + 1 nodes
+    lam_k = 1/2 + e^{2 pi i k/K}/2, where the values fix that sample's
+    polynomial in mu = 2 lam - 1 by one discrete Fourier transform (the
+    nodes lie on a circle, so this is perfectly conditioned), and the
+    coefficients move to powers of lam by the binomial theorem.  All
+    nodes share the samples and the singularity guard.  A graph that
+    ``exact_zero_reason`` screens out gets the zero polynomial.
     """
-    if degree is None:
-        degree = g.n_edges
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    k_nodes = degree + 2
-    nodes = np.sort(0.5 + 0.5 * np.cos(
-        np.pi * (2 * np.arange(k_nodes) + 1) / (2 * k_nodes)))
-    results = []
-    for idx, lam in enumerate(nodes):
-        res = None
-        if cache is not None:
-            res = cache.get_graph(g, lam)
-        if res is None:
-            res = weight_mc(g, lam=float(lam), n_samples=n_samples,
-                            seed=seed + 101 * idx)
-            if cache is not None and not res.exact:
-                cache.put_graph(g, res)
-        results.append(res)
+    k = g.n_edges + 1
+    nodes = 0.5 + 0.5 * np.exp(2j * np.pi * np.arange(k) / k)
+    # (2 lam - 1)^j = sum_i C(j, i) 2^i (-1)^(j-i) lam^i
+    to_lam = np.array([[math.comb(j, i) * 2.0 ** i * (-1) ** (j - i)
+                        for j in range(k)] for i in range(k)])
+    if exact_zero_reason(g) is not None:
+        zero = np.zeros((k, k))
+        return LambdaPolyFit(np.zeros(k, complex), zero, zero, 0.0, n_samples)
+    scale = 0.0
 
-    a_mat = np.vander(nodes, degree + 1, increasing=True)
-    sig = np.array([r.stderr for r in results])
-    if not np.all(sig > 0):
-        i = int(np.argmin(sig > 0))
-        raise ValueError(f"stderr {sig[i]} at lambda={nodes[i]}: the fit "
-                         "needs a positive stderr at every node")
-    wts = 1.0 / sig
-    aw = a_mat * wts[:, None]
-    vals = np.array([r.value for r in results])
-    gram = aw.T @ aw
-    cov = np.linalg.inv(gram)
-    coeff_re = cov @ aw.T @ (vals.real * wts)
-    coeff_im = cov @ aw.T @ (vals.imag * wts)
-    coeffs = coeff_re + 1j * coeff_im
-    resid = (a_mat @ coeffs - vals) * wts
-    chi2 = float(np.sum(resid.real ** 2 + resid.imag ** 2))
-    return LambdaPolyFit(coeffs, cov, nodes, results, chi2)
+    def block(u):
+        nonlocal scale
+        z, r, w_imp = _map_samples(u, g.n, g.m)
+        ok = _config_ok(z, r)
+        vals = np.empty((k, len(u)), complex)
+        bound = np.zeros(len(u))
+        for i, lam in enumerate(nodes):
+            entries = integrand_matrix(g, lam, z, r)
+            vals[i] = _expand(entries, g.n_edges, len(u))
+            rows = np.zeros((g.n_edges, len(u)))
+            for (row, _), x in entries.items():
+                rows[row] += x.real ** 2 + x.imag ** 2
+            np.maximum(bound, np.sqrt(rows).prod(axis=0), out=bound)
+        scale += np.where(ok, w_imp * bound, 0).sum()
+        return np.where(ok, np.fft.fft(vals, axis=0) * (w_imp / k), 0)
+
+    mean, cov_re, cov_im = _mc_mean(n_samples, seed, g.dim_config(), block)
+    return LambdaPolyFit(to_lam @ mean,
+                         to_lam @ cov_re @ to_lam.T / n_samples,
+                         to_lam @ cov_im @ to_lam.T / n_samples,
+                         scale / n_samples, n_samples)
 
 
-def funimp_residuals(fit: LambdaPolyFit):
-    """Residuals of conj(a_n) = (-1)^n sum_{l>=n} C(l,n) a_l, one per n.
-
-    Returns [(n, residual, stderr)].  With c picking a_n and lin the
-    right-hand sum, the real part of the residual is (c - lin) . Re a and
-    the imaginary part (-c - lin) . Im a; ``fit.functional`` propagates
-    both through the shared parameter covariance.
-    """
-    d = fit.degree
+def relation_residuals(fit: LambdaPolyFit):
+    """[(name, |residual|)] of the reflection relations
+    conj(a_n) = (-1)^n sum_{l>=n} C(l,n) a_l, one per n, and of
+    Im W(1/2) = 0: roundoff, to compare with fit.tolerance."""
+    a = fit.coeffs
     out = []
-    for n in range(d + 1):
-        c = np.zeros(d + 1)
-        c[n] = 1.0
-        lin = np.zeros(d + 1)
-        for l in range(n, d + 1):
-            lin[l] = (-1) ** n * math.comb(l, n)
-        out.append((n, *fit.functional(c - lin, -c - lin)))
+    for n in range(fit.degree + 1):
+        rhs = (-1) ** n * sum(math.comb(l, n) * a[l]
+                              for l in range(n, fit.degree + 1))
+        out.append((f"reflection order {n}", abs(np.conj(a[n]) - rhs)))
+    out.append(("Im W(1/2)", abs(fit(0.5).imag)))
     return out
-
-
-def midpoint_imag(fit: LambdaPolyFit):
-    """(Im W(1/2), stderr): the midpoint weight should be real."""
-    c = 0.5 ** np.arange(fit.degree + 1)
-    val, sig = fit.functional(np.zeros_like(c), c)
-    return val.imag, sig
 
 
 # ---------------------------------------------------------------------

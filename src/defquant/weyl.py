@@ -182,11 +182,6 @@ class WeylElement:
                            {k: p for k, p in self.terms.items()
                             if len(k[1]) == q})
 
-    def max_deg(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(k[0]) + 2 * k[2] for k in self.terms)
-
     # -- linear structure ---------------------------------------------
 
     def __add__(self, other):

@@ -3,9 +3,10 @@ shares with ``defquant star assoc``."""
 
 import json
 
+import numpy as np
 import pytest
 
-from defquant import acceptance, cli, star
+from defquant import acceptance, cli, propagators, star
 from defquant.weight_mc import WeightSource
 
 
@@ -27,6 +28,23 @@ def test_fast_criterion_passes(criterion):
         assert js["pass"] is True
     assert res.to_jsonable()["checks"] == [c.to_jsonable()
                                            for c in res.checks]
+
+
+def test_criterion_8_fails_a_propagator_that_breaks_conjugation(monkeypatch):
+    """Scaling c_mu = (1 - lam) / 2 pi i by 1.05 breaks phi_{1-cj lam} =
+    cj phi_lam; the roundoff gate sees it on both graphs."""
+    def scaled(lam, l_s, l_sb, l_t):
+        c_lam = lam / propagators.TWO_PI_I
+        c_mu = 1.05 * (1 - lam) / propagators.TWO_PI_I
+        return (c_lam * l_s - c_mu * np.conj(l_sb),
+                c_lam * l_sb - c_mu * np.conj(l_s),
+                c_lam * l_t,
+                -c_mu * np.conj(l_t))
+
+    monkeypatch.setattr(propagators, "_wirtinger", scaled)
+    res = acceptance.criterion_8(quick=True)
+    failed = {c.name.split()[0] for c in res.checks if not c.passed}
+    assert failed == {"two-cycle", "mixed"}
 
 
 def test_check_defaults_to_the_tolerance_test():

@@ -145,9 +145,6 @@ TWO_VALENT = ("weight", "two-valent", "--kind", "out-out")
      "2"),
     ("weight", "mc", "--graph", "graph2", "--samples", "inf"),
     ("star", "assemble", "--samples", "1"),
-    ("weight", "fit-lambda", "--graph", "fan:1", "--samples", "2000"),
-    ("weight", "fit-lambda", "--graph", "fan:3", "--samples", "2000"),
-    ("weight", "fit-lambda", "--graph", "graph2", "--degree", "-1"),
     ("geodesic", "oracle", "--order", "2", "--t", "nan"),
     ("geodesic", "oracle", "--order", "2", "--t", "inf"),
     ("star", "assoc", "--deg-max", "1"),
@@ -389,10 +386,20 @@ def test_fit_lambda_passes(capsys):
     assert rep["pass"] is True
     res = rep["results"]
     assert [c["name"] for c in rep["checks"]] == [
-        f"reflection relation order {k}" for k in range(res["degree"] + 1)
-    ] + ["Im W at midpoint"]
-    assert len(res["nodes"]) == res["degree"] + 2
-    assert len(res["coefficients"]) == res["degree"] + 1
+        f"reflection order {k}" for k in range(res["degree"] + 1)
+    ] + ["Im W(1/2)"]
+    assert len(res["coefficients"]) == len(res["stderr"]) == 5
+    assert {c["tolerance"] for c in rep["checks"]} == {1e-12 * res["scale"]}
+
+
+def test_fit_lambda_of_a_constant_integrand_passes(capsys):
+    """fan:3's integrand is 1/6 at every sample and every lambda."""
+    code, rep = report(capsys, "weight", "fit-lambda", "--graph", "fan:3",
+                       "--samples", "2000")
+    assert code == 0
+    res = rep["results"]
+    assert res["coefficients"][0] == pytest.approx([1 / 6, 0], abs=1e-15)
+    assert res["stderr"] == [0.0] * 4
 
 
 def test_two_valent_out_out_matches_the_closed_form(capsys):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from defquant.exactnum import QC
-from defquant.exactpoly import Poly, sin_jet, cos_jet
+from defquant.exactpoly import Poly, matrix_inverse_jet, sin_jet, cos_jet
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 qcs = st.builds(QC, rationals, rationals)
@@ -348,3 +348,19 @@ def test_poly_mismatch_raises_under_python_O(case):
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           timeout=60).returncode == 0
+
+
+def test_matrix_inverse_jet_pivots_and_names_the_input():
+    """Gauss-Jordan over jets: a zero constant term in the first pivot
+    column takes a row swap; the product with the input is the identity
+    up to the order, and a matrix with no unit pivot is named."""
+    x, y = Poly.var(2, 0), Poly.var(2, 1)
+    one = Poly.const(2, 1)
+    mat = [[x, one + y], [one * 2 + x * y, x]]
+    inv = matrix_inverse_jet(mat, 3, "m is singular")
+    for i in range(2):
+        for j in range(2):
+            prod = mat[i][0] * inv[0][j] + mat[i][1] * inv[1][j]
+            assert (prod - Poly.const(2, int(i == j), 3)).is_zero()
+    with pytest.raises(ValueError, match="^m is singular at the base point$"):
+        matrix_inverse_jet([[x, y], [y, one + x]], 3, "m is singular")

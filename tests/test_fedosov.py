@@ -19,7 +19,8 @@ from defquant.fedosov import (FedosovInput, flat_input, curvature_tensor,
                               flat_star_vs_moyal, moyal_star_jets,
                               deformed_poincare_defect, curved_input,
                               fedosov_homotopy)
-from defquant.weyl import WeylElement, ihbar_commutator, random_element
+from defquant.weyl import (WeylElement, fixed_point, ihbar_commutator,
+                          random_element)
 
 X1 = Poly(2, {(1, 0): QC(1)})
 X2 = Poly(2, {(0, 1): QC(1)})
@@ -69,6 +70,19 @@ def test_input_rejects_symmetric_pi():
 def test_input_rejects_degenerate_omega():
     with pytest.raises(ValueError, match="degenerate"):
         FedosovInput(2, 4, [[ZERO, X1], [-X1, ZERO]], [[0, 1], [-1, 0]])
+
+
+def test_input_decides_degeneracy_exactly():
+    """omega's constant term is inverted over the rationals: entries of
+    1e-7 (determinant 1e-14, below a float cut at 1e-12) are accepted,
+    and a rank-2 form in dimension 4 is still rejected."""
+    tiny = Fraction(1e-7)
+    inp = FedosovInput(2, 4, [[0, tiny], [-tiny, 0]], [[0, 1], [-1, 0]])
+    assert inp.omega[0][1] == Poly.const(2, tiny)
+    rank2 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    with pytest.raises(ValueError,
+                       match="^omega is degenerate at the base point$"):
+        FedosovInput(4, 4, rank2, rank2)
 
 
 def test_input_rejects_asymmetric_christoffels():
@@ -194,8 +208,24 @@ def test_connection_is_normalized():
 
 
 def test_connection_iteration_guard_fires():
-    with pytest.raises(ArithmeticError, match="stabilize"):
-        solve_connection(sympl_curved(5), max_rounds=1)
+    """weyl.fixed_point raises once ``rounds`` + 1 steps pass without a
+    repeat: the curved connection map repeats on its third step, so one
+    round is too few and two give solve_connection's answer."""
+    inp = sympl_curved(5)
+    source = inp.center + curvature_element(inp)
+    calls = []
+
+    def step(r):
+        calls.append(r)
+        quad = ihbar_commutator(r, r, inp.pi).scale(Fraction(1, 2))
+        return (source + r.nabla(inp.gamma) + quad).delta_inv()
+
+    with pytest.raises(ArithmeticError,
+                       match="^connection iteration did not stabilize$"):
+        fixed_point(step, inp.zero(), 1, "connection iteration")
+    assert len(calls) == 2
+    assert fixed_point(step, inp.zero(), 2, "connection iteration") \
+        == solve_connection(inp)
 
 
 # ---------------------------------------------------------------------

@@ -189,29 +189,3 @@ def test_shoikhet_is_center_subtracted():
     assert min(abs(lattice.real % (2 * np.pi)),
                2 * np.pi - abs(lattice.real % (2 * np.pi))) < 1e-9 \
         or abs(gap) < 1e-9
-
-
-def test_center_value_is_boundary_angle():
-    """On the unit circle the log is purely imaginary, the two halves add,
-    and the value is the normalized angle independent of lam."""
-    for a in (0.3, 1.2, -2.0):
-        wt = np.exp(1j * a)
-        for lam in (0.0, 0.7, 0.3 + 0.2j):
-            val = complex(prop.phi_shoikhet_center(lam, wt))
-            assert val.real == pytest.approx(a / (2 * np.pi), abs=1e-12)
-            assert val.imag == pytest.approx(0.0, abs=1e-12)
-    assert abs(prop.phi_shoikhet_center(0.4, 1.0 + 0j)) < 1e-12
-
-
-@given(lams, disk_points(), disk_points(), disk_points())
-def test_central_form_transitive_differentials(lam, a, b, c):
-    """d[f(a,b) + f(b,c)] in b vanishes identically for the central form."""
-    if min(abs(a), abs(b), abs(c)) < 0.1:
-        return
-    # no dedicated differential helper: check transitivity of values
-    # against the branch lattice instead
-    total = (prop.phi_central(lam, a, b) + prop.phi_central(lam, b, c)
-             - prop.phi_central(lam, a, c))
-    g = complex(total) * 2j * np.pi
-    r = abs(g.real) % (2 * np.pi)
-    assert min(r, 2 * np.pi - r) < 1e-9 or abs(g) < 1e-9

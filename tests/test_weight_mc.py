@@ -15,7 +15,7 @@ from defquant.graphs import (AdmissibleGraph, Edge, fan_graph, cycle_graph,
 from defquant.weight_mc import (WeightSource, weight_mc,
                                 exact_zero_reason, two_valent_integral,
                                 two_valent_out_out_exact, weight_poly_fit,
-                                funimp_residuals, midpoint_imag)
+                                relation_residuals)
 
 # the package exports the function ``weight_mc`` under the module's name
 wmc = importlib.import_module("defquant.weight_mc")
@@ -173,6 +173,15 @@ def test_guard_drops_rejected_samples(monkeypatch):
     u = np.random.default_rng(17).random((3500, g.dim_config()))
     assert (res.value, res.stderr) == _sliced_reference(g, 0.3, u, 1000,
                                                         rejected)
+
+
+def test_no_samples_is_a_value_error():
+    for estimate in (lambda: weight_mc(graph2(), n_samples=0),
+                     lambda: two_valent_integral("out-out", 0.1, 0.2,
+                                                 n_samples=0),
+                     lambda: weight_poly_fit(graph2(), n_samples=0)):
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            estimate()
 
 
 def test_unseeded_estimate_runs():
@@ -447,68 +456,63 @@ def test_two_valent_rejects_unknown_kind():
 # -- polynomial fit over the interpolation parameter ------------------
 
 def test_weight_poly_fit_structure():
-    fit = weight_poly_fit(graph2(), n_samples=40_000, seed=12)
-    assert fit.degree == graph2().n_edges
-    assert len(fit.nodes) == fit.degree + 2
-    assert len(fit.results) == len(fit.nodes)
-    # fitted polynomial should pass near the node estimates
-    for lam, res in zip(fit.nodes, fit.results):
-        assert abs(fit(lam) - res.value) <= 4 * max(res.stderr, 1e-4)
+    """One stream, E + 1 coefficients: the polynomial at any lam is
+    weight_mc's estimate there on the same samples, up to roundoff."""
+    for g in (graph2(), graph1_left()):
+        fit = weight_poly_fit(g, n_samples=40_000, seed=12)
+        assert fit.degree == g.n_edges
+        assert fit.coeffs.shape == (g.n_edges + 1,)
+        assert fit.cov_re.shape == fit.cov_im.shape == (g.n_edges + 1,) * 2
+        assert fit.n_samples == 40_000 and fit.scale > 0
+        for lam in (0.0, 0.3, 0.5, 1.0, 0.3 + 0.2j, 0.8 - 0.4j):
+            res = weight_mc(g, lam=lam, n_samples=40_000, seed=12)
+            assert abs(fit(lam) - res.value) <= fit.tolerance, (g, lam)
 
 
 def test_weight_poly_fit_reflection_and_reality():
     fit = weight_poly_fit(graph2(), n_samples=60_000, seed=13)
-    for order, resid, sigma in funimp_residuals(fit):
-        assert abs(resid) <= 3.0 * max(sigma, 1e-12), f"order {order}"
-    half = np.array([0.5 ** k for k in range(fit.degree + 1)])
-    val, sigma = fit.functional(np.zeros_like(half), half)
-    assert abs(val.imag) <= 3.0 * max(sigma, 1e-12)
-    mid, mid_sigma = fit.functional(half, half)
-    assert abs(mid.real - 1.0 / 24.0) <= max(4.0 * mid_sigma, 1e-2)
+    assert fit.tolerance == wmc.RELATION_BOUND * fit.scale
+    checks = relation_residuals(fit)
+    assert [name for name, _ in checks] == [
+        f"reflection order {n}" for n in range(5)] + ["Im W(1/2)"]
+    for name, resid in checks:
+        assert resid <= fit.tolerance, name
+    assert abs(fit(0.5).real - 1.0 / 24.0) <= 1e-2
 
 
 def test_fit_functionals_propagate_the_shared_covariance():
-    """funimp_residuals and midpoint_imag go through fit.functional and
-    equal the explicit propagation with Re and Im signs written out."""
-    for g, seed in ((graph2(), 3), (graph1_left(), 11)):
+    """For real lam, W(lam) = sum a_n lam^n draws its variance from the
+    Re and Im coefficient covariances; it equals the variance of
+    weight_mc's estimate on the same samples.  (The real parts of graph2
+    and graph1_left do not depend on a real lam; the (3,2) class's do.)"""
+    k32 = AdmissibleGraph.from_text(
+        "K(3,2)[1>2#1, 1>3#2, 2>3#1, 2>b1#2, 3>2#1, 3>b2#2]")
+    for g, seed in ((graph2(), 3), (graph1_left(), 11), (k32, 3)):
         fit = weight_poly_fit(g, n_samples=4000, seed=seed)
-        d = fit.degree
-        re, im, cov = fit.coeffs.real, fit.coeffs.imag, fit.cov
-        for n, resid, sig in funimp_residuals(fit):
-            c = np.eye(d + 1)[n]
-            lin = np.array([(-1) ** n * math.comb(l, n) if l >= n else 0
-                            for l in range(d + 1)], float)
-            want = complex((c - lin) @ re, (-c - lin) @ im)
-            var = (c - lin) @ cov @ (c - lin) + (c + lin) @ cov @ (c + lin)
-            assert (resid, sig) == (want, math.sqrt(max(var, 0.0)))
-        half = 0.5 ** np.arange(d + 1)
-        assert midpoint_imag(fit) == (
-            float(half @ im), math.sqrt(max(float(half @ cov @ half), 0.0)))
+        for lam in (0.0, 0.3, 0.5, 1.0):
+            v = lam ** np.arange(fit.degree + 1)
+            sig = math.sqrt(v @ fit.cov_re @ v + v @ fit.cov_im @ v)
+            res = weight_mc(g, lam=lam, n_samples=4000, seed=seed)
+            assert sig == pytest.approx(res.stderr, rel=1e-9), (g, lam)
+        assert fit.stderr[0] == pytest.approx(
+            weight_mc(g, lam=0.0, n_samples=4000, seed=seed).stderr,
+            rel=1e-9)
 
 
-def test_weight_poly_fit_rejects_a_negative_degree():
-    with pytest.raises(ValueError, match="degree"):
-        weight_poly_fit(graph2(), degree=-1, n_samples=100)
+def test_fit_of_a_constant_integrand_has_stderr_0():
+    """fan:3's integrand is 1/6 at every sample and every lam: a_0 = 1/6,
+    the rest vanish to roundoff, and no coefficient has sampling error."""
+    fit = weight_poly_fit(fan_graph(3), n_samples=5000, seed=2)
+    assert abs(fit.coeffs[0] - 1 / 6) <= 1e-15
+    assert np.all(np.abs(fit.coeffs[1:]) <= fit.tolerance)
+    assert list(fit.stderr) == [0.0] * 4
+    assert all(r <= fit.tolerance for _, r in relation_residuals(fit))
 
 
-def test_weight_poly_fit_caches_under_the_canonical_key(tmp_path):
-    cache = WeightCache(tmp_path / "w.jsonl")
-    gc, par, _ = graph2().canonical_form()
-    assert par == -1
-    fit = weight_poly_fit(graph2(), n_samples=4000, seed=7, cache=cache)
-    assert len(cache) == len(fit.nodes)
-    for lam, res in zip(fit.nodes, fit.results):
-        got = cache.get(gc.to_text(), lam)
-        assert abs(got.value + res.value) <= 1e-12 * abs(res.value)
-    # the tiered source finds the records too, with the labeled sign
-    hit = WeightSource(cache=cache).weight(graph2(), lam=fit.nodes[0])
-    assert hit.meta["source"] == "cache"
-    assert abs(hit.value - fit.results[0].value) \
-        <= 1e-12 * abs(fit.results[0].value)
-    again = weight_poly_fit(graph2(), n_samples=4000, seed=8, cache=cache)
-    assert len(cache) == len(fit.nodes)
-    for a, b in zip(again.results, fit.results):
-        assert abs(a.value - b.value) <= 1e-12 * abs(b.value)
+def test_screened_graph_fits_the_zero_polynomial():
+    fit = weight_poly_fit(cycle_graph(2), n_samples=1000)
+    assert not np.any(fit.coeffs) and fit.scale == 0.0
+    assert all(r == 0.0 for _, r in relation_residuals(fit))
 
 
 def test_weight_source_canonicalizes_once(monkeypatch):
