@@ -13,7 +13,8 @@ Layers, bottom up:
   > cache > sampling).  The polynomials' reflection relations are gated
   at roundoff: they re-check the propagators' conjugation identity
   phi_{1-cj lam} = cj phi_lam through the integrand, not the integral.
-- series: closed-form wheel/zeta recipes, shadow sums, harmonic identities.
+- series: wheel zeta values, n-wheel shadow sums and the displayed 2-wheel
+  combination, each with a rigorous bound; exact harmonic identities.
 - star: graph operators on polynomial data and the order-2 star product
   with error propagation into associativity residuals.
 - weyl / fedosov: truncated formal Weyl algebra, the curved connection
@@ -32,11 +33,11 @@ from .weight_mc import (MCResult, WeightSource, weight_mc,
                         weight_poly_fit, relation_residuals)
 from .cache import WeightCache
 from .series import (merkulov_wheel_zeta, shadow_sum, two_wheel_display,
-                     harmonic_identity, merkulov_vanishing_check)
+                     harmonic_identity)
 from .star import (PolyVectorField, PolyDiffOperator, StarProductSeries,
                    graph_operator, hkr_operator, star_order2,
                    associativity_residual, associativity_sigma,
-                   so3_bivector, u2_vector_fields)
+                   so3_bivector)
 from .weyl import WeylElement
 from .fedosov import (FedosovInput, flat_input, curvature_tensor,
                       curvature_element, solve_connection, catalan_expansion,

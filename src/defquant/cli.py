@@ -22,8 +22,10 @@ a non-finite ``--lambda``, ``--target``, ``--w1``, ``--w2``, ``--x``,
 ``--v`` or ``--t``; a non-finite or negative ``--tol``; a named graph of
 size below 1 (``fan:0``, ``wheel:0``, ``cycle:0``); ``--workers`` below
 1; ``--samples`` below 2 per worker (a chunk that small reports stderr
-0); a negative ``--cap``; ``--steps`` below 1; and a ``--dim`` other
-than 3 for the so3 structure.
+0); a negative ``--cap``; ``--steps`` below 1; a ``--dim`` other than
+3 for the so3 structure; ``--from-cache`` with ``--write-cache`` (that
+would store the pooled cached estimate again as a new independent
+record); and a ``--cache`` path that cannot be opened.
 
 The Monte Carlo subcommands accept ``--workers`` and split the sample
 budget over a process pool with per-chunk seeds: each worker runs the
@@ -242,6 +244,9 @@ def cmd_weight_mc(args):
     lam = parse_complex(args.lam, "lambda")
     n = parse_samples(args.samples, args.workers)
     tol = check_tolerance(args.tol)
+    if args.from_cache and args.write_cache:
+        raise UsageError("--from-cache with --write-cache would store the "
+                         "cached estimate again as a new record")
     reason = exact_zero_reason(g)
     cache = WeightCache(args.cache) if (args.write_cache
                                         or args.from_cache) else None
@@ -698,7 +703,7 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         return emit(args, args.fn(args), t0)
-    except (UsageError, ValueError, FileNotFoundError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

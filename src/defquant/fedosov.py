@@ -252,11 +252,9 @@ def _raise_by_d(inp: FedosovInput, connection: WeylElement):
 
 
 def fedosov_taylor(inp: FedosovInput, f: Poly,
-                   connection: WeylElement | None = None) -> WeylElement:
+                   connection: WeylElement) -> WeylElement:
     """tau(f): the solution of tau = f + delta_inv(nabla tau +
     (i/hbar)[r, tau]), summed as a Neumann series from f."""
-    if connection is None:
-        connection = solve_connection(inp)
     return neumann(_raise_by_d(inp, connection), inp.embed(f), inp.cap + 2,
                    "Taylor expansion")
 

@@ -1,14 +1,16 @@
-"""Series recipes for disk-model graph integrals.
+"""Disk-model series for the Merkulov wheels, each with a rigorous bound.
 
-The evaluation recipe used throughout: switch to polar coordinates, split
-the domain at the radius of any fixed point so every rational factor
-expands as a geometric series, integrate out angles (which couples the
-series indices), and finish with closed-form radial integrals.  The three
-primitives are geometric_series_split, oscillatory_delta and
-radial_log_integral; everything else here is assembled from them.
+The module holds the wheel zeta values (merkulov_wheel_zeta), the shadow
+sums of the n-wheels (shadow_sum), the displayed four-series combination
+for the 2-wheel shadow (two_wheel_display) and the exact harmonic
+identities (harmonic_identity).  The series come from polar coordinates,
+a split of the domain at the radius of each fixed point so every rational
+factor expands geometrically, and angular integrals that couple the
+series indices.
 
-All truncated evaluations return a value together with a rigorous tail
-bound; constancy statements are tested against the sum of the bounds.
+Every truncated evaluation returns a ValueBound: a value together with a
+rigorous tail bound, so a constancy statement is tested against the sum
+of the bounds.
 """
 
 from __future__ import annotations
@@ -18,67 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-
-
-# ---------------------------------------------------------------------
-# the three primitives
-# ---------------------------------------------------------------------
-
-def geometric_series_split(x: complex, terms: int):
-    """Partial geometric expansion of 1/(1-x) on the |x|<1 / |x|>1 split.
-
-    Returns (partial_sum, tail_bound).  For |x|<1 the expansion is
-    sum_{l>=0} x^l; for |x|>1 it is -sum_{l>=0} x^{-l-1}.
-    """
-    ax = abs(x)
-    if ax == 1:
-        raise ValueError("split undefined on |x| = 1")
-    if ax < 1:
-        partial = sum(x ** l for l in range(terms))
-        bound = ax ** terms / (1 - ax)
-    else:
-        partial = -sum(x ** (-l - 1) for l in range(terms))
-        bound = ax ** (-terms) / (ax - 1)
-    return partial, bound
-
-
-def oscillatory_delta(k: int) -> float:
-    """Angular integral of e^{i k phi} over a full period: 2 pi delta_{k,0}."""
-    return 2 * math.pi if k == 0 else 0.0
-
-
-def radial_log_integral(n: int, m: int, a: float, b: float) -> float:
-    """Oriented integral of r^n ln^m(r) over [a, b].
-
-    The antiderivative for n != -1 is
-    sum_j (-1)^j j!/(n+1)^{j+1} C(m,j) r^{n+1} ln^{m-j} r, and for n = -1
-    it is ln^{m+1}(r)/(m+1).  (A printed form of this rule elsewhere
-    carries the opposite, b-to-a orientation, and its n = -1 branch is
-    only valid for m = 0; here the genuine a-to-b orientation is used for
-    every (n, m).)
-    """
-    if m < 0:
-        raise ValueError("m must be a nonnegative integer")
-    for endpoint in (a, b):
-        if endpoint < 0:
-            raise ValueError("endpoints must be nonnegative")
-        if endpoint == 0 and (n <= -1 or m > 0):
-            raise ValueError("endpoint 0 needs n >= 0 and m = 0")
-    if a == b:
-        return 0.0
-
-    def anti(r: float) -> float:
-        if r == 0.0:
-            return 0.0
-        if n == -1:
-            return math.log(r) ** (m + 1) / (m + 1)
-        acc = 0.0
-        for j in range(m + 1):
-            acc += ((-1) ** j * math.factorial(j) / (n + 1) ** (j + 1)
-                    * math.comb(m, j) * r ** (n + 1) * math.log(r) ** (m - j))
-        return acc
-
-    return anti(b) - anti(a)
 
 
 # ---------------------------------------------------------------------
@@ -92,12 +33,6 @@ class ValueBound:
 
     def __float__(self) -> float:
         return self.value
-
-    def consistent_with(self, other: "ValueBound | float",
-                        extra: float = 0.0) -> bool:
-        if isinstance(other, ValueBound):
-            return abs(self.value - other.value) <= self.bound + other.bound + extra
-        return abs(self.value - float(other)) <= self.bound + extra
 
 
 # ---------------------------------------------------------------------
@@ -328,43 +263,3 @@ def harmonic_identity(m: int):
     rhs_harm = sum((Fraction(1, l) for l in range(1, m + 1)),
                    Fraction(0)) / m
     return lhs, rhs_merk, rhs_harm
-
-
-# ---------------------------------------------------------------------
-# disk vanishing lemma
-# ---------------------------------------------------------------------
-
-def merkulov_vanishing_halves(f_coeffs, p: complex):
-    """The two halves of the disk integral of f(conj(w)) against the
-    projective pair of kernels, via the series recipe.
-
-    For a monomial conj(w)^k the first kernel 1/(w-p) contributes only
-    from the region |w| < |p| (the outer expansion couples to negative
-    frequencies and dies), giving -2 pi i conj(p)^{k+1}/(k+1); the second
-    kernel conj(p)/(1 - w conj(p)) gives the same with opposite sign.
-    Measure convention: d(conj(w)) ^ dw = 2i dx dy.
-    """
-    p = complex(p)
-    if abs(p) >= 1:
-        raise ValueError("p must lie in the open unit disk")
-    first = 0j
-    second = 0j
-    for k, a_k in enumerate(f_coeffs):
-        if a_k == 0:
-            continue
-        # kernel 1: only the inner region |w| < |p| survives the angular
-        # integral; its radial factor |p|^{2k+2} int_0^1 u^{2k+1} du over
-        # p^{k+1} simplifies to conj(p)^{k+1} times the kernel-2 radial
-        # integral, so the cancellation below is exact term by term.
-        ang = oscillatory_delta(0)
-        rad = radial_log_integral(2 * k + 1, 0, 0.0, 1.0)
-        common = a_k * 2j * ang * rad * np.conj(p) ** (k + 1)
-        first += -common
-        second += common
-    return first, second
-
-
-def merkulov_vanishing_check(f_coeffs, p: complex) -> complex:
-    """Total of the two halves; identically zero by cancellation."""
-    first, second = merkulov_vanishing_halves(f_coeffs, p)
-    return first + second

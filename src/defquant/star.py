@@ -35,9 +35,7 @@ from math import factorial
 
 from .exactnum import QC, perm_sign
 from .exactpoly import Poly, accumulate, poly_matrix
-from .graphs import (AdmissibleGraph, canonical_classes, cycle_graph,
-                     enumerate_graphs)
-from .weight_mc import two_valent_integral
+from .graphs import AdmissibleGraph, canonical_classes, enumerate_graphs
 
 _I = QC(0, 1)
 
@@ -74,15 +72,6 @@ class PolyVectorField:
         mat = poly_matrix(dim, upper, -1, "bivector matrix")
         return PolyVectorField(dim, 1, {(i, j): mat[i][j] for i in range(dim)
                                         for j in range(i + 1, dim)})
-
-    @staticmethod
-    def vector(dim: int, comps_list) -> "PolyVectorField":
-        comps = {}
-        for i, e in enumerate(comps_list):
-            if not isinstance(e, Poly):
-                e = Poly.const(dim, e)
-            comps[(i,)] = e
-        return PolyVectorField(dim, 0, comps)
 
     def component(self, idx) -> Poly:
         """Pi^{idx} with full antisymmetry (any index order)."""
@@ -408,21 +397,3 @@ def so3_bivector() -> PolyVectorField:
         d, [[Poly.zero(d), x[2], -x[1]],
             [-x[2], Poly.zero(d), x[0]],
             [x[1], -x[0], Poly.zero(d)]])
-
-
-def u2_vector_fields(v1: PolyVectorField, v2: PolyVectorField,
-                     n_samples: int = 400_000, seed: int = 0):
-    """Second Taylor component on two vector fields.
-
-    The single candidate graph is the aerial two-cycle with no ground
-    slots; its weight is the closed in-out loop integral of one propagator
-    differential against a reversed one at lambda = 1/2, which vanishes.
-    Returns (weight_result, loop_operator): the component is weight *
-    operator, certified zero by |weight| falling below the sampling error.
-    """
-    if v1.degree != 0 or v2.degree != 0:
-        raise ValueError("u2_vector_fields needs two vector fields")
-    loop_op = graph_operator(cycle_graph(2), [v1, v2])
-    res = two_valent_integral("in-out", 0.35 + 0.1j, 0.35 + 0.1j, lam=0.5,
-                              n_samples=n_samples, seed=seed)
-    return res, loop_op

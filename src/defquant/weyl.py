@@ -51,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactnum import QC, perm_sign
-from .exactpoly import Poly, accumulate, poly_matrix
+from .exactpoly import Poly, accumulate
 
 _I_HALF = QC(0, Fraction(1, 2))
 
@@ -341,11 +341,6 @@ def fixed_point(step, x: WeylElement, rounds: int, what: str) -> WeylElement:
             return x
         x = nxt
     raise ArithmeticError(f"{what} did not stabilize")
-
-
-def constant_bivector(dim: int, entries) -> list:
-    """Pi^{kl} from a nested list of scalars; antisymmetry is checked."""
-    return poly_matrix(dim, entries, -1, "bivector")
 
 
 def random_element(dim: int, cap: int, rng, n_terms: int = 6

@@ -366,6 +366,37 @@ def test_from_cache_errors(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_from_cache_with_write_cache_exits_2(capsys, tmp_path):
+    """Writing the pooled cached estimate back would count it again as a
+    new independent record: the pair is refused and the cache untouched."""
+    path = tmp_path / "w.jsonl"
+    code, _, _ = run(capsys, "weight", "mc", "--graph", "graph2",
+                     "--samples", "2000", "--write-cache", "--cache",
+                     str(path))
+    assert code == 0
+    before = path.read_bytes()
+    code, out, err = run(capsys, "weight", "mc", "--graph", "graph2",
+                         "--from-cache", "--write-cache", "--cache",
+                         str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --from-cache with --write-cache ")
+    assert err.count("\n") == 1
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ("weight", "mc", "--graph", "graph2", "--from-cache"),
+    ("weight", "mc", "--graph", "graph2", "--samples", "2000",
+     "--write-cache"),
+    ("star", "assemble", "--samples", "2000"),
+], ids=lambda argv: " ".join(argv))
+def test_a_cache_path_that_cannot_be_opened_exits_2(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, "--cache", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 def test_cache_alone_is_not_read(capsys, tmp_path):
     """Without --write-cache or --from-cache nothing reads the cache, so
     a corrupt file gives no warning and the report of no --cache."""

@@ -290,7 +290,7 @@ def test_taylor_leading_part_is_the_function():
 def test_taylor_of_constant_is_constant():
     inp = sympl_curved(5)
     one = Poly.const(2, 1)
-    assert fedosov_taylor(inp, one) == inp.embed(one)
+    assert fedosov_taylor(inp, one, solve_connection(inp)) == inp.embed(one)
 
 
 def test_star_with_unit_is_identity():

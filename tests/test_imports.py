@@ -1,9 +1,11 @@
-"""Every name a ``defquant`` module imports is used in that module.
+"""Every name a ``defquant`` module imports is used in that module, and
+every definition in ``src/`` is reached by the program or kept on purpose.
 
 ``__init__.py`` is left out: it imports names only to re-export them.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,8 @@ import defquant
 
 MODULES = sorted(p for p in Path(defquant.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench")
+                   .glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -38,3 +42,128 @@ def test_every_import_is_used(path):
 def test_an_import_kept_only_for_re_export_is_caught():
     source = "from .exactpoly import Poly, neumann\n\nx = Poly\n"
     assert unused_imports(source) == [(1, "neumann")]
+
+
+# -- reachability -------------------------------------------------------
+
+# Definitions the program never reaches, each kept as the reference a test
+# checks other code against: qualified name -> the claim it backs.
+TEST_REFERENCES = {
+    "propagators._phi": "the shared body of the phi_* references below",
+    "propagators.phi_h": "finite-difference reference for dphi_h",
+    "propagators.phi_disk": "finite-difference reference for dphi_disk",
+    "propagators.phi_angle": "phi_h at lambda = 1/2 is the harmonic angle",
+    "propagators.phi_shoikhet": "finite-difference reference for "
+                                "dphi_shoikhet",
+    "propagators.mobius_to_disk": "dphi_disk is the pullback of dphi_h",
+    "star.hkr_operator": "graph_operator of the wedge fan is the HKR map",
+    "star.PolyVectorField.component": "graph_operator equals the sweep "
+                                      "over antisymmetric components",
+    "exactpoly.cos_jet": "MetricJet gives the sphere's closed-form "
+                         "Christoffels",
+    "weyl.WeylElement.form_degrees": "the sign rule of mul, circ and "
+                                     "commutator, form part by form part",
+    "weyl.WeylElement.form_part": "the sign rule of mul, circ and "
+                                  "commutator, form part by form part",
+    "fedosov.deformed_poincare_defect": "the deformed homotopy identity "
+                                        "behind fedosov_homotopy and "
+                                        "fedosov_taylor",
+    "fedosov.fedosov_differential": "the deformed homotopy identity",
+    "weyl.WeylElement.mul_hbar": "the deformed homotopy identity",
+}
+
+# the console script ``defquant = defquant.cli:main``
+ENTRY = "main"
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _names(nodes, strings=False) -> set:
+    """Names, attributes and import aliases under ``nodes``; with
+    ``strings``, also the parts of dotted-name string constants, which is
+    how perfbench/tracing.py names the functions it wraps."""
+    out = set()
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            out.update(node.value.split("."))
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def unreached(sources: dict, perfbench: list) -> list:
+    """Qualified names of the top-level functions and classes, and public
+    methods, in ``sources`` ({module: source}) that nothing reaches.
+
+    The roots are each module's top-level code other than imports and
+    definitions, the entry point ``main`` and every name in the
+    ``perfbench`` sources.  A definition is reached when a reached body
+    names it; a class body (bases, attributes, private and dunder
+    methods) comes with the class, and a public method is reached by its
+    name, whichever class calls it."""
+    defs = {}
+    roots = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ClassDef):
+                public = [item for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and not item.name.startswith("_")]
+                body = node.decorator_list + node.bases + [
+                    item for item in node.body if item not in public]
+                defs.setdefault(node.name, []).append(
+                    (f"{module}.{node.name}", body))
+                for item in public:
+                    defs.setdefault(item.name, []).append(
+                        (f"{module}.{node.name}.{item.name}", [item]))
+            elif isinstance(node, ast.FunctionDef):
+                defs.setdefault(node.name, []).append(
+                    (f"{module}.{node.name}", [node]))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots.append(node)
+    pending = _names(roots) | {ENTRY}
+    for source in perfbench:
+        pending |= _names([ast.parse(source)], strings=True)
+    seen, reached = set(), set()
+    while pending:
+        name = pending.pop()
+        seen.add(name)
+        for qualname, body in defs.get(name, []):
+            reached.add(qualname)
+            pending |= _names(body) - seen
+    return sorted(qualname for entries in defs.values()
+                  for qualname, _ in entries if qualname not in reached)
+
+
+def test_every_definition_is_reached_or_a_test_reference():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert unreached(sources, [p.read_text() for p in PERFBENCH]) == sorted(
+        TEST_REFERENCES)
+
+
+def test_a_definition_only_dead_code_calls_is_caught():
+    source = ("TABLE = [used()]\n\n"
+              "def used():\n    return 1\n\n"
+              "def main():\n    return 0\n\n"
+              "def dead():\n    return helper()\n\n"
+              "def helper():\n    return dead()\n\n"
+              "def size():\n    return 2\n\n"
+              "class Box:\n    def __len__(self):\n        return size()\n\n"
+              "    def open(self):\n        return 1\n\n"
+              "    def shut(self):\n        return self.open()\n\n"
+              "def run():\n    return Box().shut()\n")
+    assert unreached({"m": source}, []) == [
+        "m.Box", "m.Box.open", "m.Box.shut", "m.dead", "m.helper", "m.run",
+        "m.size"]
+    # a method perfbench wraps by its dotted name is reached, with its class
+    wrapped = 'SPANS = [("m", "Box.shut", "m.shut", None)]\n'
+    assert unreached({"m": source}, [wrapped]) == ["m.dead", "m.helper",
+                                                   "m.run"]

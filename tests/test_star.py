@@ -19,7 +19,7 @@ from defquant.graphs import (AdmissibleGraph, Edge, canonical_classes,
 from defquant.star import (PolyVectorField, PolyDiffOperator, graph_operator,
                            hkr_operator, StarProductSeries, star_order2,
                            associativity_residual, associativity_sigma,
-                           so3_bivector, u2_vector_fields)
+                           so3_bivector)
 from defquant.weight_mc import WeightSource
 
 
@@ -69,7 +69,7 @@ def test_component_signs():
     assert pi.component((0, 1)) == x[2]
     assert pi.component((1, 0)) == -x[2]
     assert pi.component((1, 1)).is_zero()
-    v = PolyVectorField.vector(2, [1, 2])
+    v = PolyVectorField(2, 0, {(0,): 1, (1,): 2})
     assert v.component((1,)) == Poly.const(2, 2)
 
 
@@ -132,7 +132,7 @@ def test_arity_and_degree_mismatches_raise():
     pi = so3_bivector()
     with pytest.raises(ValueError, match="polyvector fields"):
         graph_operator(graph2(), [pi])
-    v = PolyVectorField.vector(3, [1, 0, 0])
+    v = PolyVectorField(3, 0, {(0,): 1})
     with pytest.raises(ValueError, match="out-degree"):
         graph_operator(fan_graph(2), [v])
 
@@ -329,7 +329,7 @@ def test_order1_commutator_is_the_bracket():
 
 
 def test_rejects_non_bivector():
-    v = PolyVectorField.vector(2, [1, 0])
+    v = PolyVectorField(2, 0, {(0,): 1})
     with pytest.raises(ValueError, match="bivector"):
         star_order2(v, 0.5, WeightSource(n_samples=10, seed=0))
 
@@ -351,18 +351,6 @@ def test_so3_assembly_respects_associativity_sigma():
     for e, c in res.get(2, Poly.zero(3)).terms.items():
         bound = sig[2].get(e, 0.0)
         assert abs(c.to_complex()) <= 3.0 * bound
-
-
-def test_u2_on_vector_fields_is_certified_zero():
-    # the closed-loop contraction sum_{ij} (d_j v1^i)(d_i v2^j) must be
-    # nonzero for the certificate to say anything
-    v1 = PolyVectorField.vector(2, [Poly.var(2, 1), 0])
-    v2 = PolyVectorField.vector(2, [0, Poly.var(2, 0)])
-    res, loop_op = u2_vector_fields(v1, v2, n_samples=60_000, seed=3)
-    assert not loop_op.is_zero()
-    assert abs(res.value) <= 3.0 * res.stderr
-    with pytest.raises(ValueError, match="vector fields"):
-        u2_vector_fields(so3_bivector(), so3_bivector())
 
 
 # ---------------------------------------------------------------------

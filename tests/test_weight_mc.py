@@ -369,6 +369,14 @@ def test_in_out_and_in_in_vanish(lam):
         assert abs(res.value) <= max(1.5e-3, 3 * res.stderr)
 
 
+def test_in_out_vanishes_at_coincident_points():
+    # the closed in-out loop of the aerial two-cycle, both ends at one point
+    w = 0.35 + 0.1j
+    res = two_valent_integral("in-out", w, w, lam=0.5, n_samples=60_000,
+                              seed=3)
+    assert abs(res.value) <= 3.0 * res.stderr
+
+
 def test_shoikhet_in_out_vanishes():
     res = two_valent_integral("in-out", W1, W2, lam=0.5,
                               n_samples=300_000, seed=8,

@@ -10,13 +10,13 @@ from pathlib import Path
 import pytest
 
 from defquant.exactnum import QC
-from defquant.exactpoly import Poly, neumann
+from defquant.exactpoly import Poly, neumann, poly_matrix
 from defquant.weyl import (WeylElement, commutator, ihbar_commutator,
-                           constant_bivector, fixed_point, random_element)
+                           fixed_point, random_element)
 
-PI_STD = constant_bivector(2, [[0, 1], [-1, 0]])
-PI_3D = constant_bivector(3, [[0, 1, Fraction(-1, 2)], [-1, 0, 2],
-                              [Fraction(1, 2), -2, 0]])
+PI_STD = poly_matrix(2, [[0, 1], [-1, 0]], -1, "bivector")
+PI_3D = poly_matrix(3, [[0, 1, Fraction(-1, 2)], [-1, 0, 2],
+                        [Fraction(1, 2), -2, 0]], -1, "bivector")
 
 
 def v(dim, cap, *exp, dxs=(), hpow=0, coeff=1):
@@ -201,11 +201,6 @@ def test_neumann_rejects_a_step_that_keeps_deg():
         neumann(lambda e: e.delta_inv(), v(2, 4, 0, 0, dxs=(0, 1)), 1, "d")
 
 
-def test_constant_bivector_rejects_symmetric_part():
-    with pytest.raises(ValueError, match="antisymmetric"):
-        constant_bivector(2, [[0, 1], [1, 0]])
-
-
 # ---------------------------------------------------------------------
 # differentials and the homotopy
 # ---------------------------------------------------------------------
@@ -323,8 +318,9 @@ WEYL_MISMATCHES = {
                    "unsupported operand"),
     "repeated dx": ("WeylElement.monomial(2, 4, 1, dxs=(1, 0, 1))",
                     ValueError, r"repeated dx index in \(0, 1, 1\)"),
-    "symmetric bivector": ("constant_bivector(2, [[0, 1], [1, 0]])",
-                           ValueError, r"antisymmetric: entries \(0, 1\)"),
+    "symmetric bivector": ("poly_matrix(2, [[0, 1], [1, 0]], -1, "
+                           "'bivector')", ValueError,
+                           r"antisymmetric: entries \(0, 1\)"),
 }
 
 
@@ -332,8 +328,7 @@ WEYL_MISMATCHES = {
 def test_weyl_mismatch_raises(case):
     code, exc_type, message = WEYL_MISMATCHES[case]
     with pytest.raises(exc_type, match=message):
-        eval(code, {"WeylElement": WeylElement,
-                    "constant_bivector": constant_bivector})
+        eval(code, {"WeylElement": WeylElement, "poly_matrix": poly_matrix})
 
 
 @pytest.mark.parametrize("case", WEYL_MISMATCHES)
@@ -341,7 +336,8 @@ def test_weyl_mismatch_raises_under_python_O(case):
     # under -O an assert would vanish and the mismatch would pass silently
     # or fail later, elsewhere
     code, exc_type, message = WEYL_MISMATCHES[case]
-    script = ("from defquant.weyl import WeylElement, constant_bivector\n"
+    script = ("from defquant.exactpoly import poly_matrix\n"
+              "from defquant.weyl import WeylElement\n"
               f"import re\ntry:\n    {code}\n"
               f"except {exc_type.__name__} as exc:\n"
               f"    raise SystemExit(0 if re.search({message!r}, str(exc))"
