@@ -1,10 +1,10 @@
 """Gated acceptance suite: eleven numbered criteria, one line each.
 
 Every criterion returns a CriterionResult whose checks carry (name, value,
-target, tolerance, pass); run_all prints a single PASS/FAIL line per
-criterion and returns the full structured list.  The same functions back
-`defquant verify all` and tests/test_acceptance.py, so the gates cannot
-drift between the CLI and the test suite.
+target, tolerance, pass); run_all times each criterion, prints a single
+PASS/FAIL line per criterion and returns the full structured list.  The
+same functions back `defquant verify all` and tests/test_acceptance.py,
+so the gates cannot drift between the CLI and the test suite.
 
 All randomness is seeded here; sample counts are sized so the whole run
 stays within a small wall-clock budget on one core while leaving >= 3
@@ -18,15 +18,15 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .exactnum import QC
 from .exactpoly import Poly
 from .graphs import AdmissibleGraph, Edge, fan_graph, graph2
 from .weight_mc import (WeightSource, weight_mc, two_valent_integral,
-                        two_valent_out_out_exact, weight_poly_fit,
-                        relation_residuals)
-from .series import (ZETA_TARGETS, merkulov_wheel_zeta, shadow_sum,
-                     two_wheel_display, harmonic_identity)
+                        two_valent_target, weight_poly_fit, relation_residuals)
+from .series import (ZETA_TARGETS, ZETA_TOLERANCE, merkulov_wheel_zeta,
+                     shadow_sum, two_wheel_display, harmonic_identity)
 from .star import (so3_bivector, star_order2, associativity_gate,
                    random_triple)
 from .weyl import random_element
@@ -86,20 +86,9 @@ class CriterionResult:
                 "checks": [c.to_jsonable() for c in self.checks]}
 
 
-def _timed(fn):
-    def wrapper(*a, **k):
-        t0 = time.time()
-        out = fn(*a, **k)
-        out.seconds = time.time() - t0
-        return out
-    wrapper.__name__ = fn.__name__
-    return wrapper
-
-
 # ---------------------------------------------------------------------
 
 
-@_timed
 def criterion_1(quick: bool = False) -> CriterionResult:
     """Two-cycle (2,2) weight at the symmetric parameter: 1/24 by MC."""
     r = CriterionResult(1, "two-cycle weight 1/24")
@@ -110,7 +99,6 @@ def criterion_1(quick: bool = False) -> CriterionResult:
     return r
 
 
-@_timed
 def criterion_2(quick: bool = False) -> CriterionResult:
     """Fan weights 1/m!: exact by the nested-angle reduction and by MC."""
     r = CriterionResult(2, "fan weights 1/m!")
@@ -144,88 +132,72 @@ def _random_disk_pairs(k: int, seed: int):
 _LAMBDAS = (0.0, 0.5, 1.0, 0.3 + 0.2j)
 
 
-@_timed
+def _two_valent_checks(r, quick, propagator, pairs_seed, seed0, stride,
+                       kinds):
+    """Gate two_valent_integral against two_valent_target at five seeded
+    pairs and each of _LAMBDAS, per (kind, check label, seed offset) in
+    ``kinds``.  The gate of record is the full run at 1e-3; quick mode
+    keeps the targets but admits 4 sigma of its reduced-sample noise."""
+    n = 300_000 if quick else 4_000_000
+    for p_idx, (w1, w2) in enumerate(_random_disk_pairs(5, pairs_seed)):
+        for l_idx, lam in enumerate(_LAMBDAS):
+            for kind, label, offset in kinds:
+                res = two_valent_integral(
+                    kind, w1, w2, lam=lam, n_samples=n,
+                    seed=seed0 + stride * p_idx + l_idx + offset,
+                    propagator=propagator)
+                target = two_valent_target(kind, w1, w2, propagator)
+                r.add(f"pair{p_idx} lam{l_idx} {label}",
+                      abs(res.value - target), 0.0,
+                      max(1e-3, 4.0 * res.stderr) if quick else 1e-3)
+    return r
+
+
 def criterion_3(quick: bool = False) -> CriterionResult:
     """Two-valent disk integrals: in-out and in-in vanish, out-out matches
-    the closed form, across the parameter family.
-
-    The gate of record is the full run at 1e-3; quick mode keeps the same
-    targets but admits 4 sigma of its reduced-sample noise."""
-    r = CriterionResult(3, "two-valent disk integrals")
-    n = 300_000 if quick else 4_000_000
-
-    def tol(res):
-        return max(1e-3, 4.0 * res.stderr) if quick else 1e-3
-
-    for p_idx, (w1, w2) in enumerate(_random_disk_pairs(5, 303)):
-        closed = two_valent_out_out_exact(w1, w2)
-        for l_idx, lam in enumerate(_LAMBDAS):
-            seed = 7000 + 97 * p_idx + l_idx
-            io = two_valent_integral("in-out", w1, w2, lam=lam,
-                                     n_samples=n, seed=seed)
-            ii = two_valent_integral("in-in", w1, w2, lam=lam,
-                                     n_samples=n, seed=seed + 31)
-            oo = two_valent_integral("out-out", w1, w2, lam=lam,
-                                     n_samples=n, seed=seed + 67)
-            tag = f"pair{p_idx} lam{l_idx}"
-            r.add(f"{tag} in-out", abs(io.value), 0.0, tol(io))
-            r.add(f"{tag} in-in", abs(ii.value), 0.0, tol(ii))
-            r.add(f"{tag} out-out vs closed", abs(oo.value - closed),
-                  0.0, tol(oo))
-    return r
+    the closed form, across the parameter family."""
+    return _two_valent_checks(
+        CriterionResult(3, "two-valent disk integrals"), quick, "disk", 303,
+        7000, 97, (("in-out", "in-out", 0), ("in-in", "in-in", 31),
+                   ("out-out", "out-out vs closed", 67)))
 
 
-@_timed
 def criterion_4(quick: bool = False) -> CriterionResult:
     """Center-subtracted propagator: the in-out integral still vanishes."""
-    r = CriterionResult(4, "center-subtracted in-out")
-    n = 300_000 if quick else 4_000_000
-    for p_idx, (w1, w2) in enumerate(_random_disk_pairs(5, 404)):
-        for l_idx, lam in enumerate(_LAMBDAS):
-            res = two_valent_integral("in-out", w1, w2, lam=lam,
-                                      n_samples=n,
-                                      seed=9000 + 89 * p_idx + l_idx,
-                                      propagator="shoikhet")
-            r.add(f"pair{p_idx} lam{l_idx} in-out", abs(res.value), 0.0,
-                  max(1e-3, 4.0 * res.stderr) if quick else 1e-3)
-    return r
+    return _two_valent_checks(
+        CriterionResult(4, "center-subtracted in-out"), quick, "shoikhet",
+        404, 9000, 89, (("in-out", "in-out", 0),))
 
 
-@_timed
 def criterion_5(quick: bool = False) -> CriterionResult:
     """Wheel sums against zeta(n) for n = 2, 3, 4."""
     r = CriterionResult(5, "wheel sums vs zeta")
     for n, want in ZETA_TARGETS.items():
         vb = merkulov_wheel_zeta(n)
-        r.add(f"n={n}", vb.value, want, 1e-6)
+        r.add(f"n={n}", vb.value, want, ZETA_TOLERANCE)
     return r
 
 
-@_timed
 def criterion_6(quick: bool = False) -> CriterionResult:
     """Shadow-sum constancy in the modulus at n=2 and the w-independence
     of the grouped four-series display."""
     r = CriterionResult(6, "shadow-sum constancy n=2")
+
+    def constancy(label, values):
+        for (a, x), (b, y) in combinations(enumerate(values), 2):
+            r.add(f"{label} w{a} vs w{b}", abs(x.value - y.value), 0.0,
+                  x.bound + y.bound)
+
     sums = [shadow_sum(2, w) for w in (0.1, 0.3, 0.5)]
-    for a in range(len(sums)):
-        for b in range(a + 1, len(sums)):
-            gap = abs(sums[a].value - sums[b].value)
-            bound = sums[a].bound + sums[b].bound
-            r.add(f"pairwise w{a} vs w{b}", gap, 0.0, bound)
+    constancy("pairwise", sums)
     # reported, not gated: the constant itself is zeta(2)
     r.add("value vs zeta(2) (reported)",
           abs(sums[1].value - math.pi ** 2 / 6), 0.0, 10 * sums[1].bound,
           passed=True)
-    disp = [two_wheel_display(w) for w in (0.1, 0.3, 0.5)]
-    for a in range(len(disp)):
-        for b in range(a + 1, len(disp)):
-            gap = abs(disp[a].value - disp[b].value)
-            bound = disp[a].bound + disp[b].bound
-            r.add(f"display w{a} vs w{b}", gap, 0.0, bound)
+    constancy("display", [two_wheel_display(w) for w in (0.1, 0.3, 0.5)])
     return r
 
 
-@_timed
 def criterion_7(quick: bool = False) -> CriterionResult:
     """Exact rational harmonic-sum identities for m = 1..50."""
     r = CriterionResult(7, "harmonic identities")
@@ -238,7 +210,6 @@ def criterion_7(quick: bool = False) -> CriterionResult:
     return r
 
 
-@_timed
 def criterion_8(quick: bool = False) -> CriterionResult:
     """Polynomial-in-parameter symmetry of (2,2) weights: the reflection
     relations on the lam-coefficients and the reality of the midpoint.
@@ -262,7 +233,6 @@ def criterion_8(quick: bool = False) -> CriterionResult:
     return r
 
 
-@_timed
 def criterion_9(quick: bool = False) -> CriterionResult:
     """Order-2 associativity for the linear so(3)-type Poisson structure:
     residual bounded by the propagated sampling error, monomials of total
@@ -288,7 +258,6 @@ def criterion_9(quick: bool = False) -> CriterionResult:
     return r
 
 
-@_timed
 def criterion_10(quick: bool = False) -> CriterionResult:
     """Weyl-algebra fixed point: fiberwise Poincare lemma, flat star
     product equals the Moyal oracle, Catalan expansion matches the
@@ -324,7 +293,6 @@ def criterion_10(quick: bool = False) -> CriterionResult:
     return r
 
 
-@_timed
 def criterion_11(quick: bool = False) -> CriterionResult:
     """Exponential-map series: closed-form geodesics exact to order 8,
     numeric-oracle agreement at t = 0.5, and the commutative fixed point
@@ -373,7 +341,9 @@ CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 def run_all(quick: bool = False, echo=print):
     results = []
     for fn in CRITERIA:
+        t0 = time.time()
         res = fn(quick=quick)
+        res.seconds = time.time() - t0
         results.append(res)
         if echo is not None:
             echo(res.line())

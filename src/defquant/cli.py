@@ -15,7 +15,8 @@ Report shape (schema ``defquant-report/1``)::
 Reports for identical (command, seed, version) are byte-identical: keys
 are sorted and wall-clock time is only included when ``--timing`` is
 given.  ``--table`` switches to a human-readable layout.  Exit codes:
-0 all checks pass, 1 at least one check failed, 2 usage error.  A usage
+0 all checks pass, 1 at least one check failed, 2 usage error.  A
+quantity with no known value is reported without a check.  A usage
 error prints one ``error:`` line to stderr and no report; besides
 malformed flags it covers input that would give a meaningless number:
 a non-finite ``--lambda``, ``--target``, ``--w1``, ``--w2``, ``--x``,
@@ -53,12 +54,12 @@ from .graphs import (AdmissibleGraph, canonical_classes, enumerate_graphs,
                      fan_graph, cycle_graph, wheel_graph, graph1_left,
                      graph1_right, graph2)
 from .weight_mc import (MCResult, weight_mc, WeightSource,
-                        two_valent_integral, two_valent_out_out_exact,
+                        two_valent_integral, two_valent_target,
                         weight_poly_fit, relation_residuals,
                         exact_zero_reason)
 from .cache import WeightCache, pool
-from .series import (ZETA_TARGETS, merkulov_wheel_zeta, shadow_sum,
-                     two_wheel_display, harmonic_identity)
+from .series import (ZETA_TARGETS, ZETA_TOLERANCE, merkulov_wheel_zeta,
+                     shadow_sum, two_wheel_display, harmonic_identity)
 from .star import (PolyVectorField, star_order2, so3_bivector,
                    associativity_gate, random_triple)
 from .fedosov import (flat_input, curved_input, solve_connection,
@@ -313,13 +314,13 @@ def cmd_weight_two_valent(args):
     checks = []
     results = {"kind": args.kind, "value": c_json(value), "stderr": stderr,
                "n_samples": n_used}
-    if args.kind == "out-out" and args.propagator == "disk":
-        closed = two_valent_out_out_exact(w1, w2)
-        results["closed_form"] = closed
-        checks.append(check("matches closed form", abs(value - closed),
-                            0.0, max(1e-3, 3.0 * stderr)))
-    else:
-        checks.append(check("vanishes", abs(value), 0.0,
+    target = two_valent_target(args.kind, w1, w2, args.propagator)
+    if target is not None:
+        name = "vanishes"
+        if args.kind == "out-out":
+            name = "matches closed form"
+            results["closed_form"] = target
+        checks.append(check(name, abs(value - target), 0.0,
                             max(1e-3, 3.0 * stderr)))
     params = {"kind": args.kind, "w1": c_json(w1), "w2": c_json(w2),
               "lambda": c_json(lam), "samples": n,
@@ -332,7 +333,7 @@ def cmd_series_zeta(args):
     checks = []
     if args.n in ZETA_TARGETS:
         checks.append(check(f"zeta({args.n})", vb.value,
-                            ZETA_TARGETS[args.n], 1e-6))
+                            ZETA_TARGETS[args.n], ZETA_TOLERANCE))
     results = {"n": args.n, "value": vb.value, "bound": vb.bound}
     return {"n": args.n, "terms": args.terms}, None, checks, results
 

@@ -39,9 +39,10 @@ class ValueBound:
 # wheel weights: zeta values
 # ---------------------------------------------------------------------
 
-# reference values the wheel sums are checked against
+# reference values the wheel sums are checked against, and the gate
 ZETA_TARGETS = {2: math.pi ** 2 / 6, 3: 1.2020569031595942854,
                 4: math.pi ** 4 / 90}
+ZETA_TOLERANCE = 1e-6
 
 
 def merkulov_wheel_zeta(n: int, N: int = 10_000) -> ValueBound:

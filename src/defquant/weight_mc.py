@@ -389,6 +389,21 @@ def two_valent_out_out_exact(w1: complex, w2: complex) -> float:
 # to w2
 _TWO_VALENT_KINDS = {"out-out": (True, True), "in-out": (True, False),
                      "in-in": (False, False)}
+
+
+def two_valent_target(kind: str, w1: complex, w2: complex,
+                      propagator: str = "disk"):
+    """two_valent_integral's value at every lambda, None where unknown.
+
+    In-out and in-in vanish under both propagators; the center-subtracted
+    in-in integrand is the disk's, since dphi_shoikhet's target-side
+    coefficients ([2:]) are dphi_disk's.  Disk out-out is
+    two_valent_out_out_exact; center-subtracted out-out is unknown."""
+    if kind != "out-out":
+        return 0.0
+    return two_valent_out_out_exact(w1, w2) if propagator == "disk" else None
+
+
 _P_UNIFORM = 0.4
 _CAP_RADIUS = 0.6
 
@@ -436,8 +451,7 @@ def two_valent_integral(kind: str, w1: complex, w2: complex, lam=0.5,
     propagator: "disk" for the disk model, "shoikhet" for the
     center-subtracted one.
 
-    Contracts: in-out and in-in vanish; disk out-out equals
-    two_valent_out_out_exact (lambda-independent).
+    Contracts: two_valent_target gives the value wherever one is known.
     Importance sampling puts 1/|w - c| mass at each first-order pole so the
     estimator has finite variance (``_mixture_map``).  The samples run
     through weight_mc's block loop, three uniforms per sample.

@@ -1,13 +1,17 @@
 """The fast acceptance criteria, and the associativity gate that criterion 9
 shares with ``defquant star assoc``."""
 
+import importlib
 import json
 
 import numpy as np
 import pytest
 
 from defquant import acceptance, cli, propagators, star
-from defquant.weight_mc import WeightSource
+from defquant.weight_mc import MCResult, WeightSource
+
+# the package exports the function ``weight_mc`` under the module's name
+wmc = importlib.import_module("defquant.weight_mc")
 
 
 @pytest.mark.parametrize("criterion", [
@@ -89,3 +93,43 @@ def test_criterion_9_and_star_assoc_take_their_gate_from_star(monkeypatch,
         v for low, beyond, _ in calls for v in (low, beyond)]
     assert rep["results"]["worst_ratio_to_3sigma"] == max(
         w for _, _, w in calls)
+
+
+def test_criteria_3_4_and_two_valent_take_their_target_from_weight_mc(
+        monkeypatch, capsys):
+    """Each check compares the estimate with what two_valent_target says;
+    a spy shifts every known target by 1/8 and a fake integral returns 0,
+    so a check reads |target + 1/8| only if it asked the table."""
+    assert acceptance.two_valent_target is wmc.two_valent_target
+    assert cli.two_valent_target is wmc.two_valent_target
+    targets = []
+
+    def spy(kind, w1, w2, propagator="disk"):
+        out = wmc.two_valent_target(kind, w1, w2, propagator)
+        targets.append(out)
+        return None if out is None else out + 0.125
+
+    def fake(kind, w1, w2, lam=0.5, n_samples=0, seed=0, propagator="disk"):
+        return MCResult(0j, 1e-6, n_samples, seed, lam)
+
+    for module in (acceptance, cli):
+        monkeypatch.setattr(module, "two_valent_target", spy)
+        monkeypatch.setattr(module, "two_valent_integral", fake)
+    for criterion, n_checks in ((acceptance.criterion_3, 60),
+                                (acceptance.criterion_4, 20)):
+        targets.clear()
+        res = criterion(quick=True)
+        assert len(targets) == len(res.checks) == n_checks
+        assert [c.value for c in res.checks] == [
+            abs(t + 0.125) for t in targets]
+
+    for kind, propagator in (("out-out", "disk"), ("in-in", "shoikhet"),
+                             ("out-out", "shoikhet")):
+        targets.clear()
+        cli.main(["weight", "two-valent", "--kind", kind, "--propagator",
+                  propagator, "--w1", "0.2,0.1", "--w2=-0.3,0.4",
+                  "--samples", "20"])
+        rep = json.loads(capsys.readouterr().out)
+        [target] = targets
+        assert [c["value"] for c in rep["checks"]] == (
+            [] if target is None else [abs(target + 0.125)])

@@ -11,7 +11,7 @@ import pytest
 from defquant import cli
 from defquant.cache import pool
 from defquant.graphs import graph2
-from defquant.weight_mc import weight_mc
+from defquant.weight_mc import two_valent_integral, weight_mc
 
 # A (3,2) class whose integrand vanishes at every sample although the
 # exact-zero screen does not catch it: its estimate has stderr exactly 0.
@@ -440,6 +440,29 @@ def test_two_valent_out_out_matches_the_closed_form(capsys):
     assert code == 0
     assert [c["name"] for c in rep["checks"]] == ["matches closed form"]
     assert isinstance(rep["results"]["closed_form"], float)
+
+
+@pytest.mark.parametrize("kind, propagator, w1, w2, names", [
+    # center-subtracted out-out has no known value: no check, exit 0
+    ("out-out", "shoikhet", "0.2,0.1", "-0.3,0.4", []),
+    ("in-in", "shoikhet", "0.2,0.1", "-0.3,0.4", ["vanishes"]),
+    # the closed form is exactly 0.0 at w1 = w2 = 0
+    ("out-out", "disk", "0", "0", ["matches closed form"]),
+])
+def test_two_valent_checks_the_known_value_only(capsys, kind, propagator,
+                                                 w1, w2, names):
+    code, rep = report(capsys, "weight", "two-valent", "--kind", kind,
+                       "--propagator", propagator, "--w1", w1, f"--w2={w2}",
+                       "--samples", "20000", "--seed", "4")
+    assert code == 0
+    assert [c["name"] for c in rep["checks"]] == names
+    res = two_valent_integral(kind, cli.parse_complex(w1),
+                              cli.parse_complex(w2), n_samples=20000,
+                              seed=4, propagator=propagator)
+    got = rep["results"]
+    assert (got["value"], got["stderr"]) == (
+        [res.value.real, res.value.imag], res.stderr)
+    assert ("closed_form" in got) is (names == ["matches closed form"])
 
 
 def test_two_valent_point_outside_the_disk_exits_2(capsys):

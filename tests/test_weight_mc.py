@@ -14,8 +14,8 @@ from defquant.graphs import (AdmissibleGraph, Edge, fan_graph, cycle_graph,
                              enumerate_graphs, canonical_classes)
 from defquant.weight_mc import (WeightSource, weight_mc,
                                 exact_zero_reason, two_valent_integral,
-                                two_valent_out_out_exact, weight_poly_fit,
-                                relation_residuals)
+                                two_valent_out_out_exact, two_valent_target,
+                                weight_poly_fit, relation_residuals)
 
 # the package exports the function ``weight_mc`` under the module's name
 wmc = importlib.import_module("defquant.weight_mc")
@@ -367,6 +367,29 @@ def test_in_out_and_in_in_vanish(lam):
         res = two_valent_integral(kind, W1, W2, lam=lam,
                                   n_samples=300_000, seed=6)
         assert abs(res.value) <= max(1.5e-3, 3 * res.stderr)
+
+
+def test_two_valent_target_table():
+    closed = two_valent_out_out_exact(W1, W2)
+    assert {(kind, p): two_valent_target(kind, W1, W2, p)
+            for kind in ("out-out", "in-out", "in-in")
+            for p in ("disk", "shoikhet")} == {
+        ("out-out", "disk"): closed, ("out-out", "shoikhet"): None,
+        ("in-out", "disk"): 0.0, ("in-out", "shoikhet"): 0.0,
+        ("in-in", "disk"): 0.0, ("in-in", "shoikhet"): 0.0}
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.3 + 0.2j, 1.0])
+def test_shoikhet_target_side_is_the_disk_one(lam):
+    """The center-subtracted in-in integrand reads only the target-side
+    coefficients, so it is the disk's and vanishes with it."""
+    rng = np.random.default_rng(7)
+    ws, wt = (np.sqrt(rng.uniform(0, 0.9, 1000))
+              * np.exp(2j * np.pi * rng.uniform(size=1000))
+              for _ in range(2))
+    for disk, shoikhet in zip(prop.dphi_disk(lam, ws, wt)[2:],
+                              prop.dphi_shoikhet(lam, ws, wt)[2:]):
+        assert np.array_equal(disk, shoikhet)
 
 
 def test_in_out_vanishes_at_coincident_points():
