@@ -7,8 +7,8 @@ same functions back `defquant verify all` and tests/test_acceptance.py,
 so the gates cannot drift between the CLI and the test suite.
 
 All randomness is seeded here; sample counts are sized so the whole run
-stays within a small wall-clock budget on one core while leaving >= 3
-sigma of headroom on every statistical gate.
+stays within a small wall-clock budget while leaving >= 3 sigma of
+headroom on every statistical gate.
 """
 
 from __future__ import annotations

@@ -16,17 +16,20 @@ Reports for identical (command, seed, version) are byte-identical: keys
 are sorted and wall-clock time is only included when ``--timing`` is
 given.  ``--table`` switches to a human-readable layout.  Exit codes:
 0 all checks pass, 1 at least one check failed, 2 usage error.  A
-quantity with no known value is reported without a check.  A usage
-error prints one ``error:`` line to stderr and no report; besides
-malformed flags it covers input that would give a meaningless number:
-a non-finite ``--lambda``, ``--target``, ``--w1``, ``--w2``, ``--x``,
-``--v`` or ``--t``; a non-finite or negative ``--tol``; a named graph of
-size below 1 (``fan:0``, ``wheel:0``, ``cycle:0``); ``--workers`` below
-1; ``--samples`` below 2 per worker (a chunk that small reports stderr
-0); a negative ``--cap``; ``--steps`` below 1; a ``--dim`` other than
-3 for the so3 structure; ``--from-cache`` with ``--write-cache`` (that
-would store the pooled cached estimate again as a new independent
-record); and a ``--cache`` path that cannot be opened.
+computation that finds an identity of its own violated (an
+``ArithmeticError``, as ``solve_connection`` raises) also exits 1, with
+one ``error:`` line on stderr and no report.  A quantity with no known
+value is reported without a check.  A usage error prints one ``error:``
+line to stderr and no report; besides malformed flags it covers input
+that would give a meaningless number: a non-finite ``--lambda``,
+``--target``, ``--w1``, ``--w2``, ``--x``, ``--v`` or ``--t``; a
+non-finite or negative ``--tol``; a named graph of size below 1
+(``fan:0``, ``wheel:0``, ``cycle:0``); ``--workers`` below 1;
+``--samples`` below 2 per worker (a chunk that small reports stderr 0);
+a negative ``--cap``; ``--steps`` below 1; a ``--dim`` other than 3 for
+the so3 structure; ``--from-cache`` with ``--write-cache`` (that would
+store the pooled cached estimate again as a new independent record);
+and a ``--cache`` path that cannot be opened.
 
 The Monte Carlo subcommands accept ``--workers`` and split the sample
 budget over a process pool with per-chunk seeds: each worker runs the
@@ -704,9 +707,9 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         return emit(args, args.fn(args), t0)
-    except (UsageError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ArithmeticError) else 2
 
 
 if __name__ == "__main__":

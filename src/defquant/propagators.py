@@ -61,10 +61,12 @@ def _wirtinger(lam, l_s, l_sb, l_t):
     """
     c_lam = lam / TWO_PI_I
     c_mu = (1 - lam) / TWO_PI_I
-    return (c_lam * l_s - c_mu * np.conj(l_sb),
-            c_lam * l_sb - c_mu * np.conj(l_s),
+    # not c_mu * cj(L), which numpy computes as cj(L) *= c_mu from 256 KiB
+    # on: a complex product rounds differently with its factors swapped
+    return (c_lam * l_s - np.multiply(c_mu, np.conj(l_sb)),
+            c_lam * l_sb - np.multiply(c_mu, np.conj(l_s)),
             c_lam * l_t,
-            -c_mu * np.conj(l_t))
+            np.multiply(-c_mu, np.conj(l_t)))
 
 
 # ---------------------------------------------------------------------

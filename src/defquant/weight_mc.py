@@ -32,7 +32,13 @@ one block loop (``_mc_mean``): one numpy default generator seeded with
 turns each block into sample values, so memory is O(CHUNK) whatever
 n_samples is and the samples equal those of one big draw.  CHUNK is
 cache-sized: every per-sample array of a block (16,384 complex values,
-256 KiB) stays small, and no (N, E, E) matrix is ever built.  A weight sample reads the
+256 KiB) stays small, and no (N, E, E) matrix is ever built.  A block's
+rows are evaluated at once in contiguous parts (``_split``), by a thread
+pool that serves every block of one call: new threads per block made
+glibc open a fresh malloc arena now and then, 3-5 MB of peak memory
+each.  A sample's value depends on its row alone (at complex lam too:
+propagators._wirtinger) and every sum runs over the whole block, so no
+estimate depends on the part count, bit for bit.  A weight sample reads the
 2(n-1)+m coordinates above; a two-valent sample reads three uniforms,
 (component, radius, angle) of the mixture proposal.  The singularity guard
 drops a rejected sample: it counts in n_samples and contributes 0.  The
@@ -71,6 +77,7 @@ the acceptance suite sample no graph with E > 6.
 from __future__ import annotations
 
 import math
+import os
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -83,6 +90,10 @@ from .graphs import AdmissibleGraph, fan_graph, graph1_left, graph2
 FIXED_POINT = 1j
 SINGULAR_GUARD = 1e-12
 CHUNK = 16_384
+# the CPUs this process may use, and the fewest rows worth a thread
+_PARTS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+    else os.cpu_count() or 1
+_MIN_ROWS = 4_096
 
 
 @dataclass
@@ -294,37 +305,60 @@ def _config_ok(z: np.ndarray, r: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------
 
 def _mc_mean(n_samples: int, seed, dim: int, block):
-    """(mean, cov_re, cov_im) of ``block``'s sample vectors over n_samples
-    samples: the (K,) mean and the (K, K) covariances of the real and of
-    the imaginary parts of one sample.
+    """(mean, cov_re, cov_im, side) of ``block``'s sample vectors over
+    n_samples samples: the (K,) mean and the (K, K) covariances of the real
+    and of the imaginary parts of one sample.
 
     One generator, seeded once, is read CHUNK rows of ``dim`` uniforms at
     a time; ``block`` maps each (k, dim) array to the k sample values, as
     a (k,) array or one (K, k) row per component, a guarded sample being
-    a 0 that still counts.  The mean is Sum f / n.  The products are
-    summed about the first sample f0, so that a spread of a few ulps is
-    not lost to cancelling Sum f f^T / n against the mean's square.  Every
-    sum runs along a row, which numpy adds pairwise.
+    a 0 that still counts, or to a pair (values, s) with a real (k,) s
+    whose Sum s / n is ``side`` (0.0 without).  The mean is Sum f / n.
+    The products are summed about the first sample f0, so that a spread
+    of a few ulps is not lost to cancelling Sum f f^T / n against the
+    mean's square.  Every sum runs along a row, which numpy adds pairwise.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    from concurrent.futures import ThreadPoolExecutor   # 6 ms, on first use
     rng = np.random.default_rng(seed)
     done = 0
-    while done < n_samples:
-        k = min(CHUNK, n_samples - done)
-        f = block(rng.random((k, dim))).reshape(-1, k)
-        if done == 0:
-            f0 = f[:, :1].copy()    # a view would keep the block alive
-            total = np.zeros(len(f), complex)
-            re2, im2 = np.zeros((2, len(f), len(f)))
-        done += k
-        total += f.sum(axis=1)
-        re2 += _products(f.real - f0.real)
-        im2 += _products(f.imag - f0.imag)
+    side = 0.0
+    with ThreadPoolExecutor(max(1, _PARTS - 1)) as pool:
+        while done < n_samples:
+            k = min(CHUNK, n_samples - done)
+            f = _split(pool, block, rng.random((k, dim)))
+            if isinstance(f, tuple):
+                f, s = f
+                side += s.sum()
+            f = f.reshape(-1, k)
+            if done == 0:
+                f0 = f[:, :1].copy()    # a view would keep the block alive
+                total = np.zeros(len(f), complex)
+                re2, im2 = np.zeros((2, len(f), len(f)))
+            done += k
+            total += f.sum(axis=1)
+            re2 += _products(f.real - f0.real)
+            im2 += _products(f.imag - f0.imag)
     mean = total / n_samples
     shift = mean - f0[:, 0]
     return (mean, re2 / n_samples - np.outer(shift.real, shift.real),
-            im2 / n_samples - np.outer(shift.imag, shift.imag))
+            im2 / n_samples - np.outer(shift.imag, shift.imag),
+            side / n_samples)
+
+
+def _split(pool, block, u):
+    """block(u) from contiguous row parts of u evaluated at once, none
+    below _MIN_ROWS rows: one by the calling thread, the rest by ``pool``."""
+    n = min(_PARTS, len(u) // _MIN_ROWS)
+    if n < 2:
+        return block(u)
+    parts = np.array_split(u, n)
+    rest = [pool.submit(block, x) for x in parts[1:]]
+    out = [block(parts[0])] + [r.result() for r in rest]
+    if isinstance(out[0], tuple):
+        return tuple(np.concatenate(x, axis=-1) for x in zip(*out))
+    return np.concatenate(out, axis=-1)
 
 
 def _products(d):
@@ -340,7 +374,7 @@ def _mc_scalar(n_samples: int, seed, dim: int, block):
     over real and complex lam), so a per-sample spread within 4 eps |mean|
     is roundoff, not variance, and the stderr is reported as exactly 0.
     """
-    (mean,), cov_re, cov_im = _mc_mean(n_samples, seed, dim, block)
+    (mean,), cov_re, cov_im, _ = _mc_mean(n_samples, seed, dim, block)
     var = max(cov_re.item(), 0.0) + max(cov_im.item(), 0.0)
     if var <= (4 * np.finfo(float).eps * abs(mean)) ** 2:
         return mean, 0.0
@@ -556,10 +590,8 @@ def weight_poly_fit(g: AdmissibleGraph, n_samples: int = 1_000_000,
     if exact_zero_reason(g) is not None:
         zero = np.zeros((k, k))
         return LambdaPolyFit(np.zeros(k, complex), zero, zero, 0.0, n_samples)
-    scale = 0.0
 
     def block(u):
-        nonlocal scale
         z, r, w_imp = _map_samples(u, g.n, g.m)
         ok = _config_ok(z, r)
         vals = np.empty((k, len(u)), complex)
@@ -571,14 +603,15 @@ def weight_poly_fit(g: AdmissibleGraph, n_samples: int = 1_000_000,
             for (row, _), x in entries.items():
                 rows[row] += x.real ** 2 + x.imag ** 2
             np.maximum(bound, np.sqrt(rows).prod(axis=0), out=bound)
-        scale += np.where(ok, w_imp * bound, 0).sum()
-        return np.where(ok, np.fft.fft(vals, axis=0) * (w_imp / k), 0)
+        return (np.where(ok, np.fft.fft(vals, axis=0) * (w_imp / k), 0),
+                np.where(ok, w_imp * bound, 0))
 
-    mean, cov_re, cov_im = _mc_mean(n_samples, seed, g.dim_config(), block)
+    mean, cov_re, cov_im, scale = _mc_mean(n_samples, seed, g.dim_config(),
+                                           block)
     return LambdaPolyFit(to_lam @ mean,
                          to_lam @ cov_re @ to_lam.T / n_samples,
                          to_lam @ cov_im @ to_lam.T / n_samples,
-                         scale / n_samples, n_samples)
+                         scale, n_samples)
 
 
 def relation_residuals(fit: LambdaPolyFit):

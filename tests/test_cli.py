@@ -44,6 +44,20 @@ def test_exit_1_when_a_check_fails(capsys):
     assert rep["checks"][0]["pass"] is False
 
 
+@pytest.mark.parametrize("example", ["flat", "curved"])
+def test_a_violated_identity_exits_1_with_one_line(capsys, monkeypatch,
+                                                   example):
+    """solve_connection raises ArithmeticError when its fixed point breaks
+    the normalization: one error line and exit 1, not a traceback."""
+    def broken(inp):
+        raise ArithmeticError("normalization delta_inv r = 0 violated")
+
+    monkeypatch.setattr(cli, "solve_connection", broken)
+    code, out, err = run(capsys, "fedosov", "solve", "--example", example)
+    assert (code, out) == (1, "")
+    assert err == "error: normalization delta_inv r = 0 violated\n"
+
+
 def test_catalan_gate_cuts_at_the_leaves_the_cap_allows(capsys):
     """A k-leaf tree starts at Deg 2k+1: at cap 11 the 5-leaf trees
     count, and cutting at 4 leaves would report a false mismatch."""

@@ -1,11 +1,15 @@
-"""Every name a ``defquant`` module imports is used in that module, and
-every definition in ``src/`` is reached by the program or kept on purpose.
+"""Every name a ``defquant`` module imports is used in that module, every
+definition in ``src/`` is reached by the program or kept on purpose, and
+the package import loads no process or thread pool module.
 
 ``__init__.py`` is left out: it imports names only to re-export them.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -167,3 +171,16 @@ def test_a_definition_only_dead_code_calls_is_caught():
     wrapped = 'SPANS = [("m", "Box.shut", "m.shut", None)]\n'
     assert unreached({"m": source}, [wrapped]) == ["m.dead", "m.helper",
                                                    "m.run"]
+
+
+def test_the_package_import_starts_no_pool_module():
+    """The thread pool that splits Monte Carlo blocks is imported on the
+    first estimate: importing the package loads neither concurrent.futures
+    nor multiprocessing (which only the CLI's --workers pool needs)."""
+    src = str(Path(defquant.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, defquant; print(sorted(m for m in "
+         "('concurrent.futures', 'multiprocessing') if m in sys.modules))"],
+        capture_output=True, text=True, env=env, check=True).stdout
+    assert out == "[]\n"

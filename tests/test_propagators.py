@@ -189,3 +189,21 @@ def test_shoikhet_is_center_subtracted():
     assert min(abs(lattice.real % (2 * np.pi)),
                2 * np.pi - abs(lattice.real % (2 * np.pi))) < 1e-9 \
         or abs(gap) < 1e-9
+
+
+@pytest.mark.parametrize("dfun", [prop.dphi_h, prop.dphi_disk,
+                                  prop.dphi_shoikhet])
+def test_differentials_do_not_depend_on_the_array_length(dfun):
+    """A sample's coefficients are the same bit for bit in a 16,384-point
+    block (256 KiB of complex values, where numpy starts to reuse
+    temporaries in place) and in the halves a split block evaluates."""
+    rng = np.random.default_rng(7)
+    ws = 0.5 * rng.random(16_384) * np.exp(2j * np.pi * rng.random(16_384))
+    if dfun is prop.dphi_h:
+        ws = prop.mobius_to_h(ws)
+    wt = ws[::-1].copy()
+    whole = dfun(0.3 + 0.2j, ws, wt)
+    halves = [dfun(0.3 + 0.2j, ws[half], wt[half])
+              for half in (slice(None, 8_192), slice(8_192, None))]
+    for k, coeff in enumerate(whole):
+        assert np.array_equal(coeff, np.concatenate([h[k] for h in halves]))

@@ -2,6 +2,8 @@
 
 import importlib
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -188,6 +190,102 @@ def test_unseeded_estimate_runs():
     res = weight_mc(graph2(), lam=0.5, n_samples=2000, seed=None)
     assert res.seed is None and res.n_samples == 2000
     assert np.isfinite(res.value) and res.stderr > 0
+
+
+# -- blocks split across threads ---------------------------------------
+
+# rows per part of a full block and of a short last block, by part count
+SPLIT_ROWS = {1: [16_384, 8_199], 2: [8_192, 8_192, 4_100, 4_099],
+              3: [5_462, 5_461, 5_461, 4_100, 4_099]}
+
+
+def _every_estimate(n):
+    """Every Monte Carlo field of the three estimators at n samples."""
+    out = []
+    for g, lam in ((graph2(), 0.5), (graph1_left(), 0.3 + 0.2j)):
+        res = weight_mc(g, lam=lam, n_samples=n, seed=31)
+        out.append((res.value, res.stderr))
+    for propagator in ("disk", "shoikhet"):
+        for kind in ("out-out", "in-out", "in-in"):
+            res = two_valent_integral(kind, W1, W2, lam=0.3 + 0.2j,
+                                      n_samples=n, seed=32,
+                                      propagator=propagator)
+            out.append((res.value, res.stderr))
+    # seeds at which adding up scale per part, not per block, moves it
+    for g, seed in ((graph2(), 2), (graph1_left(), 1)):
+        fit = weight_poly_fit(g, n_samples=n, seed=seed)
+        out.append((fit.coeffs.tolist(), fit.cov_re.tolist(),
+                    fit.cov_im.tolist(), fit.scale, fit.n_samples))
+    return out
+
+
+@pytest.mark.parametrize("n", [24_583, 1])
+def test_part_count_leaves_every_estimate_unchanged(monkeypatch, n):
+    """Each block is cut into row parts that threads evaluate; a sample's
+    value depends on its row alone and the parts are joined before any
+    sum, so every value, stderr and fit field is the same bit for bit
+    with 1, 2 or 3 parts."""
+    rows = []
+    real_map = wmc._map_samples
+
+    def counting_map(u, n_aerial, m):
+        rows.append(len(u))
+        return real_map(u, n_aerial, m)
+
+    monkeypatch.setattr(wmc, "_map_samples", counting_map)
+    results = {}
+    for parts in (1, 2, 3):
+        monkeypatch.setattr(wmc, "_PARTS", parts)
+        rows.clear()
+        results[parts] = _every_estimate(n)
+        # the first call, weight_mc on graph2: one block, then the next
+        want = SPLIT_ROWS[parts] if n > 1 else [1]
+        assert sorted(rows[:len(want)], reverse=True) == want
+    assert results[1] == results[2] == results[3]
+
+
+def test_more_threads_than_cpus_switching_fast_agree_with_one(monkeypatch):
+    """Sixteen parts per block, the interpreter switching threads every
+    microsecond: a part that wrote to state another part reads (as the
+    fit's scale once did) would lose or move an update."""
+    def estimates():
+        fit = weight_poly_fit(graph2(), n_samples=2 * wmc.CHUNK, seed=2)
+        res = weight_mc(graph1_left(), lam=0.3 + 0.2j,
+                        n_samples=2 * wmc.CHUNK, seed=4)
+        return (fit.coeffs.tolist(), fit.cov_re.tolist(),
+                fit.cov_im.tolist(), fit.scale, res.value, res.stderr)
+
+    monkeypatch.setattr(wmc, "_PARTS", 1)
+    want = estimates()
+    monkeypatch.setattr(wmc, "_PARTS", 16)
+    monkeypatch.setattr(wmc, "_MIN_ROWS", 1_000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = estimates()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def test_a_split_block_leaves_no_thread_and_raises_a_part_error(
+        monkeypatch):
+    """The threads of a split block end before _mc_mean returns or
+    raises, and an error in a part on another thread is raised again in
+    the caller, as it would be unsplit."""
+    monkeypatch.setattr(wmc, "_PARTS", 3)
+    before = threading.active_count()
+    weight_mc(graph2(), lam=0.5, n_samples=wmc.CHUNK, seed=1)
+    assert threading.active_count() == before
+
+    def block(u):
+        if threading.current_thread() is not threading.main_thread():
+            raise ArithmeticError("a part failed")
+        return np.zeros(len(u))
+
+    with pytest.raises(ArithmeticError, match="a part failed"):
+        wmc._mc_mean(wmc.CHUNK, 0, 2, block)
+    assert threading.active_count() == before
 
 
 # -- the integrand kernel ----------------------------------------------
