@@ -21,6 +21,12 @@ One rule interpolates every model.  A model supplies only its log-ratio L
 from L's own Wirtinger derivatives alone (``_wirtinger``), because the
 second half is the conjugate of the first: ln cj Q = cj ln Q.
 
+Each dphi_* joins a source half (d/ds, d/d cj s) and a target half (d/dt,
+d/d cj t); an edge of a one-point integral reads one half.  The two disk
+models' log-ratios differ by a function of ws alone, so they share one
+target half (``dphi_disk_target``), and center-subtracted in-in equals
+disk in-in by construction.
+
 Functions are numpy-vectorized: scalars or same-shape arrays work alike.
 """
 
@@ -51,22 +57,27 @@ def _phi(lam, ln):
 
 
 def _wirtinger(lam, l_s, l_sb, l_t):
-    """Wirtinger coefficients (d/ds, d/d cj s, d/dt, d/d cj t) of _phi(lam, L)
-    from L's Wirtinger derivatives L_s, L_{cj s} and L_t.
+    """(d/ds, d/d cj s, d/dt, d/d cj t) of _phi(lam, L): both halves."""
+    return _source_half(lam, l_s, l_sb) + _target_half(lam, l_t)
 
-    With c_lam = lam / 2 pi i and c_mu = (1-lam) / 2 pi i, the conjugate
-    half contributes -c_mu cj(L_{cj z}) to d/dz, since d/dz cj L =
-    cj(d/d cj z L).  Each model's L is holomorphic in the target t, so
-    L_{cj t} = 0: d/dt has no mu part and d/d cj t no lam part.
-    """
+
+def _source_half(lam, l_s, l_sb):
+    """(d/ds, d/d cj s) of _phi(lam, L) from L_s and L_{cj s}: with c_lam =
+    lam / 2 pi i and c_mu = (1-lam) / 2 pi i, the conjugate half adds
+    -c_mu cj(L_{cj z}) to d/dz, since d/dz cj L = cj(d/d cj z L)."""
     c_lam = lam / TWO_PI_I
     c_mu = (1 - lam) / TWO_PI_I
     # not c_mu * cj(L), which numpy computes as cj(L) *= c_mu from 256 KiB
     # on: a complex product rounds differently with its factors swapped
     return (c_lam * l_s - np.multiply(c_mu, np.conj(l_sb)),
-            c_lam * l_sb - np.multiply(c_mu, np.conj(l_s)),
-            c_lam * l_t,
-            np.multiply(-c_mu, np.conj(l_t)))
+            c_lam * l_sb - np.multiply(c_mu, np.conj(l_s)))
+
+
+def _target_half(lam, l_t):
+    """(d/dt, d/d cj t) of _phi(lam, L) from L_t; L is holomorphic in t,
+    so d/dt has no mu part and d/d cj t no lam part."""
+    return (lam / TWO_PI_I * l_t,
+            np.multiply(-((1 - lam) / TWO_PI_I), np.conj(l_t)))
 
 
 # ---------------------------------------------------------------------
@@ -121,17 +132,25 @@ def phi_disk(lam, ws, wt):
 
 
 def dphi_disk(lam, ws, wt):
-    """Wirtinger coefficients (d/dws, d/d cj ws, d/dwt, d/d cj wt).
+    """Wirtinger coefficients (d/dws, d/d cj ws, d/dwt, d/d cj wt)."""
+    return dphi_disk_source(lam, ws, wt) + dphi_disk_target(lam, ws, wt)
 
-    L = ln(1 - cj ws) + ln(ws - wt) - ln(1 - ws) - ln(1 - cj ws wt); the
-    reciprocal of 1 - cj ws is the conjugate of 1/(1 - ws).
-    """
+
+def dphi_disk_source(lam, ws, wt):
+    """(d/dws, d/d cj ws) of L = ln(1 - cj ws) + ln(ws - wt) - ln(1 - ws)
+    - ln(1 - cj ws wt); 1/(1 - cj ws) is the conjugate of 1/(1 - ws)."""
     ws, wt = np.asarray(ws, complex), np.asarray(wt, complex)
-    wsb = np.conj(ws)
     a = 1.0 / (ws - wt)
     b = 1.0 / (1 - ws)
-    d = 1 - wsb * wt
-    return _wirtinger(lam, a + b, wt / d - np.conj(b), wsb / d - a)
+    d = 1 - np.conj(ws) * wt
+    return _source_half(lam, a + b, wt / d - np.conj(b))
+
+
+def dphi_disk_target(lam, ws, wt):
+    """(d/dwt, d/d cj wt) of phi_disk and of phi_shoikhet."""
+    ws, wt = np.asarray(ws, complex), np.asarray(wt, complex)
+    wsb = np.conj(ws)
+    return _target_half(lam, wsb / (1 - wsb * wt) - 1.0 / (ws - wt))
 
 
 # ---------------------------------------------------------------------
@@ -146,15 +165,15 @@ def phi_shoikhet(lam, ws, wt):
 
 
 def dphi_shoikhet(lam, ws, wt):
-    """Wirtinger coefficients (d/dws, d/d cj ws, d/dwt, d/d cj wt).
+    """Wirtinger coefficients (d/dws, d/d cj ws, d/dwt, d/d cj wt)."""
+    return dphi_shoikhet_source(lam, ws, wt) + dphi_disk_target(lam, ws, wt)
 
-    L = ln(ws - wt) - ln(ws) - ln(1 - cj ws wt).
-    """
+
+def dphi_shoikhet_source(lam, ws, wt):
+    """(d/dws, d/d cj ws) of L = ln(ws - wt) - ln(ws) - ln(1 - cj ws wt)."""
     ws, wt = np.asarray(ws, complex), np.asarray(wt, complex)
-    wsb = np.conj(ws)
-    a = 1.0 / (ws - wt)
-    d = 1 - wsb * wt
-    return _wirtinger(lam, a - 1.0 / ws, wt / d, wsb / d - a)
+    return _source_half(lam, 1.0 / (ws - wt) - 1.0 / ws,
+                        wt / (1 - np.conj(ws) * wt))
 
 
 # ---------------------------------------------------------------------

@@ -37,7 +37,7 @@ rows are evaluated at once in contiguous parts (``_split``), by a thread
 pool that serves every block of one call: new threads per block made
 glibc open a fresh malloc arena now and then, 3-5 MB of peak memory
 each.  A sample's value depends on its row alone (at complex lam too:
-propagators._wirtinger) and every sum runs over the whole block, so no
+propagators._source_half) and every sum runs over the whole block, so no
 estimate depends on the part count, bit for bit.  A weight sample reads the
 2(n-1)+m coordinates above; a two-valent sample reads three uniforms,
 (component, radius, angle) of the mixture proposal.  The singularity guard
@@ -430,8 +430,8 @@ def two_valent_target(kind: str, w1: complex, w2: complex,
     """two_valent_integral's value at every lambda, None where unknown.
 
     In-out and in-in vanish under both propagators; the center-subtracted
-    in-in integrand is the disk's, since dphi_shoikhet's target-side
-    coefficients ([2:]) are dphi_disk's.  Disk out-out is
+    in-in integrand is the disk's, since both models share one target half
+    (propagators.dphi_disk_target).  Disk out-out is
     two_valent_out_out_exact; center-subtracted out-out is unknown."""
     if kind != "out-out":
         return 0.0
@@ -443,34 +443,37 @@ _CAP_RADIUS = 0.6
 
 
 def _mixture_map(u: np.ndarray, centers):
-    """(k, 3) uniforms -> (w, q): points of the defensive mixture and its
-    density on C.
+    """(k, 3) uniforms -> (w, q, use): points of the defensive mixture, its
+    density on C and the guard mask.
 
     The mixture is the uniform unit disk with probability _P_UNIFORM, else
     one of the caps (c, beta) in ``centers``, each equally likely.  A row
-    is read as (component, radius, angle): the component from u0 against
-    the mixture cdf (as ``Generator.choice`` picks it), then
-    w = c + R u1^{1/(2-beta)} e^{2 pi i u2} with R = _CAP_RADIUS, or
-    sqrt(u1) e^{2 pi i u2} for the disk.  That radial law has planar
-    density (2-beta) r^{-beta} / (2 pi R^{2-beta}) inside its cap.
+    is read as (component, radius, angle): the component is the count of
+    normalised cdf entries <= u0 (as Generator.choice and
+    searchsorted(side="right") pick it), then w = c + R u1^{1/(2-beta)}
+    e^{2 pi i u2} with R = _CAP_RADIUS, or sqrt(u1) e^{2 pi i u2} for the
+    disk.  That radial law has planar density (2-beta) r^{-beta} /
+    (2 pi R^{2-beta}) inside its cap.  Each step is one whole-block pass,
+    and |w| and each |w - c| serve q and the guard ``use`` alike.  A cap
+    adds num / (den d^beta) with den d^beta formed first, for fixed bits.
     """
     p_each = (1 - _P_UNIFORM) / len(centers)
     cdf = np.cumsum([_P_UNIFORM] + [p_each] * len(centers))
-    comp = (cdf / cdf[-1]).searchsorted(u[:, 0], side="right")
+    comp = np.count_nonzero(cdf[:, None] / cdf[-1] <= u[:, 0], axis=0)
     spin = np.exp(2j * np.pi * u[:, 2])
     w = np.sqrt(u[:, 1]) * spin
     for i, (c, beta) in enumerate(centers):
-        sel = comp == i + 1
-        w[sel] = c + (_CAP_RADIUS * u[sel, 1] ** (1.0 / (2.0 - beta))
-                      * spin[sel])
-    q = np.where(np.abs(w) < 1, _P_UNIFORM / np.pi, 0.0)
+        radius = u[:, 1] if beta == 1.0 else u[:, 1] ** (1.0 / (2.0 - beta))
+        w = np.where(comp == i + 1, c + (_CAP_RADIUS * radius * spin), w)
+    use = np.abs(w) < 1
+    q = np.where(use, _P_UNIFORM / np.pi, 0.0)
     for c, beta in centers:
         d = np.abs(w - c)
-        near = d < _CAP_RADIUS
-        q[near] += (p_each * (2.0 - beta)
-                    / (2 * np.pi * _CAP_RADIUS ** (2.0 - beta)
-                       * d[near] ** beta))
-    return w, q
+        use &= d > SINGULAR_GUARD
+        with np.errstate(divide="ignore"):     # inf on a centre
+            q += np.where(d < _CAP_RADIUS, p_each * (2.0 - beta) / (
+                2 * np.pi * _CAP_RADIUS ** (2.0 - beta) * d ** beta), 0.0)
+    return w, q, use
 
 
 def two_valent_integral(kind: str, w1: complex, w2: complex, lam=0.5,
@@ -494,7 +497,8 @@ def two_valent_integral(kind: str, w1: complex, w2: complex, lam=0.5,
         raise ValueError(f"unknown kind {kind!r}")
     if propagator not in ("disk", "shoikhet"):
         raise ValueError(f"unknown propagator {propagator!r}")
-    dfun = prop.dphi_disk if propagator == "disk" else prop.dphi_shoikhet
+    source = prop.dphi_disk_source if propagator == "disk" \
+        else prop.dphi_shoikhet_source
 
     # a cap at each interior pole and a steeper 1/|w-1|^{3/2} cap at the
     # boundary pole (both edge factors can blow up there, so the square of
@@ -506,14 +510,11 @@ def two_valent_integral(kind: str, w1: complex, w2: complex, lam=0.5,
     def one_form(w, c, w_is_source):
         """(d/dx, d/dy) of the edge between w and c, in w's coordinates."""
         if w_is_source:
-            return prop.wirtinger_to_xy(*dfun(lam, w, c)[:2])
-        return prop.wirtinger_to_xy(*dfun(lam, c, w)[2:])
+            return prop.wirtinger_to_xy(*source(lam, w, c))
+        return prop.wirtinger_to_xy(*prop.dphi_disk_target(lam, c, w))
 
     def block(u):
-        w, q = _mixture_map(u, centers)
-        use = np.abs(w) < 1
-        for c, _ in centers:
-            use &= np.abs(w - c) > SINGULAR_GUARD
+        w, q, use = _mixture_map(u, centers)
         f = np.zeros(w.size, complex)
         ww = w[use]
         a, b = (one_form(ww, c, src)

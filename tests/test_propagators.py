@@ -191,8 +191,9 @@ def test_shoikhet_is_center_subtracted():
         or abs(gap) < 1e-9
 
 
-@pytest.mark.parametrize("dfun", [prop.dphi_h, prop.dphi_disk,
-                                  prop.dphi_shoikhet])
+@pytest.mark.parametrize("dfun", [
+    prop.dphi_h, prop.dphi_disk, prop.dphi_shoikhet, prop.dphi_disk_source,
+    prop.dphi_shoikhet_source, prop.dphi_disk_target])
 def test_differentials_do_not_depend_on_the_array_length(dfun):
     """A sample's coefficients are the same bit for bit in a 16,384-point
     block (256 KiB of complex values, where numpy starts to reuse
@@ -207,3 +208,47 @@ def test_differentials_do_not_depend_on_the_array_length(dfun):
               for half in (slice(None, 8_192), slice(8_192, None))]
     for k, coeff in enumerate(whole):
         assert np.array_equal(coeff, np.concatenate([h[k] for h in halves]))
+
+
+def _one_piece(lam, l_s, l_sb, l_t):
+    """The four Wirtinger coefficients, one expression each, with no
+    halves: the reference the halves are checked against."""
+    c_lam = lam / prop.TWO_PI_I
+    c_mu = (1 - lam) / prop.TWO_PI_I
+    return (c_lam * l_s - np.multiply(c_mu, np.conj(l_sb)),
+            c_lam * l_sb - np.multiply(c_mu, np.conj(l_s)),
+            c_lam * l_t,
+            np.multiply(-c_mu, np.conj(l_t)))
+
+
+def _one_piece_disk(lam, ws, wt, shoikhet):
+    ws, wt = np.asarray(ws, complex), np.asarray(wt, complex)
+    wsb = np.conj(ws)
+    a = 1.0 / (ws - wt)
+    d = 1 - wsb * wt
+    if shoikhet:
+        return _one_piece(lam, a - 1.0 / ws, wt / d, wsb / d - a)
+    b = 1.0 / (1 - ws)
+    return _one_piece(lam, a + b, wt / d - np.conj(b), wsb / d - a)
+
+
+@pytest.mark.parametrize("n", [1_000, 20_000])
+@pytest.mark.parametrize("lam", [0.5, 0.3 + 0.2j])
+def test_halves_are_slices_of_the_differentials(lam, n):
+    """Each half equals its slice of dphi_disk and dphi_shoikhet, and of
+    the one-piece formulas, bit for bit: on two arrays, and with a scalar
+    at either end as a one-point integral calls them.  At 20,000 points a
+    complex array is past the 256 KiB from which numpy reuses temporaries
+    in place."""
+    rng = np.random.default_rng(5)
+    ws, wt = (np.sqrt(rng.uniform(0, 0.9, n))
+              * np.exp(2j * np.pi * rng.uniform(size=n)) for _ in range(2))
+    for shoikhet, full, source in (
+            (False, prop.dphi_disk, prop.dphi_disk_source),
+            (True, prop.dphi_shoikhet, prop.dphi_shoikhet_source)):
+        for s, t in ((ws, wt), (ws, 0.35 + 0.2j), (-0.25 + 0.4j, wt)):
+            halves = source(lam, s, t) + prop.dphi_disk_target(lam, s, t)
+            for half, whole, ref in zip(halves, full(lam, s, t),
+                                        _one_piece_disk(lam, s, t, shoikhet)):
+                assert np.array_equal(half, whole)
+                assert np.array_equal(half, ref)

@@ -4,6 +4,7 @@ import importlib
 import math
 import sys
 import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -505,17 +506,39 @@ def test_shoikhet_in_out_vanishes():
     assert abs(res.value) <= max(1.5e-3, 3 * res.stderr)
 
 
+def _reference_mixture_map(u, centers):
+    """(w, q, use) of the mixture proposal by selection and searchsorted,
+    with the guard as a second pass: the reference for _mixture_map."""
+    p_each = (1 - wmc._P_UNIFORM) / len(centers)
+    cdf = np.cumsum([wmc._P_UNIFORM] + [p_each] * len(centers))
+    comp = (cdf / cdf[-1]).searchsorted(u[:, 0], side="right")
+    spin = np.exp(2j * np.pi * u[:, 2])
+    w = np.sqrt(u[:, 1]) * spin
+    for i, (c, beta) in enumerate(centers):
+        sel = comp == i + 1
+        w[sel] = c + (wmc._CAP_RADIUS * u[sel, 1] ** (1.0 / (2.0 - beta))
+                      * spin[sel])
+    q = np.where(np.abs(w) < 1, wmc._P_UNIFORM / np.pi, 0.0)
+    for c, beta in centers:
+        d = np.abs(w - c)
+        near = d < wmc._CAP_RADIUS
+        q[near] += (p_each * (2.0 - beta)
+                    / (2 * np.pi * wmc._CAP_RADIUS ** (2.0 - beta)
+                       * d[near] ** beta))
+    use = np.abs(w) < 1
+    for c, _ in centers:
+        use &= np.abs(w - c) > wmc.SINGULAR_GUARD
+    return w, q, use
+
+
 def _two_valent_values(kind, lam, u, propagator):
     """Sample values of the two-valent estimator at W1, W2, one branch per
-    kind."""
+    kind, through _reference_mixture_map and whole dphi_* 4-tuples."""
     centers = [(W1, 1.0), (W2, 1.0), (1.0 + 0j, 1.5)]
     if propagator == "shoikhet":
         centers.append((0j, 1.0))
     dfun = prop.dphi_disk if propagator == "disk" else prop.dphi_shoikhet
-    w, q = wmc._mixture_map(u, centers)
-    use = np.abs(w) < 1
-    for c, _ in centers:
-        use &= np.abs(w - c) > wmc.SINGULAR_GUARD
+    w, q, use = _reference_mixture_map(u, centers)
     ww = w[use]
     if kind == "out-out":
         a = prop.wirtinger_to_xy(*dfun(lam, ww, W1)[:2])
@@ -565,12 +588,95 @@ def test_mixture_map_samples_its_density(propagator):
     if propagator == "shoikhet":
         centers.append((0j, 1.0))
     u = np.random.default_rng(3).random((200_000, 3))
-    w, q = wmc._mixture_map(u, centers)
+    w, q, _ = wmc._mixture_map(u, centers)
     inside = np.abs(w) < 1
     assert np.all(q[inside] >= 0.4 / np.pi)
     vals = np.where(inside, 1 / q, 0.0)
     sigma = vals.std() / math.sqrt(len(vals))
     assert abs(vals.mean() - np.pi) <= 4 * sigma
+
+
+def _hand_rows(centers):
+    """Rows with u0 on 0 and on each normalised cdf entry, u1 in {0, 1}
+    and u2 = 0, and the mask of the cap rows that land on their centre
+    (u1 = 0)."""
+    p_each = (1 - wmc._P_UNIFORM) / len(centers)
+    cdf = np.cumsum([wmc._P_UNIFORM] + [p_each] * len(centers))
+    cdf /= cdf[-1]
+    rows = np.array([(u0, u1, 0.0) for u0 in [0.0, *cdf] for u1 in (0.0, 1.0)])
+    return rows, (rows[:, 1] == 0) & np.isin(rows[:, 0], cdf[:-1])
+
+
+@pytest.mark.parametrize("propagator", ["disk", "shoikhet"])
+def test_mixture_map_equals_the_searchsorted_reference(propagator):
+    """Counting cdf entries picks searchsorted's component, and the
+    whole-array passes give the reference's points, density and guard mask
+    bit for bit, with 3 and 4 centres, on cdf entries and on the cap
+    edges.  A cap row with u1 = 0 lands on its centre: q is inf there,
+    with no warning, and the guard drops it."""
+    centers = [(W1, 1.0), (W2, 1.0), (1.0 + 0j, 1.5)]
+    if propagator == "shoikhet":
+        centers.append((0j, 1.0))
+    hand, on_centre = _hand_rows(centers)
+    for u in (np.random.default_rng(9).random((200_000, 3)), hand):
+        with np.errstate(divide="ignore"):
+            ref = _reference_mixture_map(u, centers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = wmc._mixture_map(u, centers)
+        for got, want in zip(out, ref):
+            assert np.array_equal(got, want)
+    w, q, use = out
+    assert on_centre.sum() == len(centers)
+    assert np.array_equal(w[on_centre], [c for c, _ in centers])
+    assert np.all(np.isinf(q[on_centre])) and not use[on_centre].any()
+
+
+# (value.real, value.imag, stderr) as float.hex at 20,000 samples, seed
+# 20: one full block and a partial one.  Recorded on x86-64 with numpy 2.4;
+# any change to the sampler, the proposal or the differentials that moves
+# a bit shows here.
+TWO_VALENT_PINS = {
+    ("out-out", "disk", 0.5):
+        ("0x1.ecd865f385deep-5", "0x0.0p+0", "0x1.af18cbdcc8addp-9"),
+    ("in-out", "disk", 0.5):
+        ("-0x1.e1b5730cc5cc0p-12", "0x0.0p+0", "0x1.0547c3fe5fecfp-10"),
+    ("in-in", "disk", 0.5):
+        ("0x1.e2395d3f2c134p-12", "0x0.0p+0", "0x1.5673c4f303c53p-10"),
+    ("out-out", "shoikhet", 0.5):
+        ("0x1.e6d31232cb332p-5", "0x0.0p+0", "0x1.c2d55e4fa9a89p-9"),
+    ("in-out", "shoikhet", 0.5):
+        ("0x1.c5d7fab76ffbfp-13", "0x0.0p+0", "0x1.fe3aa0bcf89e7p-10"),
+    ("in-in", "shoikhet", 0.5):
+        ("0x1.219984bfe8ac6p-11", "0x0.0p+0", "0x1.5a2c127406280p-10"),
+    ("out-out", "disk", 0.3 + 0.2j):
+        ("0x1.ef90a855c4793p-5", "0x1.f670fd0a772a3p-12",
+         "0x1.f8811b41f298ep-9"),
+    ("in-out", "disk", 0.3 + 0.2j):
+        ("-0x1.695e26970ed85p-12", "0x1.12a71860f8411p-12",
+         "0x1.22f2034c97023p-10"),
+    ("in-in", "disk", 0.3 + 0.2j):
+        ("0x1.e2395d3f2c131p-12", "0x1.349f97d6829bcp-13",
+         "0x1.678efba920631p-10"),
+    ("out-out", "shoikhet", 0.3 + 0.2j):
+        ("0x1.e6778697f8b14p-5", "0x1.14b210b6261b7p-14",
+         "0x1.d4b92f6fdbc27p-9"),
+    ("in-out", "shoikhet", 0.3 + 0.2j):
+        ("0x1.4de231be5d9f6p-14", "0x1.62b6b160b5d64p-15",
+         "0x1.1a56027ef7711p-9"),
+    ("in-in", "shoikhet", 0.3 + 0.2j):
+        ("0x1.219984bfe8abep-11", "0x1.72b006145d052p-13",
+         "0x1.6b76db07cf0aep-10"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(TWO_VALENT_PINS, key=str), ids=str)
+def test_two_valent_estimates_are_pinned(key):
+    kind, propagator, lam = key
+    res = two_valent_integral(kind, W1, W2, lam=lam, n_samples=20_000,
+                              seed=20, propagator=propagator)
+    assert (res.value.real.hex(), res.value.imag.hex(),
+            float(res.stderr).hex()) == TWO_VALENT_PINS[key]
 
 
 def test_two_valent_rejects_unknown_kind():
