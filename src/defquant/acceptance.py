@@ -1,14 +1,17 @@
 """Gated acceptance suite: eleven numbered criteria, one line each.
 
-Every criterion returns a CriterionResult whose checks carry (name, value,
-target, tolerance, pass); run_all times each criterion, prints a single
-PASS/FAIL line per criterion and returns the full structured list.  The
-same functions back `defquant verify all` and tests/test_acceptance.py,
-so the gates cannot drift between the CLI and the test suite.
+Every criterion returns a CriterionResult of checks (name, value, target,
+tolerance, pass), each passing iff |value - target| <= tolerance
+(``check``).  run_all times each criterion, prints a single PASS/FAIL
+line per criterion and returns the full structured list.  The same
+functions back `defquant verify all` and tests/test_acceptance.py, so the
+gates cannot drift between the CLI and the test suite.
 
 All randomness is seeded here; sample counts are sized so the whole run
-stays within a small wall-clock budget while leaving >= 3 sigma of
-headroom on every statistical gate.
+stays within a small wall-clock budget.  Most statistical gates leave
+>= 3 sigma of headroom, but the full-mode 1e-3 of criteria 3 and 4 is
+1.7-2.3 stderr for some integrals: with normal errors a correct program
+fails them about 13 % and 22 % of the time per fresh stream.
 """
 
 from __future__ import annotations
@@ -43,22 +46,19 @@ class Check:
     value: float
     target: float
     tolerance: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return abs(self.value - self.target) <= self.tolerance
 
     def to_jsonable(self):
         return {"name": self.name, "value": self.value, "target": self.target,
                 "tolerance": self.tolerance, "pass": self.passed}
 
 
-def check(name, value, target, tolerance, passed=None) -> Check:
-    """One gated comparison; by default it passes when
-    |value - target| <= tolerance."""
-    value = float(value)
-    target = float(target)
-    tolerance = float(tolerance)
-    if passed is None:
-        passed = abs(value - target) <= tolerance
-    return Check(name, value, target, tolerance, bool(passed))
+def check(name, value, target, tolerance) -> Check:
+    """The one pass rule: |value - target| <= tolerance (NaN fails)."""
+    return Check(name, float(value), float(target), float(tolerance))
 
 
 @dataclass
@@ -72,8 +72,8 @@ class CriterionResult:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name, value, target, tolerance, passed=None):
-        self.checks.append(check(name, value, target, tolerance, passed))
+    def add(self, name, value, target, tolerance):
+        self.checks.append(check(name, value, target, tolerance))
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -104,11 +104,10 @@ def criterion_2(quick: bool = False) -> CriterionResult:
     r = CriterionResult(2, "fan weights 1/m!")
     src = WeightSource(n_samples=1000, seed=1)
     for m in (1, 2, 3):
-        want = 1.0 / math.factorial(m)
+        want = Fraction(1, math.factorial(m))
         exact = src.weight(fan_graph(m), lam=0.3)
-        r.add(f"fan m={m} exact", float(exact.value), want, 0.0,
-              passed=(exact.stderr == 0.0 and exact.value == Fraction(
-                  1, math.factorial(m))))
+        ok = exact.stderr == 0.0 and exact.value == want
+        r.add(f"fan m={m} exact", 0 if ok else 1, 0, 0)
         mc = weight_mc(fan_graph(m), lam=0.3,
                        n_samples=50_000 if quick else 200_000,
                        seed=100 + m)
@@ -179,8 +178,9 @@ def criterion_5(quick: bool = False) -> CriterionResult:
 
 
 def criterion_6(quick: bool = False) -> CriterionResult:
-    """Shadow-sum constancy in the modulus at n=2 and the w-independence
-    of the grouped four-series display."""
+    """Shadow-sum constancy in the modulus at n=2, its value zeta(2)
+    within the rigorous tail bound, and the w-independence of the grouped
+    four-series display."""
     r = CriterionResult(6, "shadow-sum constancy n=2")
 
     def constancy(label, values):
@@ -190,10 +190,8 @@ def criterion_6(quick: bool = False) -> CriterionResult:
 
     sums = [shadow_sum(2, w) for w in (0.1, 0.3, 0.5)]
     constancy("pairwise", sums)
-    # reported, not gated: the constant itself is zeta(2)
-    r.add("value vs zeta(2) (reported)",
-          abs(sums[1].value - math.pi ** 2 / 6), 0.0, 10 * sums[1].bound,
-          passed=True)
+    r.add("value vs zeta(2)", abs(sums[1].value - math.pi ** 2 / 6), 0.0,
+          sums[1].bound)
     constancy("display", [two_wheel_display(w) for w in (0.1, 0.3, 0.5)])
     return r
 
@@ -233,6 +231,20 @@ def criterion_8(quick: bool = False) -> CriterionResult:
     return r
 
 
+def associativity_checks(series, triples):
+    """Two checks per (f, g, h) in ``triples`` from associativity_gate,
+    and the worst |residual| / 3 sigma over them all."""
+    checks = []
+    worst = 0.0
+    for trial, triple in enumerate(triples):
+        low, beyond, ratio = associativity_gate(series, *triple)
+        checks.append(check(f"triple {trial} orders 0,1 exact", low, 0, 0))
+        checks.append(check(f"triple {trial} order 2 within 3 sigma",
+                            beyond, 0, 0))
+        worst = max(worst, ratio)
+    return checks, worst
+
+
 def criterion_9(quick: bool = False) -> CriterionResult:
     """Order-2 associativity for the linear so(3)-type Poisson structure:
     residual bounded by the propagated sampling error, monomials of total
@@ -241,20 +253,10 @@ def criterion_9(quick: bool = False) -> CriterionResult:
     src = WeightSource(n_samples=150_000 if quick else 500_000,
                        seed=909)
     series = star_order2(so3_bivector(), 0.5, src)
-    order1_violations = 0
-    worst = 0.0
-    failures = 0
     rng = random.Random(99)
-    for _ in range(8):
-        low, beyond, ratio = associativity_gate(series,
-                                                *random_triple(rng, 3, 3))
-        order1_violations += int(low > 0)
-        failures += beyond
-        worst = max(worst, ratio)
-    r.add("orders 0,1 exact", order1_violations, 0, 0)
-    r.add("order-2 monomials beyond 3 sigma", failures, 0, 0)
-    r.add("worst |residual| / 3 sigma", worst, 0.0, 1.0,
-          passed=(worst <= 1.0))
+    r.checks, worst = associativity_checks(
+        series, [random_triple(rng, 3, 3) for _ in range(8)])
+    r.add("worst |residual| / 3 sigma", worst, 0.0, 1.0)
     return r
 
 
@@ -265,12 +267,13 @@ def criterion_10(quick: bool = False) -> CriterionResult:
     r = CriterionResult(10, "fedosov fixed point")
     rng = random.Random(1010)
     bad = 0
-    for _ in range(25 if quick else 100):
+    count = 25 if quick else 100
+    for _ in range(count):
         a = random_element(2, 6, rng)
         recon = (a.delta().delta_inv() + a.delta_inv().delta() + a.sigma())
         if not (recon - a).is_zero():
             bad += 1
-    r.add("poincare lemma failures (100 elements)", bad, 0, 0)
+    r.add(f"poincare lemma failures ({count} elements)", bad, 0, 0)
 
     inp = flat_input(dim=2, cap=6)
 

@@ -1,12 +1,12 @@
 """Disk-model series for the Merkulov wheels, each with a rigorous bound.
 
 The module holds the wheel zeta values (merkulov_wheel_zeta), the shadow
-sums of the n-wheels (shadow_sum), the displayed four-series combination
-for the 2-wheel shadow (two_wheel_display) and the exact harmonic
-identities (harmonic_identity).  The series come from polar coordinates,
-a split of the domain at the radius of each fixed point so every rational
-factor expands geometrically, and angular integrals that couple the
-series indices.
+sums of the n-wheels (shadow_sum, constant in |w| and equal to zeta(2) at
+n = 2 only), the displayed four-series combination for the 2-wheel shadow
+(two_wheel_display) and the exact harmonic identities (harmonic_identity).
+The series come from polar coordinates, a split of the domain at the
+radius of each fixed point so every rational factor expands geometrically,
+and angular integrals that couple the series indices.
 
 Every truncated evaluation returns a ValueBound: a value together with a
 rigorous tail bound, so a constancy statement is tested against the sum
@@ -118,8 +118,9 @@ def shadow_sum(n: int, w_abs: float, N: int | None = None) -> ShadowSum:
     Index tuples (l_1..l_n) satisfy: l_1 < l_2 < ... < l_{s+1} strictly
     (s = m+m' > 0) and l_{s+1} >= l_{s+2} >= ... >= l_n >= l_1; every
     (m, m') contribution sharing a tuple is combined *before* summation,
-    since the individual blocks diverge as |w| -> 1.  The result is
-    constant in w_abs, equal to zeta(n).
+    since the individual blocks diverge as |w| -> 1.  At n = 2 the result
+    is constant in w_abs, equal to zeta(2); at n = 3 it is not (zeta(3) +
+    7.0e-3 at w_abs = 0.5, bound 3.1e-4, and a larger N barely moves it).
 
     Tuples are truncated at l_{s+1} <= N and chain width
     d = l_{s+1}-l_1 <= dmax; both cuts carry rigorous bounds (the width

@@ -426,16 +426,19 @@ _TWO_VALENT_KINDS = {"out-out": (True, True), "in-out": (True, False),
 
 
 def two_valent_target(kind: str, w1: complex, w2: complex,
-                      propagator: str = "disk"):
-    """two_valent_integral's value at every lambda, None where unknown.
+                      propagator: str = "disk") -> float:
+    """two_valent_integral's value at every lambda.
 
     In-out and in-in vanish under both propagators; the center-subtracted
     in-in integrand is the disk's, since both models share one target half
-    (propagators.dphi_disk_target).  Disk out-out is
-    two_valent_out_out_exact; center-subtracted out-out is unknown."""
+    (propagators.dphi_disk_target).  Disk out-out is O =
+    two_valent_out_out_exact; center-subtracted out-out is O(w1, w2) -
+    O(w1, 0) - O(0, w2) = (1/pi) arg(1 - w1 cj(w2)), as phi_sh(w, c) =
+    phi_disk(w, c) - phi_disk(w, 0) and d phi(w, 0) ^ d phi(w, 0) = 0."""
     if kind != "out-out":
         return 0.0
-    return two_valent_out_out_exact(w1, w2) if propagator == "disk" else None
+    o = two_valent_out_out_exact
+    return o(w1, w2) - (0.0 if propagator == "disk" else o(w1, 0) + o(0, w2))
 
 
 _P_UNIFORM = 0.4
@@ -488,7 +491,7 @@ def two_valent_integral(kind: str, w1: complex, w2: complex, lam=0.5,
     propagator: "disk" for the disk model, "shoikhet" for the
     center-subtracted one.
 
-    Contracts: two_valent_target gives the value wherever one is known.
+    Contracts: two_valent_target gives the value at every lambda.
     Importance sampling puts 1/|w - c| mass at each first-order pole so the
     estimator has finite variance (``_mixture_map``).  The samples run
     through weight_mc's block loop, three uniforms per sample.

@@ -1,13 +1,16 @@
-"""The fast acceptance criteria, and the associativity gate that criterion 9
-shares with ``defquant star assoc``."""
+"""The fast acceptance criteria, the one pass rule, and the associativity
+checks that criterion 9 shares with ``defquant star assoc``."""
 
+import dataclasses
 import importlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from defquant import acceptance, cli, propagators, star
+from defquant import acceptance, cli, propagators, series, star
+from defquant.graphs import fan_graph
 from defquant.weight_mc import MCResult, WeightSource
 
 # the package exports the function ``weight_mc`` under the module's name
@@ -55,13 +58,41 @@ def test_check_defaults_to_the_tolerance_test():
     assert acceptance.check("a", 1.5, 1, 0.5).passed
     assert not acceptance.check("b", 1.6, 1, 0.5).passed
     assert not acceptance.check("c", float("nan"), 0, 1).passed
-    assert acceptance.check("d", 7, 0, 0, passed=True).passed
+    # no verdict can be handed in from outside the rule
+    with pytest.raises(TypeError):
+        acceptance.check("d", 7, 0, 0, passed=True)
+
+
+def test_criterion_2_fails_a_wrong_exact_fan_weight(monkeypatch):
+    gc, par, _ = fan_graph(3).canonical_form()
+    key = gc.to_text()
+    monkeypatch.setitem(wmc._EXACT, key, (par * Fraction(1, 7),
+                                          wmc._EXACT[key][1]))
+    res = acceptance.criterion_2(quick=True)
+    assert [c.name for c in res.checks if not c.passed] == ["fan m=3 exact"]
+
+
+def test_criterion_6_fails_a_shadow_sum_off_zeta2(monkeypatch):
+    """A constant shift by twice the bound at |w| = 0.3, the sum the zeta(2)
+    line reads: the constancy lines cannot see it, so that line must."""
+    shift = 2 * series.shadow_sum(2, 0.3).bound
+
+    def shifted(n, w_abs, N=None):
+        s = series.shadow_sum(n, w_abs, N)
+        return dataclasses.replace(s, value=s.value + shift)
+
+    monkeypatch.setattr(acceptance, "shadow_sum", shifted)
+    res = acceptance.criterion_6(quick=True)
+    assert [c.name for c in res.checks if not c.passed] == [
+        "value vs zeta(2)"]
 
 
 def test_criterion_9_and_star_assoc_take_their_gate_from_star(monkeypatch,
                                                               capsys):
+    """Both build their per-triple checks with associativity_checks, which
+    asks star.associativity_gate; criterion 9 adds the worst ratio."""
     assert acceptance.associativity_gate is star.associativity_gate
-    assert cli.associativity_gate is star.associativity_gate
+    assert not hasattr(cli, "associativity_gate")
     calls = []
 
     def spy(*args, **kwargs):
@@ -69,8 +100,11 @@ def test_criterion_9_and_star_assoc_take_their_gate_from_star(monkeypatch,
         calls.append(out)
         return out
 
+    def names(n_triples):
+        return [f"triple {t} {what}" for t in range(n_triples)
+                for what in ("orders 0,1 exact", "order 2 within 3 sigma")]
+
     monkeypatch.setattr(acceptance, "associativity_gate", spy)
-    monkeypatch.setattr(cli, "associativity_gate", spy)
     # a small budget: this test is about wiring, not the gate's verdict
     monkeypatch.setattr(
         acceptance, "WeightSource",
@@ -78,19 +112,17 @@ def test_criterion_9_and_star_assoc_take_their_gate_from_star(monkeypatch,
 
     res = acceptance.criterion_9(quick=True)
     assert len(calls) == 8
-    got = {c.name: c.value for c in res.checks}
-    assert got == {
-        "orders 0,1 exact": sum(low > 0 for low, _, _ in calls),
-        "order-2 monomials beyond 3 sigma": sum(b for _, b, _ in calls),
-        "worst |residual| / 3 sigma": max(w for _, _, w in calls),
-    }
+    worst = max(w for _, _, w in calls)
+    assert [(c.name, c.value) for c in res.checks] == list(zip(
+        names(8) + ["worst |residual| / 3 sigma"],
+        [v for low, beyond, _ in calls for v in (low, beyond)] + [worst]))
 
     calls.clear()
     cli.main(["star", "assoc", "--samples", "4000", "--triples", "2"])
     rep = json.loads(capsys.readouterr().out)
     assert len(calls) == 2
-    assert [c["value"] for c in rep["checks"]] == [
-        v for low, beyond, _ in calls for v in (low, beyond)]
+    assert [(c["name"], c["value"]) for c in rep["checks"]] == list(zip(
+        names(2), [v for low, beyond, _ in calls for v in (low, beyond)]))
     assert rep["results"]["worst_ratio_to_3sigma"] == max(
         w for _, _, w in calls)
 
@@ -98,8 +130,8 @@ def test_criterion_9_and_star_assoc_take_their_gate_from_star(monkeypatch,
 def test_criteria_3_4_and_two_valent_take_their_target_from_weight_mc(
         monkeypatch, capsys):
     """Each check compares the estimate with what two_valent_target says;
-    a spy shifts every known target by 1/8 and a fake integral returns 0,
-    so a check reads |target + 1/8| only if it asked the table."""
+    a spy shifts every target by 1/8 and a fake integral returns 0, so a
+    check reads |target + 1/8| only if it asked the table."""
     assert acceptance.two_valent_target is wmc.two_valent_target
     assert cli.two_valent_target is wmc.two_valent_target
     targets = []
@@ -107,7 +139,7 @@ def test_criteria_3_4_and_two_valent_take_their_target_from_weight_mc(
     def spy(kind, w1, w2, propagator="disk"):
         out = wmc.two_valent_target(kind, w1, w2, propagator)
         targets.append(out)
-        return None if out is None else out + 0.125
+        return out + 0.125
 
     def fake(kind, w1, w2, lam=0.5, n_samples=0, seed=0, propagator="disk"):
         return MCResult(0j, 1e-6, n_samples, seed, lam)
@@ -131,5 +163,4 @@ def test_criteria_3_4_and_two_valent_take_their_target_from_weight_mc(
                   "--samples", "20"])
         rep = json.loads(capsys.readouterr().out)
         [target] = targets
-        assert [c["value"] for c in rep["checks"]] == (
-            [] if target is None else [abs(target + 0.125)])
+        assert [c["value"] for c in rep["checks"]] == [abs(target + 0.125)]

@@ -103,9 +103,9 @@ def test_same_seed_gives_byte_identical_reports(capsys, argv):
 EXACT_REPORTS = {
     ("fedosov", "star"): "2274ba05dff56b0b",
     ("fedosov", "solve", "--example", "curved", "--cap", "9"):
-        "1dffdbb5362c1d19",
+        "5623814d2d857d0d",
     ("geodesic", "exp", "--metric", "sphere", "--order", "8", "--taylor"):
-        "a11a139c71ae000f",
+        "02cb81d958aa4721",
     ("graphs", "enumerate", "--n", "3", "--m", "2", "--canonical"):
         "4ed2d7da4d0e5fb8",
     ("graphs", "enumerate", "--n", "2", "--m", "3", "--out-degree", "3",
@@ -114,7 +114,7 @@ EXACT_REPORTS = {
      "--canonical"): "a3b5888190b3b192",
     ("star", "assemble", "--structure", "moyal", "--dim", "4", "--samples",
      "20000", "--dump-ops"): "524bb6350f2785b1",
-    ("series", "harmonic", "--m", "7"): "c2e503a68d4ef84f",
+    ("series", "harmonic", "--m", "7"): "355492e65fb4477d",
     ("graphs", "enumerate", "--n", "2", "--m", "2"): "a2d97eb3eee53d57",
     ("fedosov", "star", "--example", "curved", "--cap", "6"):
         "d2cd6a23ac181fa5",
@@ -123,7 +123,7 @@ EXACT_REPORTS = {
     ("geodesic", "exp", "--metric", "poincare", "--order", "6"):
         "acdfb2e53894c38e",
     ("fedosov", "solve", "--example", "flat", "--cap", "4"):
-        "5d88174dffc89927",
+        "8b541ccc440c8293",
 }
 
 
@@ -457,14 +457,17 @@ def test_two_valent_out_out_matches_the_closed_form(capsys):
 
 
 @pytest.mark.parametrize("kind, propagator, w1, w2, names", [
-    # center-subtracted out-out has no known value: no check, exit 0
-    ("out-out", "shoikhet", "0.2,0.1", "-0.3,0.4", []),
+    ("out-out", "shoikhet", "0.2,0.1", "-0.3,0.4", ["matches closed form"]),
     ("in-in", "shoikhet", "0.2,0.1", "-0.3,0.4", ["vanishes"]),
     # the closed form is exactly 0.0 at w1 = w2 = 0
     ("out-out", "disk", "0", "0", ["matches closed form"]),
+    ("in-out", "shoikhet", "0.2,0.1", "-0.3,0.4", ["vanishes"]),
+    ("in-out", "disk", "0.2,0.1", "-0.3,0.4", ["vanishes"]),
+    ("in-in", "disk", "0.2,0.1", "-0.3,0.4", ["vanishes"]),
 ])
 def test_two_valent_checks_the_known_value_only(capsys, kind, propagator,
                                                  w1, w2, names):
+    """Every (kind, propagator) pair has a known value and one check."""
     code, rep = report(capsys, "weight", "two-valent", "--kind", kind,
                        "--propagator", propagator, "--w1", w1, f"--w2={w2}",
                        "--samples", "20000", "--seed", "4")
@@ -499,9 +502,21 @@ def test_series_shadow(capsys, n, display):
 def test_series_harmonic(capsys):
     code, rep = report(capsys, "series", "harmonic", "--m", "7")
     assert code == 0
+    assert [(c["name"], c["pass"]) for c in rep["checks"]] == [
+        ("exact equality", True)]
     res = rep["results"]
-    assert res["pass"] is True
+    assert "pass" not in res
     assert res["lhs"] == res["mid"] == res["rhs"]
+
+
+def test_a_flat_section_mismatch_fails_geodesic_exp(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "flat_section_mismatches",
+                        lambda met, phi, order: 1)
+    code, rep = report(capsys, "geodesic", "exp", "--order", "4",
+                       "--taylor")
+    assert code == 1
+    assert [(c["name"], c["value"], c["pass"]) for c in rep["checks"]] == [
+        ("flat-section recursion == series", 1.0, False)]
 
 
 def test_enumerate_lists_every_labeled_graph(capsys):

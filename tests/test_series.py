@@ -77,6 +77,13 @@ def test_shadow_three_wheel_ballpark():
     assert abs(s.value - float(mpmath.zeta(3))) < 0.05
 
 
+@pytest.mark.xfail(strict=True, reason="the n=3 shadow drifts with |w|: "
+                   "zeta(3) + 1.6e-7 at 0.1, + 7.0e-3 at 0.5")
+def test_shadow_three_wheel_is_constant():
+    a, b = shadow_sum(3, 0.1), shadow_sum(3, 0.5)
+    assert abs(a.value - b.value) <= a.bound + b.bound
+
+
 def test_shadow_rejects_bad_input():
     with pytest.raises(ValueError):
         shadow_sum(1, 0.5)

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defquant import propagators as prop
 from defquant.cache import WeightCache
@@ -470,12 +471,40 @@ def test_in_out_and_in_in_vanish(lam):
 
 def test_two_valent_target_table():
     closed = two_valent_out_out_exact(W1, W2)
+    centered = (closed - two_valent_out_out_exact(W1, 0)
+                - two_valent_out_out_exact(0, W2))
     assert {(kind, p): two_valent_target(kind, W1, W2, p)
             for kind in ("out-out", "in-out", "in-in")
             for p in ("disk", "shoikhet")} == {
-        ("out-out", "disk"): closed, ("out-out", "shoikhet"): None,
+        ("out-out", "disk"): closed, ("out-out", "shoikhet"): centered,
         ("in-out", "disk"): 0.0, ("in-out", "shoikhet"): 0.0,
         ("in-in", "disk"): 0.0, ("in-in", "shoikhet"): 0.0}
+
+
+# radii anywhere in [0, 1), and within 1e-3 .. 1e-15 of the unit circle
+_RADII = st.floats(0, 1, exclude_max=True) | st.floats(1e-15, 1e-3).map(
+    lambda gap: 1 - gap)
+_DISK = st.builds(lambda r, t: r * complex(math.cos(t), math.sin(t)),
+                  _RADII, st.floats(-math.pi, math.pi))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_DISK, _DISK)
+def test_center_subtracted_out_out_is_one_arg(w1, w2):
+    """The three-term target reduces to (1/pi) arg(1 - w1 cj(w2))."""
+    want = np.angle(1 - w1 * np.conj(w2)) / np.pi
+    assert two_valent_target("out-out", w1, w2, "shoikhet") == pytest.approx(
+        want, abs=2e-15)
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.3 + 0.2j])
+@pytest.mark.parametrize("w1, w2", [(W1, W2), (0.2 + 0.1j, -0.3 + 0.4j)])
+def test_center_subtracted_out_out_matches_its_target(w1, w2, lam):
+    """At the second pair the disk's closed form sits 60 sigma off."""
+    res = two_valent_integral("out-out", w1, w2, lam=lam, n_samples=400_000,
+                              seed=3, propagator="shoikhet")
+    target = two_valent_target("out-out", w1, w2, "shoikhet")
+    assert abs(res.value - target) <= 4 * res.stderr
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.3 + 0.2j, 1.0])
