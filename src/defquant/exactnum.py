@@ -1,14 +1,15 @@
 """Exact Gaussian-rational scalars.
 
 Coefficients throughout the symbolic modules are complex numbers with
-rational real and imaginary parts, kept exact with fractions.Fraction.
+rational real and imaginary parts, kept exact.
 Enough arithmetic is implemented for the graded-algebra and jet code:
 +, -, *, / (by nonzero), integer powers, conjugation, equality, hashing.
-Invariant: ``re`` and ``im`` are always exactly ``Fraction`` (never an
-int, a float or a Fraction subclass), so the arithmetic below combines the
-parts without converting them; a Fraction argument is stored as it is.
-The jets of the exact stack are mostly real, so a product of two reals
-costs one Fraction product.
+Invariant: a QC holds four Python ints, re = rn/rd and im = in/id, each
+pair in lowest terms with a positive denominator, and zero as 0/1.  That
+is Fraction's normal form, so equal values hold equal ints, and ==
+compares the ints.  +, -, * and == work on the ints with math.gcd and
+build no Fraction; ``re`` and ``im`` return the parts as Fraction, and
+only they, hash, / and coercion from non-int input build one.
 ``perm_sign`` is the one permutation-sign routine the graded code shares
 (edge reorderings, antisymmetric components, wedge products).
 """
@@ -16,24 +17,79 @@ costs one Fraction product.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-_ZERO = Fraction(0)
+_new = object.__new__
+
+
+def _ratio(x):
+    """The rational x as (numerator, denominator) in lowest terms, with a
+    positive denominator."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is float:
+        return x.as_integer_ratio()
+    f = x if type(x) is Fraction else Fraction(x)
+    return int(f.numerator), int(f.denominator)
+
+
+def _mul(an, ad, bn, bd):
+    """(an/ad) * (bn/bd) in lowest terms, cancelled crosswise."""
+    g = gcd(an, bd)
+    if g > 1:
+        an //= g
+        bd //= g
+    g = gcd(bn, ad)
+    if g > 1:
+        bn //= g
+        ad //= g
+    return an * bn, ad * bd
+
+
+def _add(an, ad, bn, bd):
+    """an/ad + bn/bd in lowest terms."""
+    if ad == bd:
+        n = an + bn
+        g = gcd(n, ad)
+        return (n, ad) if g == 1 else (n // g, ad // g)
+    g = gcd(ad, bd)
+    if g == 1:
+        return an * bd + ad * bn, ad * bd
+    s = ad // g
+    t = an * (bd // g) + bn * s
+    g = gcd(t, g)
+    return (t, s * bd) if g == 1 else (t // g, s * (bd // g))
+
+
+def _qc(rn, rd, in_, id_):
+    q = _new(QC)
+    q._rn, q._rd, q._in, q._id = rn, rd, in_, id_
+    return q
 
 
 class QC:
     """A complex number re + im*i with exact rational re, im."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_rn", "_rd", "_in", "_id")
 
     def __init__(self, re=0, im=0):
         if isinstance(re, QC):
             if im != 0:
                 raise TypeError("QC(QC, im): a QC argument takes no "
                                 "imaginary part")
-            self.re, self.im = re.re, re.im
+            self._rn, self._rd, self._in, self._id = \
+                re._rn, re._rd, re._in, re._id
             return
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        self._rn, self._rd = _ratio(re)
+        self._in, self._id = _ratio(im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._rn, self._rd)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._in, self._id)
 
     # -- constructors -------------------------------------------------
 
@@ -44,43 +100,75 @@ class QC:
         if isinstance(x, complex):
             # exact binary-float rationals; used when MC estimates enter
             # otherwise-exact bookkeeping
-            return QC(Fraction(x.real), Fraction(x.imag))
+            return _qc(*x.real.as_integer_ratio(), *x.imag.as_integer_ratio())
         return QC(x)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
         o = other if isinstance(other, QC) else QC.coerce(other)
-        return QC(self.re + o.re, self.im + o.im)
+        q = _new(QC)
+        q._rn, q._rd = _add(self._rn, self._rd, o._rn, o._rd)
+        if self._in or o._in:
+            q._in, q._id = _add(self._in, self._id, o._in, o._id)
+        else:
+            q._in, q._id = 0, 1
+        return q
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        return _qc(-self._rn, self._rd, -self._in, self._id)
 
     def __sub__(self, other):
         o = other if isinstance(other, QC) else QC.coerce(other)
-        return QC(self.re - o.re, self.im - o.im)
+        q = _new(QC)
+        q._rn, q._rd = _add(self._rn, self._rd, -o._rn, o._rd)
+        if self._in or o._in:
+            q._in, q._id = _add(self._in, self._id, -o._in, o._id)
+        else:
+            q._in, q._id = 0, 1
+        return q
 
     def __rsub__(self, other):
         return QC.coerce(other) + (-self)
 
     def __mul__(self, other):
         o = other if isinstance(other, QC) else QC.coerce(other)
-        if not self.im and not o.im:
-            return QC(self.re * o.re, _ZERO)
-        return QC(self.re * o.re - self.im * o.im,
-                  self.re * o.im + self.im * o.re)
+        an, ad, bn, bd = self._rn, self._rd, self._in, self._id
+        cn, cd, dn, dd = o._rn, o._rd, o._in, o._id
+        q = _new(QC)
+        if not bn and not dn:
+            # real * real, the common case: _mul inline
+            g = gcd(an, cd)
+            if g > 1:
+                an //= g
+                cd //= g
+            g = gcd(cn, ad)
+            if g > 1:
+                cn //= g
+                ad //= g
+            q._rn, q._rd, q._in, q._id = an * cn, ad * cd, 0, 1
+        elif not bn:
+            q._rn, q._rd = _mul(an, ad, cn, cd)
+            q._in, q._id = _mul(an, ad, dn, dd)
+        elif not dn:
+            q._rn, q._rd = _mul(an, ad, cn, cd)
+            q._in, q._id = _mul(bn, bd, cn, cd)
+        else:
+            q._rn, q._rd = _add(*_mul(an, ad, cn, cd), *_mul(-bn, bd, dn, dd))
+            q._in, q._id = _add(*_mul(an, ad, dn, dd), *_mul(bn, bd, cn, cd))
+        return q
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = QC.coerce(other)
-        n = o.re * o.re + o.im * o.im
+        ar, ai, br, bi = self.re, self.im, o.re, o.im
+        n = br * br + bi * bi
         if n == 0:
             raise ZeroDivisionError("division by zero QC")
-        return QC((self.re * o.re + self.im * o.im) / n,
-                  (self.im * o.re - self.re * o.im) / n)
+        return QC((ar * br + ai * bi) / n, (ai * br - ar * bi) / n)
 
     def __rtruediv__(self, other):
         return QC.coerce(other) / self
@@ -98,12 +186,12 @@ class QC:
         return out
 
     def conj(self):
-        return QC(self.re, -self.im)
+        return _qc(self._rn, self._rd, -self._in, self._id)
 
     # -- predicates / conversions ------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._rn and not self._in
 
     def __bool__(self):
         return not self.is_zero()
@@ -116,18 +204,20 @@ class QC:
                 o = QC.coerce(other)
             except (TypeError, ValueError):
                 return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return (self._rn == o._rn and self._rd == o._rd
+                and self._in == o._in and self._id == o._id)
 
     def __hash__(self):
-        if self.im == 0:
+        if not self._in:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int / int rounds once, as Fraction.__float__ does
+        return complex(self._rn / self._rd) + 1j * complex(self._in / self._id)
 
     def __repr__(self):
-        if self.im == 0:
+        if not self._in:
             return f"QC({self.re})"
         return f"QC({self.re}, {self.im})"
 

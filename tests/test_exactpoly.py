@@ -164,10 +164,22 @@ def _qc_grid():
     def frac():
         return Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
 
-    out = [QC(0), QC(1), QC(-1), QC(0, 1), QC(0, Fraction(-2, 3))]
+    # 1/6 + 1/10 = 8/30 needs the last gcd of a sum over unequal
+    # denominators
+    out = [QC(0), QC(1), QC(-1), QC(0, 1), QC(0, Fraction(-2, 3)),
+           QC(Fraction(1, 6), Fraction(1, 10)), QC(Fraction(1, 10))]
     for _ in range(6):
         out += [QC(frac()), QC(0, frac()), QC(frac(), frac())]
+    # the star-assembly regime: parts with 2^53-scale denominators, as MC
+    # estimates carry, and parts far above 2^53
+    out += [QC.coerce(0.1), QC.coerce(complex(1 / 3, -2.5e-17)),
+            QC(Fraction(2 ** 60 + 1, 3 ** 40)),
+            QC(Fraction(-3 ** 40, 7), Fraction(1, 2 ** 60 + 1))]
     return out
+
+
+# non-QC right operands: ints, a Fraction, binary floats
+_OTHERS = [3, -1, 0, Fraction(5, 4), complex(0.5, -0.25), 0.75]
 
 
 def _parts(q):
@@ -177,10 +189,9 @@ def _parts(q):
 
 def test_qc_arithmetic_matches_the_four_product_formula():
     grid = _qc_grid()
-    others = [3, -1, 0, Fraction(5, 4), complex(0.5, -0.25), 0.75]
     for a in grid:
         ar, ai = a.re, a.im
-        for b in grid + others:
+        for b in grid + _OTHERS:
             br, bi = _parts(QC.coerce(b))
             assert _parts(a * b) == (ar * br - ai * bi, ar * bi + ai * br)
             assert _parts(b * a) == (ar * br - ai * bi, ar * bi + ai * br)
@@ -190,6 +201,87 @@ def test_qc_arithmetic_matches_the_four_product_formula():
             assert _parts(b - a) == (br - ar, bi - ai)
             assert (a == b) is ((ar, ai) == (br, bi))
             assert (b == a) is ((ar, ai) == (br, bi))
+
+
+def _grid_results():
+    """Every result of the four-product grid: sums, differences and
+    products both ways, quotients, negations, conjugates and powers."""
+    grid = _qc_grid()
+    out = []
+    for a in grid:
+        out += [-a, a.conj(), a ** 2, a ** 3]
+        for b in grid + _OTHERS:
+            out += [a * b, b * a, a + b, b + a, a - b, b - a]
+            if b != 0:
+                out.append(a / b)
+    return out
+
+
+def _stored(q):
+    """The four ints a QC holds: re = n/d, im = n/d."""
+    return tuple(getattr(q, name) for name in QC.__slots__)
+
+
+def test_qc_results_are_stored_in_lowest_terms():
+    # == and hash compare the stored ints, so a missed reduction would
+    # make equal values compare unequal
+    for q in _grid_results():
+        rn, rd, in_, id_ = _stored(q)
+        for n, d in ((rn, rd), (in_, id_)):
+            assert type(n) is int and type(d) is int
+            assert d > 0 and math.gcd(n, d) == 1
+            assert n or d == 1
+        assert _stored(QC(q.re, q.im)) == (rn, rd, in_, id_)
+
+
+def test_qc_arithmetic_builds_no_fraction(monkeypatch):
+    grid = _qc_grid()
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for a in grid:
+        _ = (-a, a.conj(), a.is_zero(), bool(a), a.to_complex(), a ** 2,
+             a * 3, a + 3, a - 3, 3 - a, a == 3)
+        for b in grid:
+            _ = (a * b, a + b, a - b, a == b)
+    assert built == []
+    QC(1).re
+    assert built == [(1, 1)]
+
+
+def _hex(z: complex):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_qc_to_complex_is_bit_identical_to_the_fraction_expression():
+    tiny = Fraction(-1, 2 ** 1100)   # rounds to -0.0
+    huge = Fraction(10 ** 400 + 1, 10 ** 399)   # in range, parts are not
+    cases = _grid_results() + [
+        QC.coerce(complex(-0.0, -0.0)), QC(tiny), QC(0, tiny),
+        QC(tiny, tiny), QC(Fraction(1, 3), tiny), QC(huge, -huge)]
+    signs = set()
+    for q in cases:
+        got = _hex(q.to_complex())
+        assert got == _hex(complex(q.re) + 1j * complex(q.im))
+        signs.update(h for h in got if h.endswith("0x0.0p+0"))
+    assert signs == {"0x0.0p+0", "-0x0.0p+0"}
+
+
+@pytest.mark.parametrize("q", [
+    QC(10 ** 400), QC(0, Fraction(-10 ** 400, 7)),
+    QC(1, Fraction(10 ** 800, 10 ** 300 + 1))],
+    ids=["real part", "imaginary part", "imaginary quotient"])
+def test_qc_to_complex_beyond_the_float_range_overflows_as_fraction_does(q):
+    with pytest.raises(OverflowError) as want:
+        complex(q.re) + 1j * complex(q.im)
+    with pytest.raises(OverflowError) as got:
+        q.to_complex()
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("make", [
