@@ -23,26 +23,4 @@ Layers, bottom up:
 - acceptance / cli: the gated acceptance suite and the command-line front.
 """
 
-from .exactnum import QC
-from .exactpoly import Poly
-from .graphs import (AdmissibleGraph, Edge, enumerate_graphs, fan_graph,
-                     cycle_graph, wheel_graph, graph1_left, graph1_right,
-                     graph2)
-from .weight_mc import (MCResult, WeightSource, weight_mc,
-                        two_valent_integral, two_valent_out_out_exact,
-                        weight_poly_fit, relation_residuals)
-from .cache import WeightCache
-from .series import (merkulov_wheel_zeta, shadow_sum, two_wheel_display,
-                     harmonic_identity)
-from .star import (PolyVectorField, PolyDiffOperator, StarProductSeries,
-                   graph_operator, hkr_operator, star_order2,
-                   associativity_residual, associativity_sigma,
-                   so3_bivector)
-from .weyl import WeylElement
-from .fedosov import (FedosovInput, flat_input, curvature_tensor,
-                      curvature_element, solve_connection, catalan_expansion,
-                      fedosov_taylor, fedosov_star, moyal_star_jets)
-from .geodesics import (MetricJet, CovariantTensorJet, exp_map_series,
-                        geodesic_ode_oracle, classical_fedosov_taylor)
-
 __version__ = "0.1.0"

@@ -312,8 +312,6 @@ def cmd_weight_two_valent(args):
     w2 = parse_complex(args.w2, "w2")
     lam = parse_complex(args.lam, "lambda")
     n = parse_samples(args.samples, args.workers)
-    if max(abs(w1), abs(w2)) >= 1.0:
-        raise UsageError("w1 and w2 must lie in the open unit disk")
     estimate = partial(two_valent_integral, args.kind, w1, w2, lam=lam,
                        propagator=args.propagator)
     value, stderr, n_used = pooled_mc(estimate, n, args.seed, args.workers)

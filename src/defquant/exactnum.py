@@ -121,14 +121,7 @@ class QC:
         return _qc(-self._rn, self._rd, -self._in, self._id)
 
     def __sub__(self, other):
-        o = other if isinstance(other, QC) else QC.coerce(other)
-        q = _new(QC)
-        q._rn, q._rd = _add(self._rn, self._rd, -o._rn, o._rd)
-        if self._in or o._in:
-            q._in, q._id = _add(self._in, self._id, -o._in, o._id)
-        else:
-            q._in, q._id = 0, 1
-        return q
+        return self + (-QC.coerce(other))
 
     def __rsub__(self, other):
         return QC.coerce(other) + (-self)

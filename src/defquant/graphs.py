@@ -9,7 +9,6 @@ short loops are forbidden, and the edges leaving vertex k are labeled
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -122,8 +121,8 @@ class AdmissibleGraph:
     # -- canonical form -----------------------------------------------
 
     def canonical_form(self):
-        """Minimal text form under aerial renaming and per-star edge
-        relabeling.
+        """Canonical member of the class under aerial renaming and per-star
+        edge relabeling.
 
         Both symmetries leave the weight integrand invariant up to the sign
         of the permutation they induce on the ordered edge list (the wedge
@@ -133,32 +132,29 @@ class AdmissibleGraph:
         odd automorphism) parity_consistent is False and the weight
         vanishes identically.
 
-        Only the n! aerial renamings are searched.  The smallest text of a
-        renaming numbers each star's edges in the order of their rendered
-        destination names (parallel edges keep their order), and is never
-        rendered: each edge becomes the integer (source rank, destination
-        rank) of ``_ranks``, and these lists compare exactly as the texts.
-        Where two texts first differ, either the sources differ and the
-        tokens ``S>`` decide (``>`` sorts after the digits: ``10>`` < ``2>``)
-        or the names after ``>`` decide in string order (``#`` follows each
-        and sorts before every digit); equal source and name imply equal
-        labels.  A second minimizer arises from a repeated destination in
-        a star (swapping those two labels is odd) or from two renamings
-        with the same key.
+        Only the n! aerial renamings are searched.  Each renaming numbers
+        every star's edges in the order of their destination numbers
+        (parallel edges keep their order) and is keyed by its edge list as
+        (source, destination) vertex numbers, aerial 1..n before ground
+        n+1..n+m; the smallest key wins.  With n <= 9 and m <= 9 every
+        vertex name is one digit, after a ``b`` for ground vertices, so
+        the keys order as the K(n,m) texts and the result is the minimal
+        text of its class.  A second minimizer arises from a repeated
+        destination in a star (swapping those two labels is odd) or from
+        two renamings with the same key.
         """
         n, m = self.n, self.m
         base = self.edges
         size = len(base) or 1
-        width = n + m
-        dst_rank, src_key = _ranks(n, m)
+        width = n + m + 1
         ends = [(e.src, e.dst, i) for i, e in enumerate(base)]
         ground = tuple(range(n + 1, n + m + 1))
         best, parities = None, set()
         for p in itertools.permutations(range(1, n + 1)):
             new = (0,) + p + ground
-            codes = sorted([(new[s] * width + dst_rank[new[d]]) * size + i
+            codes = sorted([(new[s] * width + new[d]) * size + i
                             for s, d, i in ends])
-            key = [src_key[c // size] for c in codes]
+            key = [c // size for c in codes]
             if best and key > best[0]:
                 continue
             order = [c % size for c in codes]
@@ -175,23 +171,6 @@ class AdmissibleGraph:
             edges.append(Edge(new[s], new[d], label))
         return (AdmissibleGraph._trusted(n, m, tuple(edges)),
                 1 if 1 in parities else -1, len(parities) == 1)
-
-
-@functools.lru_cache(maxsize=None)
-def _ranks(n: int, m: int):
-    """For ``canonical_form``: ``dst_rank[d]``, the rank of vertex d's
-    name among all names of a K(n,m) text in string order, and
-    ``src_key[s * (n + m) + r]`` = rank(s) * (n + m) + r, with rank(s) the
-    rank of the token ``f"{s}>"`` among the aerial sources' tokens."""
-    width = n + m
-    names = [str(v) for v in range(1, n + 1)]
-    names += [f"b{j}" for j in range(1, m + 1)]
-    dst_rank = (0,) + tuple(sorted(names).index(x) for x in names)
-    tokens = sorted(f"{s}>" for s in range(1, n + 1))
-    src_key = (0,) * width + tuple(tokens.index(f"{s}>") * width + r
-                                   for s in range(1, n + 1)
-                                   for r in range(width))
-    return dst_rank, src_key
 
 
 def _parse_edges(body: str, n: int):

@@ -259,7 +259,10 @@ def integrand_value(g: AdmissibleGraph, lam, z: np.ndarray, r: np.ndarray):
 
 
 def _expand(entries, n_rows: int, size: int):
-    """det M at ``size`` samples from the entries of ``integrand_matrix``."""
+    """det M at ``size`` samples from the entries of ``integrand_matrix``;
+    the determinant of 0 rows is 1."""
+    if n_rows == 0:
+        return np.ones(size, complex)
     plan = _laplace_plan(entries, n_rows)
     if not plan:
         return np.zeros(size, complex)
@@ -489,7 +492,8 @@ def two_valent_integral(kind: str, w1: complex, w2: complex, lam=0.5,
           "in-out"   d phi(w, w1) ^ d phi(w2, w)
           "in-in"    d phi(w1, w) ^ d phi(w2, w)
     propagator: "disk" for the disk model, "shoikhet" for the
-    center-subtracted one.
+    center-subtracted one.  w1 and w2 must lie in the open unit disk
+    (ValueError otherwise, NaN included).
 
     Contracts: two_valent_target gives the value at every lambda.
     Importance sampling puts 1/|w - c| mass at each first-order pole so the
@@ -500,6 +504,8 @@ def two_valent_integral(kind: str, w1: complex, w2: complex, lam=0.5,
         raise ValueError(f"unknown kind {kind!r}")
     if propagator not in ("disk", "shoikhet"):
         raise ValueError(f"unknown propagator {propagator!r}")
+    if not (abs(w1) < 1 and abs(w2) < 1):
+        raise ValueError("w1 and w2 must lie in the open unit disk")
     source = prop.dphi_disk_source if propagator == "disk" \
         else prop.dphi_shoikhet_source
 

@@ -2,7 +2,6 @@
 checks that criterion 9 shares with ``defquant star assoc``."""
 
 import dataclasses
-import importlib
 import json
 from fractions import Fraction
 
@@ -10,11 +9,9 @@ import numpy as np
 import pytest
 
 from defquant import acceptance, cli, propagators, series, star
+from defquant import weight_mc as wmc
 from defquant.graphs import fan_graph
 from defquant.weight_mc import MCResult, WeightSource
-
-# the package exports the function ``weight_mc`` under the module's name
-wmc = importlib.import_module("defquant.weight_mc")
 
 
 @pytest.mark.parametrize("criterion", [
@@ -70,6 +67,25 @@ def test_criterion_2_fails_a_wrong_exact_fan_weight(monkeypatch):
                                           wmc._EXACT[key][1]))
     res = acceptance.criterion_2(quick=True)
     assert [c.name for c in res.checks if not c.passed] == ["fan m=3 exact"]
+
+
+def test_criterion_2_gates_the_mc_fan_weights_at_roundoff(monkeypatch):
+    """The constant fan integrands read 1/m! to the last bits with one
+    sample count in both modes; an estimate off by 1 part in 1e12 fails."""
+    quick = acceptance.criterion_2(quick=True).to_jsonable()["checks"]
+    assert acceptance.criterion_2(quick=False).to_jsonable()["checks"] \
+        == quick
+    assert [c["value"] for c in quick if c["name"].endswith(" mc")] \
+        == [0.0, 0.0, 0.0]
+
+    def off(*args, **kwargs):
+        res = wmc.weight_mc(*args, **kwargs)
+        return dataclasses.replace(res, value=res.value * (1 + 1e-12))
+
+    monkeypatch.setattr(acceptance, "weight_mc", off)
+    res = acceptance.criterion_2(quick=True)
+    assert [c.name for c in res.checks if not c.passed] == [
+        "fan m=1 mc", "fan m=2 mc", "fan m=3 mc"]
 
 
 def test_criterion_6_fails_a_shadow_sum_off_zeta2(monkeypatch):

@@ -483,10 +483,21 @@ def test_two_valent_checks_the_known_value_only(capsys, kind, propagator,
 
 
 def test_two_valent_point_outside_the_disk_exits_2(capsys):
-    code, out, err = run(capsys, "weight", "two-valent", "--kind", "out-out",
-                         "--w1", "1.2", "--w2", "0.1")
-    assert (code, out) == (2, "")
-    assert err == "error: w1 and w2 must lie in the open unit disk\n"
+    """two_valent_integral rejects the point, in a worker process too."""
+    for workers in ("1", "2"):
+        code, out, err = run(capsys, "weight", "two-valent", "--kind",
+                             "out-out", "--w1", "1.2", "--w2", "0.1",
+                             "--workers", workers)
+        assert (code, out) == (2, "")
+        assert err == "error: w1 and w2 must lie in the open unit disk\n"
+
+
+def test_weight_mc_of_the_edgeless_graph_reports_one(capsys):
+    code, rep = report(capsys, "weight", "mc", "--graph", "K(1,0)[]",
+                       "--samples", "1000")
+    assert (code, rep["pass"]) == (0, True)
+    assert (rep["results"]["value"], rep["results"]["stderr"]) \
+        == ([1.0, 0.0], 0.0)
 
 
 @pytest.mark.parametrize("n, display", [("2", True), ("3", False)])

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from defquant.exactnum import perm_sign
-from defquant.graphs import (AdmissibleGraph, Edge, _ranks, canonical_classes,
+from defquant.graphs import (AdmissibleGraph, Edge, canonical_classes,
                              enumerate_graphs, fan_graph, cycle_graph,
                              wheel_graph, graph1_left, graph1_right, graph2)
 from defquant.weight_mc import exact_zero_reason
@@ -93,9 +93,24 @@ def test_canonical_census_3_2():
                for gc, _, _ in classes.values()) == 30
 
 
+def one_digit_names(g):
+    """Whether every vertex name of ``g`` has one digit (n, m <= 9), so
+    that its text orders as its vertex numbers."""
+    return g.n <= 9 and g.m <= 9
+
+
+def signature(g):
+    """The order a canonical form minimises: the text while every name has
+    one digit, the (source, destination) vertex numbers otherwise."""
+    if one_digit_names(g):
+        return g.to_text()
+    return [(e.src, e.dst) for e in g.edges]
+
+
 def brute_force_canonical_form(g):
-    """Reference: the minimal text over every aerial renaming times every
-    per-star label permutation, with the parities of all minimizers."""
+    """Reference: the minimal ``signature`` over every aerial renaming
+    times every per-star label permutation, with the parities of all
+    minimizers."""
     best = None
     best_sig = None
     parities = set()
@@ -118,7 +133,7 @@ def brute_force_canonical_form(g):
                     origin[(ne.src, ne.label)] = i
                     new_edges.append(ne)
             g2 = AdmissibleGraph(g.n, g.m, new_edges)
-            sig = g2.to_text()
+            sig = signature(g2)
             if best_sig is not None and sig > best_sig:
                 continue
             order = [origin[(e.src, e.label)] for e in g2.edges]
@@ -153,7 +168,7 @@ CANONICAL_SETS = {
     "(3,0) parallel": lambda: enumerate_graphs(3, 0, 2, allow_parallel=True),
     "(3,1) parallel": lambda: enumerate_graphs(3, 1, 2, allow_parallel=True),
     "named": lambda: NAMED + [wheel_graph(4), cycle_graph(4), fan_graph(4)],
-    # b1 prefixes b10, and b10 sorts before b2 as text but not as a number
+    # b10 sorts before b2 as text; the key orders vertex numbers
     "two-digit slots": lambda: [AdmissibleGraph(4, 10, [
         Edge(1, 6, 1), Edge(1, 14, 2), Edge(1, 5, 3), Edge(2, 14, 1),
         Edge(2, 1, 2), Edge(3, 13, 1), Edge(3, 5, 2), Edge(4, 2, 1)])],
@@ -212,7 +227,7 @@ def test_wheel_graph_shape():
 
 
 # ---------------------------------------------------------------------
-# the rank key against the text-minimising search
+# the integer key against the text-minimising search
 # ---------------------------------------------------------------------
 
 def text_minimising_canonical_form(g):
@@ -220,8 +235,10 @@ def text_minimising_canonical_form(g):
     whose stars are numbered in order of their rendered destination names,
     render it, and keep the smallest text with the parities of all
     minimizers (the search ``canonical_form`` made before it compared
-    integer rank keys)."""
+    integer keys).  With a name of two digits, stars are numbered in
+    destination order and the smallest ``signature`` is kept instead."""
     n = g.n
+    name = g._dst_name if one_digit_names(g) else (lambda d: d)
     base = g.edges
     stars = [[i for i, e in enumerate(base) if e.src == v]
              for v in range(1, n + 1)]
@@ -236,12 +253,12 @@ def text_minimising_canonical_form(g):
         new_edges = []
         order = []
         for v in sorted(range(1, n + 1), key=lambda v: p[v - 1]):
-            star = sorted(stars[v - 1], key=lambda i: g._dst_name(dst(i)))
+            star = sorted(stars[v - 1], key=lambda i: name(dst(i)))
             new_edges += [Edge(p[v - 1], dst(i), label)
                           for label, i in enumerate(star, 1)]
             order += star
         g2 = AdmissibleGraph(n, g.m, new_edges)
-        sig = g2.to_text()
+        sig = signature(g2)
         if best_sig is not None and sig > best_sig:
             continue
         par = perm_sign(order)
@@ -324,7 +341,7 @@ RANK_KEY_SETS = {
     "mixed out-degrees": lambda: _random_graphs(3000, seed=17),
     "wheels and cycles": lambda: [g for k in range(2, 6)
                                   for g in (wheel_graph(k), cycle_graph(k))],
-    # b10 sorts before b2 as text, and a 10-edge star has a label 10
+    # a 10-edge star has a label 10; at m = 10, b10 sorts before b2 as text
     "multi-digit names and labels": lambda: _seeded_graphs(
         300, seed=19, n=4, m_range=range(7, 11), out_degrees=range(5),
         big_star=10),
@@ -334,37 +351,3 @@ RANK_KEY_SETS = {
 @pytest.mark.parametrize("name", RANK_KEY_SETS)
 def test_canonical_form_matches_text_search(name):
     assert_same_canonical_form(RANK_KEY_SETS[name]())
-
-
-def test_rank_keys_order_as_texts_with_multi_digit_names():
-    """Edge lists of the same length compare as their texts once every
-    edge is mapped to its rank code; n and m reach 12, so ``10>`` must
-    precede ``2>`` among sources and ``b10`` precede ``b2`` among
-    destinations."""
-    rng = random.Random(23)
-    for _ in range(2000):
-        n, m = rng.randint(1, 12), rng.randint(0, 12)
-        m = min(m, 2 * n + 2)
-        width = n + m
-        if width < 2:
-            continue
-        dst_rank, src_key = _ranks(n, m)
-        size = rng.randint(1, 6)
-
-        def draw():
-            edges = {}
-            for _ in range(size):
-                src = rng.randint(1, n)
-                dst = rng.choice([t for t in range(1, width + 1)
-                                  if t != src])
-                edges.setdefault(src, []).append(dst)
-            return AdmissibleGraph(n, m, [
-                Edge(src, dst, j) for src, dsts in edges.items()
-                for j, dst in enumerate(dsts, 1)])
-
-        a, b = draw(), draw()
-        key_a, key_b = ([src_key[e.src * width + dst_rank[e.dst]]
-                         for e in g.edges] for g in (a, b))
-        assert (key_a < key_b, key_a == key_b) \
-            == (a.to_text() < b.to_text(), a.to_text() == b.to_text()), \
-            (a, b)

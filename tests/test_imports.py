@@ -2,7 +2,9 @@
 definition in ``src/`` is reached by the program or kept on purpose, and
 the package import loads no process or thread pool module.
 
-``__init__.py`` is left out: it imports names only to re-export them.
+The package's ``__init__.py`` is checked as well: it re-exports nothing,
+so each module is imported by its own name and no function of the same
+name (``weight_mc``) shadows it.
 """
 
 import ast
@@ -16,8 +18,7 @@ import pytest
 
 import defquant
 
-MODULES = sorted(p for p in Path(defquant.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = sorted(Path(defquant.__file__).parent.glob("*.py"))
 PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench")
                    .glob("*.py"))
 
@@ -184,3 +185,10 @@ def test_the_package_import_starts_no_pool_module():
          "('concurrent.futures', 'multiprocessing') if m in sys.modules))"],
         capture_output=True, text=True, env=env, check=True).stdout
     assert out == "[]\n"
+
+
+def test_a_module_import_gives_the_module_not_its_namesake_function():
+    import defquant.weight_mc as wm
+    from defquant import weight_mc
+
+    assert wm is weight_mc is sys.modules["defquant.weight_mc"]

@@ -1,6 +1,5 @@
 """Monte Carlo weights: exact table, estimates, two-valent integrals, fits."""
 
-import importlib
 import math
 import sys
 import threading
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from defquant import propagators as prop
+from defquant import propagators as prop, weight_mc as wmc
 from defquant.cache import WeightCache
 from defquant.graphs import (AdmissibleGraph, Edge, fan_graph, cycle_graph,
                              wheel_graph, graph1_left, graph2,
@@ -20,9 +19,6 @@ from defquant.weight_mc import (WeightSource, weight_mc,
                                 exact_zero_reason, two_valent_integral,
                                 two_valent_out_out_exact, two_valent_target,
                                 weight_poly_fit, relation_residuals)
-
-# the package exports the function ``weight_mc`` under the module's name
-wmc = importlib.import_module("defquant.weight_mc")
 
 
 def test_fan_weights_exact_and_mc():
@@ -715,6 +711,29 @@ def test_two_valent_rejects_unknown_kind():
     # integrand
     with pytest.raises(ValueError):
         two_valent_integral("out-out", W1, W2, propagator="Disk")
+
+
+@pytest.mark.parametrize("w1, w2", [(1.5, 0.2), (W1, 1j), (W1, -1.0),
+                                    (float("nan"), 0.2),
+                                    (W1, complex(0.1, float("inf")))],
+                         ids=str)
+def test_two_valent_rejects_a_point_outside_the_open_disk(w1, w2):
+    """No estimate outside the domain, and no 0 +- 0 from a NaN point whose
+    every sample the guard drops."""
+    with pytest.raises(ValueError,
+                       match="^w1 and w2 must lie in the open unit disk$"):
+        two_valent_integral("out-out", w1, w2, n_samples=20_000, seed=1)
+
+
+def test_the_edgeless_graph_has_weight_one():
+    """K(1,0)[] integrates over a point: the empty determinant is 1 = 1/0!,
+    the fan rule at m = 0, from weight_mc and from the lam-polynomial."""
+    g = fan_graph(0)
+    assert g.to_text() == "K(1,0)[]"
+    res = weight_mc(g, lam=0.3, n_samples=1000, seed=2)
+    assert (res.value, res.stderr) == (1, 0.0)
+    fit = weight_poly_fit(g, n_samples=1000, seed=2)
+    assert fit.coeffs.tolist() == [1]
 
 
 # -- polynomial fit over the interpolation parameter ------------------
