@@ -1,19 +1,24 @@
 """JSON-lines cache for Monte Carlo weight estimates.
 
-One record per line:
+One record per line, a raw weight (``weight_mc``'s quantity):
 
     {"key": "K(2,2)[...]", "lambda": [re, im], "value": [re, im],
-     "stderr": s, "n_samples": n, "seed": 7, "convention": "raw"}
+     "stderr": s, "n_samples": n, "seed": 7}
 
-Records are looked up by exact (key, lambda, convention) match; several
-records for the same triple are merged by ``pool``, the one pooling rule
-of the package (the CLI's worker chunks use it too).  Independent runs
-with positive stderr are pooled by inverse variance.  A zero-variance
-estimate (stderr 0, e.g. an identically vanishing integrand) has
-unbounded inverse-variance weight, so as soon as one is present the
-pooled value is the limit of those weights: the sample-weighted mean of
-the zero-variance estimates alone, with stderr 0.  Corrupt lines are
-skipped with a warning rather than poisoning the store.
+Records are looked up by exact (key, lambda) match; several records for
+the same pair are merged by ``pool``, the one pooling rule of the package
+(the CLI's worker chunks use it too).  Independent runs with positive
+stderr are pooled by inverse variance.  A zero-variance estimate (stderr
+0, e.g. an identically vanishing integrand) has unbounded inverse-variance
+weight, so as soon as one is present the pooled value is the limit of
+those weights: the sample-weighted mean of the zero-variance estimates
+alone, with stderr 0.
+
+A corrupt line is skipped with a warning rather than poisoning the store:
+it is valid only if "lambda" and "value" are pairs of finite numbers,
+stderr is finite and >= 0, n_samples is an integer >= 1 and a
+"convention" (written by older versions) is "raw".  ``put`` refuses an
+estimate that would make a corrupt line.
 
 The default location is ~/.cache/defquant/weights.jsonl, overridable with
 the KW_CACHE environment variable.
@@ -25,7 +30,6 @@ import json
 import math
 import os
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 from .weight_mc import MCResult
@@ -78,10 +82,23 @@ def _lam_key(lam) -> tuple[float, float]:
     return (float(c.real), float(c.imag))
 
 
+def _parse(rec) -> tuple[tuple, tuple[complex, float, int]]:
+    """(key, lambda) and the (value, stderr, n_samples) estimate of a
+    record; ValueError, KeyError or TypeError if it is corrupt."""
+    if "convention" in rec and rec["convention"] != "raw":
+        raise ValueError(f"convention {rec['convention']!r} is not raw")
+    (a, b), (re, im) = (map(float, rec[f]) for f in ("lambda", "value"))
+    stderr, n = float(rec["stderr"]), rec["n_samples"]
+    if not (all(map(math.isfinite, (a, b, re, im, stderr))) and stderr >= 0
+            and int(n) == n >= 1):
+        raise ValueError("lambda, value, stderr or n_samples out of range")
+    return (rec["key"], (a, b)), (complex(re, im), stderr, int(n))
+
+
 class WeightCache:
     def __init__(self, path: str | os.PathLike | None = None):
         self.path = Path(path) if path is not None else default_path()
-        self._records: dict[tuple, list[dict]] = {}
+        self._records: dict[tuple, list[tuple]] = {}
         self._load()
 
     def _load(self) -> None:
@@ -93,21 +110,16 @@ class WeightCache:
                 if not line:
                     continue
                 try:
-                    rec = json.loads(line)
-                    trip = (rec["key"], tuple(rec["lambda"]),
-                            rec.get("convention", "raw"))
-                    float(rec["stderr"]); int(rec["n_samples"])
-                    re, im = rec["value"]
-                    float(re); float(im)
-                except (ValueError, KeyError, TypeError) as exc:
+                    pair, est = _parse(json.loads(line))
+                    self._records.setdefault(pair, []).append(est)
+                except (ValueError, KeyError, TypeError,
+                        OverflowError) as exc:
                     warnings.warn(
                         f"{self.path}:{lineno}: skipping corrupt cache line "
                         f"({exc!r})")
-                    continue
-                self._records.setdefault(trip, []).append(rec)
 
     def put(self, res: MCResult) -> None:
-        """Append a result to the store (and the in-memory view)."""
+        """Append a raw estimate to the store (and the in-memory view)."""
         rec = {
             "key": res.key,
             "lambda": list(_lam_key(res.lam)),
@@ -115,40 +127,23 @@ class WeightCache:
             "stderr": float(res.stderr),
             "n_samples": int(res.n_samples),
             "seed": res.seed,
-            "convention": res.convention,
         }
+        pair, est = _parse(rec)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(rec) + "\n")
-        trip = (rec["key"], tuple(rec["lambda"]), rec["convention"])
-        self._records.setdefault(trip, []).append(rec)
+        self._records.setdefault(pair, []).append(est)
 
-    def get(self, key: str, lam, convention: str = "raw") -> MCResult | None:
-        """Inverse-variance pooled estimate for an exact triple, or None."""
-        trip = (key, _lam_key(lam), convention)
-        recs = self._records.get(trip)
+    def get(self, key: str, lam) -> MCResult | None:
+        """Inverse-variance pooled estimate for an exact (key, lambda)
+        pair, or None."""
+        lam = _lam_key(lam)
+        recs = self._records.get((key, lam))
         if not recs:
             return None
-        value, stderr, n_tot = pool(
-            (complex(*rec["value"]), float(rec["stderr"]),
-             int(rec["n_samples"])) for rec in recs)
-        return MCResult(value, stderr, n_tot,
-                        lam=complex(*trip[1]), convention=convention,
-                        key=key, meta={"pooled": len(recs)})
-
-    def get_graph(self, g, lam, convention: str = "raw") -> MCResult | None:
-        """``get`` for a labeled graph: the pooled estimate of its canonical
-        class times the relabeling parity, or None."""
-        gc, par, _ = g.canonical_form()
-        got = self.get(gc.to_text(), lam, convention)
-        if got is not None:
-            return replace(got, value=par * got.value, key=g.to_text())
-
-    def put_graph(self, g, res: MCResult) -> None:
-        """``put`` for an estimate of a labeled graph: stored under the
-        canonical key, with the value carried over by the parity."""
-        gc, par, _ = g.canonical_form()
-        self.put(replace(res, value=par * res.value, key=gc.to_text()))
+        value, stderr, n_tot = pool(recs)
+        return MCResult(value, stderr, n_tot, lam=complex(*lam), key=key,
+                        meta={"pooled": len(recs)})
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._records.values())

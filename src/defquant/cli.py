@@ -41,6 +41,11 @@ estimator itself (``weight_mc`` or ``two_valent_integral`` with the
 command's arguments bound by ``functools.partial``) on its share, and the
 chunk estimates are combined by ``cache.pool``, so the result is
 deterministic for a fixed (seed, samples, workers) triple.
+
+``weight mc`` samples, pools and caches raw weights: ``--write-cache``
+stores the raw estimate under its class's canonical key, ``--from-cache``
+reads it back times the relabeling parity, and ``--convention formality``
+scales only the report, by prod_v 1/|Star(v)|!.
 """
 
 from __future__ import annotations
@@ -254,37 +259,40 @@ def cmd_weight_mc(args):
     if args.from_cache and args.write_cache:
         raise UsageError("--from-cache with --write-cache would store the "
                          "cached estimate again as a new record")
-    reason = exact_zero_reason(g)
+    gc, par, _ = triple = g.canonical_form()
+    reason = exact_zero_reason(g, canonical=triple)
     cache = WeightCache(args.cache) if (args.write_cache
                                         or args.from_cache) else None
     if args.from_cache:
         if not cache.path.exists():
             raise UsageError(f"cache file {cache.path} does not exist")
-        got = cache.get_graph(g, lam, args.convention)
+        got = cache.get(gc.to_text(), lam)
         if got is None:
             raise UsageError(
                 f"no cached estimate for the class of {g.to_text()} at "
                 f"lambda={lam} in {cache.path}")
-        value, stderr, n_used = got.value, got.stderr, got.n_samples
+        value, stderr, n_used = par * got.value, got.stderr, got.n_samples
     elif reason is not None:
         value, stderr, n_used = 0j, 0.0, 0
     else:
-        estimate = partial(weight_mc, g, lam=lam,
-                           convention=args.convention)
+        estimate = partial(weight_mc, g, lam=lam, canonical=triple)
         value, stderr, n_used = pooled_mc(estimate, n, args.seed,
                                           args.workers)
+    results = {"graph": g.to_text(), "exact_zero_reason": reason}
+    if args.write_cache and reason is None:
+        cache.put(MCResult(par * value, stderr, n_used, args.seed, lam,
+                           gc.to_text()))
+        results["cache_path"] = str(cache.path)
+    if args.convention == "formality":
+        scale = 1 / math.prod(math.factorial(g.out_degree(v))
+                              for v in range(1, g.n + 1))
+        value, stderr = scale * value, scale * stderr
     checks = []
     if args.target is not None:
         tgt = parse_complex(args.target, "target")
         checks.append(check("value vs target", abs(value - tgt), 0.0,
                             max(tol, 3.0 * stderr)))
-    results = {"graph": g.to_text(), "value": c_json(value),
-               "stderr": stderr, "n_samples": n_used,
-               "exact_zero_reason": reason}
-    if args.write_cache and reason is None:
-        cache.put_graph(g, MCResult(value, stderr, n_used, args.seed, lam,
-                                    args.convention, g.to_text()))
-        results["cache_path"] = str(cache.path)
+    results.update(value=c_json(value), stderr=stderr, n_samples=n_used)
     params = {"graph": args.graph, "lambda": c_json(lam), "samples": n,
               "convention": args.convention, "workers": args.workers}
     return params, args.seed, checks, results
@@ -598,7 +606,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(graph2, fan:3, ...)")
     _seed_flags(p, "200000")
     p.add_argument("--convention", choices=["raw", "formality"],
-                   default="raw")
+                   default="raw",
+                   help="formality: report the raw weight times "
+                        "prod_v 1/|Star(v)|!")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--target", default=None,
                    help="optional 're,im' reference value to check against")

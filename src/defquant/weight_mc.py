@@ -14,13 +14,9 @@ weights come out +1/m! and the (2,2) two-cycle +1/24, which fixes the
 orientation convention once and for all (no extra per-graph sign is
 applied).
 
-Conventions:
-- convention="raw": the bare integral described above (fan = 1/m!,
-  two-cycle = 1/24).
-- convention="formality": multiplied by prod_k 1/|Star(k)|!, the prefactor
-  the formality series attaches to each graph.  The additional 1/n! of the
-  series itself is *not* included here; the star-product assembly applies
-  it.
+Every weight here is this raw integral (fan = 1/m!, two-cycle = 1/24).
+Prefactors such as the formality series' prod_k 1/|Star(k)|! and 1/n!
+are applied by the consumers (star-product assembly, the CLI).
 
 Sampling: aerial points are drawn uniformly on the unit disk (square root
 trick) and pushed to H by the Mobius map z = i(1+w)/(1-w) with analytic
@@ -104,10 +100,13 @@ class MCResult:
     n_samples: int
     seed: int | None = None
     lam: complex = 0.5
-    convention: str = "raw"
     key: str = ""
-    exact: bool = False
     meta: dict = field(default_factory=dict)
+
+    @property
+    def exact(self) -> bool:
+        """Known without sampling: an exact zero or an exact-table hit."""
+        return self.n_samples == 0
 
 
 # ---------------------------------------------------------------------
@@ -385,22 +384,13 @@ def _mc_scalar(n_samples: int, seed, dim: int, block):
 
 
 def weight_mc(g: AdmissibleGraph, lam=0.5, n_samples: int = 200_000,
-              seed: int = 0, convention: str = "raw", *,
-              canonical=None) -> MCResult:
+              seed: int = 0, *, canonical=None) -> MCResult:
     """Monte Carlo estimate of the weight of g at interpolation parameter
     lam; ``canonical`` as in ``exact_zero_reason``."""
-    if convention not in ("raw", "formality"):
-        raise ValueError(f"unknown convention {convention!r}")
-    factor = 1.0
-    if convention == "formality":
-        for v in range(1, g.n + 1):
-            factor /= math.factorial(g.out_degree(v))
-
     reason = exact_zero_reason(g, canonical=canonical)
     key = g.to_text()
     if reason is not None:
-        return MCResult(0j, 0.0, 0, seed, lam, convention, key, exact=True,
-                        meta={"reason": reason})
+        return MCResult(0j, 0.0, 0, seed, lam, key, meta={"reason": reason})
 
     def block(u):
         z, r, w_imp = _map_samples(u, g.n, g.m)
@@ -408,8 +398,7 @@ def weight_mc(g: AdmissibleGraph, lam=0.5, n_samples: int = 200_000,
         return np.where(ok, integrand_value(g, lam, z, r) * w_imp, 0)
 
     mean, stderr = _mc_scalar(n_samples, seed, g.dim_config(), block)
-    return MCResult(factor * mean, abs(factor) * stderr, n_samples, seed, lam,
-                    convention, key)
+    return MCResult(mean, stderr, n_samples, seed, lam, key)
 
 
 # ---------------------------------------------------------------------
@@ -533,7 +522,7 @@ def two_valent_integral(kind: str, w1: complex, w2: complex, lam=0.5,
 
     mean, stderr = _mc_scalar(n_samples, seed, 3, block)
     return MCResult(complex(mean), stderr, n_samples, seed, lam,
-                    "disk-oriented", f"two-valent:{kind}:{propagator}")
+                    f"two-valent:{kind}:{propagator}")
 
 
 # ---------------------------------------------------------------------
@@ -684,21 +673,20 @@ class WeightSource:
         gc, par, _ = triple = g.canonical_form()
         reason = exact_zero_reason(g, canonical=triple)
         if reason is not None:
-            return MCResult(0j, 0.0, 0, None, lam, "raw", g.to_text(),
-                            exact=True, meta={"reason": reason})
+            return MCResult(0j, 0.0, 0, None, lam, g.to_text(),
+                            meta={"reason": reason})
         key = gc.to_text()
         hit = _EXACT.get(key)
         if hit is not None:
             value, lam_only = hit
             if lam_only is None or complex(lam) == complex(lam_only):
-                return MCResult(par * value, 0.0, 0, None, lam, "raw",
-                                g.to_text(), exact=True,
+                return MCResult(par * value, 0.0, 0, None, lam, g.to_text(),
                                 meta={"source": "exact-table"})
         if self.cache is not None:
-            got = self.cache.get(key, lam, "raw")
+            got = self.cache.get(key, lam)
             if got is not None:
                 return MCResult(par * got.value, got.stderr, got.n_samples,
-                                None, lam, "raw", g.to_text(),
+                                None, lam, g.to_text(),
                                 meta={"source": "cache"})
         # per-class seed offset: estimates of different canonical classes
         # must come from independent sample streams, or downstream
@@ -709,6 +697,5 @@ class WeightSource:
                         canonical=(gc, 1, True))
         if self.cache is not None:
             self.cache.put(res)
-        return MCResult(par * res.value, res.stderr, res.n_samples,
-                        self.seed, lam, "raw", g.to_text(),
-                        meta={"source": "mc"})
+        return MCResult(par * res.value, res.stderr, res.n_samples, seed,
+                        lam, g.to_text(), meta={"source": "mc"})

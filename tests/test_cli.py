@@ -336,6 +336,59 @@ def test_table_and_timing_layout(capsys):
     assert "seconds" not in rep
 
 
+@pytest.mark.parametrize("graph, star_factorials", [("fan:3", 6),
+                                                     ("graph2", 4)])
+def test_formality_convention_divides_star_factorials(capsys, graph,
+                                                      star_factorials):
+    argv = ("weight", "mc", "--graph", graph, "--samples", "4000", "--seed",
+            "3")
+    _, raw = report(capsys, *argv)
+    code, fmt = report(capsys, *argv, "--convention", "formality")
+    assert code == 0
+    assert fmt["parameters"]["convention"] == "formality"
+    for got, want in zip(fmt["results"]["value"], raw["results"]["value"]):
+        assert got == pytest.approx(want / star_factorials, rel=1e-15)
+    assert fmt["results"]["stderr"] == pytest.approx(
+        raw["results"]["stderr"] / star_factorials, rel=1e-15)
+
+
+def test_cache_records_are_raw_and_carry_the_relabeling_sign(capsys,
+                                                              tmp_path):
+    """Written through graph2, read through the canonical member of its
+    class, whose relabeling sign is the opposite one; the formality read
+    scales the same raw record."""
+    canon, par, _ = graph2().canonical_form()
+    assert par == -1
+    path = tmp_path / "w.jsonl"
+    code, wrote = report(capsys, "weight", "mc", "--graph", "graph2",
+                         "--samples", "4000", "--seed", "3",
+                         "--write-cache", "--cache", str(path))
+    assert code == 0
+    assert "convention" not in json.loads(path.read_text())
+    value = complex(*wrote["results"]["value"])
+    read = ("weight", "mc", "--graph", canon.to_text(), "--from-cache",
+            "--cache", str(path))
+    code, out, _ = run(capsys, *read)
+    raw = json.loads(out)["results"]
+    assert code == 0
+    assert complex(*raw["value"]) == -value
+    assert raw["stderr"] == wrote["results"]["stderr"]
+    code, fmt = report(capsys, *read, "--convention", "formality")
+    assert code == 0
+    assert complex(*fmt["results"]["value"]) == -value / 4
+    assert fmt["results"]["stderr"] == raw["stderr"] / 4
+
+    # a record of another convention, as older versions wrote them, is
+    # skipped and the rest pools unchanged
+    rec = dict(json.loads(path.read_text()), convention="formality",
+               value=[1.0, 0.0], stderr=1e-9)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(rec) + "\n")
+    with pytest.warns(UserWarning, match=r"w\.jsonl:2: skipping corrupt"):
+        again = run(capsys, *read)
+    assert again == (0, out, "")
+
+
 def test_worker_pool_is_deterministic(capsys):
     argv = ("weight", "mc", "--graph", "graph2", "--samples", "4000",
             "--seed", "3", "--workers", "2")

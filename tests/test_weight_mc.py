@@ -79,17 +79,6 @@ def test_label_swap_transports_sign():
     assert direct.value == pytest.approx(-0.5, abs=1e-12)  # zero variance
 
 
-def test_formality_convention_divides_star_factorials():
-    for m in (2, 3):
-        raw = weight_mc(fan_graph(m), lam=0.5, n_samples=100, seed=0)
-        fmt = weight_mc(fan_graph(m), lam=0.5, n_samples=100, seed=0,
-                        convention="formality")
-        assert fmt.value == pytest.approx(raw.value / math.factorial(m),
-                                          rel=1e-15)
-        assert fmt.stderr == pytest.approx(raw.stderr / math.factorial(m),
-                                           rel=1e-15)
-
-
 def test_seed_reproducibility_and_stderr_scaling():
     a = weight_mc(graph2(), lam=0.5, n_samples=50_000, seed=11)
     b = weight_mc(graph2(), lam=0.5, n_samples=50_000, seed=11)
@@ -824,3 +813,15 @@ def test_weight_source_canonicalizes_once(monkeypatch):
         sources.append(res.meta.get("source", res.meta.get("reason")))
     assert sources == ["mc", "exact-table", "odd automorphism",
                        "ground vertex with no incoming edge"]
+
+
+def test_weight_source_reports_the_seed_it_sampled_with():
+    """A fresh estimate reports its class's seed, which reproduces it on
+    the canonical member; here the labeling carries parity -1."""
+    g = next(g for g in enumerate_graphs(2, 2, 2)
+             if exact_zero_reason(g) is None and g.canonical_form()[1] == -1
+             and g.canonical_form()[0].to_text() not in wmc._EXACT)
+    res = WeightSource(n_samples=2_000, seed=3).weight(g, lam=0.5)
+    assert res.meta["source"] == "mc" and res.seed != 3
+    gc, par, _ = g.canonical_form()
+    assert par * weight_mc(gc, 0.5, 2_000, seed=res.seed).value == res.value
