@@ -101,9 +101,11 @@ def criterion_1(quick: bool = False) -> CriterionResult:
 
 
 def criterion_2(quick: bool = False) -> CriterionResult:
-    """Fan weights 1/m!: exact by the nested-angle reduction and by MC.
-    A fan's integrand is constant, so the MC mean is 1/m! to roundoff,
-    gated at the 4 eps |mean| that weight_mc reads as roundoff."""
+    """Fan weights 1/m!, from the exact table and by MC.  The exact lines
+    read the hand table of weights (weight_mc._EXACT) through
+    WeightSource.  A fan's integrand is constant, so the MC mean is 1/m!
+    to roundoff, gated at the 4 eps |mean| that weight_mc reads as
+    roundoff."""
     r = CriterionResult(2, "fan weights 1/m!")
     src = WeightSource(n_samples=1000, seed=1)
     for m in (1, 2, 3):
@@ -192,7 +194,7 @@ def criterion_6(quick: bool = False) -> CriterionResult:
 
     sums = [shadow_sum(2, w) for w in (0.1, 0.3, 0.5)]
     constancy("pairwise", sums)
-    r.add("value vs zeta(2)", abs(sums[1].value - math.pi ** 2 / 6), 0.0,
+    r.add("value vs zeta(2)", abs(sums[1].value - ZETA_TARGETS[2]), 0.0,
           sums[1].bound)
     constancy("display", [two_wheel_display(w) for w in (0.1, 0.3, 0.5)])
     return r

@@ -5,6 +5,11 @@ One record per line, a raw weight (``weight_mc``'s quantity):
     {"key": "K(2,2)[...]", "lambda": [re, im], "value": [re, im],
      "stderr": s, "n_samples": n, "seed": 7}
 
+"seed" reproduces the record: weight_mc(AdmissibleGraph.from_text(key),
+lambda, n_samples, seed) gives "value" exactly.  It is null where no seed
+does, as for an estimate pooled from several streams or sampled on
+another member of the class.
+
 Records are looked up by exact (key, lambda) match; several records for
 the same pair are merged by ``pool``, the one pooling rule of the package
 (the CLI's worker chunks use it too).  Independent runs with positive
@@ -48,11 +53,13 @@ def pool(estimates) -> tuple[complex, float, int]:
     """Pool independent (value, stderr, n_samples) estimates into
     (value, stderr, total n_samples).
 
+    A single estimate pools to itself (v*w/w can move its last bit).
     With every variance positive: num += w*v, den += w with w = 1/stderr^2,
     then (num/den, sqrt(1/den)).  An estimate whose variance is 0 (stderr
     0, or so small that its square underflows) makes the result the
     sample-weighted mean of the zero-variance estimates, with stderr 0.
     """
+    estimates = list(estimates)
     num = 0j
     den = 0.0
     zero_num = 0j
@@ -70,9 +77,11 @@ def pool(estimates) -> tuple[complex, float, int]:
         wgt = 1.0 / var
         num += wgt * value
         den += wgt
+    if has_zero and zero_n == 0:
+        raise ValueError("zero-variance estimates without samples")
+    if len(estimates) == 1:
+        return estimates[0]
     if has_zero:
-        if zero_n == 0:
-            raise ValueError("zero-variance estimates without samples")
         return zero_num / zero_n, 0.0, n_tot
     return num / den, math.sqrt(1.0 / den), n_tot
 

@@ -280,7 +280,10 @@ def cmd_weight_mc(args):
                                           args.workers)
     results = {"graph": g.to_text(), "exact_zero_reason": reason}
     if args.write_cache and reason is None:
-        cache.put(MCResult(par * value, stderr, n_used, args.seed, lam,
+        # the seed reproduces one stream sampled on the class's own key
+        one_stream = args.workers == 1 and g.to_text() == gc.to_text()
+        cache.put(MCResult(par * value, stderr, n_used,
+                           args.seed if one_stream else None, lam,
                            gc.to_text()))
         results["cache_path"] = str(cache.path)
     if args.convention == "formality":

@@ -37,9 +37,10 @@ propagators._source_half) and every sum runs over the whole block, so no
 estimate depends on the part count, bit for bit.  A weight sample reads the
 2(n-1)+m coordinates above; a two-valent sample reads three uniforms,
 (component, radius, angle) of the mixture proposal.  The singularity guard
-drops a rejected sample: it counts in n_samples and contributes 0.  The
-loop sums f for the mean and the products about the first sample for the
-covariance; for a scalar estimate, a spread within 4 eps |mean| is
+drops a rejected sample: it counts in n_samples and contributes 0.  A
+block returns one row of samples per estimated quantity, and the loop
+returns each row's mean and per-sample variance, the squares summed about
+the first sample; for a scalar estimate, a spread within 4 eps |mean| is
 rounding of a constant integrand and gives stderr exactly 0.
 
 The lam-polynomial: det M has degree at most E in lam (every entry is
@@ -307,46 +308,40 @@ def _config_ok(z: np.ndarray, r: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------
 
 def _mc_mean(n_samples: int, seed, dim: int, block):
-    """(mean, cov_re, cov_im, side) of ``block``'s sample vectors over
-    n_samples samples: the (K,) mean and the (K, K) covariances of the real
-    and of the imaginary parts of one sample.
+    """(mean, var) of ``block``'s sample rows over n_samples samples: per
+    row, the mean and the variance of one sample, that of the real part
+    plus that of the imaginary part, each clamped at 0.
 
     One generator, seeded once, is read CHUNK rows of ``dim`` uniforms at
     a time; ``block`` maps each (k, dim) array to the k sample values, as
     a (k,) array or one (K, k) row per component, a guarded sample being
-    a 0 that still counts, or to a pair (values, s) with a real (k,) s
-    whose Sum s / n is ``side`` (0.0 without).  The mean is Sum f / n.
-    The products are summed about the first sample f0, so that a spread
-    of a few ulps is not lost to cancelling Sum f f^T / n against the
-    mean's square.  Every sum runs along a row, which numpy adds pairwise.
+    a 0 that still counts.  The mean is Sum f / n.  The squares are summed
+    about the first sample f0, part by part as contiguous real rows, so
+    that a spread of a few ulps is not lost to cancelling Sum f^2 / n
+    against the mean's square.  Every sum runs along a row, which numpy
+    adds pairwise.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     from concurrent.futures import ThreadPoolExecutor   # 6 ms, on first use
     rng = np.random.default_rng(seed)
     done = 0
-    side = 0.0
     with ThreadPoolExecutor(max(1, _PARTS - 1)) as pool:
         while done < n_samples:
             k = min(CHUNK, n_samples - done)
-            f = _split(pool, block, rng.random((k, dim)))
-            if isinstance(f, tuple):
-                f, s = f
-                side += s.sum()
-            f = f.reshape(-1, k)
+            f = _split(pool, block, rng.random((k, dim))).reshape(-1, k)
             if done == 0:
                 f0 = f[:, :1].copy()    # a view would keep the block alive
                 total = np.zeros(len(f), complex)
-                re2, im2 = np.zeros((2, len(f), len(f)))
+                re2, im2 = np.zeros((2, len(f)))
             done += k
             total += f.sum(axis=1)
-            re2 += _products(f.real - f0.real)
-            im2 += _products(f.imag - f0.imag)
+            for acc, d in ((re2, f.real - f0.real), (im2, f.imag - f0.imag)):
+                acc += np.square(d, out=d).sum(axis=1)
     mean = total / n_samples
     shift = mean - f0[:, 0]
-    return (mean, re2 / n_samples - np.outer(shift.real, shift.real),
-            im2 / n_samples - np.outer(shift.imag, shift.imag),
-            side / n_samples)
+    return mean, (np.maximum(re2 / n_samples - shift.real ** 2, 0)
+                  + np.maximum(im2 / n_samples - shift.imag ** 2, 0))
 
 
 def _split(pool, block, u):
@@ -357,15 +352,8 @@ def _split(pool, block, u):
         return block(u)
     parts = np.array_split(u, n)
     rest = [pool.submit(block, x) for x in parts[1:]]
-    out = [block(parts[0])] + [r.result() for r in rest]
-    if isinstance(out[0], tuple):
-        return tuple(np.concatenate(x, axis=-1) for x in zip(*out))
-    return np.concatenate(out, axis=-1)
-
-
-def _products(d):
-    """Sum over samples of d d^T for (K, k) rows d (freed on return)."""
-    return (d[:, None, :] * d[None, :, :]).sum(axis=2)
+    return np.concatenate([block(parts[0])] + [r.result() for r in rest],
+                          axis=-1)
 
 
 def _mc_scalar(n_samples: int, seed, dim: int, block):
@@ -376,8 +364,7 @@ def _mc_scalar(n_samples: int, seed, dim: int, block):
     over real and complex lam), so a per-sample spread within 4 eps |mean|
     is roundoff, not variance, and the stderr is reported as exactly 0.
     """
-    (mean,), cov_re, cov_im, _ = _mc_mean(n_samples, seed, dim, block)
-    var = max(cov_re.item(), 0.0) + max(cov_im.item(), 0.0)
+    (mean,), (var,) = _mc_mean(n_samples, seed, dim, block)
     if var <= (4 * np.finfo(float).eps * abs(mean)) ** 2:
         return mean, 0.0
     return mean, math.sqrt(var / n_samples)
@@ -537,13 +524,12 @@ RELATION_BOUND = 1e-12
 class LambdaPolyFit:
     """W(lam) = sum_n coeffs[n] lam^n, estimated from one sample stream.
 
-    cov_re and cov_im are the covariances of the real and imaginary parts
-    of the coefficients; scale is the mean Hadamard bound (its largest
-    value over the nodes at each sample; module docstring).
+    var is the variance of each coefficient, its real part's plus its
+    imaginary part's; scale is the mean Hadamard bound (its largest value
+    over the nodes at each sample; module docstring).
     """
     coeffs: np.ndarray            # complex, ascending powers
-    cov_re: np.ndarray            # (d+1, d+1)
-    cov_im: np.ndarray
+    var: np.ndarray               # (d+1,)
     scale: float
     n_samples: int
 
@@ -555,10 +541,8 @@ class LambdaPolyFit:
     def stderr(self) -> np.ndarray:
         """Per coefficient; 0 where one sample's spread is within the
         roundoff bound, as for a coefficient that is 0 in every sample."""
-        var = (np.maximum(np.diag(self.cov_re), 0)
-               + np.maximum(np.diag(self.cov_im), 0))
-        return np.where(var * self.n_samples <= self.tolerance ** 2, 0.0,
-                        np.sqrt(var))
+        return np.where(self.var * self.n_samples <= self.tolerance ** 2,
+                        0.0, np.sqrt(self.var))
 
     @property
     def tolerance(self) -> float:
@@ -578,17 +562,18 @@ def weight_poly_fit(g: AdmissibleGraph, n_samples: int = 1_000_000,
     polynomial in mu = 2 lam - 1 by one discrete Fourier transform (the
     nodes lie on a circle, so this is perfectly conditioned), and the
     coefficients move to powers of lam by the binomial theorem.  All
-    nodes share the samples and the singularity guard.  A graph that
-    ``exact_zero_reason`` screens out gets the zero polynomial.
+    nodes share the samples and the singularity guard.  A sample's row
+    K is its Hadamard bound.  A graph that ``exact_zero_reason`` screens
+    out gets the zero polynomial.
     """
     k = g.n_edges + 1
+    if exact_zero_reason(g) is not None:
+        return LambdaPolyFit(np.zeros(k, complex), np.zeros(k), 0.0,
+                             n_samples)
     nodes = 0.5 + 0.5 * np.exp(2j * np.pi * np.arange(k) / k)
     # (2 lam - 1)^j = sum_i C(j, i) 2^i (-1)^(j-i) lam^i
     to_lam = np.array([[math.comb(j, i) * 2.0 ** i * (-1) ** (j - i)
                         for j in range(k)] for i in range(k)])
-    if exact_zero_reason(g) is not None:
-        zero = np.zeros((k, k))
-        return LambdaPolyFit(np.zeros(k, complex), zero, zero, 0.0, n_samples)
 
     def block(u):
         z, r, w_imp = _map_samples(u, g.n, g.m)
@@ -602,15 +587,17 @@ def weight_poly_fit(g: AdmissibleGraph, n_samples: int = 1_000_000,
             for (row, _), x in entries.items():
                 rows[row] += x.real ** 2 + x.imag ** 2
             np.maximum(bound, np.sqrt(rows).prod(axis=0), out=bound)
-        return (np.where(ok, np.fft.fft(vals, axis=0) * (w_imp / k), 0),
-                np.where(ok, w_imp * bound, 0))
+        out = np.empty((k + 1, len(u)), complex)
+        # einsum, not @: this runs on _mc_mean's threads, where a BLAS
+        # product would start BLAS threads of its own
+        out[:k] = np.einsum("ij,jn->in", to_lam,
+                            np.fft.fft(vals, axis=0) * (w_imp / k))
+        out[k] = w_imp * bound
+        return np.where(ok, out, 0)
 
-    mean, cov_re, cov_im, scale = _mc_mean(n_samples, seed, g.dim_config(),
-                                           block)
-    return LambdaPolyFit(to_lam @ mean,
-                         to_lam @ cov_re @ to_lam.T / n_samples,
-                         to_lam @ cov_im @ to_lam.T / n_samples,
-                         scale, n_samples)
+    mean, var = _mc_mean(n_samples, seed, g.dim_config(), block)
+    return LambdaPolyFit(mean[:k], var[:k] / n_samples, mean[k].real,
+                         n_samples)
 
 
 def relation_residuals(fit: LambdaPolyFit):

@@ -16,9 +16,9 @@ operation.  The cap is what makes the fixed-point constructions below
 terminate after finitely many rounds.
 
 Products:
-  * ``mul``  -- the plain super-commutative product (fiber product times
-    wedge product; sign rule a.b = (-1)^{q1 q2} b.a).
-  * ``circ`` -- the fiberwise Moyal-type deformation of ``mul`` by
+  * ``circ`` -- the fiberwise Moyal-type deformation of the plain
+    super-commutative product (fiber product times wedge product; sign
+    rule a.b = (-1)^{q1 q2} b.a, which ``circ(b, None)`` gives) by
     exp(hbar * P) with P = (i/2) Pi^{kl} d/dv^k (x) d/dv^l; the bivector
     Pi may have polynomial coefficients (it is never differentiated, so
     associativity survives x-dependence).  One pass builds the order-j
@@ -228,10 +228,6 @@ class WeylElement:
         return WeylElement(self.dim, cap, self.terms)
 
     # -- products -----------------------------------------------------
-
-    def mul(self, other: "WeylElement") -> "WeylElement":
-        """Super-commutative product (fiber times wedge)."""
-        return self.circ(other, None)
 
     def circ(self, other: "WeylElement", pi) -> "WeylElement":
         """Fiberwise Weyl product a o b = . exp(hbar P)(a (x) b).

@@ -10,7 +10,7 @@ import pytest
 
 from defquant import cli
 from defquant.cache import pool
-from defquant.graphs import graph2
+from defquant.graphs import AdmissibleGraph, graph2
 from defquant.weight_mc import two_valent_integral, weight_mc
 
 # A (3,2) class whose integrand vanishes at every sample although the
@@ -262,12 +262,25 @@ def _inverse_variance(estimates):
 
 
 def test_pool_with_positive_stderr_is_the_inverse_variance_formula():
+    """Two or more estimates pool by the formula; a single one pools to
+    itself, where v*w/w could move its last bit."""
     rng = random.Random(3)
     for size in (1, 2, 5):
         est = [(complex(rng.gauss(0, 1), rng.gauss(0, 1)),
                 rng.uniform(1e-6, 1.0), rng.randrange(2, 10_000))
                for _ in range(size)]
-        assert pool(est) == _inverse_variance(est)
+        assert pool(est) == (est[0] if size == 1 else _inverse_variance(est))
+
+
+def test_one_worker_reports_weight_mcs_estimate_bit_for_bit(capsys):
+    """At seed 1 the inverse-variance pool of the one estimate moved its
+    value's last bit; a single estimate now pools to itself."""
+    code, rep = report(capsys, "weight", "mc", "--graph", "graph2",
+                       "--samples", "20000", "--seed", "1")
+    res = weight_mc(graph2(), lam=0.5 + 0j, n_samples=20_000, seed=1)
+    assert code == 0
+    assert rep["results"]["value"] == [res.value.real, res.value.imag]
+    assert rep["results"]["stderr"] == res.stderr
 
 
 def test_pool_with_zero_stderr_is_the_sample_weighted_mean():
@@ -387,6 +400,27 @@ def test_cache_records_are_raw_and_carry_the_relabeling_sign(capsys,
     with pytest.warns(UserWarning, match=r"w\.jsonl:2: skipping corrupt"):
         again = run(capsys, *read)
     assert again == (0, out, "")
+
+
+def test_a_cache_records_seed_reproduces_its_value(capsys, tmp_path):
+    """One stream on the class's canonical member: the record's seed gives
+    its value back through weight_mc.  A pooled estimate (--workers 2) and
+    one sampled on another member (graph2, parity -1) store seed null."""
+    canon = graph2().canonical_form()[0].to_text()
+    path = tmp_path / "w.jsonl"
+    common = ("--lambda", "0.3,0.2", "--samples", "20000", "--seed", "5",
+              "--write-cache", "--cache", str(path))
+    for graph, workers in ((canon, "1"), (canon, "2"), ("graph2", "1")):
+        code, _ = report(capsys, "weight", "mc", "--graph", graph,
+                         "--workers", workers, *common)
+        assert code == 0
+    recs = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["seed"] for r in recs] == [5, None, None]
+    res = weight_mc(AdmissibleGraph.from_text(recs[0]["key"]),
+                    lam=complex(*recs[0]["lambda"]),
+                    n_samples=recs[0]["n_samples"], seed=recs[0]["seed"])
+    assert [res.value.real, res.value.imag] == recs[0]["value"]
+    assert res.stderr == recs[0]["stderr"]
 
 
 def test_worker_pool_is_deterministic(capsys):

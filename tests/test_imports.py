@@ -9,7 +9,6 @@ name (``weight_mc``) shadows it.
 
 import ast
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -66,10 +65,10 @@ TEST_REFERENCES = {
                                       "over antisymmetric components",
     "exactpoly.cos_jet": "MetricJet gives the sphere's closed-form "
                          "Christoffels",
-    "weyl.WeylElement.form_degrees": "the sign rule of mul, circ and "
-                                     "commutator, form part by form part",
-    "weyl.WeylElement.form_part": "the sign rule of mul, circ and "
-                                  "commutator, form part by form part",
+    "weyl.WeylElement.form_degrees": "the sign rule of the plain product, "
+                                     "form part by form part",
+    "weyl.WeylElement.form_part": "the sign rule of the plain product, "
+                                  "form part by form part",
     "fedosov.deformed_poincare_defect": "the deformed homotopy identity "
                                         "behind fedosov_homotopy and "
                                         "fedosov_taylor",
@@ -79,13 +78,10 @@ TEST_REFERENCES = {
 
 # the console script ``defquant = defquant.cli:main``
 ENTRY = "main"
-DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
-def _names(nodes, strings=False) -> set:
-    """Names, attributes and import aliases under ``nodes``; with
-    ``strings``, also the parts of dotted-name string constants, which is
-    how perfbench/tracing.py names the functions it wraps."""
+def _names(nodes) -> set:
+    """Names, attributes and import aliases under ``nodes``."""
     out = set()
     stack = list(nodes)
     while stack:
@@ -96,11 +92,25 @@ def _names(nodes, strings=False) -> set:
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.asname or node.name)
-        elif (strings and isinstance(node, ast.Constant)
-              and isinstance(node.value, str)
-              and DOTTED.fullmatch(node.value)):
-            out.update(node.value.split("."))
         stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _wrapped(tree, modules) -> set:
+    """The parts of every attribute path that ``tree`` names as a
+    (module, path) pair of string constants, a module of ``modules``
+    first: the tuples and calls by which perfbench/tracing.py wraps or
+    fetches a function ("weight_mc", "WeightSource.weight").  A span name
+    such as "exactpoly.mul" is no such pair and reaches nothing."""
+    out = set()
+    for node in ast.walk(tree):
+        items = (node.elts if isinstance(node, ast.Tuple)
+                 else node.args if isinstance(node, ast.Call) else [])[:2]
+        if (len(items) == 2
+                and all(isinstance(x, ast.Constant)
+                        and isinstance(x.value, str) for x in items)
+                and items[0].value in modules):
+            out.update(items[1].value.split("."))
     return out
 
 
@@ -109,11 +119,12 @@ def unreached(sources: dict, perfbench: list) -> list:
     methods, in ``sources`` ({module: source}) that nothing reaches.
 
     The roots are each module's top-level code other than imports and
-    definitions, the entry point ``main`` and every name in the
-    ``perfbench`` sources.  A definition is reached when a reached body
-    names it; a class body (bases, attributes, private and dunder
-    methods) comes with the class, and a public method is reached by its
-    name, whichever class calls it."""
+    definitions, the entry point ``main``, every name in the
+    ``perfbench`` sources and every path they wrap (``_wrapped``).  A
+    definition is reached when a reached body names it; a class body
+    (bases, attributes, private and dunder methods) comes with the class,
+    and a public method is reached by its name, whichever class calls
+    it."""
     defs = {}
     roots = []
     for module, source in sources.items():
@@ -136,7 +147,8 @@ def unreached(sources: dict, perfbench: list) -> list:
                 roots.append(node)
     pending = _names(roots) | {ENTRY}
     for source in perfbench:
-        pending |= _names([ast.parse(source)], strings=True)
+        tree = ast.parse(source)
+        pending |= _names([tree]) | _wrapped(tree, sources)
     seen, reached = set(), set()
     while pending:
         name = pending.pop()
@@ -168,10 +180,13 @@ def test_a_definition_only_dead_code_calls_is_caught():
     assert unreached({"m": source}, []) == [
         "m.Box", "m.Box.open", "m.Box.shut", "m.dead", "m.helper", "m.run",
         "m.size"]
-    # a method perfbench wraps by its dotted name is reached, with its class
-    wrapped = 'SPANS = [("m", "Box.shut", "m.shut", None)]\n'
+    # a method perfbench wraps by its (module, path) pair is reached, with
+    # its class; a span name reaches nothing, nor a path in another module
+    wrapped = 'SPANS = [("m", "Box.shut", "m.dead", None)]\n'
     assert unreached({"m": source}, [wrapped]) == ["m.dead", "m.helper",
                                                    "m.run"]
+    fetched = 'obj = _owner("m", "run")\nname = ("other", "dead")\n'
+    assert unreached({"m": source}, [fetched]) == ["m.dead", "m.helper"]
 
 
 def test_the_package_import_starts_no_pool_module():

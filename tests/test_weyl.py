@@ -110,10 +110,10 @@ def test_plain_product_is_supercommutative(seed):
     swapped = WeylElement.zero(2, 4)
     for qa in a.form_degrees():
         for qb in b.form_degrees():
-            swapped = swapped + b.form_part(qb).mul(
-                a.form_part(qa)).scale((-1) ** (qa * qb))
+            swapped = swapped + b.form_part(qb).circ(
+                a.form_part(qa), None).scale((-1) ** (qa * qb))
     assert not swapped.is_zero()
-    assert a.mul(b) == swapped
+    assert a.circ(b, None) == swapped
 
 
 @pytest.mark.parametrize("seed", [36, 37, 38])
@@ -275,7 +275,7 @@ def test_nabla_is_a_derivation_of_mul(seed):
     gamma = _poly_gamma(2)
     a, b = seeded(seed), seeded(seed + 17)
     defect = _leibniz_defect(lambda e: e.nabla(gamma), a, b,
-                             lambda x, y: x.mul(y))
+                             lambda x, y: x.circ(y, None))
     assert defect.is_zero()
 
 
