@@ -43,6 +43,20 @@ def _terms_within(p: "Poly", trunc) -> dict:
     return {e: c for e, c in p.terms.items() if sum(e) <= trunc}
 
 
+def _merge(out: dict, terms: dict) -> None:
+    """out += terms on term dicts, deleting a sum that vanishes."""
+    for e, c in terms.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = c
+            continue
+        s = s + c
+        if s.is_zero():
+            del out[e]
+        else:
+            out[e] = s
+
+
 class Poly:
     __slots__ = ("nvars", "terms", "trunc")
 
@@ -105,16 +119,7 @@ class Poly:
                              f"a {self.nvars}-variable one")
         tr = _min_trunc(self.trunc, other.trunc)
         out = dict(_terms_within(self, tr))
-        for e, c in _terms_within(other, tr).items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
-                continue
-            s = s + c
-            if s.is_zero():
-                del out[e]
-            else:
-                out[e] = s
+        _merge(out, _terms_within(other, tr))
         return _from_terms(self.nvars, out, tr)
 
     __radd__ = __add__
@@ -303,6 +308,21 @@ def matrix_inverse_jet(mat, order: int, what: str) -> list:
             if r != col and not f.is_zero():
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[d:] for row in a]
+
+
+def poly_sum(nvars: int, polys) -> Poly:
+    """Poly.zero(nvars) + p_1 + p_2 + ... in one dict: the same terms, in
+    the same order and with the same trunc as the left fold of +, which
+    copies the running sum at every step.  When a summand tightens trunc
+    the running sum drops its terms above the new one, as + does."""
+    out = {}
+    tr = None
+    for p in polys:
+        if _min_trunc(tr, p.trunc) != tr:
+            tr = p.trunc
+            out = {e: c for e, c in out.items() if sum(e) <= tr}
+        _merge(out, _terms_within(p, tr))
+    return _from_terms(nvars, out, tr)
 
 
 def accumulate(store: dict, key, poly: Poly) -> None:

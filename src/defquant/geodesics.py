@@ -325,25 +325,55 @@ def poincare_gamma_fn(point):
 def metric_gamma_fn(metric: MetricJet):
     """Float Christoffel callable from the jets (valid near the base).  The
     coefficients turn complex once; a call sums each Gamma^k_{ij} with
-    i <= j once, in Poly.eval_complex's term order, and mirrors it."""
+    i <= j once, in Poly.eval_complex's term order, and mirrors it.  The
+    powers of the (real) coordinates come from one table per call, each
+    x^n formed as CPython's complex ** int forms its real part (_powers),
+    so the sums are eval_complex's bit for bit; a power that overflows is
+    taken by complex ** int itself, which raises OverflowError as the
+    term loop did."""
     d = metric.dim
     jets = [(k, i, j, [(c.to_complex(),
                         [(m, n) for m, n in enumerate(e) if n])
                        for e, c in metric.gamma[k][i][j].terms.items()])
             for k in range(d) for i in range(d) for j in range(i, d)]
+    used = sorted({mn for *_, terms in jets for _, powers in terms
+                   for mn in powers})
+    top = [max((n for m2, n in used if m2 == m), default=0) for m in range(d)]
 
     def fn(point):
-        vals = [complex(c) for c in point]
+        pw = [_powers(float(x), n) for x, n in zip(point, top)]
+        for m, n in used:
+            if not math.isfinite(pw[m][n]):
+                # complex ** int's own value, or its OverflowError
+                pw[m][n] = complex(point[m]) ** n
         out = [[[0.0] * d for _ in range(d)] for _ in range(d)]
         for k, i, j, terms in jets:
             total = 0j
             for term, powers in terms:
                 for m, n in powers:
-                    term *= vals[m] ** n
+                    term *= pw[m][n]
                 total += term
             out[k][i][j] = out[k][j][i] = total.real
         return out
     return fn
+
+
+def _powers(x: float, top: int) -> list:
+    """[1, x, ..., x^top] as CPython's complex ** int forms the real part:
+    x^n is the product of the squares x^(2^b) over the bits b of n, lowest
+    bit first, so x^n = x^(n - 2^h) * x^(2^h) for the highest bit h (and
+    x^(2^h) alone when n = 2^h).  The imaginary parts it carries are
+    signed zeros, which no real part of a product or sum sees."""
+    out = [1.0]
+    square = x
+    for n in range(1, top + 1):
+        if n & (n - 1) == 0:            # a power of two
+            if n > 1:
+                square = square * square
+            out.append(square)
+        else:
+            out.append(out[n - (1 << n.bit_length() - 1)] * square)
+    return out
 
 
 # ---------------------------------------------------------------------

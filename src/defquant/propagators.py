@@ -67,17 +67,29 @@ def _source_half(lam, l_s, l_sb):
     -c_mu cj(L_{cj z}) to d/dz, since d/dz cj L = cj(d/d cj z L)."""
     c_lam = lam / TWO_PI_I
     c_mu = (1 - lam) / TWO_PI_I
-    # not c_mu * cj(L), which numpy computes as cj(L) *= c_mu from 256 KiB
-    # on: a complex product rounds differently with its factors swapped
-    return (c_lam * l_s - np.multiply(c_mu, np.conj(l_sb)),
-            c_lam * l_sb - np.multiply(c_mu, np.conj(l_s)))
+    d_s, d_sb, mu = (_fresh(l_s, l_sb) for _ in range(3))
+    # c_mu times cj(L), never the reverse: a complex product rounds
+    # differently with its factors swapped
+    for d, l_z, l_zb in ((d_s, l_s, l_sb), (d_sb, l_sb, l_s)):
+        np.multiply(c_lam, l_z, out=d)
+        np.multiply(c_mu, np.conjugate(l_zb, out=mu), out=mu)
+        np.subtract(d, mu, out=d)
+    return d_s[()], d_sb[()]
 
 
 def _target_half(lam, l_t):
     """(d/dt, d/d cj t) of _phi(lam, L) from L_t; L is holomorphic in t,
     so d/dt has no mu part and d/d cj t no lam part."""
-    return (lam / TWO_PI_I * l_t,
-            np.multiply(-((1 - lam) / TWO_PI_I), np.conj(l_t)))
+    d_tb = np.conjugate(l_t, out=_fresh(l_t))
+    np.multiply(-((1 - lam) / TWO_PI_I), d_tb, out=d_tb)
+    return np.multiply(lam / TWO_PI_I, l_t), d_tb[()]
+
+
+def _fresh(*xs):
+    """A new complex array of the broadcast shape of xs (0-d for scalars),
+    for a chain of ufuncs that writes into it with out=; the public
+    functions return [()] of it, a scalar for scalar input."""
+    return np.empty(np.broadcast(*xs).shape, complex)
 
 
 # ---------------------------------------------------------------------
@@ -106,12 +118,29 @@ def dphi_h(lam, s, t):
 
     These are rational in (s, cj s, t, cj t); no logarithm branches enter.
     With a = 1/(t - s) and b = 1/(t - cj s), L = ln(t-s) - ln(t - cj s)
-    has L_s = -a, L_{cj s} = b and L_t = a - b: two reciprocals.
+    has L_s = -a, L_{cj s} = b and L_t = a - b: two reciprocals.  A t of
+    real dtype (a ground point) takes one: there t - cj s = cj(t - s), and
+    numpy's complex division commutes with conjugation, so b = cj a bit
+    for bit; t - s is formed from its real and imaginary parts, as numpy
+    forms it after casting t to complex.
     """
-    s, t = np.asarray(s, complex), np.asarray(t, complex)
-    a = 1.0 / (t - s)
-    b = 1.0 / (t - np.conj(s))
-    return _wirtinger(lam, -a, b, a - b)
+    s = np.asarray(s, complex)
+    a = _fresh(s, t)
+    if np.isrealobj(t):
+        np.subtract(t, s.real, out=a.real)
+        np.subtract(0.0, s.imag, out=a.imag)
+        np.divide(1.0, a, out=a)
+        b = np.conjugate(a)
+    else:
+        t = np.asarray(t, complex)
+        np.divide(1.0, np.subtract(t, s, out=a), out=a)
+        b = np.conjugate(s, out=_fresh(s, t))
+        np.divide(1.0, np.subtract(t, b, out=b), out=b)
+    l_t = np.subtract(a, b, out=_fresh(a))
+    # -a as float pairs: the same bits as numpy's complex negative, which
+    # is several times slower
+    np.negative(a.reshape(-1).view(float), out=a.reshape(-1).view(float))
+    return _wirtinger(lam, a, b, l_t)
 
 
 # ---------------------------------------------------------------------
@@ -182,4 +211,5 @@ def dphi_shoikhet_source(lam, ws, wt):
 
 def wirtinger_to_xy(d_z, d_zb):
     """(d/dz, d/d cj z) -> (d/dx, d/dy) coefficients."""
-    return d_z + d_zb, 1j * (d_z - d_zb)
+    d_y = np.subtract(d_z, d_zb, out=_fresh(d_z, d_zb))
+    return d_z + d_zb, np.multiply(1j, d_y, out=d_y)[()]

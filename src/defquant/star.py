@@ -34,7 +34,7 @@ from itertools import permutations, product as iproduct
 from math import factorial
 
 from .exactnum import QC, perm_sign
-from .exactpoly import Poly, accumulate, poly_matrix
+from .exactpoly import Poly, accumulate, poly_matrix, poly_sum
 from .graphs import AdmissibleGraph, canonical_classes, enumerate_graphs
 
 _I = QC(0, 1)
@@ -134,23 +134,27 @@ class PolyDiffOperator:
                                 {k: p * c for k, p in self.terms.items()})
 
     def apply(self, *fs: Poly) -> Poly:
+        """sum over terms of coeff * prod_slots d^alpha f_slot, in term
+        order.  Each derivative of an input is taken once per call, from
+        a table: d^alpha f is one diff of its entry below alpha in the
+        last index alpha moves, the chain that differentiates index 0
+        first, then index 1, ....  A term with a zero derivative is
+        skipped; the products are summed by poly_sum, which equals the
+        sequential sum term for term, trunc included."""
         if len(fs) != self.arity:
             raise ValueError(f"arity {self.arity} operator on {len(fs)} slots")
-        out = Poly.zero(self.dim)
+        tables = [{(0,) * self.dim: f} for f in fs]
+        prods = []
         for key, coeff in self.terms.items():
             prod = coeff
-            for alpha, f in zip(key, fs):
-                df = f
-                for i, k in enumerate(alpha):
-                    for _ in range(k):
-                        df = df.diff(i)
+            for alpha, table in zip(key, tables):
+                df = _derivative(table, alpha)
                 if df.is_zero():
-                    prod = None
                     break
                 prod = prod * df
-            if prod is not None:
-                out = out + prod
-        return out
+            else:
+                prods.append(prod)
+        return poly_sum(self.dim, prods)
 
     def to_jsonable(self):
         items = []
@@ -160,6 +164,17 @@ class PolyDiffOperator:
                 "coeff": poly.to_jsonable(),
             })
         return {"dim": self.dim, "arity": self.arity, "terms": items}
+
+
+def _derivative(table: dict, alpha: tuple) -> Poly:
+    """d^alpha of table's entry at alpha = 0, through ``table``: built
+    from the entry one lower in alpha's last nonzero index."""
+    df = table.get(alpha)
+    if df is None:
+        i = max(j for j, k in enumerate(alpha) if k)
+        lower = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+        df = table[alpha] = _derivative(table, lower).diff(i)
+    return df
 
 
 # -- graph -> operator ------------------------------------------------
@@ -189,11 +204,13 @@ def graph_operator(g: AdmissibleGraph, gammas) -> PolyDiffOperator:
     terms = {}
     for pick in iproduct(*choices):
         index = [i for idx, _ in pick for i in idx]
-        coeff = Poly.one(dim)
+        # the first vertex's factor starts the product: Poly.one(dim) times
+        # it is the same Poly, built term by term
+        coeff = None
         for (_, comp), v_in in zip(pick, ins):
             for k in v_in:
                 comp = comp.diff(index[k])
-            coeff = coeff * comp
+            coeff = comp if coeff is None else coeff * comp
             if coeff.is_zero():
                 break
         else:

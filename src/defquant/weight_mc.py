@@ -28,7 +28,15 @@ one block loop (``_mc_mean``): one numpy default generator seeded with
 turns each block into sample values, so memory is O(CHUNK) whatever
 n_samples is and the samples equal those of one big draw.  CHUNK is
 cache-sized: every per-sample array of a block (16,384 complex values,
-256 KiB) stays small, and no (N, E, E) matrix is ever built.  A block's
+256 KiB) stays small, and no (N, E, E) matrix is ever built.  Within a
+block the sample map and the propagators write their intermediates into
+a few arrays with numpy's out= (propagators._fresh), since each fresh
+temporary of that size costs more to allocate and fault in than the
+arithmetic on it; a public function still returns arrays of its own, and
+no entry of ``integrand_matrix`` shares memory with another.  Each step
+names its operands in the order the formula writes them (a complex
+product rounds differently with its factors swapped), so the bits do not
+depend on which arrays are reused, nor on the part size.  A block's
 rows are evaluated at once in contiguous parts (``_split``), by a thread
 pool that serves every block of one call: new threads per block made
 glibc open a fresh malloc arena now and then, 3-5 MB of peak memory
@@ -64,7 +72,9 @@ skipping structural zeros.  A minor whose rows cannot be matched one to
 one to its columns vanishes at every sample, whatever the entries: each
 term of its permutation expansion contains a structural zero.  When that
 holds for the whole matrix the integrand is exactly 0 (three of the 30
-(3,2) classes that pass ``exact_zero_reason``).  The number of terms grows
+(3,2) classes that pass ``exact_zero_reason``), and ``weight_mc`` returns
+the all-zero estimate sampling gives, 0 with stderr 0 at the requested
+n_samples, without drawing.  The number of terms grows
 with E: 34, 102, 270 and 670 for wheel:3 to wheel:6 (E = 6 to 12).  Per
 16,384-sample block the expansion beats batched LU through E = 10 and is
 about 1.5 times slower at E = 12 (wheel:6); the order-2 star product and
@@ -152,12 +162,16 @@ def _map_samples(u: np.ndarray, n: int, m: int):
     z = np.empty((big_n, n), complex)
     z[:, 0] = FIXED_POINT
     w_imp = np.ones(big_n)
+    disk, one_minus, h = np.empty((3, big_n), complex)
     for k in range(n_free):
-        u1 = u[:, 2 * k]
-        u2 = u[:, 2 * k + 1]
-        disk = np.sqrt(u1) * np.exp(2j * np.pi * u2)
-        z[:, k + 1] = prop.mobius_to_h(disk)
-        w_imp *= 4 * np.pi / np.abs(1 - disk) ** 4
+        np.multiply(np.sqrt(u[:, 2 * k]),
+                    np.exp(np.multiply(2j * np.pi, u[:, 2 * k + 1])), out=disk)
+        # prop.mobius_to_h, i (1 + w) / (1 - w), with 1 - w formed once
+        # for the map and the density
+        np.subtract(1, disk, out=one_minus)
+        np.multiply(1j, np.add(1, disk, out=h), out=h)
+        z[:, k + 1] = np.divide(h, one_minus, out=h)
+        w_imp *= 4 * np.pi / np.abs(one_minus) ** 4
     r = np.empty((big_n, m))
     for j in range(m):
         uj = u[:, 2 * n_free + j]
@@ -189,27 +203,33 @@ def integrand_matrix(g: AdmissibleGraph, lam, z: np.ndarray, r: np.ndarray):
     in the columns of its edge's free endpoints: two for an aerial vertex
     other than 1, one for a ground vertex.
     """
-    n = g.n
     entries = {}
-
-    def pos(v):
-        if v <= n:
-            return z[:, v - 1]
-        return r[:, v - n - 1].astype(complex)
-
     for row, e in enumerate(g.edges):
-        d_s, d_sb, d_t, d_tb = prop.dphi_h(lam, pos(e.src), pos(e.dst))
-        if e.src >= 2:
-            col = 2 * (e.src - 2)
-            entries[row, col], entries[row, col + 1] = \
-                prop.wirtinger_to_xy(d_s, d_sb)
-        if e.dst > n:
-            entries[row, 2 * (n - 1) + e.dst - n - 1] = d_t + d_tb
-        elif e.dst >= 2:
-            col = 2 * (e.dst - 2)
-            entries[row, col], entries[row, col + 1] = \
-                prop.wirtinger_to_xy(d_t, d_tb)
+        # a ground point goes in as its real column (prop.dphi_h)
+        t = z[:, e.dst - 1] if e.dst <= g.n else r[:, e.dst - g.n - 1]
+        d_s, d_sb, d_t, d_tb = prop.dphi_h(lam, z[:, e.src - 1], t)
+        for v, d_z, d_zb in ((e.src, d_s, d_sb), (e.dst, d_t, d_tb)):
+            cols = _columns(g, v)
+            if len(cols) == 2:
+                entries[row, cols[0]], entries[row, cols[1]] = \
+                    prop.wirtinger_to_xy(d_z, d_zb)
+            elif cols:
+                entries[row, cols[0]] = np.add(d_z, d_zb, out=d_z)
     return entries
+
+
+def _columns(g: AdmissibleGraph, v: int) -> tuple:
+    """The coordinate columns of vertex v: none for the pinned vertex 1,
+    (x_v, y_v) for another aerial vertex, r_j for ground vertex n + j."""
+    if v > g.n:
+        return (2 * (g.n - 1) + v - g.n - 1,)
+    return () if v == 1 else (2 * (v - 2), 2 * (v - 2) + 1)
+
+
+def _cells(g: AdmissibleGraph):
+    """The (row, col) keys of ``integrand_matrix``, in its order."""
+    return [(row, col) for row, e in enumerate(g.edges)
+            for v in (e.src, e.dst) for col in _columns(g, v)]
 
 
 def _laplace_plan(cells, n_rows: int):
@@ -378,6 +398,12 @@ def weight_mc(g: AdmissibleGraph, lam=0.5, n_samples: int = 200_000,
     key = g.to_text()
     if reason is not None:
         return MCResult(0j, 0.0, 0, seed, lam, key, meta={"reason": reason})
+    if n_samples >= 1 and g.n_edges and not _laplace_plan(_cells(g),
+                                                         g.n_edges):
+        # every sample would be an exact 0: the estimate sampling gives,
+        # without drawing (a sampled estimate, not an exact zero; a bad
+        # n_samples goes on to _mc_mean's ValueError)
+        return MCResult(np.complex128(0j), 0.0, n_samples, seed, lam, key)
 
     def block(u):
         z, r, w_imp = _map_samples(u, g.n, g.m)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from defquant.exactnum import QC
-from defquant.exactpoly import Poly, matrix_inverse_jet, sin_jet, cos_jet
+from defquant.exactpoly import (Poly, matrix_inverse_jet, poly_sum, sin_jet,
+                               cos_jet)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 qcs = st.builds(QC, rationals, rationals)
@@ -456,3 +457,25 @@ def test_matrix_inverse_jet_pivots_and_names_the_input():
             assert (prod - Poly.const(2, int(i == j), 3)).is_zero()
     with pytest.raises(ValueError, match="^m is singular at the base point$"):
         matrix_inverse_jet([[x, y], [y, one + x]], 3, "m is singular")
+
+
+def test_poly_sum_is_the_left_fold_of_plus():
+    """Terms, their order and trunc as Poly.zero + p1 + p2 + ... leaves
+    them, when a later summand tightens trunc and when sums cancel."""
+    rng = random.Random(11)
+    for _ in range(200):
+        polys = []
+        for _ in range(rng.randint(0, 6)):
+            terms = {tuple(rng.randint(0, 3) for _ in range(2)):
+                     QC(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+                     for _ in range(4)}
+            p = Poly(2, terms, rng.choice([None, None, 1, 2, 4]))
+            polys.append(p)
+            if rng.random() < 0.3:
+                polys.append(-p)
+        want = Poly.zero(2)
+        for p in polys:
+            want = want + p
+        got = poly_sum(2, polys)
+        assert got == want and list(got.terms) == list(want.terms)
+        assert got.trunc == want.trunc

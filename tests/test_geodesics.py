@@ -324,3 +324,64 @@ def test_flat_section_mismatches_counts_components(sphere8):
     phi = exp_map_series(sphere8, 4)
     assert flat_section_mismatches(sphere8, phi, 4) == 0
     assert flat_section_mismatches(sphere8, [phi[1], phi[1]], 4) == 1
+
+
+def _pow_gamma_fn(metric):
+    """metric_gamma_fn's sums with each coordinate power taken by
+    complex ** int inside the term loop: the power table's reference."""
+    d = metric.dim
+    jets = [(k, i, j, [(c.to_complex(),
+                        [(m, n) for m, n in enumerate(e) if n])
+                       for e, c in metric.gamma[k][i][j].terms.items()])
+            for k in range(d) for i in range(d) for j in range(i, d)]
+
+    def fn(point):
+        vals = [complex(c) for c in point]
+        out = [[[0.0] * d for _ in range(d)] for _ in range(d)]
+        for k, i, j, terms in jets:
+            total = 0j
+            for term, powers in terms:
+                for m, n in powers:
+                    term *= vals[m] ** n
+                total += term
+            out[k][i][j] = out[k][j][i] = total.real
+        return out
+    return fn
+
+
+@pytest.mark.parametrize("case", ["random", "diag3", "order9"])
+def test_metric_gamma_fn_power_table_equals_complex_pow(case):
+    """The per-call power table gives complex ** int's real parts, so
+    every Christoffel value is the same float, at random points, at 0 and
+    at negative and large coordinates, and an overflow raises where it
+    raised."""
+    if case == "random":
+        met = MetricJet.random_metric(2, 5, random.Random(4242))
+    elif case == "diag3":
+        met = _diagonal_metric_3d()
+    else:
+        x = [Poly.var(2, i, 9) for i in range(2)]
+        g00 = 1 + x[0] ** 9 * QC(Fraction(1, 7)) - x[1] ** 7 * QC(
+            Fraction(2, 3)) + x[0] ** 3 * x[1] ** 5 * QC(Fraction(1, 5))
+        zero = Poly.zero(2, 9)
+        met = MetricJet(2, 9, [[g00, zero], [zero, Poly.one(2, 9)]])
+    fn, want = metric_gamma_fn(met), _pow_gamma_fn(met)
+    rng = random.Random(26)
+    points = [[rng.uniform(-0.5, 0.5) for _ in range(met.dim)]
+              for _ in range(500)]
+    points += [[0.0] * met.dim, [-0.0] * met.dim, [-3.0] * met.dim,
+               [1e-160] * met.dim, [17.5] * met.dim]
+    # powers that overflow: complex ** int raises for some and gives nan
+    # for others (x^4 once x^2 is inf), and the table must do the same
+    points += [[s * 10.0 ** e] * met.dim for e in (40, 80, 120, 160, 300)
+               for s in (1, -1)]
+
+    def outcome(gamma_fn, point):
+        try:
+            return [x.hex() for blk in gamma_fn(point) for row in blk
+                    for x in row]
+        except OverflowError as exc:
+            return str(exc)
+
+    for point in points:
+        assert outcome(fn, point) == outcome(want, point)

@@ -60,6 +60,8 @@ TEST_REFERENCES = {
     "propagators.phi_shoikhet": "finite-difference reference for "
                                 "dphi_shoikhet",
     "propagators.mobius_to_disk": "dphi_disk is the pullback of dphi_h",
+    "propagators.mobius_to_h": "the map weight_mc._map_samples writes out "
+                               "to share 1 - w with the density",
     "star.hkr_operator": "graph_operator of the wedge fan is the HKR map",
     "star.PolyVectorField.component": "graph_operator equals the sweep "
                                       "over antisymmetric components",

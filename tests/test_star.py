@@ -479,3 +479,93 @@ def test_operator_mismatch_raises_under_python_O(case):
 def test_graph_operator_without_aerial_vertex_raises():
     with pytest.raises(ValueError, match=r"K\(0,2\)\[\] has no aerial"):
         graph_operator(AdmissibleGraph(0, 2, []), [])
+
+
+# -- operator application against one derivative chain per term --------
+
+def _naive_apply(op, *fs):
+    """Each term differentiates its inputs afresh (index 0 first, then 1,
+    ...) and the products are added one + at a time: the reference the
+    derivative tables and the one-dict sum must equal."""
+    out = Poly.zero(op.dim)
+    for key, coeff in op.terms.items():
+        prod = coeff
+        for alpha, f in zip(key, fs):
+            df = f
+            for i, k in enumerate(alpha):
+                for _ in range(k):
+                    df = df.diff(i)
+            if df.is_zero():
+                prod = None
+                break
+            prod = prod * df
+        if prod is not None:
+            out = out + prod
+    return out
+
+
+def _random_jet(rng, dim, deg, trunc, n_terms):
+    terms = {}
+    for _ in range(n_terms):
+        e = [0] * dim
+        for _ in range(rng.randint(0, deg)):
+            e[rng.randrange(dim)] += 1
+        terms[tuple(e)] = QC(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                             Fraction(rng.randint(-2, 2), 3))
+    return Poly(dim, terms, trunc)
+
+
+def _same_poly(a, b):
+    return a == b and list(a.terms) == list(b.terms) and a.trunc == b.trunc
+
+
+def test_apply_equals_the_per_term_derivative_reference():
+    """Exact ==, the same term order (eval_complex sums in it) and the
+    same trunc, on operators whose coefficients and inputs are jets of
+    several truncation orders, so the sum's trunc tightens partway, and
+    on products that cancel."""
+    rng = random.Random(26)
+    tightened = 0
+    for _ in range(300):
+        dim = rng.choice([2, 3])
+        arity = rng.choice([1, 2, 3])
+        terms = {}
+        for _ in range(rng.randint(1, 8)):
+            key = tuple(tuple(rng.randint(0, 2) for _ in range(dim))
+                        for _ in range(arity))
+            terms[key] = _random_jet(rng, dim, 3,
+                                     rng.choice([None, None, 2, 3, 5]), 3)
+        op = PolyDiffOperator(dim, arity, terms)
+        fs = [_random_jet(rng, dim, 5, rng.choice([None, 3, 4, 6]), 6)
+              for _ in range(arity)]
+        got, want = op.apply(*fs), _naive_apply(op, *fs)
+        assert _same_poly(got, want)
+        truncs = {p.trunc for p in op.terms.values()} | {f.trunc for f in fs}
+        tightened += len(truncs - {None}) > 1
+    assert tightened > 50
+
+    # d_0 f = d_1 f = 1: the second product cancels the first one's x0 x1,
+    # and the third brings x0 x1 back, behind the monomials that stayed
+    x0, x1 = Poly.var(2, 0), Poly.var(2, 1)
+    op = PolyDiffOperator(2, 1, {((1, 0),): x0 * x1 + x1 + QC(2),
+                                 ((0, 1),): -(x0 * x1),
+                                 ((0, 0),): x0 + QC(1)})
+    f = x0 + x1
+    got = op.apply(f)
+    assert _same_poly(got, _naive_apply(op, f))
+    assert list(got.terms) == [(0, 1), (0, 0), (2, 0), (1, 1), (1, 0)]
+
+
+def test_apply_on_the_assembled_series_equals_the_reference():
+    """The operators star_order2 assembles from Monte Carlo weights,
+    applied to monomials and to a jet cut below their degree."""
+    rng = random.Random(7)
+    series = star_order2(so3_bivector(), 0.25,
+                         WeightSource(n_samples=2_000, seed=3))
+    x = [Poly.var(3, i) for i in range(3)]
+    inputs = [x[0] * x[1], x[2] * x[2] * x[0], rand_poly(rng, 3, 3),
+              Poly(3, rand_poly(rng, 3, 3).terms, 2)]
+    for op in series.ops.values():
+        for f in inputs:
+            for g in inputs:
+                assert _same_poly(op.apply(f, g), _naive_apply(op, f, g))

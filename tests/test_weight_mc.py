@@ -319,6 +319,16 @@ WEIGHT_PINS = {
     ("K(3,2)[1>2#1, 1>3#2, 2>3#1, 2>b1#2, 3>2#1, 3>b2#2]", 0.3 + 0.2j):
         ("-0x1.1d78ba9d27cd5p-6", "0x1.e4f8badede0e4p-11",
          "0x1.4c9334ca7d686p-9"),
+    # at a real lam other than 1/2, where star-assembly also assembles
+    ("K(2,2)[1>b1#1, 1>2#2, 2>1#1, 2>b2#2]", 0.25):
+        ("0x1.2d4916662673bp-5", "-0x1.bad0142d56829p-10",
+         "0x1.4c6c064fe2ed2p-9"),
+    ("K(2,2)[1>2#1, 1>b1#2, 2>b1#1, 2>b2#2]", 0.25):
+        ("-0x1.234df54ab188cp-4", "0x1.b75b38d353332p-10",
+         "0x1.011a35c7af757p-8"),
+    ("K(3,2)[1>2#1, 1>3#2, 2>3#1, 2>b1#2, 3>2#1, 3>b2#2]", 0.25):
+        ("-0x1.26148acc0bdaep-6", "0x1.77428f4a0fe90p-11",
+         "0x1.17950cae9165ep-9"),
 }
 
 
@@ -874,3 +884,211 @@ def test_weight_source_reports_the_seed_it_sampled_with():
     assert res.meta["source"] == "mc" and res.seed != 3
     gc, par, _ = g.canonical_form()
     assert par * weight_mc(gc, 0.5, 2_000, seed=res.seed).value == res.value
+
+
+# -- the sampler kernel against its formulas as plain expressions ------
+#
+# The references below write the sampler's formulas as expressions: fresh
+# temporaries, each ground column cast to complex per edge, 1/(t - cj s)
+# divided out and 1 - w formed twice.  The kernel must give the same bits
+# at every part size a block is evaluated in: 8,192 and 16,384 rows (where
+# numpy starts to reuse temporaries in place, 256 KiB of complex values)
+# and an odd size.
+
+KERNEL_LAMBDAS = [0.5, 0.25, 1, 0.3 + 0.2j]
+PART_SIZES = [8_192, 16_384, 5_001]
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(_bits(x), _bits(y))
+
+
+def _reference_source_half(lam, l_s, l_sb):
+    c_lam = lam / prop.TWO_PI_I
+    c_mu = (1 - lam) / prop.TWO_PI_I
+    return (c_lam * l_s - np.multiply(c_mu, np.conj(l_sb)),
+            c_lam * l_sb - np.multiply(c_mu, np.conj(l_s)))
+
+
+def _reference_target_half(lam, l_t):
+    return (lam / prop.TWO_PI_I * l_t,
+            np.multiply(-((1 - lam) / prop.TWO_PI_I), np.conj(l_t)))
+
+
+def _reference_dphi_h(lam, s, t):
+    s, t = np.asarray(s, complex), np.asarray(t, complex)
+    a = 1.0 / (t - s)
+    b = 1.0 / (t - np.conj(s))
+    return _reference_halves(lam, -a, b, a - b)
+
+
+def _reference_halves(lam, l_s, l_sb, l_t):
+    return (_reference_source_half(lam, l_s, l_sb)
+            + _reference_target_half(lam, l_t))
+
+
+def _reference_xy(d_z, d_zb):
+    return d_z + d_zb, 1j * (d_z - d_zb)
+
+
+def _reference_mobius(w):
+    return 1j * (1 + w) / (1 - w)
+
+
+def _reference_map_samples(u, n, m):
+    big_n = u.shape[0]
+    z = np.empty((big_n, n), complex)
+    z[:, 0] = wmc.FIXED_POINT
+    w_imp = np.ones(big_n)
+    for k in range(n - 1):
+        u1 = u[:, 2 * k]
+        u2 = u[:, 2 * k + 1]
+        disk = np.sqrt(u1) * np.exp(2j * np.pi * u2)
+        z[:, k + 1] = _reference_mobius(disk)
+        w_imp *= 4 * np.pi / np.abs(1 - disk) ** 4
+    r = np.empty((big_n, m))
+    for j in range(m):
+        r[:, j] = np.tan(np.pi * (u[:, 2 * (n - 1) + j] - 0.5))
+        w_imp *= np.pi * (1 + r[:, j] ** 2)
+    r.sort(axis=1)
+    if m:
+        w_imp /= math.factorial(m)
+    return z, r, w_imp
+
+
+def _reference_integrand_matrix(g, lam, z, r):
+    n = g.n
+    entries = {}
+
+    def pos(v):
+        if v <= n:
+            return z[:, v - 1]
+        return r[:, v - n - 1].astype(complex)
+
+    for row, e in enumerate(g.edges):
+        d_s, d_sb, d_t, d_tb = _reference_dphi_h(lam, pos(e.src), pos(e.dst))
+        if e.src >= 2:
+            col = 2 * (e.src - 2)
+            entries[row, col], entries[row, col + 1] = \
+                _reference_xy(d_s, d_sb)
+        if e.dst > n:
+            entries[row, 2 * (n - 1) + e.dst - n - 1] = d_t + d_tb
+        elif e.dst >= 2:
+            col = 2 * (e.dst - 2)
+            entries[row, col], entries[row, col + 1] = \
+                _reference_xy(d_t, d_tb)
+    return entries
+
+
+# every edge kind: out of the pinned vertex and out of a free one, into
+# the pinned vertex, into a free aerial vertex and into a ground point
+KERNEL_GRAPHS = [
+    "K(2,2)[1>b1#1, 1>2#2, 2>1#1, 2>b2#2]",
+    "K(2,2)[1>2#1, 1>b1#2, 2>b1#1, 2>b2#2]",
+    "K(3,2)[1>2#1, 1>3#2, 2>3#1, 2>b1#2, 3>2#1, 3>b2#2]",
+    "K(1,3)[1>b1#1, 1>b2#2]",
+]
+
+
+@pytest.mark.parametrize("size", PART_SIZES)
+@pytest.mark.parametrize("text", KERNEL_GRAPHS)
+def test_integrand_matrix_equals_the_expressions_bit_for_bit(text, size):
+    g = AdmissibleGraph.from_text(text)
+    u = np.random.default_rng(size + g.n_edges).random((size, g.dim_config()))
+    z, r, w_imp = wmc._map_samples(u, g.n, g.m)
+    want = _reference_map_samples(u, g.n, g.m)
+    assert all(_same_bits(a, b) for a, b in zip((z, r, w_imp), want))
+    for lam in KERNEL_LAMBDAS:
+        got = wmc.integrand_matrix(g, lam, z, r)
+        ref = _reference_integrand_matrix(g, lam, z, r)
+        assert list(got) == list(ref)
+        for cell, val in ref.items():
+            assert _same_bits(got[cell], val), (lam, cell)
+        # no entry shares memory with another: weight_poly_fit reads them
+        # all after the last edge
+        arrays = list(got.values())
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                       for b in arrays[i + 1:])
+
+
+@pytest.mark.parametrize("size", PART_SIZES)
+def test_dphi_h_at_a_real_target_equals_the_complex_one(size):
+    """A real-typed t takes b = cj a; the four coefficients are those of
+    the complex t with zero imaginary part, and of the expressions."""
+    rng = np.random.default_rng(size)
+    s = rng.standard_normal(size) + 1j * rng.exponential(size=size)
+    t = rng.standard_cauchy(size)
+    for lam in KERNEL_LAMBDAS:
+        real = prop.dphi_h(lam, s, t)
+        cplx = prop.dphi_h(lam, s, t.astype(complex))
+        ref = _reference_dphi_h(lam, s, t)
+        for a, b, c in zip(real, cplx, ref):
+            assert _same_bits(a, c) and _same_bits(b, c)
+        aerial = np.roll(s, 1)
+        for a, b in zip(prop.dphi_h(lam, s, aerial),
+                        _reference_dphi_h(lam, s, aerial)):
+            assert _same_bits(a, b)
+
+
+@pytest.mark.parametrize("size", PART_SIZES)
+@pytest.mark.parametrize("propagator", ["disk", "shoikhet"])
+def test_two_valent_one_forms_equal_the_expressions(propagator, size):
+    """The one-forms two_valent_integral builds, point as source and as
+    target, through the rewritten halves."""
+    def ref_source(lam, ws, wt):
+        ws, wt = np.asarray(ws, complex), np.asarray(wt, complex)
+        if propagator == "shoikhet":
+            return _reference_source_half(lam, 1.0 / (ws - wt) - 1.0 / ws,
+                                          wt / (1 - np.conj(ws) * wt))
+        a = 1.0 / (ws - wt)
+        b = 1.0 / (1 - ws)
+        d = 1 - np.conj(ws) * wt
+        return _reference_source_half(lam, a + b, wt / d - np.conj(b))
+
+    def ref_target(lam, ws, wt):
+        ws, wt = np.asarray(ws, complex), np.asarray(wt, complex)
+        wsb = np.conj(ws)
+        return _reference_target_half(lam, wsb / (1 - wsb * wt)
+                                      - 1.0 / (ws - wt))
+
+    source = prop.dphi_disk_source if propagator == "disk" \
+        else prop.dphi_shoikhet_source
+    rng = np.random.default_rng(size)
+    w = 0.9 * np.sqrt(rng.random(size)) * np.exp(2j * np.pi * rng.random(size))
+    for lam in KERNEL_LAMBDAS:
+        for c in (W1, W2):
+            pairs = [(source(lam, w, c), ref_source(lam, w, c)),
+                     (prop.dphi_disk_target(lam, c, w),
+                      ref_target(lam, c, w))]
+            for got, want in pairs:
+                for a, b in zip(prop.wirtinger_to_xy(*got),
+                                _reference_xy(*want)):
+                    assert _same_bits(a, b)
+
+
+def test_an_empty_laplace_plan_draws_nothing(monkeypatch):
+    """The three (3,2) classes without a row-to-column matching get the
+    estimate their all-zero samples gave, without a draw."""
+    want = {}
+    for key in sorted(SINGULAR_3_2):
+        want[key] = weight_mc(AdmissibleGraph.from_text(key), lam=0.25,
+                              n_samples=20_000, seed=7)
+        with pytest.raises(ValueError, match="n_samples"):
+            weight_mc(AdmissibleGraph.from_text(key), n_samples=0)
+
+    def no_draw(*args):
+        raise AssertionError("sampled a graph whose integrand is 0")
+
+    monkeypatch.setattr(wmc, "_mc_mean", no_draw)
+    for key, res in want.items():
+        got = weight_mc(AdmissibleGraph.from_text(key), lam=0.25,
+                        n_samples=20_000, seed=7)
+        assert got == res
+        assert type(got.value) is np.complex128 and got.value == 0
+        assert (got.stderr, got.n_samples, got.seed, got.meta) == (
+            0.0, 20_000, 7, {})
+        assert exact_zero_reason(AdmissibleGraph.from_text(key)) is None
