@@ -6,18 +6,16 @@ One record per line, a raw weight (``weight_mc``'s quantity):
      "stderr": s, "n_samples": n, "seed": 7}
 
 "seed" reproduces the record: weight_mc(AdmissibleGraph.from_text(key),
-lambda, n_samples, seed) gives "value" exactly.  It is null where no seed
-does, as for an estimate pooled from several streams or sampled on
-another member of the class.
+lambda, n_samples, seed) gives "value" exactly, at any worker count.  It
+is null for an estimate sampled on another member of the class, which no
+seed reproduces.
 
 Records are looked up by exact (key, lambda) match; several records for
-the same pair are merged by ``pool``, the one pooling rule of the package
-(the CLI's worker chunks use it too).  Independent runs with positive
-stderr are pooled by inverse variance.  A zero-variance estimate (stderr
-0, e.g. an identically vanishing integrand) has unbounded inverse-variance
-weight, so as soon as one is present the pooled value is the limit of
-those weights: the sample-weighted mean of the zero-variance estimates
-alone, with stderr 0.
+the same pair are merged by ``pool``, weighted by sample count: the value
+and per-sample variance of the records' samples joined into one stream.
+Inverse-variance weights would be biased for a heavy-tailed integrand,
+where a run that misses the tail reports both a low value and a small
+stderr.
 
 A corrupt line is skipped with a warning rather than poisoning the store:
 it is valid only if "lambda" and "value" are pairs of finite numbers,
@@ -51,39 +49,23 @@ def default_path() -> Path:
 
 def pool(estimates) -> tuple[complex, float, int]:
     """Pool independent (value, stderr, n_samples) estimates into
-    (value, stderr, total n_samples).
+    (value, stderr, N = total n_samples), weighting each by its n.
 
-    A single estimate pools to itself (v*w/w can move its last bit).
-    With every variance positive: num += w*v, den += w with w = 1/stderr^2,
-    then (num/den, sqrt(1/den)).  An estimate whose variance is 0 (stderr
-    0, or so small that its square underflows) makes the result the
-    sample-weighted mean of the zero-variance estimates, with stderr 0.
+    The value is Sum n_i v_i / N, and the per-sample variance
+    Sum n_i (n_i s_i^2) / N + Sum n_i |v_i - v|^2 / N (within, then
+    between the estimates), so the stderr is sqrt(variance / N).  A
+    single estimate pools to itself; one without samples is a ValueError.
     """
     estimates = list(estimates)
-    num = 0j
-    den = 0.0
-    zero_num = 0j
-    zero_n = 0
-    has_zero = False
-    n_tot = 0
-    for value, stderr, n in estimates:
-        n_tot += n
-        var = stderr ** 2
-        if var == 0.0:
-            has_zero = True
-            zero_num += n * value
-            zero_n += n
-            continue
-        wgt = 1.0 / var
-        num += wgt * value
-        den += wgt
-    if has_zero and zero_n == 0:
-        raise ValueError("zero-variance estimates without samples")
+    if any(n < 1 for _, _, n in estimates):
+        raise ValueError("an estimate without samples has no weight")
     if len(estimates) == 1:
         return estimates[0]
-    if has_zero:
-        return zero_num / zero_n, 0.0, n_tot
-    return num / den, math.sqrt(1.0 / den), n_tot
+    n_tot = sum(n for _, _, n in estimates)
+    value = sum(n * v for v, _, n in estimates) / n_tot
+    var = sum(n * (n * s ** 2 + abs(v - value) ** 2)
+              for v, s, n in estimates) / n_tot
+    return value, math.sqrt(var / n_tot), n_tot
 
 
 def _lam_key(lam) -> tuple[float, float]:
@@ -144,8 +126,8 @@ class WeightCache:
         self._records.setdefault(pair, []).append(est)
 
     def get(self, key: str, lam) -> MCResult | None:
-        """Inverse-variance pooled estimate for an exact (key, lambda)
-        pair, or None."""
+        """The pooled estimate (``pool``) for an exact (key, lambda) pair,
+        or None."""
         lam = _lam_key(lam)
         recs = self._records.get((key, lam))
         if not recs:

@@ -29,18 +29,16 @@ covers input that would give a meaningless number: a non-finite
 ``--lambda``, ``--target``, ``--w1``, ``--w2``, ``--x``, ``--v`` or
 ``--t``; a non-finite or negative ``--tol``; a named graph of size below
 1 (``fan:0``, ``wheel:0``, ``cycle:0``); ``--workers`` below 1;
-``--samples`` below 2 per worker (a chunk that small reports stderr 0);
-a negative ``--cap``; ``--steps`` below 1; a ``--dim`` other than 3 for
+``--samples`` below 2 (a single sample reports stderr 0); a negative
+``--cap``; ``--steps`` below 1; a ``--dim`` other than 3 for
 the so3 structure; ``--from-cache`` with ``--write-cache`` (that would
 store the pooled cached estimate again as a new independent record);
 and a ``--cache`` path that cannot be opened.
 
-The Monte Carlo subcommands accept ``--workers`` and split the sample
-budget over a process pool with per-chunk seeds: each worker runs the
-estimator itself (``weight_mc`` or ``two_valent_integral`` with the
-command's arguments bound by ``functools.partial``) on its share, and the
-chunk estimates are combined by ``cache.pool``, so the result is
-deterministic for a fixed (seed, samples, workers) triple.
+``weight mc`` and ``weight two-valent`` accept ``--workers`` and pass it
+to ``weight_mc`` and ``two_valent_integral``: worker processes evaluate
+blocks of the one sample stream of ``--seed``, so the report is that of
+``--workers 1`` but for ``parameters.workers``.
 
 ``weight mc`` samples, pools and caches raw weights: ``--write-cache``
 stores the raw estimate under its class's canonical key, ``--from-cache``
@@ -53,11 +51,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import multiprocessing
 import random
 import sys
 import time
-from functools import partial
 
 from . import __version__
 from .exactnum import QC
@@ -69,7 +65,7 @@ from .weight_mc import (MCResult, weight_mc, WeightSource,
                         two_valent_integral, two_valent_target,
                         weight_poly_fit, relation_residuals,
                         exact_zero_reason)
-from .cache import WeightCache, pool
+from .cache import WeightCache
 from .series import (ZETA_TARGETS, ZETA_TOLERANCE, merkulov_wheel_zeta,
                      shadow_sum, two_wheel_display, harmonic_identity)
 from .star import PolyVectorField, star_order2, so3_bivector, random_triple
@@ -111,19 +107,22 @@ def parse_exponents(s: str, dim: int) -> tuple:
     return exps
 
 
-def parse_samples(s: str, workers: int = 1) -> int:
-    """Accept 200000, 2e5, 1e7 and similar: at least 2 per worker, since a
-    single-sample chunk reports stderr 0."""
-    if workers < 1:
-        raise UsageError(f"invalid worker count {workers}: need at least 1")
+def parse_samples(s: str) -> int:
+    """Accept 200000, 2e5, 1e7 and similar: at least 2, since a single
+    sample reports stderr 0."""
     try:
         val = float(s)
     except ValueError:
         raise UsageError(f"invalid sample count {s!r}")
-    if not math.isfinite(val) or val != int(val) or val < 2 * workers:
-        raise UsageError(f"invalid sample count {s!r}: need an integer "
-                         f">= {2 * workers} (2 per worker)")
+    if not math.isfinite(val) or val != int(val) or val < 2:
+        raise UsageError(f"invalid sample count {s!r}: need an integer >= 2")
     return int(val)
+
+
+def parse_workers(workers: int) -> int:
+    if workers < 1:
+        raise UsageError(f"invalid worker count {workers}: need at least 1")
+    return workers
 
 
 def check_tolerance(tol):
@@ -207,30 +206,6 @@ def _print_table(report: dict) -> None:
     print("pass:", report["pass"])
 
 
-# -- worker pool for the MC subcommands -------------------------------
-
-def _run(estimate, n, seed):
-    res = estimate(n_samples=n, seed=seed)
-    return res.value, res.stderr, res.n_samples
-
-
-def pooled_mc(estimate, n_samples: int, seed: int, workers: int):
-    """Run ``estimate`` (weight_mc or two_valent_integral with every
-    argument bound but n_samples and seed) on per-worker chunks of the
-    budget and pool the estimates (n_samples >= 2 * workers, as
-    parse_samples guarantees)."""
-    chunk_sizes = [n_samples // workers] * workers
-    chunk_sizes[0] += n_samples - sum(chunk_sizes)
-    jobs = [(estimate, n, seed + 1_000_003 * w)
-            for w, n in enumerate(chunk_sizes)]
-    if workers == 1:
-        outs = [_run(*jobs[0])]
-    else:
-        with multiprocessing.Pool(processes=workers) as procs:
-            outs = procs.starmap(_run, jobs)
-    return pool(outs)
-
-
 # -- subcommand bodies ------------------------------------------------
 
 def cmd_graphs_enumerate(args):
@@ -254,7 +229,8 @@ def cmd_graphs_enumerate(args):
 def cmd_weight_mc(args):
     g = parse_graph(args.graph)
     lam = parse_complex(args.lam, "lambda")
-    n = parse_samples(args.samples, args.workers)
+    n = parse_samples(args.samples)
+    workers = parse_workers(args.workers)
     tol = check_tolerance(args.tol)
     if args.from_cache and args.write_cache:
         raise UsageError("--from-cache with --write-cache would store the "
@@ -272,18 +248,16 @@ def cmd_weight_mc(args):
                 f"no cached estimate for the class of {g.to_text()} at "
                 f"lambda={lam} in {cache.path}")
         value, stderr, n_used = par * got.value, got.stderr, got.n_samples
-    elif reason is not None:
-        value, stderr, n_used = 0j, 0.0, 0
     else:
-        estimate = partial(weight_mc, g, lam=lam, canonical=triple)
-        value, stderr, n_used = pooled_mc(estimate, n, args.seed,
-                                          args.workers)
+        res = weight_mc(g, lam, n, args.seed, canonical=triple,
+                        workers=workers)
+        value, stderr, n_used = res.value, res.stderr, res.n_samples
     results = {"graph": g.to_text(), "exact_zero_reason": reason}
     if args.write_cache and reason is None:
-        # the seed reproduces one stream sampled on the class's own key
-        one_stream = args.workers == 1 and g.to_text() == gc.to_text()
+        # the seed reproduces the stream only on the class's own key
+        own_key = g.to_text() == gc.to_text()
         cache.put(MCResult(par * value, stderr, n_used,
-                           args.seed if one_stream else None, lam,
+                           args.seed if own_key else None, lam,
                            gc.to_text()))
         results["cache_path"] = str(cache.path)
     if args.convention == "formality":
@@ -322,12 +296,13 @@ def cmd_weight_two_valent(args):
     w1 = parse_complex(args.w1, "w1")
     w2 = parse_complex(args.w2, "w2")
     lam = parse_complex(args.lam, "lambda")
-    n = parse_samples(args.samples, args.workers)
-    estimate = partial(two_valent_integral, args.kind, w1, w2, lam=lam,
-                       propagator=args.propagator)
-    value, stderr, n_used = pooled_mc(estimate, n, args.seed, args.workers)
+    n = parse_samples(args.samples)
+    res = two_valent_integral(args.kind, w1, w2, lam, n, args.seed,
+                              args.propagator,
+                              workers=parse_workers(args.workers))
+    value, stderr = res.value, res.stderr
     results = {"kind": args.kind, "value": c_json(value), "stderr": stderr,
-               "n_samples": n_used}
+               "n_samples": res.n_samples}
     target = two_valent_target(args.kind, w1, w2, args.propagator)
     name = "vanishes"
     if args.kind == "out-out":
@@ -553,13 +528,16 @@ def cmd_verify_all(args):
 
 # -- parser -----------------------------------------------------------
 
-def _seed_flags(p, samples=None, lam=True):
-    """--lambda if ``lam``, --samples if the command samples, and --seed."""
+def _seed_flags(p, samples=None, lam=True, workers=False):
+    """--lambda if ``lam``, --samples if the command samples, --seed, and
+    --workers if ``workers``."""
     if lam:
         p.add_argument("--lambda", dest="lam", default="0.5,0")
     if samples:
         p.add_argument("--samples", default=samples)
     p.add_argument("--seed", type=int, default=0)
+    if workers:
+        p.add_argument("--workers", type=int, default=1)
 
 
 def _structure_flags(p):
@@ -607,12 +585,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True,
                    help="K(n,m)[...] text or a named graph "
                         "(graph2, fan:3, ...)")
-    _seed_flags(p, "200000")
+    _seed_flags(p, "200000", workers=True)
     p.add_argument("--convention", choices=["raw", "formality"],
                    default="raw",
                    help="formality: report the raw weight times "
                         "prod_v 1/|Star(v)|!")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--target", default=None,
                    help="optional 're,im' reference value to check against")
     p.add_argument("--tol", type=float, default=2e-3)
@@ -633,10 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'re,im' in the unit disk; write --w1=-0.2,0.4 "
                         "for negative real parts")
     p.add_argument("--w2", required=True)
-    _seed_flags(p, "400000")
+    _seed_flags(p, "400000", workers=True)
     p.add_argument("--propagator", choices=["disk", "shoikhet"],
                    default="disk")
-    p.add_argument("--workers", type=int, default=1)
 
     p = command("series", "zeta", cmd_series_zeta)
     p.add_argument("--n", type=int, required=True)

@@ -67,22 +67,23 @@ def _source_half(lam, l_s, l_sb):
     -c_mu cj(L_{cj z}) to d/dz, since d/dz cj L = cj(d/d cj z L)."""
     c_lam = lam / TWO_PI_I
     c_mu = (1 - lam) / TWO_PI_I
-    d_s, d_sb, mu = (_fresh(l_s, l_sb) for _ in range(3))
-    # c_mu times cj(L), never the reverse: a complex product rounds
-    # differently with its factors swapped
-    for d, l_z, l_zb in ((d_s, l_s, l_sb), (d_sb, l_sb, l_s)):
-        np.multiply(c_lam, l_z, out=d)
-        np.multiply(c_mu, np.conjugate(l_zb, out=mu), out=mu)
-        np.subtract(d, mu, out=d)
+    d_s, d_sb, x = (_fresh(l_s, l_sb) for _ in range(3))
+    # c_mu times cj(L), never the reverse (a complex product rounds
+    # differently with its factors swapped), and no product over its own
+    # operand (numpy 2.4 rounds that differently at length 1)
+    np.multiply(c_mu, np.conjugate(l_sb, out=x), out=d_sb)
+    np.subtract(np.multiply(c_lam, l_s, out=d_s), d_sb, out=d_s)
+    np.multiply(c_mu, np.conjugate(l_s, out=x), out=d_sb)
+    np.subtract(np.multiply(c_lam, l_sb, out=x), d_sb, out=d_sb)
     return d_s[()], d_sb[()]
 
 
 def _target_half(lam, l_t):
     """(d/dt, d/d cj t) of _phi(lam, L) from L_t; L is holomorphic in t,
     so d/dt has no mu part and d/d cj t no lam part."""
-    d_tb = np.conjugate(l_t, out=_fresh(l_t))
-    np.multiply(-((1 - lam) / TWO_PI_I), d_tb, out=d_tb)
-    return np.multiply(lam / TWO_PI_I, l_t), d_tb[()]
+    d_t = np.conjugate(l_t, out=_fresh(l_t))
+    d_tb = np.multiply(-((1 - lam) / TWO_PI_I), d_t)
+    return np.multiply(lam / TWO_PI_I, l_t, out=d_t)[()], d_tb
 
 
 def _fresh(*xs):

@@ -40,16 +40,20 @@ depend on which arrays are reused, nor on the part size.  A block's
 rows are evaluated at once in contiguous parts (``_split``), by a thread
 pool that serves every block of one call: new threads per block made
 glibc open a fresh malloc arena now and then, 3-5 MB of peak memory
-each.  A sample's value depends on its row alone (at complex lam too:
-propagators._source_half) and every sum runs over the whole block, so no
-estimate depends on the part count, bit for bit.  A weight sample reads the
-2(n-1)+m coordinates above; a two-valent sample reads three uniforms,
-(component, radius, angle) of the mixture proposal.  The singularity guard
-drops a rejected sample: it counts in n_samples and contributes 0.  A
-block returns one row of samples per estimated quantity, and the loop
-returns each row's mean and per-sample variance, the squares summed about
-the first sample; for a scalar estimate, a spread within 4 eps |mean| is
-rounding of a constant integrand and gives stderr exactly 0.
+each; with ``workers`` >= 2, the blocks after the first go to processes
+instead, which jump the generator ahead to their blocks of the stream.
+A sample's value depends on its row alone, in a one-row block too (the
+propagators write no product by a lam coefficient over its own operand,
+which numpy rounds differently at length 1), and every sum runs over the
+whole block, so no estimate depends on the part or worker count, bit for
+bit.  A weight sample reads the 2(n-1)+m coordinates above; a two-valent
+sample reads three uniforms, (component, radius, angle) of the mixture
+proposal.  The singularity guard drops a rejected sample: it counts in
+n_samples and contributes 0.  A block returns one row of samples per
+estimated quantity, and the loop returns each row's mean and per-sample
+variance, the squares summed about the first sample; for a scalar
+estimate, a spread within 4 eps |mean| is rounding of a constant
+integrand and gives stderr exactly 0.
 
 The lam-polynomial: det M has degree at most E in lam (every entry is
 affine in it), and ``weight_poly_fit`` reads each sample's coefficients
@@ -88,6 +92,7 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -327,12 +332,12 @@ def _config_ok(z: np.ndarray, r: np.ndarray) -> np.ndarray:
 # the estimators
 # ---------------------------------------------------------------------
 
-def _mc_mean(n_samples: int, seed, dim: int, block):
+def _mc_mean(n_samples: int, seed, dim: int, block, workers: int = 1):
     """(mean, var) of ``block``'s sample rows over n_samples samples: per
     row, the mean and the variance of one sample, that of the real part
     plus that of the imaginary part, each clamped at 0.
 
-    One generator, seeded once, is read CHUNK rows of ``dim`` uniforms at
+    One stream, seeded once, is read CHUNK rows of ``dim`` uniforms at
     a time; ``block`` maps each (k, dim) array to the k sample values, as
     a (k,) array or one (K, k) row per component, a guarded sample being
     a 0 that still counts.  The mean is Sum f / n.  The squares are summed
@@ -340,43 +345,72 @@ def _mc_mean(n_samples: int, seed, dim: int, block):
     that a spread of a few ulps is not lost to cancelling Sum f^2 / n
     against the mean's square.  Every sum runs along a row, which numpy
     adds pairwise.
+
+    Block 0 fixes f0; the later blocks go to k = min(workers, _PARTS,
+    blocks after the first) processes if k >= 2, worker w reading blocks
+    w, w + k, ... (w = 1..k).  Sums are added in block order either way.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     from concurrent.futures import ThreadPoolExecutor   # 6 ms, on first use
-    rng = np.random.default_rng(seed)
-    done = 0
-    with ThreadPoolExecutor(max(1, _PARTS - 1)) as pool:
-        while done < n_samples:
-            k = min(CHUNK, n_samples - done)
-            f = _split(pool, block, rng.random((k, dim))).reshape(-1, k)
-            if done == 0:
-                f0 = f[:, :1].copy()    # a view would keep the block alive
-                total = np.zeros(len(f), complex)
-                re2, im2 = np.zeros((2, len(f)))
-            done += k
-            total += f.sum(axis=1)
-            for acc, d in ((re2, f.real - f0.real), (im2, f.imag - f0.imag)):
-                acc += np.square(d, out=d).sum(axis=1)
+    seq = np.random.SeedSequence(seed)
+    n_blocks = -(-n_samples // CHUNK)
+    procs = min(workers, _PARTS, n_blocks - 1)
+    with ThreadPoolExecutor(max(1, _PARTS - 1)) as threads:
+        sums, f0 = _block_sums(seq, dim, block, n_samples, None,
+                               range(n_blocks if procs < 2 else 1), threads)
+    if procs >= 2:
+        import multiprocessing  # threads have ended: no fork with live ones
+        with multiprocessing.Pool(procs) as pool:
+            parts = pool.starmap(_block_sums, [
+                (seq, dim, block, n_samples, f0, range(w, n_blocks, procs))
+                for w in range(1, procs + 1)])
+        sums += [parts[(b - 1) % procs][0][(b - 1) // procs]
+                 for b in range(1, n_blocks)]
+    # in block order from 0, as one loop adding each block would
+    total, re2, im2 = (sum(col, np.zeros_like(col[0])) for col in zip(*sums))
     mean = total / n_samples
     shift = mean - f0[:, 0]
     return mean, (np.maximum(re2 / n_samples - shift.real ** 2, 0)
                   + np.maximum(im2 / n_samples - shift.imag ** 2, 0))
 
 
+def _block_sums(seq, dim: int, block, n_samples: int, f0, blocks,
+                threads=None):
+    """([per-row (Sum f, Sum (Re f - Re f0)^2, Sum (Im f - Im f0)^2) of
+    each block of ``blocks``], f0), f0 being the first sample if None.
+    Block b starts b CHUNK dim draws into the stream of ``seq``; its parts
+    go to ``threads``, or in a worker process run one after another."""
+    out = []
+    for b in blocks:
+        start = b * CHUNK
+        k = min(CHUNK, n_samples - start)
+        rng = np.random.Generator(np.random.PCG64(seq).advance(start * dim))
+        f = _split(threads, block, rng.random((k, dim))).reshape(-1, k)
+        if f0 is None:
+            f0 = f[:, :1].copy()        # a view would keep the block alive
+        re, im = f.real - f0.real, f.imag - f0.imag
+        out.append((f.sum(axis=1), np.square(re, out=re).sum(axis=1),
+                    np.square(im, out=im).sum(axis=1)))
+    return out, f0
+
+
 def _split(pool, block, u):
-    """block(u) from contiguous row parts of u evaluated at once, none
-    below _MIN_ROWS rows: one by the calling thread, the rest by ``pool``."""
+    """block(u) from contiguous row parts of u, none below _MIN_ROWS rows:
+    one by the calling thread and the rest by ``pool`` at once, or one
+    after another without one (a part's arrays fit a core's cache)."""
     n = min(_PARTS, len(u) // _MIN_ROWS)
     if n < 2:
         return block(u)
     parts = np.array_split(u, n)
+    if pool is None:
+        return np.concatenate([block(x) for x in parts], axis=-1)
     rest = [pool.submit(block, x) for x in parts[1:]]
     return np.concatenate([block(parts[0])] + [r.result() for r in rest],
                           axis=-1)
 
 
-def _mc_scalar(n_samples: int, seed, dim: int, block):
+def _mc_scalar(n_samples: int, seed, dim: int, block, workers: int = 1):
     """(mean, stderr of the mean) of a scalar ``block`` through _mc_mean.
 
     Rounding alone spreads a constant integrand by an ulp or two of the
@@ -384,16 +418,17 @@ def _mc_scalar(n_samples: int, seed, dim: int, block):
     over real and complex lam), so a per-sample spread within 4 eps |mean|
     is roundoff, not variance, and the stderr is reported as exactly 0.
     """
-    (mean,), (var,) = _mc_mean(n_samples, seed, dim, block)
+    (mean,), (var,) = _mc_mean(n_samples, seed, dim, block, workers)
     if var <= (4 * np.finfo(float).eps * abs(mean)) ** 2:
         return mean, 0.0
     return mean, math.sqrt(var / n_samples)
 
 
 def weight_mc(g: AdmissibleGraph, lam=0.5, n_samples: int = 200_000,
-              seed: int = 0, *, canonical=None) -> MCResult:
+              seed: int = 0, *, canonical=None, workers: int = 1) -> MCResult:
     """Monte Carlo estimate of the weight of g at interpolation parameter
-    lam; ``canonical`` as in ``exact_zero_reason``."""
+    lam; ``canonical`` as in ``exact_zero_reason``, ``workers`` as in
+    ``_mc_mean`` (the same estimate, sooner)."""
     reason = exact_zero_reason(g, canonical=canonical)
     key = g.to_text()
     if reason is not None:
@@ -405,13 +440,16 @@ def weight_mc(g: AdmissibleGraph, lam=0.5, n_samples: int = 200_000,
         # n_samples goes on to _mc_mean's ValueError)
         return MCResult(np.complex128(0j), 0.0, n_samples, seed, lam, key)
 
-    def block(u):
-        z, r, w_imp = _map_samples(u, g.n, g.m)
-        ok = _config_ok(z, r)
-        return np.where(ok, integrand_value(g, lam, z, r) * w_imp, 0)
-
-    mean, stderr = _mc_scalar(n_samples, seed, g.dim_config(), block)
+    mean, stderr = _mc_scalar(n_samples, seed, g.dim_config(),
+                              partial(_weight_block, g, lam), workers)
     return MCResult(mean, stderr, n_samples, seed, lam, key)
+
+
+def _weight_block(g: AdmissibleGraph, lam, u):
+    """weight_mc's sample values at the uniforms u."""
+    z, r, w_imp = _map_samples(u, g.n, g.m)
+    ok = _config_ok(z, r)
+    return np.where(ok, integrand_value(g, lam, z, r) * w_imp, 0)
 
 
 # ---------------------------------------------------------------------
@@ -486,7 +524,8 @@ def _mixture_map(u: np.ndarray, centers):
 
 def two_valent_integral(kind: str, w1: complex, w2: complex, lam=0.5,
                         n_samples: int = 400_000, seed: int = 0,
-                        propagator: str = "disk") -> MCResult:
+                        propagator: str = "disk", *,
+                        workers: int = 1) -> MCResult:
     """Integral over the unit disk of a wedge of two propagator
     differentials in a single free point w.
 
@@ -500,7 +539,8 @@ def two_valent_integral(kind: str, w1: complex, w2: complex, lam=0.5,
     Contracts: two_valent_target gives the value at every lambda.
     Importance sampling puts 1/|w - c| mass at each first-order pole so the
     estimator has finite variance (``_mixture_map``).  The samples run
-    through weight_mc's block loop, three uniforms per sample.
+    through weight_mc's block loop, three uniforms per sample, with
+    ``workers`` as there.
     """
     if kind not in _TWO_VALENT_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -518,24 +558,24 @@ def two_valent_integral(kind: str, w1: complex, w2: complex, lam=0.5,
     if propagator == "shoikhet":
         centers.append((0j, 1.0))
 
-    def one_form(w, c, w_is_source):
-        """(d/dx, d/dy) of the edge between w and c, in w's coordinates."""
-        if w_is_source:
-            return prop.wirtinger_to_xy(*source(lam, w, c))
-        return prop.wirtinger_to_xy(*prop.dphi_disk_target(lam, c, w))
-
-    def block(u):
-        w, q, use = _mixture_map(u, centers)
-        f = np.zeros(w.size, complex)
-        ww = w[use]
-        a, b = (one_form(ww, c, src)
-                for c, src in zip((w1, w2), _TWO_VALENT_KINDS[kind]))
-        f[use] = (a[0] * b[1] - a[1] * b[0]) / q[use]
-        return f
-
-    mean, stderr = _mc_scalar(n_samples, seed, 3, block)
+    block = partial(_two_valent_block, source, lam, centers,
+                    tuple(zip((w1, w2), _TWO_VALENT_KINDS[kind])))
+    mean, stderr = _mc_scalar(n_samples, seed, 3, block, workers)
     return MCResult(complex(mean), stderr, n_samples, seed, lam,
                     f"two-valent:{kind}:{propagator}")
+
+
+def _two_valent_block(source, lam, centers, edges, u):
+    """two_valent_integral's sample values at the uniforms u; ``edges``
+    holds (c, w is the source) for the edge to w1, then to w2."""
+    w, q, use = _mixture_map(u, centers)
+    f = np.zeros(w.size, complex)
+    ww = w[use]
+    a, b = (prop.wirtinger_to_xy(*(source(lam, ww, c) if w_is_source else
+                                   prop.dphi_disk_target(lam, c, ww)))
+            for c, w_is_source in edges)
+    f[use] = (a[0] * b[1] - a[1] * b[0]) / q[use]
+    return f
 
 
 # ---------------------------------------------------------------------

@@ -157,7 +157,8 @@ def test_criteria_3_4_and_two_valent_take_their_target_from_weight_mc(
         targets.append(out)
         return out + 0.125
 
-    def fake(kind, w1, w2, lam=0.5, n_samples=0, seed=0, propagator="disk"):
+    def fake(kind, w1, w2, lam=0.5, n_samples=0, seed=0, propagator="disk",
+             *, workers=1):
         return MCResult(0j, 1e-6, n_samples, seed, lam)
 
     for module in (acceptance, cli):

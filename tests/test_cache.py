@@ -3,10 +3,12 @@
 import json
 import math
 import os
+import random
 
+import numpy as np
 import pytest
 
-from defquant.cache import WeightCache, default_path
+from defquant.cache import WeightCache, default_path, pool
 from defquant.weight_mc import MCResult
 
 
@@ -38,19 +40,72 @@ def test_lookup_is_exact_on_key_and_lambda(tmp_path):
     assert cache.get("K(2,2)[x]", 0.5) is not None
 
 
-def test_inverse_variance_pooling(tmp_path):
+def test_sample_count_pooling(tmp_path):
+    """Two records pool by sample count, exactly: every number below is
+    dyadic, so the formula leaves no rounding to tolerate."""
     cache = WeightCache(tmp_path / "w.jsonl")
-    cache.put(mk(0.30, 1e-3, 1000))
-    cache.put(mk(0.33, 3e-3, 500))
+    cache.put(mk(0.375 + 0.0625j, 2.0 ** -10, 768))
+    cache.put(mk(0.125 + 0.0625j, 2.0 ** -8, 256))
     got = cache.get("K(2,2)[x]", 0.5)
-    w1, w2 = 1e6, 1e6 / 9.0
-    want = (w1 * 0.30 + w2 * 0.33) / (w1 + w2)
-    assert got.value.real == pytest.approx(want)
-    assert got.stderr == pytest.approx(math.sqrt(1.0 / (w1 + w2)))
-    assert got.n_samples == 1500
+    # (768 * 0.375 + 256 * 0.125) / 1024
+    assert got.value == 0.3125 + 0.0625j
+    # per-sample variance: within 768^2 2^-20 + 256^2 2^-16 = 0.5625 + 1,
+    # between 768 * 0.0625^2 + 256 * 0.1875^2 = 3 + 9, all over 1024
+    assert got.stderr == math.sqrt(13.5625 / 1024 / 1024)
+    assert got.n_samples == 1024
     assert got.meta["pooled"] == 2
-    # the pooled error is tighter than either input
-    assert got.stderr < 1e-3
+
+
+def _sample_count(estimates):
+    """The pooling formula of record: weights n_i, and the per-sample
+    variance within the estimates plus that between them."""
+    n_tot = sum(n for _, _, n in estimates)
+    value = sum(n * v for v, _, n in estimates) / n_tot
+    within = sum(n * (n * s ** 2) for _, s, n in estimates) / n_tot
+    between = sum(n * abs(v - value) ** 2 for v, _, n in estimates) / n_tot
+    return value, math.sqrt((within + between) / n_tot), n_tot
+
+
+def test_pool_is_the_sample_count_formula():
+    """Two or more estimates pool by the formula; a single one pools to
+    itself, bit for bit."""
+    rng = random.Random(3)
+    for size in (1, 2, 5):
+        est = [(complex(rng.gauss(0, 1), rng.gauss(0, 1)),
+                rng.uniform(1e-6, 1.0), rng.randrange(2, 10_000))
+               for _ in range(size)]
+        if size == 1:
+            assert pool(est) == est[0]
+            continue
+        value, stderr, n = pool(est)
+        want = _sample_count(est)
+        assert value == pytest.approx(want[0], rel=1e-14)
+        assert stderr == pytest.approx(want[1], rel=1e-14)
+        assert n == want[2]
+
+
+def test_pool_of_a_heavy_tailed_pair_is_the_joined_stream():
+    """Two runs of a heavy-tailed integrand, one of which met its tail:
+    sample-count pooling gives the estimate of the joined samples, while
+    inverse variance gives the run with the tail, whose stderr is large,
+    a weight of 0.1 % and lands on the value of the run without it."""
+    rng = np.random.default_rng(0)
+    quiet = 0.03 + 0.01 * rng.standard_normal(1000)
+    tail = np.concatenate([[10.0], 0.03 + 0.01 * rng.standard_normal(999)])
+
+    def estimate(f):
+        return complex(f.mean()), f.std() / math.sqrt(len(f)), len(f)
+
+    est = [estimate(quiet), estimate(tail)]
+    value, stderr, n = pool(est)
+    joined = estimate(np.concatenate([quiet, tail]))
+    assert value == pytest.approx(joined[0], rel=1e-12)
+    assert stderr == pytest.approx(joined[1], rel=1e-12)
+    assert n == joined[2]
+    weights = [s ** -2 for _, s, _ in est]
+    inverse_variance = sum(w * v for w, (v, _, _) in zip(weights, est)) \
+        / sum(weights)
+    assert abs(inverse_variance - value) > 0.9 * abs(est[0][0] - value)
 
 
 def test_env_var_overrides_default_path(tmp_path, monkeypatch):

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-import random
 import warnings
 
 import pytest
@@ -155,8 +154,6 @@ TWO_VALENT = ("weight", "two-valent", "--kind", "out-out")
     ("weight", "mc", "--graph", "graph2", "--workers", "0"),
     TWO_VALENT + ("--w1", "0.1", "--w2", "0.2", "--workers", "0"),
     ("weight", "mc", "--graph", "graph2", "--samples", "1"),
-    ("weight", "mc", "--graph", "graph2", "--samples", "3", "--workers",
-     "2"),
     ("weight", "mc", "--graph", "graph2", "--samples", "inf"),
     ("star", "assemble", "--samples", "1"),
     ("geodesic", "oracle", "--order", "2", "--t", "nan"),
@@ -248,30 +245,6 @@ def test_zero_stderr_estimate_round_trips_through_the_cache(capsys,
     assert rep["results"]["n_samples"] == 4000
 
 
-def _inverse_variance(estimates):
-    """The pooling formula of record for positive stderr."""
-    num = 0j
-    den = 0.0
-    n_tot = 0
-    for value, stderr, n in estimates:
-        wgt = 1.0 / stderr ** 2
-        num += wgt * value
-        den += wgt
-        n_tot += n
-    return num / den, math.sqrt(1.0 / den), n_tot
-
-
-def test_pool_with_positive_stderr_is_the_inverse_variance_formula():
-    """Two or more estimates pool by the formula; a single one pools to
-    itself, where v*w/w could move its last bit."""
-    rng = random.Random(3)
-    for size in (1, 2, 5):
-        est = [(complex(rng.gauss(0, 1), rng.gauss(0, 1)),
-                rng.uniform(1e-6, 1.0), rng.randrange(2, 10_000))
-               for _ in range(size)]
-        assert pool(est) == (est[0] if size == 1 else _inverse_variance(est))
-
-
 def test_one_worker_reports_weight_mcs_estimate_bit_for_bit(capsys):
     """At seed 1 the inverse-variance pool of the one estimate moved its
     value's last bit; a single estimate now pools to itself."""
@@ -284,12 +257,21 @@ def test_one_worker_reports_weight_mcs_estimate_bit_for_bit(capsys):
 
 
 def test_pool_with_zero_stderr_is_the_sample_weighted_mean():
-    est = [(0.5 + 0j, 0.0, 1), (9.0 + 1j, 0.1, 100), (0.25 + 0j, 0.0, 3)]
-    assert pool(est) == (0.3125 + 0j, 0.0, 104)
-    # a variance that underflows to 0 counts as zero variance
-    assert pool([(2j, 1e-200, 7), (1 + 0j, 0.5, 5)]) == (2j, 0.0, 12)
-    with pytest.raises(ValueError):
-        pool([(0j, 0.0, 0)])
+    """Zero-stderr estimates need no rule of their own: they pool to
+    their sample-weighted mean, with stderr 0 only if they agree, and a
+    positive-stderr estimate beside them keeps its weight n."""
+    assert pool([(0.5 + 0j, 0.0, 1), (0.5 + 0j, 0.0, 3)]) \
+        == (0.5 + 0j, 0.0, 4)
+    # mean 0.3125; squares about it 1 (0.1875^2) + 3 (0.0625^2) = 3/64,
+    # so the per-sample variance is 3/256 and the stderr sqrt(3/1024)
+    assert pool([(0.5 + 0j, 0.0, 1), (0.25 + 0j, 0.0, 3)]) \
+        == (0.3125 + 0j, math.sqrt(3 / 1024), 4)
+    value, _, n = pool([(0.5 + 0j, 0.0, 1), (9.0 + 1j, 0.1, 100),
+                        (0.25 + 0j, 0.0, 3)])
+    assert (value, n) == ((0.5 + 900 + 100j + 0.75) / 104, 104)
+    for est in ([(0j, 0.0, 0)], [(0j, 0.0, 0), (1 + 0j, 0.5, 5)]):
+        with pytest.raises(ValueError, match="without samples"):
+            pool(est)
 
 
 # ---------------------------------------------------------------------
@@ -403,9 +385,9 @@ def test_cache_records_are_raw_and_carry_the_relabeling_sign(capsys,
 
 
 def test_a_cache_records_seed_reproduces_its_value(capsys, tmp_path):
-    """One stream on the class's canonical member: the record's seed gives
-    its value back through weight_mc.  A pooled estimate (--workers 2) and
-    one sampled on another member (graph2, parity -1) store seed null."""
+    """An estimate sampled on the class's canonical member: the record's
+    seed gives its value back through weight_mc, with one worker or two.
+    One sampled on another member (graph2, parity -1) stores seed null."""
     canon = graph2().canonical_form()[0].to_text()
     path = tmp_path / "w.jsonl"
     common = ("--lambda", "0.3,0.2", "--samples", "20000", "--seed", "5",
@@ -415,29 +397,56 @@ def test_a_cache_records_seed_reproduces_its_value(capsys, tmp_path):
                          "--workers", workers, *common)
         assert code == 0
     recs = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [r["seed"] for r in recs] == [5, None, None]
-    res = weight_mc(AdmissibleGraph.from_text(recs[0]["key"]),
-                    lam=complex(*recs[0]["lambda"]),
-                    n_samples=recs[0]["n_samples"], seed=recs[0]["seed"])
-    assert [res.value.real, res.value.imag] == recs[0]["value"]
-    assert res.stderr == recs[0]["stderr"]
+    assert [r["seed"] for r in recs] == [5, 5, None]
+    for rec in recs[:2]:
+        res = weight_mc(AdmissibleGraph.from_text(rec["key"]),
+                        lam=complex(*rec["lambda"]),
+                        n_samples=rec["n_samples"], seed=rec["seed"])
+        assert [res.value.real, res.value.imag] == rec["value"]
+        assert res.stderr == rec["stderr"]
 
 
-def test_worker_pool_is_deterministic(capsys):
-    argv = ("weight", "mc", "--graph", "graph2", "--samples", "4000",
-            "--seed", "3", "--workers", "2")
-    first = run(capsys, *argv)
-    second = run(capsys, *argv)
-    assert first[0] == 0
-    assert first[1] == second[1]
-    # the pool of one estimate per worker, each on its own seed
-    chunks = [weight_mc(graph2(), lam=0.5 + 0j, n_samples=2000, seed=seed)
-              for seed in (3, 3 + 1_000_003)]
-    value, stderr, n = pool([(r.value, r.stderr, r.n_samples)
-                             for r in chunks])
-    res = json.loads(first[1])["results"]
-    assert res["value"] == [value.real, value.imag]
-    assert (res["stderr"], res["n_samples"]) == (stderr, n)
+WORKER_CASES = [
+    ("weight", "mc", "--graph", "graph2", "--lambda", "0.3,0.2",
+     "--samples", "40001"),
+    ("weight", "mc", "--graph", "graph2", "--samples", "3"),
+    TWO_VALENT + ("--w1", "0.1,0.2", "--w2=-0.3,0.1", "--samples", "50001",
+                  "--lambda", "0.3,0.2"),
+    TWO_VALENT + ("--w1", "0.1,0.2", "--w2=-0.3,0.1", "--samples", "50001",
+                  "--propagator", "shoikhet"),
+]
+
+
+def test_worker_pool_is_deterministic(capsys, monkeypatch):
+    """Worker processes read blocks of the one stream of --seed: two or
+    three of them give the --workers 1 report but for
+    parameters.workers, and --samples 3 (one block) starts none."""
+    import multiprocessing
+
+    from defquant import weight_mc as wmc
+    sizes = []
+    real_pool = multiprocessing.Pool
+
+    def spy(processes):
+        sizes.append(processes)
+        return real_pool(processes)
+
+    monkeypatch.setattr(multiprocessing, "Pool", spy)
+    monkeypatch.setattr(wmc, "_PARTS", 3)
+    for argv in WORKER_CASES:
+        sizes.clear()
+        reports = {}
+        for workers in (1, 2, 3):
+            code, rep = report(capsys, *argv, "--seed", "3", "--workers",
+                               str(workers))
+            assert code == 0
+            assert rep["parameters"].pop("workers") == workers
+            reports[workers] = rep
+        assert reports[1] == reports[2] == reports[3], argv
+        blocks_after_first = -(-reports[1]["results"]["n_samples"]
+                               // wmc.CHUNK) - 1
+        assert sizes == [min(w, blocks_after_first) for w in (2, 3)
+                         if blocks_after_first >= 2]
 
 
 def test_exact_zero_graph_is_not_sampled(capsys):
@@ -570,7 +579,7 @@ def test_two_valent_checks_the_known_value_only(capsys, kind, propagator,
 
 
 def test_two_valent_point_outside_the_disk_exits_2(capsys):
-    """two_valent_integral rejects the point, in a worker process too."""
+    """two_valent_integral rejects the point, with --workers 2 too."""
     for workers in ("1", "2"):
         code, out, err = run(capsys, "weight", "two-valent", "--kind",
                              "out-out", "--w1", "1.2", "--w2", "0.1",

@@ -194,7 +194,7 @@ def test_a_definition_only_dead_code_calls_is_caught():
 def test_the_package_import_starts_no_pool_module():
     """The thread pool that splits Monte Carlo blocks is imported on the
     first estimate: importing the package loads neither concurrent.futures
-    nor multiprocessing (which only the CLI's --workers pool needs)."""
+    nor multiprocessing (which only an estimate with workers >= 2 needs)."""
     src = str(Path(defquant.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(

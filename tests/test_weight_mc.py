@@ -1,10 +1,14 @@
 """Monte Carlo weights: exact table, estimates, two-valent integrals, fits."""
 
 import math
+import os
+import pickle
+import subprocess
 import sys
 import threading
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,6 +305,146 @@ def test_mc_mean_returns_each_rows_mean_and_variance(monkeypatch):
         f.real.var(axis=1)[:2] + f.imag.var(axis=1)[:2], rel=1e-12)
     assert var[2] == 0.0
     assert [x.tolist() for x in got[1]] == [x.tolist() for x in got[3]]
+
+
+# -- blocks split across worker processes -----------------------------
+
+def _estimator_blocks(monkeypatch):
+    """(name, dim, block) of weight_mc on graph2, graph1_left and wheel:3
+    at a complex lam, and of two_valent_integral for each propagator and
+    kind: the maps they hand to _mc_mean, caught before any sampling."""
+    caught = []
+
+    def catch(n_samples, seed, dim, block, workers=1):
+        caught.append((dim, block))
+        return np.zeros(1), np.zeros(1)
+
+    monkeypatch.setattr(wmc, "_mc_mean", catch)
+    names = []
+    for g in (graph2(), graph1_left(), wheel_graph(3)):
+        weight_mc(g, lam=0.3 + 0.2j, n_samples=100)
+        names.append(g.to_text())
+    for propagator in ("disk", "shoikhet"):
+        for kind in ("out-out", "in-out", "in-in"):
+            two_valent_integral(kind, W1, W2, lam=0.3 + 0.2j,
+                                n_samples=100, propagator=propagator)
+            names.append(f"{kind}:{propagator}")
+    monkeypatch.undo()
+    return [(name, dim, block) for name, (dim, block) in zip(names, caught)]
+
+
+def test_worker_blocks_survive_pickle(monkeypatch):
+    """Each estimator's block reaches a worker process pickled, as under
+    the spawn and forkserver start methods; unpickled, it gives the same
+    samples bit for bit.  No process is started."""
+    for name, dim, block in _estimator_blocks(monkeypatch):
+        u = np.random.default_rng(5).random((3_000, dim))
+        again = pickle.loads(pickle.dumps(block))
+        assert _same_bits(again(u), block(u)), name
+
+
+def test_a_one_row_block_equals_its_row_in_a_full_block(monkeypatch):
+    """A sample's value depends on its row alone, in a block of one row
+    too: a complex product written over its own operand rounded
+    differently at length 1, so no product in the propagators is."""
+    for name, dim, block in _estimator_blocks(monkeypatch):
+        u = np.random.default_rng(6).random((wmc.CHUNK, dim))
+        full = block(u)
+        rows = np.concatenate([block(u[i:i + 1]) for i in range(64)])
+        assert _same_bits(rows, full[:64]), name
+
+
+class _FakePool:
+    """Stands in for multiprocessing.Pool without starting a process:
+    records the size asked for and the live threads, and runs each job
+    in this process on a pickled copy of its arguments."""
+    log = []
+
+    def __init__(self, processes):
+        self.log.append((processes, threading.active_count()))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, jobs):
+        return [fn(*pickle.loads(pickle.dumps(job))) for job in jobs]
+
+
+@pytest.mark.parametrize("workers, parts, n_blocks, size", [
+    (100_000, 2, 4, 2), (100_000, 8, 4, 3), (100_000, 8, 1, None),
+    (3, 8, 5, 3), (2, 8, 2, None), (2, 1, 4, None), (1, 8, 4, None)])
+def test_worker_count_comes_from_the_inputs(monkeypatch, workers, parts,
+                                            n_blocks, size):
+    """min(workers, _PARTS, blocks after the first) processes, none below
+    two, and the estimate of one: a huge --workers asks for no huge pool.
+    The thread pool has ended by the time the process pool starts."""
+    import multiprocessing
+    _FakePool.log = []
+    monkeypatch.setattr(multiprocessing, "Pool", _FakePool)
+    monkeypatch.setattr(wmc, "CHUNK", 5_000)
+    monkeypatch.setattr(wmc, "_MIN_ROWS", 1_000)
+    monkeypatch.setattr(wmc, "_PARTS", parts)
+    n = 5_000 * (n_blocks - 1) + 1_234
+    before = threading.active_count()
+    got = weight_mc(graph2(), 0.3 + 0.2j, n, seed=8, workers=workers)
+    assert _FakePool.log == ([] if size is None else [(size, before)])
+    monkeypatch.setattr(wmc, "_PARTS", 1)
+    want = weight_mc(graph2(), 0.3 + 0.2j, n, seed=8)
+    assert (got.value, got.stderr) == (want.value, want.stderr)
+
+
+@pytest.mark.parametrize("n", [50_001, 3 * wmc.CHUNK])
+def test_worker_processes_equal_one_process_bit_for_bit(monkeypatch, n):
+    """Two and three worker processes read blocks of the one stream:
+    weight_mc and two_valent_integral are unchanged bit for bit, at a
+    complex lam, with a short last block or none."""
+    import multiprocessing
+    sizes = []
+    real_pool = multiprocessing.Pool
+
+    def spy(processes):
+        sizes.append(processes)
+        return real_pool(processes)
+
+    monkeypatch.setattr(multiprocessing, "Pool", spy)
+    monkeypatch.setattr(wmc, "_PARTS", 3)
+
+    def estimates(workers):
+        return [(r.value, r.stderr) for r in (
+            weight_mc(graph1_left(), 0.3 + 0.2j, n, seed=9,
+                      workers=workers),
+            two_valent_integral("out-out", W1, W2, 0.3 + 0.2j, n, seed=9,
+                                propagator="shoikhet", workers=workers))]
+
+    want = estimates(1)
+    assert estimates(2) == want and estimates(3) == want
+    blocks_after_first = -(-n // wmc.CHUNK) - 1
+    assert sizes == [2, 2] + [min(3, blocks_after_first)] * 2
+
+
+def test_worker_processes_fork_with_no_thread_alive():
+    """The thread pool of block 0 ends before the process pool forks:
+    Python 3.12 and later warn (DeprecationWarning) when a process with
+    live threads forks, and here that warning is an error.  BLAS starts
+    no threads of its own in this run."""
+    script = (
+        "from defquant import weight_mc as wmc\n"
+        "from defquant.graphs import graph2\n"
+        "wmc._PARTS = 2\n"
+        "args = (graph2(), 0.3 + 0.2j, 3 * wmc.CHUNK, 4)\n"
+        "one, two = (wmc.weight_mc(*args, workers=w) for w in (1, 2))\n"
+        "print((one.value, one.stderr) == (two.value, two.stderr))\n")
+    src = str(Path(wmc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-W", "error:This process:DeprecationWarning",
+         "-c", script], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "True\n", "")
 
 
 # (value.real, value.imag, stderr) of weight_mc as float.hex at 20,000
