@@ -409,7 +409,6 @@ def test_a_cache_records_seed_reproduces_its_value(capsys, tmp_path):
 WORKER_CASES = [
     ("weight", "mc", "--graph", "graph2", "--lambda", "0.3,0.2",
      "--samples", "40001"),
-    ("weight", "mc", "--graph", "graph2", "--samples", "3"),
     TWO_VALENT + ("--w1", "0.1,0.2", "--w2=-0.3,0.1", "--samples", "50001",
                   "--lambda", "0.3,0.2"),
     TWO_VALENT + ("--w1", "0.1,0.2", "--w2=-0.3,0.1", "--samples", "50001",
@@ -420,7 +419,7 @@ WORKER_CASES = [
 def test_worker_pool_is_deterministic(capsys, monkeypatch):
     """Worker processes read blocks of the one stream of --seed: two or
     three of them give the --workers 1 report but for
-    parameters.workers, and --samples 3 (one block) starts none."""
+    parameters.workers."""
     import multiprocessing
 
     from defquant import weight_mc as wmc
@@ -447,6 +446,29 @@ def test_worker_pool_is_deterministic(capsys, monkeypatch):
                                // wmc.CHUNK) - 1
         assert sizes == [min(w, blocks_after_first) for w in (2, 3)
                          if blocks_after_first >= 2]
+
+
+def test_one_block_with_two_workers_runs_like_one_worker(capsys,
+                                                         monkeypatch):
+    """--samples 3 is one block: --workers 2 or 3 no longer exits 2 but
+    gives the --workers 1 report but for parameters.workers, and starts
+    no process."""
+    import multiprocessing
+
+    def no_pool(processes):
+        raise AssertionError(f"Pool({processes}) started for one block")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    argv = ("weight", "mc", "--graph", "graph2", "--samples", "3",
+            "--seed", "3")
+    reports = {}
+    for workers in (1, 2, 3):
+        code, rep = report(capsys, *argv, "--workers", str(workers))
+        assert code == 0
+        assert rep["parameters"].pop("workers") == workers
+        reports[workers] = rep
+    assert reports[1] == reports[2] == reports[3]
+    assert reports[1]["results"]["n_samples"] == 3
 
 
 def test_exact_zero_graph_is_not_sampled(capsys):
