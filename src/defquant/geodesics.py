@@ -257,6 +257,14 @@ def geodesic_ode_oracle(gamma_fn, x, v, t: float, steps: int = 4000):
     time t.  gamma_fn(point) -> nested [k][i][j] floats.  Returns the end
     point; classic 4th-order Runge-Kutta with a fixed step.  A point
     where gamma_fn raises ArithmeticError is named in a ValueError.
+
+    In the plane (d = 2) a kernel on four float locals does the steps
+    (_rk4_plane); any other d runs the list loop below.  Both add the
+    d^2 terms of an acceleration left to right from int 0 (the floats
+    sum() gave before Python 3.12, which compensates) and form every
+    update in the same operand order.  The order is fixed because
+    float addition does not associate: any other order moves last bits
+    of the end point, and with them the reports that print it.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -266,6 +274,8 @@ def geodesic_ode_oracle(gamma_fn, x, v, t: float, steps: int = 4000):
     h = t / steps
     if abs(h) < 1e-15:
         raise ValueError("step underflow")
+    if d == 2:
+        return _rk4_plane(gamma_fn, x, v, h, steps)
     pairs = [(i, j) for i in range(d) for j in range(d)]
 
     def deriv(state):
@@ -273,12 +283,9 @@ def geodesic_ode_oracle(gamma_fn, x, v, t: float, steps: int = 4000):
         try:
             gam = gamma_fn(pos)
         except ArithmeticError as exc:
-            raise ValueError(f"invalid point {pos}: the Christoffel symbols "
-                             f"cannot be evaluated there ({exc})") from exc
+            raise _invalid_point(pos, exc) from exc
         acc = []
         for gk in gam:
-            # from int 0, left to right: the floats sum() gave before
-            # Python 3.12, which compensates
             s = 0
             for i, j in pairs:
                 s += gk[i][j] * vel[i] * vel[j]
@@ -294,6 +301,47 @@ def geodesic_ode_oracle(gamma_fn, x, v, t: float, steps: int = 4000):
         y = [a + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
     return y[:d]
+
+
+def _invalid_point(pos, exc):
+    return ValueError(f"invalid point {pos}: the Christoffel symbols "
+                      f"cannot be evaluated there ({exc})")
+
+
+def _rk4_plane(gamma_fn, x, v, h, steps):
+    """geodesic_ode_oracle's steps for d = 2 on scalars.  Each operation
+    is the list loop's, in its order: acceleration terms (00, 01, 10, 11)
+    from int 0, 0.5 * h * b as (0.5 * h) * b and the update as
+    a + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)."""
+    hh, h6 = 0.5 * h, h / 6.0
+
+    def acc(p0, p1, w0, w1):
+        pos = [p0, p1]
+        try:
+            g0, g1 = gamma_fn(pos)
+        except ArithmeticError as exc:
+            raise _invalid_point(pos, exc) from exc
+        a, b = g0
+        c, e = g1
+        return (-(0 + a[0] * w0 * w0 + a[1] * w0 * w1
+                  + b[0] * w1 * w0 + b[1] * w1 * w1),
+                -(0 + c[0] * w0 * w0 + c[1] * w0 * w1
+                  + e[0] * w1 * w0 + e[1] * w1 * w1))
+
+    x0, x1, v0, v1 = float(x[0]), float(x[1]), float(v[0]), float(v[1])
+    for _ in range(steps):
+        a0, a1 = acc(x0, x1, v0, v1)
+        p0, p1, w0, w1 = x0 + hh * v0, x1 + hh * v1, v0 + hh * a0, v1 + hh * a1
+        b0, b1 = acc(p0, p1, w0, w1)
+        q0, q1, u0, u1 = x0 + hh * w0, x1 + hh * w1, v0 + hh * b0, v1 + hh * b1
+        c0, c1 = acc(q0, q1, u0, u1)
+        r0, r1, z0, z1 = x0 + h * u0, x1 + h * u1, v0 + h * c0, v1 + h * c1
+        e0, e1 = acc(r0, r1, z0, z1)
+        x0, x1, v0, v1 = (x0 + h6 * (v0 + 2 * w0 + 2 * u0 + z0),
+                          x1 + h6 * (v1 + 2 * w1 + 2 * u1 + z1),
+                          v0 + h6 * (a0 + 2 * b0 + 2 * c0 + e0),
+                          v1 + h6 * (a1 + 2 * b1 + 2 * c1 + e1))
+    return [x0, x1]
 
 
 def series_vs_ode(phi, gamma_fn, base, u, v, t: float, steps: int):

@@ -2,8 +2,9 @@
 
 import math
 import random
-import sys
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -215,15 +216,16 @@ def test_oracle_affine_reparametrization():
 
 def _list_comprehension_rk4(gamma_fn, x, v, t, steps):
     """The oracle as it was written with generator sums, kept as the
-    reference for its floats."""
+    reference for its floats.  The terms are added left to right from
+    int 0, as sum() added them before Python 3.12 (it compensates since)."""
     d = len(x)
     h = t / steps
 
     def deriv(state):
         pos, vel = state[:d], state[d:]
         gam = gamma_fn(pos)
-        acc = [-sum(gam[k][i][j] * vel[i] * vel[j]
-                    for i in range(d) for j in range(d))
+        acc = [-reduce(add, (gam[k][i][j] * vel[i] * vel[j]
+                             for i in range(d) for j in range(d)), 0)
                for k in range(d)]
         return list(vel) + acc
 
@@ -248,28 +250,28 @@ def _diagonal_metric_3d():
                             for i in range(3)])
 
 
-@pytest.mark.skipif(sys.version_info >= (3, 12),
-                    reason="sum() compensates float sums from Python 3.12 "
-                           "on; the oracle adds left to right")
 @pytest.mark.parametrize("case", ["sphere", "poincare", "random", "diag3"])
 def test_oracle_floats_equal_the_generator_sum_oracle(case):
     if case == "sphere":
-        runs = [(sphere_gamma_fn, (TH0, 0.2), (1.0, 0.0), 0.5, 4000)]
+        fn, base = sphere_gamma_fn, (TH0, 0.2)
+        runs = [(fn, base, (1.0, 0.0), 0.5, 4000)]
     elif case == "poincare":
-        runs = [(poincare_gamma_fn, (0.3, 1.0), (0.0, 1.0), 0.5, 4000)]
+        fn, base = poincare_gamma_fn, (0.3, 1.0)
+        runs = [(fn, base, (0.0, 1.0), 0.5, 4000)]
     elif case == "random":
         m = MetricJet.random_metric(2, 5, random.Random(4242))
-        runs = [(metric_gamma_fn(m), (0.0, 0.0), (0.07, -0.06), 0.4, 200)]
+        fn, base = metric_gamma_fn(m), (0.0, 0.0)
+        runs = [(fn, base, (0.07, -0.06), 0.4, 200)]
     else:
-        fn = metric_gamma_fn(_diagonal_metric_3d())
+        fn, base = metric_gamma_fn(_diagonal_metric_3d()), (0.0, 0.0, 0.0)
         runs = [(fn, (0.01, -0.02, 0.03), (0.3, 0.2, -0.25), 0.4, 300)]
-        # fast, coarse runs: at smooth settings the step h scales a last-bit
-        # change of the acceleration below the last bit of the position,
-        # so only these show the order of the nine terms in the end point
-        rng = random.Random(3)
-        runs += [(fn, [rng.uniform(-0.05, 0.05) for _ in range(3)],
-                  [rng.uniform(-30, 30) for _ in range(3)], 0.1, 2)
-                 for _ in range(20)]
+    # fast, coarse runs: at smooth settings the step h scales a last-bit
+    # change of the acceleration below the last bit of the position, so
+    # only these show the order of the d^2 terms in the end point
+    rng = random.Random(3)
+    runs += [(fn, [b + rng.uniform(-0.05, 0.05) for b in base],
+              [rng.uniform(-30, 30) for _ in base], 0.1, 2)
+             for _ in range(20)]
     for gamma_fn, x, v, t, steps in runs:
         assert geodesic_ode_oracle(gamma_fn, x, v, t, steps=steps) \
             == _list_comprehension_rk4(gamma_fn, x, v, t, steps)
