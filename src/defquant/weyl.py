@@ -23,10 +23,19 @@ Products:
     Pi may have polynomial coefficients (it is never differentiated, so
     associativity survives x-dependence).  One pass builds the order-j
     term of exp(hbar P) from order j-1 by one more (k, l) pair of Pi.
+    When every nonzero entry of Pi is a constant Poly without ``trunc``
+    (every bivector the package builds), these order tables hold exact
+    scalars (QC), each step's factor is built from ints, and each order
+    scales the product of the two coefficients; any other Pi keeps Poly
+    tables, which carry its x-dependence and truncation.  Both give the
+    same element, term order included.
   * ``commutator`` -- the super bracket [a, b] = a o b - (-1)^{q_a q_b}
     b o a.  For antisymmetric Pi, swapping the factors multiplies the
     order-j term by (-1)^{q_a q_b} (-1)^j, so the bracket is twice the
-    odd orders of that same pass: one product, not two.
+    odd orders of that same pass: one product, not two.  It raises
+    ValueError for a Pi that is not antisymmetric.  A pair of terms with
+    no odd order (as when one of them is a fiber scalar) is skipped
+    before its coefficients are multiplied.
 
 Differentials:
   * ``delta``      dx^i d/dv^i  (left wedge).
@@ -40,17 +49,21 @@ Fixed points: a linear L that raises Deg is summed as the terminating
 Neumann series x + L x + L^2 x + ... of ``exactpoly.neumann``; the
 nonlinear connection alone is found by plain iteration, ``fixed_point``.
 
-Division by hbar (used for (i/hbar)[.,.]) checks that every term really
-carries a positive hbar power; callers that need the quotient to full
-accuracy must compute the product with the cap raised by 2 first --- the
-helper ``ihbar_commutator`` does exactly that.
+Division by hbar checks that every term really carries a positive hbar
+power; a quotient exact to the cap needs the product with the cap raised
+by 2 first.  ``ihbar_commutator`` gives (i/hbar)[a, b] in the same one
+pass instead: the odd orders carry hbar^j with j >= 1, so it starts the
+tables from 2i, lowers each hbar power by one and admits pairs up to
+Deg cap + 2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import add
 
-from .exactnum import QC, perm_sign
+from .exactnum import QC, _qc, perm_sign
 from .exactpoly import Poly, accumulate
 
 _I_HALF = QC(0, Fraction(1, 2))
@@ -73,51 +86,79 @@ def _shift(vexp, k, step):
     return vexp[:k] + (vexp[k] + step,) + vexp[k + 1:]
 
 
-def _moyal_orders(va, vb, half_pi, odd):
-    """{(j, fiber exponent): Poly}: the order-j terms (1/j!) P^j of
+def _moyal_orders(va, vb, half_pi, start, odd):
+    """{(j, fiber exponent): coefficient}: the order-j terms (1/j!) P^j of
     exp(hbar P), P = (i/2) Pi^{kl} d/dv^k (x) d/dv^l, on v^va (x) v^vb,
-    without the hbar^j; every order, or twice the odd ones if ``odd``.
-    Order j applies one more (k, l, (i/2) Pi^{kl}) of ``half_pi`` to the
-    order j-1 table {(a-side, b-side exponent): Poly} and divides by j."""
-    table, out, j = {(va, vb): Poly.one(len(va))}, {}, 0
+    times ``start`` and without the hbar^j; every order, or only the odd
+    ones if ``odd``.  Order j applies one more (k, l, (i/2) Pi^{kl}) of
+    ``half_pi`` to the order j-1 table {(a-side, b-side exponent): value}
+    times ea_k eb_l / j, a reduced QC built from ints.
+
+    Scalar tables: for a constant Pi without ``trunc``, ``half_pi`` and
+    ``start`` are QC and so is every value.  Otherwise they are Poly, and
+    the values carry Pi's x-dependence and truncation.  Empty when no
+    order survives, as for the odd orders when va or vb is zero; the
+    caller then skips the pair before multiplying its coefficients."""
+    table, out, j = {(va, vb): start}, {}, 0
     while table:
         if not odd or j % 2:
             for (ea, eb), c in table.items():
-                accumulate(out, (j, tuple(x + y for x, y in zip(ea, eb))),
-                           c * 2 if odd else c)
+                accumulate(out, (j, tuple(map(add, ea, eb))), c)
         j += 1
         nxt = {}
         for (ea, eb), c in table.items():
             for k, l, h in half_pi:
-                if ea[k] and eb[l]:
+                n = ea[k] * eb[l]
+                if n:
+                    g = gcd(n, j)
                     accumulate(nxt, (_shift(ea, k, -1), _shift(eb, l, -1)),
-                               c * (h * Fraction(ea[k] * eb[l], j)))
+                               c * (h * _qc(n // g, j // g, 0, 1)))
         table = nxt
     return out
 
 
-def _moyal(a, b, pi, odd):
+def _moyal(a, b, pi, odd, ihbar=False):
     """a o b, or the bracket [a, b] as twice its odd orders (see
-    ``commutator``), as a WeylElement."""
+    ``commutator``), or with ``ihbar`` (i/hbar)[a, b]: the bracket's odd
+    orders one hbar lower and times i, from pairs up to Deg cap + 2."""
     if a.dim != b.dim:
         raise ValueError(f"Weyl product of dim {a.dim} and dim {b.dim} "
                          "elements")
     dim, cap = a.dim, min(a.cap, b.cap)
-    half_pi = [] if pi is None else [
-        (k, l, pi[k][l] * _I_HALF) for k in range(dim) for l in range(dim)
+    lift, start = (1, QC(0, 2)) if ihbar else (0, QC(2 if odd else 1))
+    entries = [] if pi is None else [
+        (k, l, pi[k][l]) for k in range(dim) for l in range(dim)
         if not pi[k][l].is_zero()]
+    if odd:
+        for k, l, p in entries:
+            if pi[l][k] != -p:
+                raise ValueError("the one-pass bracket needs an "
+                                 "antisymmetric bivector: entries "
+                                 f"({k}, {l}) and ({l}, {k})")
+    # scalar tables when every nonzero entry is a constant Poly that
+    # truncates nothing; otherwise Poly tables, which truncate as Pi does
+    if all(isinstance(p, Poly) and p.trunc is None
+           and list(p.terms) == [(0,) * p.nvars] for _, _, p in entries):
+        half_pi = [(k, l, p.constant_term() * _I_HALF)
+                   for k, l, p in entries]
+    else:
+        half_pi = [(k, l, p * _I_HALF) for k, l, p in entries]
+        start = Poly.const(dim, start)
     out = {}
     for (va, dxa, ha), pa in a.terms.items():
         deg_a = sum(va) + 2 * ha
         for (vb, dxb, hb), pb in b.terms.items():
-            if deg_a + sum(vb) + 2 * hb > cap:
+            if deg_a + sum(vb) + 2 * hb > cap + 2 * lift:
                 continue
             sgn, dxm = _merge_wedge(dxa, dxb)
             if sgn == 0:
                 continue
+            orders = _moyal_orders(va, vb, half_pi, start, odd)
+            if not orders:
+                continue
             base = pa * pb if sgn > 0 else -(pa * pb)
-            for (j, e), c in _moyal_orders(va, vb, half_pi, odd).items():
-                accumulate(out, (e, dxm, ha + hb + j), base * c)
+            for (j, e), c in orders.items():
+                accumulate(out, (e, dxm, ha + hb + j - lift), base * c)
     return WeylElement(dim, cap, out)
 
 
@@ -315,17 +356,17 @@ def commutator(a: WeylElement, b: WeylElement, pi) -> "WeylElement":
 
     Requires an antisymmetric Pi: then swapping the factors multiplies the
     order-j term of the product by (-1)^{q_a q_b} (-1)^j, so the bracket
-    is twice the odd orders of the one product a o b.
+    is twice the odd orders of the one product a o b.  Any other Pi
+    raises ValueError naming the first entry pair that breaks it.
     """
     return _moyal(a, b, pi, odd=True)
 
 
 def ihbar_commutator(a: WeylElement, b: WeylElement, pi) -> "WeylElement":
-    """(i/hbar)[a, b], computed with the cap raised so that no term of the
-    quotient inside the original cap is lost to pre-division truncation."""
-    cap = min(a.cap, b.cap)
-    big = commutator(a.with_cap(cap + 2), b.with_cap(cap + 2), pi)
-    return big.divide_hbar().scale(QC(0, 1)).with_cap(cap)
+    """(i/hbar)[a, b] to the cap: the bracket's terms up to Deg cap + 2,
+    each one hbar lower and times i, so that no term of the quotient
+    inside the cap is lost to truncation before the division."""
+    return _moyal(a, b, pi, odd=True, ihbar=True)
 
 
 def fixed_point(step, x: WeylElement, rounds: int, what: str) -> WeylElement:

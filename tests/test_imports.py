@@ -76,6 +76,11 @@ TEST_REFERENCES = {
                                         "fedosov_taylor",
     "fedosov.fedosov_differential": "the deformed homotopy identity",
     "weyl.WeylElement.mul_hbar": "the deformed homotopy identity",
+    "weyl.commutator": "the bracket whose (i/hbar) quotient "
+                       "ihbar_commutator takes in one pass",
+    "weyl.WeylElement.divide_hbar": "the same (i/hbar) quotient",
+    "weyl.WeylElement.with_cap": "the same quotient's cap, and the lifted "
+                                 "cap of deformed_poincare_defect",
 }
 
 # the console script ``defquant = defquant.cli:main``

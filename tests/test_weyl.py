@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from defquant.exactnum import QC
-from defquant.exactpoly import Poly, neumann, poly_matrix
-from defquant.weyl import (WeylElement, commutator, ihbar_commutator,
-                           fixed_point, random_element)
+from defquant.exactpoly import Poly, accumulate, neumann, poly_matrix
+from defquant.weyl import (WeylElement, _merge_wedge, _shift, commutator,
+                           ihbar_commutator, fixed_point, random_element)
 
 PI_STD = poly_matrix(2, [[0, 1], [-1, 0]], -1, "bivector")
 PI_3D = poly_matrix(3, [[0, 1, Fraction(-1, 2)], [-1, 0, 2],
@@ -133,6 +133,140 @@ def test_bracket_matches_its_definition(seed, dim, kind):
     assert (ihbar_commutator(a, b, pi)
             == big.divide_hbar().scale(QC(0, 1)).with_cap(6))
     assert commutator(a, b, None).is_zero()
+
+
+# The Moyal product with Poly order tables for every Pi (the package
+# takes scalar tables for a constant one): the reference that pins circ,
+# commutator and ihbar_commutator value for value and term for term.
+
+def _poly_table_orders(va, vb, half_pi, odd):
+    table, out, j = {(va, vb): Poly.one(len(va))}, {}, 0
+    while table:
+        if not odd or j % 2:
+            for (ea, eb), c in table.items():
+                accumulate(out, (j, tuple(x + y for x, y in zip(ea, eb))),
+                           c * 2 if odd else c)
+        j += 1
+        nxt = {}
+        for (ea, eb), c in table.items():
+            for k, l, h in half_pi:
+                if ea[k] and eb[l]:
+                    accumulate(nxt, (_shift(ea, k, -1), _shift(eb, l, -1)),
+                               c * (h * Fraction(ea[k] * eb[l], j)))
+        table = nxt
+    return out
+
+
+def _poly_table_moyal(a, b, pi, odd):
+    dim, cap = a.dim, min(a.cap, b.cap)
+    half_pi = [] if pi is None else [
+        (k, l, pi[k][l] * QC(0, Fraction(1, 2))) for k in range(dim)
+        for l in range(dim) if not pi[k][l].is_zero()]
+    out = {}
+    for (va, dxa, ha), pa in a.terms.items():
+        deg_a = sum(va) + 2 * ha
+        for (vb, dxb, hb), pb in b.terms.items():
+            if deg_a + sum(vb) + 2 * hb > cap:
+                continue
+            sgn, dxm = _merge_wedge(dxa, dxb)
+            if sgn == 0:
+                continue
+            base = pa * pb if sgn > 0 else -(pa * pb)
+            for (j, e), c in _poly_table_orders(va, vb, half_pi, odd).items():
+                accumulate(out, (e, dxm, ha + hb + j), base * c)
+    return WeylElement(dim, cap, out)
+
+
+def _poly_table_ihbar(a, b, pi):
+    cap = min(a.cap, b.cap)
+    big = _poly_table_moyal(a.with_cap(cap + 2), b.with_cap(cap + 2), pi,
+                            True)
+    return big.divide_hbar().scale(QC(0, 1)).with_cap(cap)
+
+
+def _layout(e):
+    """Everything of a WeylElement that a product could change: dim, cap,
+    the keys in order, and each coefficient's trunc and terms in order."""
+    return (e.dim, e.cap, [(key, p.trunc, list(p.terms.items()))
+                           for key, p in e.terms.items()])
+
+
+def _antisymmetric(dim, entry, zero):
+    pi = [[zero for _ in range(dim)] for _ in range(dim)]
+    for k in range(dim):
+        for l in range(k + 1, dim):
+            pi[k][l] = entry(k, l)
+            pi[l][k] = -pi[k][l]
+    return pi
+
+
+def _bivector(kind, dim, rng):
+    def gauss():
+        return QC(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                           rng.randint(1, 3)),
+                  Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    if kind == "none":
+        return None
+    if kind == "numbers":
+        return _antisymmetric(dim, lambda k, l: gauss(), QC(0))
+    entry = {
+        "constant": lambda k, l: Poly.const(dim, gauss()),
+        "polynomial": lambda k, l: Poly.const(dim, l - k) + Poly.var(dim, k),
+        # one constant entry, the others x-dependent: one Pi, one table kind
+        "mixed": lambda k, l: (Poly.const(dim, gauss()) if (k, l) == (0, 1)
+                               else Poly.const(dim, 2) + Poly.var(dim, l)),
+        # constant, but truncating at degree 1: it must cut the products
+        "truncated": lambda k, l: Poly.const(dim, gauss(), trunc=1),
+    }[kind]
+    return _antisymmetric(dim, entry, Poly.zero(dim))
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("kind", ["none", "numbers", "constant",
+                                  "polynomial", "mixed", "truncated"])
+def test_products_equal_the_poly_table_reference(seed, dim, kind):
+    # the bracket test above compares commutator with circ, which read the
+    # same order tables; this pins every table against the Poly reference
+    rng = random.Random(f"{kind} {dim} {seed}")
+    pi = _bivector(kind, dim, rng)
+    cap_a, cap_b = rng.randint(4, 8), rng.randint(4, 8)
+    a = random_element(dim, cap_a, rng, n_terms=8)
+    b = random_element(dim, cap_b, rng, n_terms=8)
+    pairs = [(a.circ(b, pi), _poly_table_moyal(a, b, pi, False)),
+             (commutator(a, b, pi), _poly_table_moyal(a, b, pi, True)),
+             (ihbar_commutator(a, b, pi), _poly_table_ihbar(a, b, pi))]
+    for got, want in pairs:
+        assert _layout(got) == _layout(want)
+    assert not pairs[0][1].is_zero()
+    if kind == "truncated":
+        # the cut shows: the same constants without trunc give more terms
+        plain = [[Poly.const(dim, p.constant_term()) for p in row]
+                 for row in pi]
+        assert _layout(a.circ(b, plain)) != _layout(pairs[0][0])
+
+
+def _const_matrix(rows):
+    return [[Poly.const(len(rows), c) for c in row] for row in rows]
+
+
+@pytest.mark.parametrize("rows, pair", [
+    ([[0, 1], [1, 0]], r"\(0, 1\) and \(1, 0\)"),
+    ([[0, 1, 2], [-1, 0, 3], [-2, 3, 0]], r"\(1, 2\) and \(2, 1\)"),
+    ([[1, 1], [-1, 0]], r"\(0, 0\) and \(0, 0\)"),
+])
+def test_bracket_rejects_a_bivector_that_is_not_antisymmetric(rows, pair):
+    # the one-pass bracket is only right for an antisymmetric Pi; circ
+    # takes any Pi and still equals the Poly-table reference
+    pi, dim = _const_matrix(rows), len(rows)
+    a = seeded(44, dim=dim, cap=5)
+    b = seeded(45, dim=dim, cap=5)
+    for bracket in (commutator, ihbar_commutator):
+        with pytest.raises(ValueError, match="antisymmetric bivector: "
+                                             "entries " + pair):
+            bracket(a, b, pi)
+    assert _layout(a.circ(b, pi)) == _layout(
+        _poly_table_moyal(a, b, pi, False))
 
 
 @pytest.mark.parametrize("seed", [6, 7, 8])
