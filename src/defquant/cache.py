@@ -19,9 +19,10 @@ stderr.
 
 A corrupt line is skipped with a warning rather than poisoning the store:
 it is valid only if "lambda" and "value" are pairs of finite numbers,
-stderr is finite and >= 0, n_samples is an integer >= 1 and a
-"convention" (written by older versions) is "raw".  ``put`` refuses an
-estimate that would make a corrupt line.
+stderr is finite and >= 0, n_samples is an integer >= 1 (a one-sample
+record of an older version still loads) and a "convention" (written by
+older versions) is "raw".  ``put`` refuses an estimate that would make a
+corrupt line.
 
 The default location is ~/.cache/defquant/weights.jsonl, overridable with
 the KW_CACHE environment variable.

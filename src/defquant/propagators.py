@@ -18,11 +18,14 @@ disk propagator used for cyclic-linear quantization are included.
 One rule interpolates every model.  A model supplies only its log-ratio L
 (ln((t-s)/(t-cj s)) on H, ln Q on the disk, ...); the value is
 (lam L - (1-lam) cj L) / 2 pi i (``_phi``), and the differentials follow
-from L's own Wirtinger derivatives alone (``_wirtinger``), because the
-second half is the conjugate of the first: ln cj Q = cj ln Q.
+from L's own Wirtinger derivatives alone (``_source_half`` and
+``_target_half``, which every dphi_* goes through), because the second
+half is the conjugate of the first: ln cj Q = cj ln Q.
 
 Each dphi_* joins a source half (d/ds, d/d cj s) and a target half (d/dt,
-d/d cj t); an edge of a one-point integral reads one half.  The two disk
+d/d cj t); an edge of a one-point integral reads one half, and an edge of
+a weight whose endpoint is the pinned vertex reads one half of dphi_h
+(``dphi_h``'s ``source`` and ``target``).  The two disk
 models' log-ratios differ by a function of ws alone, so they share one
 target half (``dphi_disk_target``), and center-subtracted in-in equals
 disk in-in by construction.
@@ -54,11 +57,6 @@ def mobius_to_h(w):
 def _phi(lam, ln):
     """The family value (lam L - (1-lam) cj L) / 2 pi i of a log-ratio L."""
     return (lam * ln - (1 - lam) * np.conj(ln)) / TWO_PI_I
-
-
-def _wirtinger(lam, l_s, l_sb, l_t):
-    """(d/ds, d/d cj s, d/dt, d/d cj t) of _phi(lam, L): both halves."""
-    return _source_half(lam, l_s, l_sb) + _target_half(lam, l_t)
 
 
 def _source_half(lam, l_s, l_sb):
@@ -114,7 +112,7 @@ def phi_angle(s, t):
     return np.angle((t - s) / (t - np.conj(s))) / (2 * np.pi)
 
 
-def dphi_h(lam, s, t):
+def dphi_h(lam, s, t, source=True, target=True):
     """Wirtinger coefficients (d/ds, d/d cj s, d/dt, d/d cj t) of phi_h.
 
     These are rational in (s, cj s, t, cj t); no logarithm branches enter.
@@ -124,6 +122,12 @@ def dphi_h(lam, s, t):
     numpy's complex division commutes with conjugation, so b = cj a bit
     for bit; t - s is formed from its real and imaginary parts, as numpy
     forms it after casting t to complex.
+
+    Halves: with ``source`` (``target``) false, the source (target) half
+    is (None, None) and neither it nor its derivative of L is formed.  A
+    half that is returned has the bits of the same half of the full call,
+    since every step is elementwise and no step writes over an operand
+    that the other half reads.
     """
     s = np.asarray(s, complex)
     a = _fresh(s, t)
@@ -137,11 +141,15 @@ def dphi_h(lam, s, t):
         np.divide(1.0, np.subtract(t, s, out=a), out=a)
         b = np.conjugate(s, out=_fresh(s, t))
         np.divide(1.0, np.subtract(t, b, out=b), out=b)
-    l_t = np.subtract(a, b, out=_fresh(a))
+    halves = (None, None)
+    if target:
+        halves = _target_half(lam, np.subtract(a, b, out=_fresh(a)))
+    if not source:
+        return (None, None) + halves
     # -a as float pairs: the same bits as numpy's complex negative, which
     # is several times slower
     np.negative(a.reshape(-1).view(float), out=a.reshape(-1).view(float))
-    return _wirtinger(lam, a, b, l_t)
+    return _source_half(lam, a, b) + halves
 
 
 # ---------------------------------------------------------------------

@@ -33,15 +33,18 @@ block the sample map and the propagators write their intermediates into
 a few arrays with numpy's out= (propagators._fresh), since each fresh
 temporary of that size costs more to allocate and fault in than the
 arithmetic on it; a public function still returns arrays of its own, and
-no entry of ``integrand_matrix`` shares memory with another.  Each step
-names its operands in the order the formula writes them (a complex
-product rounds differently with its factors swapped), so the bits do not
-depend on which arrays are reused, nor on the part size.  A block's
-rows are evaluated at once in contiguous parts (``_split``), by a thread
-pool that serves every block of one call: new threads per block made
-glibc open a fresh malloc arena now and then, 3-5 MB of peak memory
-each; with ``workers`` >= 2, the blocks after the first go to processes
-instead, which jump the generator ahead to their blocks of the stream.
+no entry of ``integrand_matrix`` shares memory with another.  An edge
+asks ``dphi_h`` only for the halves of its endpoints that have columns
+(none for the pinned vertex), and ``_map_samples`` lays the positions
+out column-major.  Each step names its operands in the order the
+formula writes them (a complex product rounds differently with its
+factors swapped), so the bits do not depend on which arrays are reused,
+nor on the part size.  A block's rows are evaluated at once in
+contiguous parts (``_split``), by a thread pool that serves every block
+of one call: new threads per block made glibc open a fresh malloc arena
+now and then, 3-5 MB of peak memory each; with ``workers`` >= 2, the
+blocks after the first go to processes instead, which jump the
+generator ahead to their blocks of the stream.
 A sample's value depends on its row alone, in a one-row block too (the
 propagators write no product by a lam coefficient over its own operand,
 which numpy rounds differently at length 1), and every sum runs over the
@@ -49,10 +52,16 @@ whole block, so no estimate depends on the part or worker count, bit for
 bit.  A weight sample reads the 2(n-1)+m coordinates above; a two-valent
 sample reads three uniforms, (component, radius, angle) of the mixture
 proposal.  The singularity guard drops a rejected sample: it counts in
-n_samples and contributes 0.  A block returns one row of samples per
+n_samples and contributes 0.  It tests each aerial point's height and
+each aerial pair and ground pair against SINGULAR_GUARD.  An aerial and a
+ground point need no test of their own: z - r keeps Im z exactly, and
+np.abs, a faithfully rounded hypot, never returns less than the float
+|Im z| that bounds the exact modulus from below, so the pair is apart on
+every row whose heights pass.  A block returns one row of samples per
 estimated quantity, and the loop returns each row's mean and per-sample
-variance, the squares summed about the first sample; for a scalar
-estimate, a spread within 4 eps |mean| is rounding of a constant
+variance, the squares summed about the first sample; it needs two
+samples at least, since one has no spread to give a stderr.  For a
+scalar estimate, a spread within 4 eps |mean| is rounding of a constant
 integrand and gives stderr exactly 0.
 
 The lam-polynomial: det M has degree at most E in lam (every entry is
@@ -160,11 +169,12 @@ def _map_samples(u: np.ndarray, n: int, m: int):
 
     Returns (z, r, w) where z is (N, n) complex with z[:,0] = i, r is (N, m)
     sorted ascending, and w is the importance weight including the 1/m!
-    ordering factor.
+    ordering factor.  z and r are column-major, so that each vertex's
+    column, which the propagators and the guard read, is contiguous.
     """
     n_free = n - 1
     big_n = u.shape[0]
-    z = np.empty((big_n, n), complex)
+    z = np.empty((big_n, n), complex, order="F")
     z[:, 0] = FIXED_POINT
     w_imp = np.ones(big_n)
     disk, one_minus, h = np.empty((3, big_n), complex)
@@ -175,12 +185,12 @@ def _map_samples(u: np.ndarray, n: int, m: int):
         # for the map and the density
         np.subtract(1, disk, out=one_minus)
         np.multiply(1j, np.add(1, disk, out=h), out=h)
-        z[:, k + 1] = np.divide(h, one_minus, out=h)
+        np.divide(h, one_minus, out=z[:, k + 1])
         w_imp *= 4 * np.pi / np.abs(one_minus) ** 4
-    r = np.empty((big_n, m))
+    r = np.empty((big_n, m), order="F")
     for j in range(m):
         uj = u[:, 2 * n_free + j]
-        r[:, j] = np.tan(np.pi * (uj - 0.5))
+        np.tan(np.pi * (uj - 0.5), out=r[:, j])
         w_imp *= np.pi * (1 + r[:, j] ** 2)
     if m == 2:
         # np.sort's values bit for bit, at a tenth of its cost
@@ -210,11 +220,14 @@ def integrand_matrix(g: AdmissibleGraph, lam, z: np.ndarray, r: np.ndarray):
     """
     entries = {}
     for row, e in enumerate(g.edges):
-        # a ground point goes in as its real column (prop.dphi_h)
+        # a ground point goes in as its real column (prop.dphi_h); a half
+        # is formed only if its endpoint has columns
         t = z[:, e.dst - 1] if e.dst <= g.n else r[:, e.dst - g.n - 1]
-        d_s, d_sb, d_t, d_tb = prop.dphi_h(lam, z[:, e.src - 1], t)
-        for v, d_z, d_zb in ((e.src, d_s, d_sb), (e.dst, d_t, d_tb)):
-            cols = _columns(g, v)
+        src_cols, dst_cols = _columns(g, e.src), _columns(g, e.dst)
+        d_s, d_sb, d_t, d_tb = prop.dphi_h(lam, z[:, e.src - 1], t,
+                                           bool(src_cols), bool(dst_cols))
+        for cols, d_z, d_zb in ((src_cols, d_s, d_sb),
+                                (dst_cols, d_t, d_tb)):
             if len(cols) == 2:
                 entries[row, cols[0]], entries[row, cols[1]] = \
                     prop.wirtinger_to_xy(d_z, d_zb)
@@ -312,19 +325,17 @@ def _expand(entries, n_rows: int, size: int):
 
 
 def _config_ok(z: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Mask of samples safely away from collisions/degenerate points."""
-    big_n = z.shape[0]
-    ok = np.ones(big_n, bool)
-    n = z.shape[1]
+    """Mask of samples safely away from collisions/degenerate points; no
+    aerial-ground pair needs a test of its own (module docstring)."""
+    ok = np.ones(z.shape[0], bool)
+    n, m = z.shape[1], r.shape[1]
     for a in range(n):
         for b in range(a + 1, n):
             ok &= np.abs(z[:, a] - z[:, b]) > SINGULAR_GUARD
         ok &= z[:, a].imag > SINGULAR_GUARD
-    for a in range(r.shape[1]):
-        for b in range(a + 1, r.shape[1]):
+    for a in range(m):
+        for b in range(a + 1, m):
             ok &= np.abs(r[:, a] - r[:, b]) > SINGULAR_GUARD
-        for b in range(n):
-            ok &= np.abs(z[:, b] - r[:, a]) > SINGULAR_GUARD
     return ok
 
 
@@ -350,8 +361,9 @@ def _mc_mean(n_samples: int, seed, dim: int, block, workers: int = 1):
     blocks after the first) processes if k >= 2, worker w reading blocks
     w, w + k, ... (w = 1..k).  Sums are added in block order either way.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2 (one sample has no "
+                         f"spread to give a stderr), got {n_samples}")
     from concurrent.futures import ThreadPoolExecutor   # 6 ms, on first use
     seq = np.random.SeedSequence(seed)
     n_blocks = -(-n_samples // CHUNK)
@@ -433,7 +445,7 @@ def weight_mc(g: AdmissibleGraph, lam=0.5, n_samples: int = 200_000,
     key = g.to_text()
     if reason is not None:
         return MCResult(0j, 0.0, 0, seed, lam, key, meta={"reason": reason})
-    if n_samples >= 1 and g.n_edges and not _laplace_plan(_cells(g),
+    if n_samples >= 2 and g.n_edges and not _laplace_plan(_cells(g),
                                                          g.n_edges):
         # every sample would be an exact 0: the estimate sampling gives,
         # without drawing (a sampled estimate, not an exact zero; a bad
@@ -499,9 +511,12 @@ def _mixture_map(u: np.ndarray, centers):
     searchsorted(side="right") pick it), then w = c + R u1^{1/(2-beta)}
     e^{2 pi i u2} with R = _CAP_RADIUS, or sqrt(u1) e^{2 pi i u2} for the
     disk.  That radial law has planar density (2-beta) r^{-beta} /
-    (2 pi R^{2-beta}) inside its cap.  Each step is one whole-block pass,
-    and |w| and each |w - c| serve q and the guard ``use`` alike.  A cap
-    adds num / (den d^beta) with den d^beta formed first, for fixed bits.
+    (2 pi R^{2-beta}) inside its cap.  Each step is one whole-block pass
+    (forming each cap's terms on its own rows only, by index, does less
+    arithmetic but took longer with a block's parts on two threads: more
+    and smaller numpy calls), and |w| and each |w - c| serve q and the
+    guard ``use`` alike.  A cap adds num / (den d^beta) with den d^beta
+    formed first, for fixed bits.
     """
     p_each = (1 - _P_UNIFORM) / len(centers)
     cdf = np.cumsum([_P_UNIFORM] + [p_each] * len(centers))

@@ -35,17 +35,23 @@ def test_fast_criterion_passes(criterion):
 
 
 def test_criterion_8_fails_a_propagator_that_breaks_conjugation(monkeypatch):
-    """Scaling c_mu = (1 - lam) / 2 pi i by 1.05 breaks phi_{1-cj lam} =
-    cj phi_lam; the roundoff gate sees it on both graphs."""
-    def scaled(lam, l_s, l_sb, l_t):
-        c_lam = lam / propagators.TWO_PI_I
-        c_mu = 1.05 * (1 - lam) / propagators.TWO_PI_I
-        return (c_lam * l_s - c_mu * np.conj(l_sb),
-                c_lam * l_sb - c_mu * np.conj(l_s),
-                c_lam * l_t,
-                -c_mu * np.conj(l_t))
+    """Scaling c_mu = (1 - lam) / 2 pi i by 1.05 in the source and target
+    halves, the lambda rule every propagator goes through, breaks
+    phi_{1-cj lam} = cj phi_lam; the roundoff gate sees it on both
+    graphs."""
+    def c_mu(lam):
+        return 1.05 * (1 - lam) / propagators.TWO_PI_I
 
-    monkeypatch.setattr(propagators, "_wirtinger", scaled)
+    def source(lam, l_s, l_sb):
+        c_lam = lam / propagators.TWO_PI_I
+        return (c_lam * l_s - c_mu(lam) * np.conj(l_sb),
+                c_lam * l_sb - c_mu(lam) * np.conj(l_s))
+
+    def target(lam, l_t):
+        return lam / propagators.TWO_PI_I * l_t, -c_mu(lam) * np.conj(l_t)
+
+    monkeypatch.setattr(propagators, "_source_half", source)
+    monkeypatch.setattr(propagators, "_target_half", target)
     res = acceptance.criterion_8(quick=True)
     failed = {c.name.split()[0] for c in res.checks if not c.passed}
     assert failed == {"two-cycle", "mixed"}

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,19 @@ def test_a_line_that_would_poison_the_pool_is_skipped(tmp_path, bad):
     got = cache.get("K", 0.5)
     assert (got.value, got.stderr, got.n_samples) == (0.1, 1e-3, 7)
     assert not got.exact
+
+
+def test_a_one_sample_record_still_loads(tmp_path):
+    """The estimators now need two samples, but a record of one, which
+    older versions wrote, stays a valid line and pools by its count."""
+    p = tmp_path / "w.jsonl"
+    one = {"key": "K", "lambda": [0.5, 0.0], "value": [-0.25, 0.0],
+           "stderr": 0.0, "n_samples": 1, "seed": 3}
+    p.write_text(json.dumps(one) + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = WeightCache(p).get("K", 0.5)
+    assert (got.value, got.stderr, got.n_samples) == (-0.25, 0.0, 1)
 
 
 @pytest.mark.parametrize("res", [

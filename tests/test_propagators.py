@@ -252,3 +252,35 @@ def test_halves_are_slices_of_the_differentials(lam, n):
                                         _one_piece_disk(lam, s, t, shoikhet)):
                 assert np.array_equal(half, whole)
                 assert np.array_equal(half, ref)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.25, 1, 0.3 + 0.2j])
+def test_one_half_of_dphi_h_is_that_half_of_the_full_call(lam):
+    """dphi_h with one half turned off returns the other half with the bits
+    and the type of the full call's, and (None, None) for the half it
+    skips: at complex and real-typed targets (a ground point), on arrays
+    long enough for numpy's SIMD loops and on length-1 arrays and
+    scalars."""
+    rng = np.random.default_rng(11)
+    s = rng.standard_normal(4_099) + 1j * rng.exponential(size=4_099)
+    t_real = rng.standard_cauchy(4_099)
+    cases = [(s, np.roll(s, 1)), (s, t_real), (s[:1], s[1:2]),
+             (s[:1], t_real[:1]), (s[0], s[1]), (s[0], t_real[0]),
+             (complex(s[0]), float(t_real[0]))]
+    for ss, tt in cases:
+        full = prop.dphi_h(lam, ss, tt)
+        for source, target in ((True, False), (False, True),
+                               (False, False)):
+            got = prop.dphi_h(lam, ss, tt, source=source, target=target)
+            want = full[:2] if source else (None, None)
+            want += full[2:] if target else (None, None)
+            for a, b in zip(got, want):
+                if b is None:
+                    assert a is None
+                else:
+                    assert type(a) is type(b) and np.shape(a) == np.shape(b)
+                    assert np.array_equal(_bits(a), _bits(b))

@@ -169,12 +169,19 @@ def test_guard_drops_rejected_samples(monkeypatch):
 
 
 def test_no_samples_is_a_value_error():
-    for estimate in (lambda: weight_mc(graph2(), n_samples=0),
-                     lambda: two_valent_integral("out-out", 0.1, 0.2,
-                                                 n_samples=0),
-                     lambda: weight_poly_fit(graph2(), n_samples=0)):
-        with pytest.raises(ValueError, match="n_samples must be >= 1"):
-            estimate()
+    """Below two samples there is no spread to give a stderr: one sample
+    reported -0.1471 +- 0.0 for graph2 (1/24) and -0.2989 +- 0.0 for an
+    in-out integral (0)."""
+    for n in (0, 1):
+        for estimate in (lambda: weight_mc(graph2(), n_samples=n, seed=3),
+                         lambda: two_valent_integral("out-out", 0.1, 0.2,
+                                                     n_samples=n, seed=3),
+                         lambda: two_valent_integral("in-out", 0.1, 0.2,
+                                                     n_samples=n, seed=3),
+                         lambda: weight_poly_fit(graph2(), n_samples=n)):
+            with pytest.raises(ValueError,
+                               match=f"n_samples must be >= 2 .*, got {n}$"):
+                estimate()
 
 
 def test_unseeded_estimate_runs():
@@ -210,7 +217,7 @@ def _every_estimate(n):
     return out
 
 
-@pytest.mark.parametrize("n", [24_583, 1])
+@pytest.mark.parametrize("n", [24_583, 2])
 def test_part_count_leaves_every_estimate_unchanged(monkeypatch, n):
     """Each block is cut into row parts that threads evaluate; a sample's
     value depends on its row alone and the parts are joined before any
@@ -230,7 +237,7 @@ def test_part_count_leaves_every_estimate_unchanged(monkeypatch, n):
         rows.clear()
         results[parts] = _every_estimate(n)
         # the first call, weight_mc on graph2: one block, then the next
-        want = SPLIT_ROWS[parts] if n > 1 else [1]
+        want = SPLIT_ROWS[parts] if n > 2 else [2]
         assert sorted(rows[:len(want)], reverse=True) == want
     assert results[1] == results[2] == results[3]
 
@@ -723,6 +730,73 @@ def test_in_out_vanishes_at_coincident_points():
     assert abs(res.value) <= 3.0 * res.stderr
 
 
+def _reference_config_ok(z, r):
+    """The guard over every pair of points, aerial and ground alike, and
+    every aerial point's height: the reference for _config_ok."""
+    g = wmc.SINGULAR_GUARD
+    points = [z[:, a] for a in range(z.shape[1])] + [
+        r[:, j] for j in range(r.shape[1])]
+    ok = np.ones(z.shape[0], bool)
+    for a in range(z.shape[1]):
+        ok &= z[:, a].imag > g
+    for i, p in enumerate(points):
+        for q in points[i + 1:]:
+            ok &= np.abs(p - q) > g
+    return ok
+
+
+def _guard_rows(n, m):
+    """Uniform rows mapped to (z, r) by _map_samples, then rows built to
+    sit on the guard: aerial heights at, just above and below it, a
+    ground point at Re z under a point at and just above the guard,
+    ground points and aerial points closer than it, and huge
+    coordinates."""
+    g = wmc.SINGULAR_GUARD
+    u = np.random.default_rng(40 + 10 * n + m).random((3_000,
+                                                       2 * (n - 1) + m))
+    z, r, _ = wmc._map_samples(u, n, m)
+    k = 0
+    for height in (g, np.nextafter(g, 1), np.nextafter(g, 0), 0.0, -g,
+                   2 * g, 1.5 * g, 1e-300):
+        for a in range(1, n):
+            z[k, a] = complex(z[k, a].real, height)
+            if m:
+                # right above a ground point, and a third of a height off
+                z[k + 1, a] = complex(r[k + 1, 0], height)
+                z[k + 2, a] = complex(r[k + 2, -1] + height / 3, height)
+            k += 3
+    if n > 2:
+        z[k, 2] = z[k, 1] + 0.5 * g
+        z[k + 1, 2] = z[k + 1, 1] + 2 * g
+        z[k + 2, 1] = 1j + 0.9 * g
+        k += 3
+    if m > 1:
+        r[k, 1] = r[k, 0] + 0.5 * g
+        r[k + 1, 1] = r[k + 1, 0] + 2 * g
+        k += 2
+    if n > 1:
+        z[k, 1] = complex(1e17, 1e-11)
+        z[k + 1, 1] = complex(-3e300, 2e-12)
+        if m:
+            r[k, 0] = 1e17
+            r[k + 1, 0] = -3e300
+    return z, r
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_config_ok_equals_the_all_pairs_reference(n, m):
+    """Dropping the aerial-ground distances changes no row of the guard:
+    a row that passes the height test has every aerial point farther from
+    the real line than the guard, so from every ground point too."""
+    z, r = _guard_rows(n, m)
+    want = _reference_config_ok(z, r)
+    if n > 1:
+        assert 0 < want.sum() < len(want)
+    for zz, rr in ((z, r), (np.ascontiguousarray(z), np.ascontiguousarray(r))):
+        assert np.array_equal(wmc._config_ok(zz, rr), want)
+
+
 def test_shoikhet_in_out_vanishes():
     res = two_valent_integral("in-out", W1, W2, lam=0.5,
                               n_samples=300_000, seed=8,
@@ -854,6 +928,26 @@ def test_mixture_map_equals_the_searchsorted_reference(propagator):
     assert on_centre.sum() == len(centers)
     assert np.array_equal(w[on_centre], [c for c, _ in centers])
     assert np.all(np.isinf(q[on_centre])) and not use[on_centre].any()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4_097])
+@pytest.mark.parametrize("propagator", ["disk", "shoikhet"])
+def test_mixture_map_equals_the_reference_at_any_block_length(propagator,
+                                                               rows):
+    """The whole-block passes give the bits of the reference, which forms
+    each cap's points and density on its own rows, at lengths shorter
+    than, and just past, a SIMD stride; over many seeds the rows of the
+    1-, 2- and 3-row blocks hit every component."""
+    centers = [(W1, 1.0), (W2, 1.0), (1.0 + 0j, 1.5)]
+    if propagator == "shoikhet":
+        centers.append((0j, 1.0))
+    for seed in range(1 if rows > 3 else 40):
+        u = np.random.default_rng(seed).random((rows, 3))
+        for got, want in zip(wmc._mixture_map(u, centers),
+                             _reference_mixture_map(u, centers)):
+            assert got.shape == want.shape == (rows,)
+            assert _same_bits(got, want) if got.dtype != bool \
+                else np.array_equal(got, want)
 
 
 # (value.real, value.imag, stderr) as float.hex at 20,000 samples, seed
@@ -1157,6 +1251,23 @@ def test_integrand_matrix_equals_the_expressions_bit_for_bit(text, size):
         arrays = list(got.values())
         assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
                        for b in arrays[i + 1:])
+
+
+def test_integrand_matrix_entries_share_no_memory(classes_3_2):
+    """No entry of integrand_matrix shares memory with another, as the
+    module docstring promises, on every (2,2) graph, (3,2) class, fan and
+    wheel, whichever halves of dphi_h each edge asks for."""
+    graphs = (enumerate_graphs(2, 2, 2) + classes_3_2
+              + [fan_graph(m) for m in range(1, 5)]
+              + [wheel_graph(k) for k in range(2, 5)])
+    for idx, g in enumerate(graphs):
+        u = np.random.default_rng(idx).random((64, g.dim_config()))
+        z, r, _ = wmc._map_samples(u, g.n, g.m)
+        for lam in (0.5, 0.3 + 0.2j):
+            arrays = list(wmc.integrand_matrix(g, lam, z, r).values())
+            assert not any(np.shares_memory(a, b)
+                           for i, a in enumerate(arrays)
+                           for b in arrays[i + 1:]), g
 
 
 @pytest.mark.parametrize("size", PART_SIZES)
