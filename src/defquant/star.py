@@ -15,10 +15,12 @@ with U_l the sum over out-degree-2 graphs of type (l, 2), each graph
 weighted by its configuration-space integral times 1/|Star(k)|! per
 aerial vertex.  Relabeling a graph changes its weight and its operator
 by the same sign, so U_l is assembled on canonical graph classes: one
-operator and one weight per class, times the class size.  Weight values
-come from a weight source (exact table, cache, or Monte Carlo); every
-Monte Carlo value carries a standard error which is propagated linearly
-into associativity residuals.
+operator and one weight per class, times the class size; each field
+builds its class operators once (``PolyVectorField.class_operators``).
+Weight values come from a weight source (the exact table, which holds
+the order-2 weights associativity fixes, then a cache, then Monte Carlo);
+every Monte Carlo value carries a standard error which is propagated
+linearly into associativity residuals.
 
 Classes whose operator vanishes identically on the given bivector (for
 instance every derivative-carrying class when the bivector is constant)
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations, product as iproduct
 from math import factorial
 
@@ -45,7 +48,8 @@ class PolyVectorField:
 
     Components are stored on strictly increasing tuples of indices below
     dim (ValueError otherwise); lookups with permuted indices pick up the
-    permutation sign, repeated indices give zero.
+    permutation sign, repeated indices give zero.  A field is not changed
+    after construction, so what is derived from it may be kept on it.
     """
 
     def __init__(self, dim: int, degree: int, comps=None):
@@ -83,6 +87,18 @@ class PolyVectorField:
         if poly is None:
             return Poly.zero(self.dim)
         return poly if perm_sign(idx) > 0 else -poly
+
+    @cached_property
+    def class_operators(self) -> dict:
+        """Per level l of _STAR_CLASSES, (gc, V) for each class whose
+        V = (i^l / (l! 2^l)) size U(gc) on this bivector is nonzero."""
+        out = {}
+        for level, classes in _STAR_CLASSES.items():
+            pref = (_I ** level) * Fraction(1, factorial(level) * 2 ** level)
+            ops = [(gc, graph_operator(gc, [self] * level).scale(pref * size))
+                   for gc, size in classes]
+            out[level] = [(gc, v) for gc, v in ops if not v.is_zero()]
+        return out
 
 
 class PolyDiffOperator:
@@ -298,25 +314,20 @@ def star_order2(pi: PolyVectorField, lam, source) -> StarProductSeries:
     labels at a star transposes Pi's indices (odd); likewise
     w(g) = par(g) w(gc).  Every member therefore contributes w(gc) U(gc),
     and a class of size s contributes s w(gc) U(gc): one operator per
-    class.  Classes with an odd automorphism (zero weight) or a zero
-    operator on ``pi`` are skipped without a weight lookup, so a constant
-    bivector never triggers sampling.
+    class, from ``pi.class_operators``.  Classes with an odd automorphism
+    (zero weight) or a zero operator on ``pi`` are skipped without a
+    weight lookup, so a constant bivector never triggers sampling.
     """
     if pi.degree != 1:
         raise ValueError("star_order2 needs a bivector (degree 1)")
     dim = pi.dim
     series = StarProductSeries(dim, 2)
     series.ops[0] = PolyDiffOperator.multiplication(dim)
-    for level in range(1, series.order + 1):
+    for level, classes in pi.class_operators.items():
         series.uncertainties[level] = []
         total = PolyDiffOperator.zero(dim, 2)
-        pref = (_I ** level) * Fraction(1, factorial(level) * 2 ** level)
-        for gc, size in _STAR_CLASSES[level]:
-            op = graph_operator(gc, [pi] * level)
-            if op.is_zero():
-                continue
+        for gc, scaled in classes:
             res = source.weight(gc, lam=lam)
-            scaled = op.scale(pref * size)
             total = total + scaled.scale(QC.coerce(res.value))
             if res.stderr > 0:
                 series.uncertainties[level].append((res.stderr, scaled))

@@ -699,6 +699,14 @@ def relation_residuals(fit: LambdaPolyFit):
 # tiered weight lookup: exact table, then cache, then fresh MC
 # ---------------------------------------------------------------------
 
+# the (2,2) classes with one edge between the aerial vertices: raw weights
+# that order-2 associativity fixes (_exact_table); each key is canonical
+EDGE_PAIR_WEIGHTS = {
+    "K(2,2)[1>2#1, 1>b1#2, 2>b1#1, 2>b2#2]": Fraction(-1, 12),
+    "K(2,2)[1>2#1, 1>b2#2, 2>b1#1, 2>b2#2]": Fraction(1, 12),
+}
+
+
 def _exact_table():
     """Canonical-key table of exactly known raw weights.
 
@@ -707,6 +715,11 @@ def _exact_table():
     factor from canonicalizing the defining graph is folded in.  Weights
     are Fractions so that exact-table hits stay exact in downstream
     rational bookkeeping (MC fallbacks return floats).
+
+    Associativity at hbar^2 fixes graph1_left = 1/4 and EDGE_PAIR_WEIGHTS
+    at every lambda (rank 3 on so(3), re-derived by exact elimination in
+    QC in test_star.py::test_associativity_fixes_the_order2_weights);
+    graph2's column is zero, so its 1/24 is known at lambda = 1/2 only.
     """
     table = {}
 
@@ -718,6 +731,8 @@ def _exact_table():
     for m in range(1, 5):
         add(fan_graph(m), Fraction(1, math.factorial(m)))
     add(graph1_left(), Fraction(1, 4))
+    for text, value in EDGE_PAIR_WEIGHTS.items():
+        add(AdmissibleGraph.from_text(text), value)
     add(graph2(), Fraction(1, 24), lam=0.5)
     return table
 

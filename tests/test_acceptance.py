@@ -135,9 +135,12 @@ def test_criterion_9_and_star_assoc_take_their_gate_from_star(monkeypatch,
     res = acceptance.criterion_9(quick=True)
     assert len(calls) == 8
     worst = max(w for _, _, w in calls)
-    assert [(c.name, c.value) for c in res.checks] == list(zip(
+    assert [(c.name, c.value) for c in res.checks[:17]] == list(zip(
         names(8) + ["worst |residual| / 3 sigma"],
         [v for low, beyond, _ in calls for v in (low, beyond)] + [worst]))
+    # then the two sampler lines
+    assert [c.name for c in res.checks[17:]] == [
+        f"{key} mc vs {value}" for key, value in wmc.EDGE_PAIR_WEIGHTS.items()]
 
     calls.clear()
     cli.main(["star", "assoc", "--samples", "4000", "--triples", "2"])
@@ -147,6 +150,40 @@ def test_criterion_9_and_star_assoc_take_their_gate_from_star(monkeypatch,
         names(2), [v for low, beyond, _ in calls for v in (low, beyond)]))
     assert rep["results"]["worst_ratio_to_3sigma"] == max(
         w for _, _, w in calls)
+
+
+def test_criterion_9_is_exact_and_samples_only_its_mc_lines(monkeypatch):
+    """At lam = 1/2 every (2,2) weight the series needs is exact, so the
+    order-2 residual is exactly 0; weight_mc runs for the two sampler
+    lines alone, at the criterion's sample count."""
+    calls = []
+    sample = wmc.weight_mc
+
+    def counted(g, lam=0.5, n_samples=200_000, **kwargs):
+        calls.append((g.to_text(), n_samples))
+        return sample(g, lam, n_samples, **kwargs)
+
+    monkeypatch.setattr(wmc, "weight_mc", counted)
+    monkeypatch.setattr(acceptance, "weight_mc", counted)
+    res = acceptance.criterion_9(quick=True)
+    assert res.passed, res.to_jsonable()
+    assert calls == [(key, 150_000) for key in wmc.EDGE_PAIR_WEIGHTS]
+    assert all(c.value == 0 for c in res.checks[:17])
+
+
+@pytest.mark.parametrize("key", [
+    *wmc.EDGE_PAIR_WEIGHTS,
+    "K(2,2)[1>b1#1, 1>b2#2, 2>b1#1, 2>b2#2]"])
+def test_criterion_9_fails_a_fixed_weight_scaled_by_1_001(monkeypatch, key):
+    """Each weight that associativity fixes moves the exact order-2
+    residual: 1.001 times it fails the gate, on the residual lines."""
+    value, lam_only = wmc._EXACT[key]
+    assert lam_only is None
+    monkeypatch.setitem(wmc._EXACT, key, (value * Fraction(1001, 1000), None))
+    res = acceptance.criterion_9(quick=True)
+    failed = [c.name for c in res.checks if not c.passed]
+    assert failed and all(name.endswith("order 2 within 3 sigma")
+                          for name in failed)
 
 
 def test_criteria_3_4_and_two_valent_take_their_target_from_weight_mc(

@@ -15,12 +15,12 @@ from defquant import star
 from defquant.exactnum import QC
 from defquant.exactpoly import Poly, accumulate
 from defquant.graphs import (AdmissibleGraph, Edge, canonical_classes,
-                             enumerate_graphs, fan_graph, graph2)
+                             enumerate_graphs, fan_graph, graph1_left, graph2)
 from defquant.star import (PolyVectorField, PolyDiffOperator, graph_operator,
                            hkr_operator, StarProductSeries, star_order2,
                            associativity_residual, associativity_sigma,
-                           so3_bivector)
-from defquant.weight_mc import WeightSource
+                           random_triple, so3_bivector)
+from defquant.weight_mc import _EXACT, WeightSource, exact_zero_reason
 
 
 def rand_poly(rng, dim, deg=2):
@@ -339,8 +339,10 @@ def test_rejects_non_bivector():
 # ---------------------------------------------------------------------
 
 def test_so3_assembly_respects_associativity_sigma():
+    # at lam = 1/2 every (2,2) weight is exact; away from it graph2 is
+    # sampled
     src = WeightSource(n_samples=80_000, seed=606)
-    series = star_order2(so3_bivector(), 0.5, src)
+    series = star_order2(so3_bivector(), 0.25, src)
     assert series.uncertainties[1] == []       # order 1 stays exact
     assert len(series.uncertainties[2]) >= 1   # order 2 is sampled
     x = [Poly.var(3, i) for i in range(3)]
@@ -423,10 +425,102 @@ def test_so3_assembly_builds_one_operator_per_class(monkeypatch):
         return graph_operator(g, gammas)
 
     monkeypatch.setattr(star, "graph_operator", counted)
-    star_order2(so3_bivector(), 0.5, WeightSource(n_samples=2000, seed=0))
+    pi = so3_bivector()
+    star_order2(pi, 0.5, WeightSource(n_samples=2000, seed=0))
     assert len(calls) == 7
     assert all(g.canonical_form()[0].to_text() == g.to_text()
                for g in map(AdmissibleGraph.from_text, calls))
+    # another parameter and source on the same field reuse its operators
+    calls.clear()
+    star_order2(pi, 0.25, WeightSource(n_samples=2000, seed=1))
+    assert calls == []
+
+
+@pytest.mark.parametrize("lam", [0.25, 0.3 + 0.2j])
+@pytest.mark.parametrize("name", sorted(BIVECTORS))
+def test_memoized_operators_give_the_fresh_series(name, lam):
+    pi = BIVECTORS[name]()
+    src = WeightSource(n_samples=2000, seed=43)
+    star_order2(pi, 0.5, src)
+    fresh = BIVECTORS[name]()
+    assert star_order2(pi, lam, src).ops == star_order2(fresh, lam, src).ops
+    assert pi.class_operators is not fresh.class_operators
+
+
+# ---------------------------------------------------------------------
+# order-2 weights from associativity
+# ---------------------------------------------------------------------
+
+def _gauss_jordan(rows, n: int) -> list:
+    """Reduce ``rows`` (n QC coefficients, then the right-hand side) to
+    reduced row echelon form in place; returns the pivot columns."""
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()),
+                 None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = QC(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and not row[c].is_zero():
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return pivots
+
+
+def test_associativity_fixes_the_order2_weights():
+    """On so(3) the hbar^2 residual is R_2 = A + sum_c w_c D_c over the
+    (2,2) classes, with A = B_1(B_1(f,g),h) - B_1(f,B_1(g,h)) from the
+    exact (1,2) weight 1/2 and D_c = V_c(f,g) h - f V_c(g,h) + V_c(fg,h)
+    - V_c(f,gh) for star_order2's class operator V_c.  Exact elimination
+    over 8 triples: rank 3, no inconsistent row, the solution -1/12,
+    +1/12, 1/4, and graph2's column the zero Poly.  These are the values
+    of the exact table."""
+    pi = so3_bivector()
+    [(fan, v1)] = pi.class_operators[1]
+    assert fan.to_text() == fan_graph(2).to_text()
+    b1 = v1.scale(Fraction(1, 2))
+    cols = [(gc.to_text(), v) for gc, v in pi.class_operators[2]
+            if exact_zero_reason(gc) is None]
+    assert len(cols) == 4
+    rows = []
+    zero = [True] * len(cols)
+    for f, g, h in (random_triple(random.Random(3), 3, 3) for _ in range(8)):
+        a = b1.apply(b1.apply(f, g), h) - b1.apply(f, b1.apply(g, h))
+        ds = [v.apply(f, g) * h - f * v.apply(g, h) + v.apply(f * g, h)
+              - v.apply(f, g * h) for _, v in cols]
+        zero = [z and d.is_zero() for z, d in zip(zero, ds)]
+        for e in set(a.terms).union(*(d.terms for d in ds)):
+            rows.append([d.terms.get(e, QC(0)) for d in ds]
+                        + [-a.terms.get(e, QC(0))])
+    pivots = _gauss_jordan(rows, len(cols))
+    assert len(pivots) == 3
+    assert all(row[-1].is_zero() for row in rows[3:])
+    key2 = graph2().canonical_form()[0].to_text()
+    assert zero == [key == key2 for key, _ in cols]
+    solved = {cols[c][0]: rows[r][-1] for r, c in enumerate(pivots)}
+    assert solved == {
+        "K(2,2)[1>2#1, 1>b1#2, 2>b1#1, 2>b2#2]": QC(Fraction(-1, 12)),
+        "K(2,2)[1>2#1, 1>b2#2, 2>b1#1, 2>b2#2]": QC(Fraction(1, 12)),
+        graph1_left().canonical_form()[0].to_text(): QC(Fraction(1, 4))}
+    for key, value in solved.items():
+        assert _EXACT[key] == (value, None)
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.25, 0.3 + 0.2j])
+@pytest.mark.parametrize("name", ["so3", "nambu"])
+def test_order2_residual_is_exactly_zero(name, lam):
+    """The only sampled (2,2) class, graph2 at lam != 1/2, has a zero
+    column, so the exact table leaves no order-2 residual."""
+    series = star_order2(BIVECTORS[name](), lam,
+                         WeightSource(n_samples=2000, seed=5))
+    rng = random.Random(31)
+    for _ in range(4):
+        assert associativity_residual(
+            series, *random_triple(rng, 3, 3), 2) == {}
 
 
 # ---------------------------------------------------------------------

@@ -1114,14 +1114,14 @@ def test_weight_source_canonicalizes_once(monkeypatch):
 
 def test_weight_source_reports_the_seed_it_sampled_with():
     """A fresh estimate reports its class's seed, which reproduces it on
-    the canonical member; here the labeling carries parity -1."""
-    g = next(g for g in enumerate_graphs(2, 2, 2)
-             if exact_zero_reason(g) is None and g.canonical_form()[1] == -1
-             and g.canonical_form()[0].to_text() not in wmc._EXACT)
-    res = WeightSource(n_samples=2_000, seed=3).weight(g, lam=0.5)
-    assert res.meta["source"] == "mc" and res.seed != 3
+    the canonical member; here the labeling carries parity -1.  graph2 is
+    the one (2,2) class the exact table leaves to sampling, at lam != 1/2."""
+    g = graph2()
     gc, par, _ = g.canonical_form()
-    assert par * weight_mc(gc, 0.5, 2_000, seed=res.seed).value == res.value
+    assert par == -1
+    res = WeightSource(n_samples=2_000, seed=3).weight(g, lam=0.25)
+    assert res.meta["source"] == "mc" and res.seed != 3
+    assert par * weight_mc(gc, 0.25, 2_000, seed=res.seed).value == res.value
 
 
 # -- the sampler kernel against its formulas as plain expressions ------
