@@ -253,54 +253,31 @@ def restrict_velocity(p: Poly, dim: int, direction) -> Poly:
 # ---------------------------------------------------------------------
 
 def geodesic_ode_oracle(gamma_fn, x, v, t: float, steps: int = 4000):
-    """Integrate d^2 phi/dt^2 + Gamma^k(dphi, dphi) = 0 from (x, v) for
-    time t.  gamma_fn(point) -> nested [k][i][j] floats.  Returns the end
-    point; classic 4th-order Runge-Kutta with a fixed step.  A point
-    where gamma_fn raises ArithmeticError is named in a ValueError.
+    """Integrate d^2 phi/dt^2 + Gamma^k(dphi, dphi) = 0 in the plane from
+    (x, v) for time t.  gamma_fn(point) -> nested [k][i][j] floats.
+    Returns the end point; classic 4th-order Runge-Kutta with a fixed
+    step, on four float locals (_rk4_plane).  A point where gamma_fn
+    raises ArithmeticError is named in a ValueError, as is a dimension
+    other than 2, the only one the package builds metrics in.
 
-    In the plane (d = 2) a kernel on four float locals does the steps
-    (_rk4_plane); any other d runs the list loop below.  Both add the
-    d^2 terms of an acceleration left to right from int 0 (the floats
-    sum() gave before Python 3.12, which compensates) and form every
-    update in the same operand order.  The order is fixed because
-    float addition does not associate: any other order moves last bits
-    of the end point, and with them the reports that print it.
+    The d^2 terms of an acceleration are added left to right from int 0
+    (the floats sum() gave before Python 3.12, which compensates) and
+    every update is formed in one fixed operand order.  The order is
+    fixed because float addition does not associate: any other order
+    moves last bits of the end point, and with them the reports that
+    print it.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    d = len(x)
+    if len(x) != 2:
+        raise ValueError(f"the oracle integrates in the plane only, "
+                         f"got d = {len(x)}")
     h = t / steps
     if abs(h) < 1e-15:
         raise ValueError("step underflow")
-    if d == 2:
-        return _rk4_plane(gamma_fn, x, v, h, steps)
-    pairs = [(i, j) for i in range(d) for j in range(d)]
-
-    def deriv(state):
-        pos, vel = state[:d], state[d:]
-        try:
-            gam = gamma_fn(pos)
-        except ArithmeticError as exc:
-            raise _invalid_point(pos, exc) from exc
-        acc = []
-        for gk in gam:
-            s = 0
-            for i, j in pairs:
-                s += gk[i][j] * vel[i] * vel[j]
-            acc.append(-s)
-        return vel + acc
-
-    y = [float(c) for c in x] + [float(c) for c in v]
-    for _ in range(steps):
-        k1 = deriv(y)
-        k2 = deriv([a + 0.5 * h * b for a, b in zip(y, k1)])
-        k3 = deriv([a + 0.5 * h * b for a, b in zip(y, k2)])
-        k4 = deriv([a + h * b for a, b in zip(y, k3)])
-        y = [a + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-    return y[:d]
+    return _rk4_plane(gamma_fn, x, v, h, steps)
 
 
 def _invalid_point(pos, exc):
@@ -309,10 +286,11 @@ def _invalid_point(pos, exc):
 
 
 def _rk4_plane(gamma_fn, x, v, h, steps):
-    """geodesic_ode_oracle's steps for d = 2 on scalars.  Each operation
-    is the list loop's, in its order: acceleration terms (00, 01, 10, 11)
-    from int 0, 0.5 * h * b as (0.5 * h) * b and the update as
-    a + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)."""
+    """geodesic_ode_oracle's steps on scalars, each operation in the
+    order of the d-dimensional list loop the tests keep as reference:
+    acceleration terms (00, 01, 10, 11) from int 0, 0.5 * h * b as
+    (0.5 * h) * b and the update as a + h / 6.0 * (b1 + 2 * b2 + 2 * b3
+    + b4)."""
     hh, h6 = 0.5 * h, h / 6.0
 
     def acc(p0, p1, w0, w1):

@@ -26,10 +26,12 @@ Every estimator (weight_mc, two_valent_integral, weight_poly_fit) runs
 one block loop (``_mc_mean``): one numpy default generator seeded with
 ``seed`` is read CHUNK rows of uniforms at a time, and a per-estimator map
 turns each block into sample values, so memory is O(CHUNK) whatever
-n_samples is and the samples equal those of one big draw.  CHUNK is
-cache-sized: every per-sample array of a block (16,384 complex values,
-256 KiB) stays small, and no (N, E, E) matrix is ever built.  Within a
-block the sample map and the propagators write their intermediates into
+n_samples is and the samples equal those of one big draw.  The calling
+thread evaluates a block in contiguous parts of _PART = 8,192 rows
+(``_split``), one after another, so that a part's per-sample arrays
+(128 KiB per complex array) stay in a core's L2 cache; no (N, E, E)
+matrix is ever built, and no estimator starts a thread.  Within a
+part the sample map and the propagators write their intermediates into
 a few arrays with numpy's out= (propagators._fresh), since each fresh
 temporary of that size costs more to allocate and fault in than the
 arithmetic on it; a public function still returns arrays of its own, and
@@ -39,30 +41,27 @@ asks ``dphi_h`` only for the halves of its endpoints that have columns
 out column-major.  Each step names its operands in the order the
 formula writes them (a complex product rounds differently with its
 factors swapped), so the bits do not depend on which arrays are reused,
-nor on the part size.  A block's rows are evaluated at once in
-contiguous parts (``_split``), by a thread pool that serves every block
-of one call: new threads per block made glibc open a fresh malloc arena
-now and then, 3-5 MB of peak memory each; with ``workers`` >= 2, the
-blocks after the first go to processes instead, which jump the
-generator ahead to their blocks of the stream.
+nor on the part size.  With ``workers`` >= 2, the blocks after the
+first go to processes, which jump the generator ahead to their blocks
+of the stream.
 A sample's value depends on its row alone, in a one-row block too (the
 propagators write no product by a lam coefficient over its own operand,
 which numpy rounds differently at length 1), and every sum runs over the
-whole block, so no estimate depends on the part or worker count, bit for
-bit.  A weight sample reads the 2(n-1)+m coordinates above; a two-valent
-sample reads three uniforms, (component, radius, angle) of the mixture
-proposal.  The singularity guard drops a rejected sample: it counts in
-n_samples and contributes 0.  It tests each aerial point's height and
-each aerial pair and ground pair against SINGULAR_GUARD.  An aerial and a
-ground point need no test of their own: z - r keeps Im z exactly, and
-np.abs, a faithfully rounded hypot, never returns less than the float
-|Im z| that bounds the exact modulus from below, so the pair is apart on
-every row whose heights pass.  A block returns one row of samples per
-estimated quantity, and the loop returns each row's mean and per-sample
-variance, the squares summed about the first sample; it needs two
-samples at least, since one has no spread to give a stderr.  For a
-scalar estimate, a spread within 4 eps |mean| is rounding of a constant
-integrand and gives stderr exactly 0.
+whole block, so no estimate depends on the part size or the worker
+count, bit for bit.  A weight sample reads the 2(n-1)+m coordinates
+above; a two-valent sample reads three uniforms, (component, radius,
+angle) of the mixture proposal.  The singularity guard drops a rejected
+sample: it counts in n_samples and contributes 0.  It tests each aerial
+point's height and each aerial pair and ground pair against
+SINGULAR_GUARD.  An aerial and a ground point need no test of their own:
+z - r keeps Im z exactly, and np.abs, a faithfully rounded hypot, never
+returns less than the float |Im z| that bounds the exact modulus from
+below, so the pair is apart on every row whose heights pass.  A block
+returns one row of samples per estimated quantity, and the loop returns
+each row's mean and per-sample variance, the squares summed about the
+first sample; it needs two samples at least, since one has no spread to
+give a stderr.  For a scalar estimate, a spread within 4 eps |mean| is
+rounding of a constant integrand and gives stderr exactly 0.
 
 The lam-polynomial: det M has degree at most E in lam (every entry is
 affine in it), and ``weight_poly_fit`` reads each sample's coefficients
@@ -111,10 +110,10 @@ from .graphs import AdmissibleGraph, fan_graph, graph1_left, graph2
 FIXED_POINT = 1j
 SINGULAR_GUARD = 1e-12
 CHUNK = 16_384
-# the CPUs this process may use, and the fewest rows worth a thread
-_PARTS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+# rows per part of a block (_split), and the CPUs this process may use
+_PART = 8_192
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
     else os.cpu_count() or 1
-_MIN_ROWS = 4_096
 
 
 @dataclass
@@ -352,27 +351,30 @@ def _mc_mean(n_samples: int, seed, dim: int, block, workers: int = 1):
     a time; ``block`` maps each (k, dim) array to the k sample values, as
     a (k,) array or one (K, k) row per component, a guarded sample being
     a 0 that still counts.  The mean is Sum f / n.  The squares are summed
-    about the first sample f0, part by part as contiguous real rows, so
-    that a spread of a few ulps is not lost to cancelling Sum f^2 / n
-    against the mean's square.  Every sum runs along a row, which numpy
-    adds pairwise.
+    about the first sample f0, the real and the imaginary part each as a
+    contiguous real row, so that a spread of a few ulps is not lost to
+    cancelling Sum f^2 / n against the mean's square.  Every sum runs
+    along a row, which numpy adds pairwise.
 
-    Block 0 fixes f0; the later blocks go to k = min(workers, _PARTS,
-    blocks after the first) processes if k >= 2, worker w reading blocks
-    w, w + k, ... (w = 1..k).  Sums are added in block order either way.
+    No thread is started.  Block 0 fixes f0; the later blocks go to k =
+    min(workers, _CPUS, blocks after the first) processes if k >= 2,
+    worker w reading blocks w, w + k, ... (w = 1..k).  Sums are added in
+    block order either way.  The pool forks: with forkserver, ``weight mc
+    --workers 2`` at 2*10^6 samples took 0.79 s against 0.59 s (medians
+    of 8 runs, 2 vCPUs, Python 3.11), and the only threads alive at the
+    fork are OpenBLAS's, whose locks no block takes, since none calls
+    BLAS.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2 (one sample has no "
                          f"spread to give a stderr), got {n_samples}")
-    from concurrent.futures import ThreadPoolExecutor   # 6 ms, on first use
     seq = np.random.SeedSequence(seed)
     n_blocks = -(-n_samples // CHUNK)
-    procs = min(workers, _PARTS, n_blocks - 1)
-    with ThreadPoolExecutor(max(1, _PARTS - 1)) as threads:
-        sums, f0 = _block_sums(seq, dim, block, n_samples, None,
-                               range(n_blocks if procs < 2 else 1), threads)
+    procs = min(workers, _CPUS, n_blocks - 1)
+    sums, f0 = _block_sums(seq, dim, block, n_samples, None,
+                           range(n_blocks if procs < 2 else 1))
     if procs >= 2:
-        import multiprocessing  # threads have ended: no fork with live ones
+        import multiprocessing
         with multiprocessing.Pool(procs) as pool:
             parts = pool.starmap(_block_sums, [
                 (seq, dim, block, n_samples, f0, range(w, n_blocks, procs))
@@ -387,18 +389,17 @@ def _mc_mean(n_samples: int, seed, dim: int, block, workers: int = 1):
                   + np.maximum(im2 / n_samples - shift.imag ** 2, 0))
 
 
-def _block_sums(seq, dim: int, block, n_samples: int, f0, blocks,
-                threads=None):
+def _block_sums(seq, dim: int, block, n_samples: int, f0, blocks):
     """([per-row (Sum f, Sum (Re f - Re f0)^2, Sum (Im f - Im f0)^2) of
     each block of ``blocks``], f0), f0 being the first sample if None.
-    Block b starts b CHUNK dim draws into the stream of ``seq``; its parts
-    go to ``threads``, or in a worker process run one after another."""
+    Block b starts b CHUNK dim draws into the stream of ``seq``; its
+    samples come from ``_split`` and each sum runs over the whole block."""
     out = []
     for b in blocks:
         start = b * CHUNK
         k = min(CHUNK, n_samples - start)
         rng = np.random.Generator(np.random.PCG64(seq).advance(start * dim))
-        f = _split(threads, block, rng.random((k, dim))).reshape(-1, k)
+        f = _split(block, rng.random((k, dim))).reshape(-1, k)
         if f0 is None:
             f0 = f[:, :1].copy()        # a view would keep the block alive
         re, im = f.real - f0.real, f.imag - f0.imag
@@ -407,19 +408,17 @@ def _block_sums(seq, dim: int, block, n_samples: int, f0, blocks,
     return out, f0
 
 
-def _split(pool, block, u):
-    """block(u) from contiguous row parts of u, none below _MIN_ROWS rows:
-    one by the calling thread and the rest by ``pool`` at once, or one
-    after another without one (a part's arrays fit a core's cache)."""
-    n = min(_PARTS, len(u) // _MIN_ROWS)
-    if n < 2:
+def _split(block, u):
+    """block(u) from contiguous parts of _PART rows of u, one after
+    another on the calling thread: a part's per-sample arrays fit a
+    core's 2 MiB L2 cache, where a whole block's (3,2) integrand does
+    not.  On one thread, two-valent integrals, graph2 and (3,2) classes
+    ran 12 % faster in parts of 4,096 or 8,192 rows than of 2,048 or
+    16,384 (2 vCPUs)."""
+    if len(u) <= _PART:
         return block(u)
-    parts = np.array_split(u, n)
-    if pool is None:
-        return np.concatenate([block(x) for x in parts], axis=-1)
-    rest = [pool.submit(block, x) for x in parts[1:]]
-    return np.concatenate([block(parts[0])] + [r.result() for r in rest],
-                          axis=-1)
+    return np.concatenate([block(u[i:i + _PART])
+                           for i in range(0, len(u), _PART)], axis=-1)
 
 
 def _mc_scalar(n_samples: int, seed, dim: int, block, workers: int = 1):
@@ -511,10 +510,9 @@ def _mixture_map(u: np.ndarray, centers):
     searchsorted(side="right") pick it), then w = c + R u1^{1/(2-beta)}
     e^{2 pi i u2} with R = _CAP_RADIUS, or sqrt(u1) e^{2 pi i u2} for the
     disk.  That radial law has planar density (2-beta) r^{-beta} /
-    (2 pi R^{2-beta}) inside its cap.  Each step is one whole-block pass
-    (forming each cap's terms on its own rows only, by index, does less
-    arithmetic but took longer with a block's parts on two threads: more
-    and smaller numpy calls), and |w| and each |w - c| serve q and the
+    (2 pi R^{2-beta}) inside its cap.  A cap's points are formed on its
+    own rows only, and its density term only on the rows within R of its
+    centre, where it is nonzero; |w| and each |w - c| serve q and the
     guard ``use`` alike.  A cap adds num / (den d^beta) with den d^beta
     formed first, for fixed bits.
     """
@@ -524,16 +522,19 @@ def _mixture_map(u: np.ndarray, centers):
     spin = np.exp(2j * np.pi * u[:, 2])
     w = np.sqrt(u[:, 1]) * spin
     for i, (c, beta) in enumerate(centers):
-        radius = u[:, 1] if beta == 1.0 else u[:, 1] ** (1.0 / (2.0 - beta))
-        w = np.where(comp == i + 1, c + (_CAP_RADIUS * radius * spin), w)
+        rows = np.flatnonzero(comp == i + 1)
+        radius = u[rows, 1] if beta == 1.0 \
+            else u[rows, 1] ** (1.0 / (2.0 - beta))
+        w[rows] = c + (_CAP_RADIUS * radius * spin[rows])
     use = np.abs(w) < 1
     q = np.where(use, _P_UNIFORM / np.pi, 0.0)
     for c, beta in centers:
         d = np.abs(w - c)
         use &= d > SINGULAR_GUARD
+        rows = np.flatnonzero(d < _CAP_RADIUS)
         with np.errstate(divide="ignore"):     # inf on a centre
-            q += np.where(d < _CAP_RADIUS, p_each * (2.0 - beta) / (
-                2 * np.pi * _CAP_RADIUS ** (2.0 - beta) * d ** beta), 0.0)
+            q[rows] += p_each * (2.0 - beta) / (
+                2 * np.pi * _CAP_RADIUS ** (2.0 - beta) * d[rows] ** beta)
     return w, q, use
 
 
@@ -669,8 +670,8 @@ def weight_poly_fit(g: AdmissibleGraph, n_samples: int = 1_000_000,
                 rows[row] += x.real ** 2 + x.imag ** 2
             np.maximum(bound, np.sqrt(rows).prod(axis=0), out=bound)
         out = np.empty((k + 1, len(u)), complex)
-        # einsum, not @: this runs on _mc_mean's threads, where a BLAS
-        # product would start BLAS threads of its own
+        # einsum, not @: a BLAS product may sum in another order and
+        # round differently, which would move the fit's bits
         out[:k] = np.einsum("ij,jn->in", to_lam,
                             np.fft.fft(vals, axis=0) * (w_imp / k))
         out[k] = w_imp * bound

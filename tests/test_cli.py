@@ -431,7 +431,7 @@ def test_worker_pool_is_deterministic(capsys, monkeypatch):
         return real_pool(processes)
 
     monkeypatch.setattr(multiprocessing, "Pool", spy)
-    monkeypatch.setattr(wmc, "_PARTS", 3)
+    monkeypatch.setattr(wmc, "_CPUS", 3)
     for argv in WORKER_CASES:
         sizes.clear()
         reports = {}

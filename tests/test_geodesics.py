@@ -240,6 +240,35 @@ def _list_comprehension_rk4(gamma_fn, x, v, t, steps):
     return y[:d]
 
 
+def _list_loop_rk4(gamma_fn, x, v, t, steps):
+    """The oracle's d-dimensional list loop, kept as the reference that
+    _rk4_plane writes out for d = 2: each acceleration's d^2 terms added
+    to int 0 in (i, j) order, the same updates in the same order."""
+    d = len(x)
+    h = t / steps
+    pairs = [(i, j) for i in range(d) for j in range(d)]
+
+    def deriv(state):
+        pos, vel = state[:d], state[d:]
+        acc = []
+        for gk in gamma_fn(pos):
+            s = 0
+            for i, j in pairs:
+                s += gk[i][j] * vel[i] * vel[j]
+            acc.append(-s)
+        return vel + acc
+
+    y = [float(c) for c in x] + [float(c) for c in v]
+    for _ in range(steps):
+        k1 = deriv(y)
+        k2 = deriv([a + 0.5 * h * b for a, b in zip(y, k1)])
+        k3 = deriv([a + 0.5 * h * b for a, b in zip(y, k2)])
+        k4 = deriv([a + h * b for a, b in zip(y, k3)])
+        y = [a + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    return y[:d]
+
+
 def _diagonal_metric_3d():
     x = [Poly.var(3, i, 4) for i in range(3)]
     zero = Poly.zero(3, 4)
@@ -273,8 +302,20 @@ def test_oracle_floats_equal_the_generator_sum_oracle(case):
               [rng.uniform(-30, 30) for _ in base], 0.1, 2)
              for _ in range(20)]
     for gamma_fn, x, v, t, steps in runs:
-        assert geodesic_ode_oracle(gamma_fn, x, v, t, steps=steps) \
-            == _list_comprehension_rk4(gamma_fn, x, v, t, steps)
+        want = _list_comprehension_rk4(gamma_fn, x, v, t, steps)
+        assert _list_loop_rk4(gamma_fn, x, v, t, steps) == want
+        if len(x) == 2:
+            assert geodesic_ode_oracle(gamma_fn, x, v, t, steps=steps) \
+                == want
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_oracle_rejects_a_dimension_other_than_2(d):
+    """The package builds metrics in the plane only; the list loop that
+    served other d is the test reference _list_loop_rk4."""
+    with pytest.raises(ValueError, match=f"d = {d}"):
+        geodesic_ode_oracle(metric_gamma_fn(_diagonal_metric_3d()),
+                            (0.0,) * d, (0.1,) * d, 0.4, steps=10)
 
 
 def test_oracle_step_underflow_guard():

@@ -197,16 +197,19 @@ def test_a_definition_only_dead_code_calls_is_caught():
 
 
 def test_the_package_import_starts_no_pool_module():
-    """The thread pool that splits Monte Carlo blocks is imported on the
-    first estimate: importing the package loads neither concurrent.futures
-    nor multiprocessing (which only an estimate with workers >= 2 needs)."""
+    """Importing the package, or running an estimate in one process,
+    loads neither concurrent.futures nor multiprocessing (which only an
+    estimate with workers >= 2 needs)."""
     src = str(Path(defquant.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    show = ("print(sorted(m for m in ('concurrent.futures', "
+            "'multiprocessing') if m in sys.modules))\n")
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, defquant; print(sorted(m for m in "
-         "('concurrent.futures', 'multiprocessing') if m in sys.modules))"],
+        [sys.executable, "-c", "import sys, defquant\n" + show
+         + "from defquant import graphs, weight_mc as wmc\n"
+         "wmc.weight_mc(graphs.graph2(), 0.5, 3 * wmc.CHUNK, 1)\n" + show],
         capture_output=True, text=True, env=env, check=True).stdout
-    assert out == "[]\n"
+    assert out == "[]\n[]\n"
 
 
 def test_a_module_import_gives_the_module_not_its_namesake_function():

@@ -190,11 +190,10 @@ def test_unseeded_estimate_runs():
     assert np.isfinite(res.value) and res.stderr > 0
 
 
-# -- blocks split across threads ---------------------------------------
+# -- blocks split into parts ------------------------------------------
 
-# rows per part of a full block and of a short last block, by part count
-SPLIT_ROWS = {1: [16_384, 8_199], 2: [8_192, 8_192, 4_100, 4_099],
-              3: [5_462, 5_461, 5_461, 4_100, 4_099]}
+# rows per part of a full block and of a short last block, by part size
+SPLIT_ROWS = {wmc.CHUNK: [16_384, 8_199], 8_192: [8_192, 8_192, 8_192, 7]}
 
 
 def _every_estimate(n):
@@ -219,10 +218,11 @@ def _every_estimate(n):
 
 @pytest.mark.parametrize("n", [24_583, 2])
 def test_part_count_leaves_every_estimate_unchanged(monkeypatch, n):
-    """Each block is cut into row parts that threads evaluate; a sample's
-    value depends on its row alone and the parts are joined before any
-    sum, so every value, stderr and fit field is the same bit for bit
-    with 1, 2 or 3 parts."""
+    """The calling thread evaluates each block in parts of _PART = 8,192
+    rows, one after another: two per full block, where one part per block
+    gives the same value, stderr and fit field bit for bit, since a
+    sample's value depends on its row alone and the parts are joined
+    before any sum."""
     rows = []
     real_map = wmc._map_samples
 
@@ -231,58 +231,75 @@ def test_part_count_leaves_every_estimate_unchanged(monkeypatch, n):
         return real_map(u, n_aerial, m)
 
     monkeypatch.setattr(wmc, "_map_samples", counting_map)
+    assert wmc._PART == 8_192
     results = {}
-    for parts in (1, 2, 3):
-        monkeypatch.setattr(wmc, "_PARTS", parts)
+    for part in (8_192, wmc.CHUNK):
+        monkeypatch.setattr(wmc, "_PART", part)
         rows.clear()
-        results[parts] = _every_estimate(n)
+        results[part] = _every_estimate(n)
         # the first call, weight_mc on graph2: one block, then the next
-        want = SPLIT_ROWS[parts] if n > 2 else [2]
-        assert sorted(rows[:len(want)], reverse=True) == want
-    assert results[1] == results[2] == results[3]
+        want = SPLIT_ROWS[part] if n > 2 else [2]
+        assert rows[:len(want)] == want
+    assert results[8_192] == results[wmc.CHUNK]
 
 
-def test_more_threads_than_cpus_switching_fast_agree_with_one(monkeypatch):
-    """Sixteen parts per block, the interpreter switching threads every
-    microsecond: a part that wrote to state another part reads (as the
-    fit's scale once did) would lose or move an update."""
-    def estimates():
-        fit = weight_poly_fit(graph2(), n_samples=2 * wmc.CHUNK, seed=2)
-        res = weight_mc(graph1_left(), lam=0.3 + 0.2j,
-                        n_samples=2 * wmc.CHUNK, seed=4)
-        return (fit.coeffs.tolist(), fit.var.tolist(), fit.scale,
-                res.value, res.stderr)
-
-    monkeypatch.setattr(wmc, "_PARTS", 1)
-    want = estimates()
-    monkeypatch.setattr(wmc, "_PARTS", 16)
-    monkeypatch.setattr(wmc, "_MIN_ROWS", 1_000)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = estimates()
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == want
+@pytest.mark.parametrize("part", [1, 8_191, 8_193, wmc.CHUNK])
+def test_part_size_leaves_every_estimate_unchanged(monkeypatch, part):
+    """Parts of 1 row, of one row less or more than _PART and of a whole
+    block give every estimate of the _PART-row parts bit for bit: the
+    boundaries fall inside a block, and a part that wrote to state that
+    another part reads (as the fit's scale once did) would move them.
+    One-row parts run on a short stream, the others on a block and a
+    half."""
+    n = 300 if part == 1 else 24_583
+    want = _every_estimate(n)
+    monkeypatch.setattr(wmc, "_PART", part)
+    assert _every_estimate(n) == want
 
 
-def test_a_split_block_leaves_no_thread_and_raises_a_part_error(
-        monkeypatch):
-    """The threads of a split block end before _mc_mean returns or
-    raises, and an error in a part on another thread is raised again in
-    the caller, as it would be unsplit."""
-    monkeypatch.setattr(wmc, "_PARTS", 3)
+def test_no_estimator_starts_a_thread(monkeypatch):
+    """weight_mc, two_valent_integral and weight_poly_fit evaluate every
+    part on the calling thread: inside each block and after the call,
+    threading.active_count() is what it was before."""
+    seen = []
+    maps = {"_map_samples": wmc._map_samples,
+            "_mixture_map": wmc._mixture_map}
+
+    def spy(name):
+        def run(*args):
+            seen.append((name, threading.active_count(),
+                         threading.current_thread()))
+            return maps[name](*args)
+        return run
+
+    for name in maps:
+        monkeypatch.setattr(wmc, name, spy(name))
     before = threading.active_count()
-    weight_mc(graph2(), lam=0.5, n_samples=wmc.CHUNK, seed=1)
+    weight_mc(graph2(), 0.3 + 0.2j, 3 * wmc.CHUNK, seed=1)
+    two_valent_integral("in-out", W1, W2, 0.5, 2 * wmc.CHUNK, seed=1)
+    weight_poly_fit(graph1_left(), wmc.CHUNK + 5, seed=1)
     assert threading.active_count() == before
+    assert {name for name, _, _ in seen} == set(maps)
+    assert len(seen) == 6 + 4 + 3
+    assert all((count, thread) == (before, threading.current_thread())
+               for _, count, thread in seen)
+
+
+def test_a_split_block_leaves_no_thread_and_raises_a_part_error():
+    """An error in the second part of a block is raised in the caller,
+    as it would be unsplit, and leaves no thread behind."""
+    before = threading.active_count()
+    calls = []
 
     def block(u):
-        if threading.current_thread() is not threading.main_thread():
+        calls.append(len(u))
+        if len(calls) == 2:
             raise ArithmeticError("a part failed")
         return np.zeros(len(u))
 
     with pytest.raises(ArithmeticError, match="a part failed"):
         wmc._mc_mean(wmc.CHUNK, 0, 2, block)
+    assert calls == [wmc._PART, wmc._PART]
     assert threading.active_count() == before
 
 
@@ -290,9 +307,8 @@ def test_mc_mean_returns_each_rows_mean_and_variance(monkeypatch):
     """K complex rows over three blocks, the last one short: per row, the
     mean and the per-sample variance (the real part's plus the imaginary
     part's) that numpy gives for the joined rows.  A constant row has
-    variance exactly 0, and 1 or 3 parts per block move no bit."""
+    variance exactly 0, and one part or four per block move no bit."""
     monkeypatch.setattr(wmc, "CHUNK", 1000)
-    monkeypatch.setattr(wmc, "_MIN_ROWS", 100)
 
     def block(u):
         return np.stack([np.exp(2j * np.pi * u[:, 0]) / (0.1 + u[:, 1]),
@@ -302,16 +318,16 @@ def test_mc_mean_returns_each_rows_mean_and_variance(monkeypatch):
     n = 2_500
     f = block(np.random.default_rng(7).random((n, 2)))
     got = {}
-    for parts in (1, 3):
-        monkeypatch.setattr(wmc, "_PARTS", parts)
-        got[parts] = wmc._mc_mean(n, 7, 2, block)
-    mean, var = got[1]
+    for part in (1000, 300):
+        monkeypatch.setattr(wmc, "_PART", part)
+        got[part] = wmc._mc_mean(n, 7, 2, block)
+    mean, var = got[1000]
     assert mean.shape == var.shape == (3,)
     assert mean == pytest.approx(f.mean(axis=1), rel=1e-13)
     assert var[:2] == pytest.approx(
         f.real.var(axis=1)[:2] + f.imag.var(axis=1)[:2], rel=1e-12)
     assert var[2] == 0.0
-    assert [x.tolist() for x in got[1]] == [x.tolist() for x in got[3]]
+    assert [x.tolist() for x in got[1000]] == [x.tolist() for x in got[300]]
 
 
 # -- blocks split across worker processes -----------------------------
@@ -380,25 +396,23 @@ class _FakePool:
         return [fn(*pickle.loads(pickle.dumps(job))) for job in jobs]
 
 
-@pytest.mark.parametrize("workers, parts, n_blocks, size", [
+@pytest.mark.parametrize("workers, cpus, n_blocks, size", [
     (100_000, 2, 4, 2), (100_000, 8, 4, 3), (100_000, 8, 1, None),
     (3, 8, 5, 3), (2, 8, 2, None), (2, 1, 4, None), (1, 8, 4, None)])
-def test_worker_count_comes_from_the_inputs(monkeypatch, workers, parts,
+def test_worker_count_comes_from_the_inputs(monkeypatch, workers, cpus,
                                             n_blocks, size):
-    """min(workers, _PARTS, blocks after the first) processes, none below
+    """min(workers, _CPUS, blocks after the first) processes, none below
     two, and the estimate of one: a huge --workers asks for no huge pool.
-    The thread pool has ended by the time the process pool starts."""
+    No thread is alive but the caller's when the process pool starts."""
     import multiprocessing
     _FakePool.log = []
     monkeypatch.setattr(multiprocessing, "Pool", _FakePool)
     monkeypatch.setattr(wmc, "CHUNK", 5_000)
-    monkeypatch.setattr(wmc, "_MIN_ROWS", 1_000)
-    monkeypatch.setattr(wmc, "_PARTS", parts)
+    monkeypatch.setattr(wmc, "_CPUS", cpus)
     n = 5_000 * (n_blocks - 1) + 1_234
     before = threading.active_count()
     got = weight_mc(graph2(), 0.3 + 0.2j, n, seed=8, workers=workers)
     assert _FakePool.log == ([] if size is None else [(size, before)])
-    monkeypatch.setattr(wmc, "_PARTS", 1)
     want = weight_mc(graph2(), 0.3 + 0.2j, n, seed=8)
     assert (got.value, got.stderr) == (want.value, want.stderr)
 
@@ -417,7 +431,7 @@ def test_worker_processes_equal_one_process_bit_for_bit(monkeypatch, n):
         return real_pool(processes)
 
     monkeypatch.setattr(multiprocessing, "Pool", spy)
-    monkeypatch.setattr(wmc, "_PARTS", 3)
+    monkeypatch.setattr(wmc, "_CPUS", 3)
 
     def estimates(workers):
         return [(r.value, r.stderr) for r in (
@@ -433,14 +447,14 @@ def test_worker_processes_equal_one_process_bit_for_bit(monkeypatch, n):
 
 
 def test_worker_processes_fork_with_no_thread_alive():
-    """The thread pool of block 0 ends before the process pool forks:
-    Python 3.12 and later warn (DeprecationWarning) when a process with
-    live threads forks, and here that warning is an error.  BLAS starts
-    no threads of its own in this run."""
+    """No estimator starts a thread, so the process pool forks with none
+    alive: Python 3.12 and later warn (DeprecationWarning) when a process
+    with live threads forks, and here that warning is an error.  BLAS
+    starts no threads of its own in this run."""
     script = (
         "from defquant import weight_mc as wmc\n"
         "from defquant.graphs import graph2\n"
-        "wmc._PARTS = 2\n"
+        "wmc._CPUS = 2\n"
         "args = (graph2(), 0.3 + 0.2j, 3 * wmc.CHUNK, 4)\n"
         "one, two = (wmc.weight_mc(*args, workers=w) for w in (1, 2))\n"
         "print((one.value, one.stderr) == (two.value, two.stderr))\n")
@@ -829,6 +843,30 @@ def _reference_mixture_map(u, centers):
     return w, q, use
 
 
+def _where_mixture_map(u, centers):
+    """_mixture_map in its plain form, each cap's points and density term
+    formed on every row and kept by np.where: the reference for the bits
+    of the form that works on each cap's own rows."""
+    p_each = (1 - wmc._P_UNIFORM) / len(centers)
+    cdf = np.cumsum([wmc._P_UNIFORM] + [p_each] * len(centers))
+    comp = np.count_nonzero(cdf[:, None] / cdf[-1] <= u[:, 0], axis=0)
+    spin = np.exp(2j * np.pi * u[:, 2])
+    w = np.sqrt(u[:, 1]) * spin
+    for i, (c, beta) in enumerate(centers):
+        radius = u[:, 1] if beta == 1.0 else u[:, 1] ** (1.0 / (2.0 - beta))
+        w = np.where(comp == i + 1, c + (wmc._CAP_RADIUS * radius * spin), w)
+    use = np.abs(w) < 1
+    q = np.where(use, wmc._P_UNIFORM / np.pi, 0.0)
+    for c, beta in centers:
+        d = np.abs(w - c)
+        use &= d > wmc.SINGULAR_GUARD
+        with np.errstate(divide="ignore"):
+            q += np.where(d < wmc._CAP_RADIUS, p_each * (2.0 - beta) / (
+                2 * np.pi * wmc._CAP_RADIUS ** (2.0 - beta) * d ** beta),
+                0.0)
+    return w, q, use
+
+
 def _two_valent_values(kind, lam, u, propagator):
     """Sample values of the two-valent estimator at W1, W2, one branch per
     kind, through _reference_mixture_map and whole dphi_* 4-tuples."""
@@ -908,10 +946,10 @@ def _hand_rows(centers):
 @pytest.mark.parametrize("propagator", ["disk", "shoikhet"])
 def test_mixture_map_equals_the_searchsorted_reference(propagator):
     """Counting cdf entries picks searchsorted's component, and the
-    whole-array passes give the reference's points, density and guard mask
-    bit for bit, with 3 and 4 centres, on cdf entries and on the cap
-    edges.  A cap row with u1 = 0 lands on its centre: q is inf there,
-    with no warning, and the guard drops it."""
+    map gives the reference's points, density and guard mask bit for
+    bit, with 3 and 4 centres, on cdf entries and on the cap edges.  A
+    cap row with u1 = 0 lands on its centre: q is inf there, with no
+    warning, and the guard drops it."""
     centers = [(W1, 1.0), (W2, 1.0), (1.0 + 0j, 1.5)]
     if propagator == "shoikhet":
         centers.append((0j, 1.0))
@@ -930,13 +968,33 @@ def test_mixture_map_equals_the_searchsorted_reference(propagator):
     assert np.all(np.isinf(q[on_centre])) and not use[on_centre].any()
 
 
+@pytest.mark.parametrize("propagator", ["disk", "shoikhet"])
+def test_mixture_map_equals_the_where_reference(propagator):
+    """Forming each cap's points on its own rows, and its density term on
+    the rows within its radius, gives the bits of the np.where form, with
+    3 and 4 centres: on a block of random rows, many of them outside the
+    disk (all beyond |w| = 1 near the boundary cap), and on the hand rows,
+    a cap row on each centre among them."""
+    centers = [(W1, 1.0), (W2, 1.0), (1.0 + 0j, 1.5)]
+    if propagator == "shoikhet":
+        centers.append((0j, 1.0))
+    hand, on_centre = _hand_rows(centers)
+    for u in (np.random.default_rng(10).random((wmc._PART + 3, 3)), hand):
+        out = wmc._mixture_map(u, centers)
+        for got, want in zip(out, _where_mixture_map(u, centers)):
+            assert _same_bits(got, want) if got.dtype != bool \
+                else np.array_equal(got, want)
+        outside = np.abs(out[0]) >= 1
+        assert outside.any() and not out[2][outside].any()
+    assert np.all(np.isinf(out[1][on_centre]))
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3, 4_097])
 @pytest.mark.parametrize("propagator", ["disk", "shoikhet"])
 def test_mixture_map_equals_the_reference_at_any_block_length(propagator,
                                                                rows):
-    """The whole-block passes give the bits of the reference, which forms
-    each cap's points and density on its own rows, at lengths shorter
-    than, and just past, a SIMD stride; over many seeds the rows of the
+    """The map gives the bits of the selection reference at lengths
+    shorter than, and just past, a SIMD stride; over many seeds the rows of the
     1-, 2- and 3-row blocks hit every component."""
     centers = [(W1, 1.0), (W2, 1.0), (1.0 + 0j, 1.5)]
     if propagator == "shoikhet":
