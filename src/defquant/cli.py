@@ -33,7 +33,8 @@ covers input that would give a meaningless number: a non-finite
 ``--cap``; ``--steps`` below 1; a ``--dim`` other than 3 for
 the so3 structure; ``--from-cache`` with ``--write-cache`` (that would
 store the pooled cached estimate again as a new independent record);
-and a ``--cache`` path that cannot be opened.
+a ``--cache`` path that cannot be opened; and a ``graphs enumerate`` of
+more than ``graphs.MAX_GRAPHS`` graphs, refused before any is built.
 
 ``weight mc`` and ``weight two-valent`` accept ``--workers`` and pass it
 to ``weight_mc`` and ``two_valent_integral``: worker processes evaluate

@@ -11,12 +11,14 @@ compares the ints.  +, -, * and == work on the ints with math.gcd and
 build no Fraction; ``re`` and ``im`` return the parts as Fraction, and
 only they, hash, / and coercion from non-int input build one.
 ``perm_sign`` is the one permutation-sign routine the graded code shares
-(edge reorderings, antisymmetric components, wedge products).
+(edge reorderings, antisymmetric components, wedge products); it is
+memoised, so callers pass tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 _new = object.__new__
@@ -215,12 +217,21 @@ class QC:
         return f"QC({self.re}, {self.im})"
 
 
-def perm_sign(seq) -> int:
+@lru_cache(maxsize=4096)
+def perm_sign(seq: tuple) -> int:
     """Sign (+1 or -1) of the permutation that sorts the distinct entries
-    of ``seq``, by counting inversions."""
-    inv = 0
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                inv += 1
-    return -1 if inv % 2 else 1
+    of the tuple ``seq``: each cycle of length c of the sorting
+    permutation contributes c - 1 transpositions.  O(k log k) for k
+    entries, and memoised per tuple (at most 4,096 of them), since the
+    callers ask for the same few orderings again and again."""
+    order = sorted(range(len(seq)), key=seq.__getitem__)
+    seen = [False] * len(seq)
+    even = True
+    for i in range(len(seq)):
+        if not seen[i]:
+            j = order[i]
+            while j != i:
+                seen[j] = True
+                j = order[j]
+                even = not even
+    return 1 if even else -1

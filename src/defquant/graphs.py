@@ -10,6 +10,7 @@ short loops are forbidden, and the edges leaving vertex k are labeled
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -102,10 +103,15 @@ class AdmissibleGraph:
     def _dst_name(self, d: int) -> str:
         return f"b{d - self.n}" if d > self.n else str(d)
 
+    _text = None
+
     def to_text(self) -> str:
-        inner = ", ".join(f"{e.src}>{self._dst_name(e.dst)}#{e.label}"
-                          for e in self.edges)
-        return f"K({self.n},{self.m})[{inner}]"
+        """The K(n,m) text, rendered on the first call and then kept."""
+        if self._text is None:
+            inner = ", ".join(f"{e.src}>{self._dst_name(e.dst)}#{e.label}"
+                              for e in self.edges)
+            self._text = f"K({self.n},{self.m})[{inner}]"
+        return self._text
 
     @classmethod
     def from_text(cls, s: str) -> "AdmissibleGraph":
@@ -132,45 +138,59 @@ class AdmissibleGraph:
         odd automorphism) parity_consistent is False and the weight
         vanishes identically.
 
-        Only the n! aerial renamings are searched.  Each renaming numbers
-        every star's edges in the order of their destination numbers
-        (parallel edges keep their order) and is keyed by its edge list as
-        (source, destination) vertex numbers, aerial 1..n before ground
-        n+1..n+m; the smallest key wins.  With n <= 9 and m <= 9 every
-        vertex name is one digit, after a ``b`` for ground vertices, so
-        the keys order as the K(n,m) texts and the result is the minimal
-        text of its class.  A second minimizer arises from a repeated
-        destination in a star (swapping those two labels is odd) or from
-        two renamings with the same key.
+        Only the n! aerial renamings are searched, streamed one at a time.
+        Each renaming numbers every star's edges in the order of their
+        destination numbers (parallel edges keep their order) and is keyed
+        by its edge list as (source, destination) vertex numbers, aerial
+        1..n before ground n+1..n+m; the smallest key wins.  With n <= 9
+        and m <= 9 every vertex name is one digit, after a ``b`` for ground
+        vertices, so the keys order as the K(n,m) texts and the result is
+        the minimal text of its class.  A second minimizer arises from a
+        repeated destination in a star (swapping those two labels is odd)
+        or from two renamings with the same key.
+
+        The minimal key fixes the canonical graph, since labels follow the
+        key's order within each star.  So the graph is built once per
+        class and interned in ``_CLASSES`` under (n, m, key); every member
+        of the class gets that one object, with its own parity and
+        consistency, and the object renders its text once (``to_text``
+        caches it).  Sharing is safe because a graph is never changed
+        after construction.  The intern holds one graph per class seen,
+        not per renaming.
         """
         n, m = self.n, self.m
-        base = self.edges
-        size = len(base) or 1
         width = n + m + 1
-        ends = [(e.src, e.dst, i) for i, e in enumerate(base)]
+        ends = [(e.src, e.dst) for e in self.edges]
         ground = tuple(range(n + 1, n + m + 1))
         best, parities = None, set()
         for p in itertools.permutations(range(1, n + 1)):
             new = (0,) + p + ground
-            codes = sorted([(new[s] * width + new[d]) * size + i
-                            for s, d, i in ends])
-            key = [c // size for c in codes]
-            if best and key > best[0]:
+            codes = [new[s] * width + new[d] for s, d in ends]
+            key = sorted(codes)
+            if best is not None and key > best:
                 continue
-            order = [c % size for c in codes]
-            if not best or key < best[0]:
-                best, parities = (key, new, order), set()
-            parities.add(perm_sign(order))
-        if len({(e.src, e.dst) for e in base}) < len(base):
+            if best is None or key < best:
+                best, parities = key, set()
+            # a stable sort: parallel edges keep their order
+            parities.add(perm_sign(tuple(sorted(range(len(codes)),
+                                                key=codes.__getitem__))))
+        key = tuple(best)
+        if len(set(key)) < len(key):
             parities = {1, -1}
-        _, new, order = best
-        edges = []
-        for i in order:
-            s, d, _ = ends[i]
-            label = label + 1 if edges and edges[-1].src == new[s] else 1
-            edges.append(Edge(new[s], new[d], label))
-        return (AdmissibleGraph._trusted(n, m, tuple(edges)),
-                1 if 1 in parities else -1, len(parities) == 1)
+        gc = _CLASSES.get((n, m, key))
+        if gc is None:
+            edges = []
+            for code in key:
+                s, d = divmod(code, width)
+                label = label + 1 if edges and edges[-1].src == s else 1
+                edges.append(Edge(s, d, label))
+            gc = _CLASSES[n, m, key] = AdmissibleGraph._trusted(
+                n, m, tuple(edges))
+        return gc, 1 if 1 in parities else -1, len(parities) == 1
+
+
+# canonical graph of each class seen, by (n, m, minimal key)
+_CLASSES = {}
 
 
 def _parse_edges(body: str, n: int):
@@ -190,19 +210,31 @@ def _parse_edges(body: str, n: int):
 
 # -- enumeration ------------------------------------------------------
 
+# a labeled graph takes about 200 bytes (its stars' edges are shared):
+# (4,3) = 810,000 graphs fit, (5,2) = 24,300,000 would take about 5 GB
+MAX_GRAPHS = 2_000_000
+
+
 def enumerate_graphs(n: int, m: int, out_degree: int,
                      allow_parallel: bool = False):
     """All labeled graphs with the given uniform aerial out-degree.
 
     The edge leaving vertex k with label j points at the j-th entry of the
     chosen target tuple.  With n = 0 the list is empty; a negative count
-    raises ValueError.
+    raises ValueError, and so does a list longer than ``MAX_GRAPHS``,
+    before any graph is built: its length is perm(n+m-1, d)**n, or
+    (n+m-1)**(d*n) with parallel edges.
     """
     for name, val in (("n", n), ("m", m), ("out-degree", out_degree)):
         if val < 0:
             raise ValueError(f"invalid {name} {val}: must be >= 0")
     if n == 0:
         return []
+    count = ((n + m - 1) ** (out_degree * n) if allow_parallel
+             else math.perm(n + m - 1, out_degree) ** n)
+    if count > MAX_GRAPHS:
+        raise ValueError(f"too many graphs {count}: an enumeration holds "
+                         f"at most {MAX_GRAPHS}")
     out = []
     per_vertex = []
     for v in range(1, n + 1):

@@ -166,6 +166,9 @@ TWO_VALENT = ("weight", "two-valent", "--kind", "out-out")
     ("series", "shadow", "--w", "0.5", "--terms", "-2"),
     ("graphs", "enumerate", "--n", "2", "--m", "-1"),
     ("graphs", "enumerate", "--n", "2", "--m", "2", "--out-degree", "-1"),
+    ("graphs", "enumerate", "--n", "5", "--m", "2"),
+    ("graphs", "enumerate", "--n", "5", "--m", "1", "--allow-parallel",
+     "--canonical"),
     ("star", "assemble", "--structure", "moyal", "--dim", "0"),
     ("star", "assemble", "--structure", "moyal", "--dim", "-2"),
     ("star", "assemble", "--structure", "moyal", "--dim", "3"),
@@ -207,6 +210,10 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     (("graphs", "enumerate", "--n", "2", "--m", "-1"), "invalid m -1"),
     (("graphs", "enumerate", "--n", "2", "--m", "2", "--out-degree", "-1"),
      "invalid out-degree -1"),
+    (("graphs", "enumerate", "--n", "5", "--m", "2"),
+     "too many graphs 24300000"),
+    (("graphs", "enumerate", "--n", "5", "--m", "1", "--allow-parallel"),
+     "too many graphs 9765625"),
     (("star", "assoc", "--structure", "moyal", "--dim", "0"),
      "invalid dimension 0"),
     (("star", "assemble", "--structure", "so3", "--dim", "4"),
@@ -654,6 +661,21 @@ def test_enumerate_lists_every_labeled_graph(capsys):
     graphs = rep["results"]["graphs"]
     assert rep["results"]["count"] == len(graphs) == len(set(graphs))
     assert "canonical_classes" not in rep["results"]
+
+
+def test_enumerate_refuses_past_the_bound_before_building(capsys,
+                                                          monkeypatch):
+    """(5,2) would hold 24,300,000 graphs: exit 2, naming the count and
+    the bound, and no graph is built."""
+    def build(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(AdmissibleGraph, "_trusted", build)
+    code, out, err = run(capsys, "graphs", "enumerate", "--n", "5", "--m",
+                         "2", "--canonical")
+    assert (code, out) == (2, "")
+    assert err == ("error: too many graphs 24300000: an enumeration holds "
+                   "at most 2000000\n")
 
 
 def test_fedosov_star_curved_has_no_oracle_check(capsys):

@@ -1,5 +1,6 @@
 """Exact scalar and polynomial/jet arithmetic."""
 
+import itertools
 import math
 import os
 import random
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from defquant.exactnum import QC
+from defquant.exactnum import QC, perm_sign
 from defquant.exactpoly import (Poly, matrix_inverse_jet, poly_sum, sin_jet,
                                cos_jet)
 
@@ -479,3 +480,37 @@ def test_poly_sum_is_the_left_fold_of_plus():
         got = poly_sum(2, polys)
         assert got == want and list(got.terms) == list(want.terms)
         assert got.trunc == want.trunc
+
+
+def inversion_sign(seq) -> int:
+    """Reference: the sign of the permutation that sorts the distinct
+    entries of ``seq``, by counting inversions (the plain form of
+    ``perm_sign``)."""
+    inv = 0
+    for a in range(len(seq)):
+        for b in range(a + 1, len(seq)):
+            if seq[a] > seq[b]:
+                inv += 1
+    return -1 if inv % 2 else 1
+
+
+def test_perm_sign_equals_the_inversion_count():
+    """On every permutation of length <= 6, then on every one of length 7
+    (more than the memo holds, so entries are evicted and computed
+    again), and on distinct entries that are not 0..k-1: the wedge index
+    tuples d1 + d2 that weyl._merge_wedge signs, and seeded samples."""
+    for k in range(8):
+        for p in itertools.permutations(range(k)):
+            assert perm_sign(p) == inversion_sign(p), p
+    for k in range(7):
+        assert all(perm_sign(p) == inversion_sign(p)
+                   for p in itertools.permutations(range(k)))
+    dims = range(6)
+    forms = [c for r in range(4) for c in itertools.combinations(dims, r)]
+    for d1, d2 in itertools.product(forms, repeat=2):
+        if d1 and d2 and not set(d1) & set(d2):
+            assert perm_sign(d1 + d2) == inversion_sign(d1 + d2), (d1, d2)
+    rng = random.Random(29)
+    for _ in range(500):
+        seq = tuple(rng.sample(range(-40, 40), rng.randint(0, 12)))
+        assert perm_sign(seq) == inversion_sign(seq), seq

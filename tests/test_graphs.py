@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from defquant import graphs as graphs_module
 from defquant.exactnum import perm_sign
 from defquant.graphs import (AdmissibleGraph, Edge, canonical_classes,
                              enumerate_graphs, fan_graph, cycle_graph,
@@ -137,7 +138,7 @@ def brute_force_canonical_form(g):
             if best_sig is not None and sig > best_sig:
                 continue
             order = [origin[(e.src, e.label)] for e in g2.edges]
-            par = perm_sign(order)
+            par = perm_sign(tuple(order))
             if best_sig is None or sig < best_sig:
                 best, best_sig, parities = g2, sig, {par}
             else:
@@ -211,6 +212,81 @@ def test_two_cycle_labelings_of_graph2():
     assert p1 == -p2
 
 
+def test_enumeration_past_the_bound_is_refused_before_any_graph(
+        monkeypatch):
+    """The closed-form count decides, and no graph is built: (5,2) has
+    perm(6, 2)**5 graphs, (5,1) with parallel edges 5**10.  With the bound
+    patched down to 36, the 36 (2,2) graphs pass and the 81 with parallel
+    edges do not."""
+    built = enumerate_graphs(2, 2, 2)
+
+    def build(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(AdmissibleGraph, "_trusted", build)
+    with pytest.raises(ValueError, match="^too many graphs 24300000: an "
+                                         "enumeration holds at most 2000000$"):
+        enumerate_graphs(5, 2, 2)
+    with pytest.raises(ValueError, match="^too many graphs 9765625:"):
+        enumerate_graphs(5, 1, 2, allow_parallel=True)
+    monkeypatch.undo()
+    monkeypatch.setattr(graphs_module, "MAX_GRAPHS", 36)
+    assert enumerate_graphs(2, 2, 2) == built
+    with pytest.raises(ValueError, match="^too many graphs 81:"):
+        enumerate_graphs(2, 2, 2, allow_parallel=True)
+
+
+def test_interned_class_graphs_render_as_fresh_graphs():
+    """Every (3,2) member gets its class's one interned graph, and that
+    graph's cached text equals the text of a fresh copy."""
+    graphs = enumerate_graphs(3, 2, 2)
+    classes = canonical_classes(graphs)
+    for g in graphs:
+        gc, _, _ = g.canonical_form()
+        assert gc is classes[gc.to_text()][0]
+    for key, (gc, _, _) in classes.items():
+        fresh = AdmissibleGraph(gc.n, gc.m, gc.edges)
+        assert fresh._text is None
+        assert gc.to_text() == fresh.to_text() == key
+        assert gc.to_text() is gc.to_text()
+
+
+def test_members_of_one_class_share_the_graph_but_not_the_parity():
+    """Members of opposite parity get the same object, and each keeps its
+    own parity whichever member was canonicalised last."""
+    by_class = {}
+    for g in enumerate_graphs(3, 2, 2):
+        gc, par, _ = g.canonical_form()
+        by_class.setdefault(id(gc), {}).setdefault(par, g)
+    mixed = [members for members in by_class.values() if len(members) == 2]
+    assert mixed
+    for members in mixed:
+        plus, minus = members[1], members[-1]
+        c1, p1, k1 = plus.canonical_form()
+        c2, p2, k2 = minus.canonical_form()
+        assert c1 is c2 and (p1, p2) == (1, -1) and k1 == k2
+        assert plus.canonical_form() == (c1, 1, k1)
+        assert brute_force_canonical_form(minus) == (c2, -1, k2)
+
+
+def test_wheel_of_seven_vertices_adds_one_interned_class(monkeypatch):
+    """wheel_graph(6) has n = 7.  Its canonical form equals the text
+    search over all 5,040 renamings, and the intern gains exactly one
+    entry, also for a renamed copy: nothing per renaming is kept.  (The
+    brute-force reference would also try the hub's 720 label orders per
+    renaming.)"""
+    monkeypatch.setattr(graphs_module, "_CLASSES", {})
+    g = wheel_graph(6)
+    assert g.n == 7
+    gc, par, consistent = g.canonical_form()
+    assert (gc, par, consistent) == text_minimising_canonical_form(g)
+    assert list(graphs_module._CLASSES.values()) == [gc]
+    renamed = AdmissibleGraph(7, 0, [Edge(8 - e.src, 8 - e.dst, e.label)
+                                     for e in g.edges])
+    assert renamed.canonical_form()[0] is gc
+    assert len(graphs_module._CLASSES) == 1
+
+
 def test_aerial_two_cycle_has_odd_automorphism():
     g = cycle_graph(2)
     _, _, consistent = g.canonical_form()
@@ -261,7 +337,7 @@ def text_minimising_canonical_form(g):
         sig = signature(g2)
         if best_sig is not None and sig > best_sig:
             continue
-        par = perm_sign(order)
+        par = perm_sign(tuple(order))
         if best_sig is None or sig < best_sig:
             best, best_sig, parities = g2, sig, {par}
         else:
