@@ -13,7 +13,7 @@ Layers, bottom up:
   > cache > sampling).  The polynomials' reflection relations are gated
   at roundoff: they re-check the propagators' conjugation identity
   phi_{1-cj lam} = cj phi_lam through the integrand, not the integral.
-- series: wheel zeta values, n-wheel shadow sums and the displayed 2-wheel
+- series: wheel zeta values, the 2-wheel shadow sum and its displayed
   combination, each with a rigorous bound; exact harmonic identities.
 - star: graph operators on polynomial data and the order-2 star product
   with error propagation into associativity residuals.

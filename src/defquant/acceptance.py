@@ -104,16 +104,17 @@ def criterion_1(quick: bool = False) -> CriterionResult:
 
 def criterion_2(quick: bool = False) -> CriterionResult:
     """Fan weights 1/m!, from the exact table and by MC.  The exact lines
-    read the hand table of weights (weight_mc._EXACT) through
-    WeightSource.  A fan's integrand is constant, so the MC mean is 1/m!
-    to roundoff, gated at the 4 eps |mean| that weight_mc reads as
-    roundoff."""
+    read the hand table of weights (weight_mc._EXACT) through WeightSource
+    and pass only on a result known without sampling (MCResult.exact): a
+    sampled fan reads 1/m! at stderr 0 as well.  A fan's integrand is
+    constant, so the MC mean is 1/m! to roundoff, gated at the 4 eps
+    |mean| that weight_mc reads as roundoff."""
     r = CriterionResult(2, "fan weights 1/m!")
     src = WeightSource(n_samples=1000, seed=1)
     for m in (1, 2, 3):
         want = Fraction(1, math.factorial(m))
         exact = src.weight(fan_graph(m), lam=0.3)
-        ok = exact.stderr == 0.0 and exact.value == want
+        ok = exact.exact and exact.value == want
         r.add(f"fan m={m} exact", 0 if ok else 1, 0, 0)
         mc = weight_mc(fan_graph(m), lam=0.3, n_samples=50_000, seed=100 + m)
         r.add(f"fan m={m} mc", abs(mc.value - want), 0.0,

@@ -31,7 +31,8 @@ covers input that would give a meaningless number: a non-finite
 1 (``fan:0``, ``wheel:0``, ``cycle:0``); ``--workers`` below 1;
 ``--samples`` below 2 (a single sample reports stderr 0); a negative
 ``--cap``; ``--steps`` below 1; a ``--dim`` other than 3 for
-the so3 structure; ``--from-cache`` with ``--write-cache`` (that would
+the so3 structure; a ``series shadow --n`` other than 2 (no shadow sum is
+derived for n >= 3); ``--from-cache`` with ``--write-cache`` (that would
 store the pooled cached estimate again as a new independent record);
 a ``--cache`` path that cannot be opened; and a ``graphs enumerate`` of
 more than ``graphs.MAX_GRAPHS`` graphs, refused before any is built.
@@ -328,12 +329,11 @@ def cmd_series_zeta(args):
 
 def cmd_series_shadow(args):
     vb = shadow_sum(args.n, args.w, args.terms)
-    disp = two_wheel_display(args.w) if args.n == 2 else None
+    disp = two_wheel_display(args.w)
     results = {"n": args.n, "w": args.w, "value": vb.value,
-               "bound": vb.bound}
-    if disp is not None:
-        results["two_wheel_display"] = {"value": disp.value,
-                                        "bound": disp.bound}
+               "bound": vb.bound,
+               "two_wheel_display": {"value": disp.value,
+                                     "bound": disp.bound}}
     return {"n": args.n, "w": args.w, "terms": args.terms}, None, [], results
 
 

@@ -1,9 +1,10 @@
 """Disk-model series for the Merkulov wheels, each with a rigorous bound.
 
 The module holds the wheel zeta values (merkulov_wheel_zeta), the shadow
-sums of the n-wheels (shadow_sum, constant in |w| and equal to zeta(2) at
-n = 2 only), the displayed four-series combination for the 2-wheel shadow
-(two_wheel_display) and the exact harmonic identities (harmonic_identity).
+sum of the 2-wheel (shadow_sum, constant in |w| and equal to zeta(2); no
+n >= 3 rule is derived, so other n are refused), the displayed
+four-series combination for the 2-wheel shadow (two_wheel_display) and
+the exact harmonic identities (harmonic_identity).
 The series come from polar coordinates, a split of the domain at the
 radius of each fixed point so every rational factor expands geometrically,
 and angular integrals that couple the series indices.
@@ -16,7 +17,7 @@ of the bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -64,130 +65,84 @@ def merkulov_wheel_zeta(n: int, N: int = 10_000) -> ValueBound:
 
 
 # ---------------------------------------------------------------------
-# the shadow of the n-wheels
+# the shadow of the 2-wheel
 # ---------------------------------------------------------------------
 
-def _geo_sum(x: float, power: int, start: int = 1):
-    """sum_{d>=start} x^d (d+1)^power with a rigorous geometric cutoff.
-
-    The term ratio is x ((d+2)/(d+1))^power, which is eventually < 1; the
-    sum stops at a term below 1e-18 with ratio < 1 and bounds the rest by
-    a geometric series with that ratio.  Returns (value, bound_on_remainder).
-    """
-    total = 0.0
-    d = start
-    term = x ** d * (d + 1) ** power
-    while True:
-        ratio = x * ((d + 2) / (d + 1)) ** power
-        if term < 1e-18 and ratio < 1:
-            return total, term * ratio / (1 - ratio) + term
+def _geo_sum(x: float, d: int = 1):
+    """sum_{k>=d} x^k, 0 < x < 1, summed up to the first term below 1e-18:
+    returns (value, the rest bounded by a geometric series of ratio x)."""
+    total, term = 0.0, x ** d
+    while term >= 1e-18:
         total += term
         d += 1
-        term = x ** d * (d + 1) ** power
-        if d > 100_000:
-            raise RuntimeError("geometric cutoff failed to trigger")
+        term = x ** d
+    return total, term * x / (1 - x) + term
 
 
 @dataclass
 class ShadowSum(ValueBound):
-    """Truncated shadow of an n-wheel at one interpolation-free |w|."""
-    n: int
+    """Truncated shadow of the 2-wheel at one interpolation-free |w|."""
     w_abs: float
     N: int
-    blocks: dict = field(default_factory=dict)
-
-
-def _s0_block(n: int, x: float, N: int):
-    """sum_l (1-x^l)^n / l^n accelerated: zeta part + geometric parts."""
-    zeta_part = merkulov_wheel_zeta(n, N)
-    value = zeta_part.value
-    bound = zeta_part.bound
-    ls = np.arange(1, N + 1, dtype=float)
-    for j in range(1, n + 1):
-        coef = (-1) ** j * math.comb(n, j)
-        value += coef * float(np.sum(x ** (j * ls) / ls ** n))
-        # geometric tail of sum_{l>N} x^{jl}/l^n
-        bound += (math.comb(n, j) * x ** (j * (N + 1))
-                  / ((N + 1) ** n * (1 - x ** j)))
-    return value, bound
+    blocks: dict
 
 
 def shadow_sum(n: int, w_abs: float, N: int | None = None) -> ShadowSum:
-    """Evaluate the invariant shadow combination of the n-wheel.
+    """Evaluate the invariant shadow combination of the 2-wheel.
 
-    Index tuples (l_1..l_n) satisfy: l_1 < l_2 < ... < l_{s+1} strictly
-    (s = m+m' > 0) and l_{s+1} >= l_{s+2} >= ... >= l_n >= l_1; every
-    (m, m') contribution sharing a tuple is combined *before* summation,
-    since the individual blocks diverge as |w| -> 1.  At n = 2 the result
-    is constant in w_abs, equal to zeta(2); at n = 3 it is not (zeta(3) +
-    7.0e-3 at w_abs = 0.5, bound 3.1e-4, and a larger N barely moves it).
+    Index pairs l_2 >= l_1 >= 1 fall in two blocks, x = w_abs^2: block 0
+    (l_1 = l_2 = l) is sum_l (1-x^l)^2/l^2, block 1 (the strict ascents
+    l_2 = l_1 + d, d >= 1) is sum_{l,d} 2 x^d (1-x^l)^2/(l (l+d)).  All
+    (m, m') contributions sharing a pair are combined before summation,
+    since the individual pieces diverge as |w| -> 1.  The sum is constant
+    in w_abs and equal to zeta(2).
 
-    Tuples are truncated at l_{s+1} <= N and chain width
-    d = l_{s+1}-l_1 <= dmax; both cuts carry rigorous bounds (the width
-    cut by the x^d factor of every surviving term, the cap cut by a
-    per-(L, d) estimate split at d = L/2).
+    Pairs are truncated at l_2 <= N and width d <= dmax; both cuts carry
+    rigorous bounds (the width cut by the x^d factor of every surviving
+    term, the cap cut by a per-(L, d) estimate split at d = L/2).
+
+    Any n other than 2 raises ValueError.  The index rule carried to
+    n >= 3 drifts from zeta(n) with |w| far past its own bound (zeta(3)
+    + 7.0e-3 at w_abs = 0.5, bound 3.1e-4), and no derivation backs
+    another rule, so there is no checked number to report.
     """
-    if n < 2:
-        raise ValueError("needs n >= 2")
+    if n != 2:
+        raise ValueError(f"the shadow sum is derived for n = 2 only, "
+                         f"got n = {n}")
     if not 0 < w_abs <= 0.8:
         raise ValueError("w_abs must lie in (0, 0.8]")
-    if N is None:
-        N = {2: 8000, 3: 300}.get(n, 100)
+    N = 8000 if N is None else N
     if N < 1:
         raise ValueError(f"needs N >= 1 terms, got {N}")
     x = w_abs ** 2
     dmax = max(4, math.ceil(math.log(1e-18) / math.log(x)))
+    ls = np.arange(1, N + 1, dtype=float)
+    xl = x ** ls
 
-    blocks = {}
-    value, bound = _s0_block(n, x, N)
-    blocks[0] = value
+    # block 0 accelerated: zeta(2) - 2 sum x^l/l^2 + sum x^{2l}/l^2, the
+    # geometric parts' l > N tails bounded geometrically
+    zeta_part = merkulov_wheel_zeta(2, N)
+    head = (zeta_part.value - 2 * float(np.sum(xl / ls ** 2))
+            + float(np.sum(x ** (2 * ls) / ls ** 2)))
+    bound = (zeta_part.bound + 2 * x ** (N + 1) / ((N + 1) ** 2 * (1 - x))
+             + x ** (2 * (N + 1)) / ((N + 1) ** 2 * (1 - x ** 2)))
 
-    l1 = np.arange(1, N + 1, dtype=float)
-    xl1 = x ** l1
-    import itertools
-    for s in range(1, n):
-        signs = [(-1) ** (s - mm) * math.comb(n, mm) * math.comb(n - mm, s - mm)
-                 for mm in range(s + 1)]
-        block_val = 0.0
-        for d in range(s, dmax + 1):
-            base = l1[: max(0, N - d)]       # l1 with l1 + d <= N
-            if base.size == 0:
-                continue
-            xb = xl1[: base.size]
-            for mids in itertools.combinations(range(1, d), s - 1):
-                offs = (0,) + mids + (d,)    # ascending chain offsets
-                denom_chain = np.ones_like(base)
-                for o in offs:
-                    denom_chain *= base + o
-                # inner alternating sum over m: the exponent of x is
-                # sum_{i=m+1}^{s+1} l_i - l_1 = (s-m) l_1 + sum(offs[m:])
-                inner = np.zeros_like(base)
-                for mm in range(s + 1):
-                    inner += (signs[mm] * x ** sum(offs[mm:])
-                              * x ** ((s - mm) * base))
-                for tail in itertools.combinations_with_replacement(
-                        range(d + 1), n - s - 1):
-                    denom = denom_chain.copy()
-                    free = 1.0 - xb
-                    for t in tail:
-                        denom *= base + t
-                        free = free * (1.0 - xb * x ** t)
-                    block_val += float(np.sum(free * inner / denom))
-        blocks[s] = block_val
-        value += block_val
+    # block 1, one pass per width d
+    ascent = 0.0
+    for d in range(1, min(dmax, N - 1) + 1):
+        base = ls[:N - d]                # l with l + d <= N
+        inner = -2 * x ** d * x ** base + 2 * x ** d
+        ascent += float(np.sum((1.0 - xl[:N - d]) * inner
+                               / (base * (base + d))))
 
-        # tail bound for this s: tuples with cap L > N ...
-        b_s = math.comb(n, s) * 2 ** s
-        g_val, g_rem = _geo_sum(x, n - 2)
-        q_val, q_rem = _geo_sum(math.sqrt(x), n - 2, start=N + 1)
-        fac = b_s / math.factorial(s - 1)
-        bound += fac * (2 ** (n - 1) * (g_val + g_rem)
-                        / ((n - 1) * N ** (n - 1)) + q_val + q_rem)
-        # ... and with L <= N but width d > dmax
-        crude_L = float(np.sum((l1 + 1.0) ** (n - 2)))
-        bound += fac * crude_L * x ** (dmax + 1) / (1 - x)
+    # tail bound for the ascent block: pairs with cap L > N ...
+    g_val, g_rem = _geo_sum(x)
+    q_val, q_rem = _geo_sum(math.sqrt(x), N + 1)
+    bound += 4 * (2 * (g_val + g_rem) / N + q_val + q_rem)
+    # ... and with L <= N but width d > dmax
+    bound += 4 * N * x ** (dmax + 1) / (1 - x)
 
-    return ShadowSum(value, bound, n, w_abs, N, blocks)
+    return ShadowSum(head + ascent, bound, w_abs, N, {0: head, 1: ascent})
 
 
 def two_wheel_display(w_abs: float) -> ValueBound:

@@ -268,7 +268,8 @@ class StarProductSeries:
     ``uncertainties[n]`` lists (sigma, V) pairs: the assembled B_n moves
     by delta * V when the pooled Monte Carlo weight of one canonical
     graph class moves by delta, and sigma is that weight's standard
-    error.  Exact-table classes contribute no entry.
+    error.  Classes known without sampling (``MCResult.exact``) contribute
+    no entry; a sampled one does, even at stderr 0.
     """
 
     dim: int
@@ -329,7 +330,7 @@ def star_order2(pi: PolyVectorField, lam, source) -> StarProductSeries:
         for gc, scaled in classes:
             res = source.weight(gc, lam=lam)
             total = total + scaled.scale(QC.coerce(res.value))
-            if res.stderr > 0:
+            if not res.exact:
                 series.uncertainties[level].append((res.stderr, scaled))
         series.ops[level] = total
     return series

@@ -359,11 +359,13 @@ def _mc_mean(n_samples: int, seed, dim: int, block, workers: int = 1):
     No thread is started.  Block 0 fixes f0; the later blocks go to k =
     min(workers, _CPUS, blocks after the first) processes if k >= 2,
     worker w reading blocks w, w + k, ... (w = 1..k).  Sums are added in
-    block order either way.  The pool forks: with forkserver, ``weight mc
-    --workers 2`` at 2*10^6 samples took 0.79 s against 0.59 s (medians
-    of 8 runs, 2 vCPUs, Python 3.11), and the only threads alive at the
-    fork are OpenBLAS's, whose locks no block takes, since none calls
-    BLAS.
+    block order either way.  The pool starts its processes by the
+    platform's default method: fork on Linux up to Python 3.13,
+    forkserver there from 3.14, spawn on macOS and Windows.  Under Python
+    3.11, ``weight mc --workers 2`` at 2*10^6 samples took 0.59 s with
+    fork against 0.79 s with forkserver (medians of 8 runs, 2 vCPUs).
+    Where the pool forks, the only threads alive at the fork are
+    OpenBLAS's, whose locks no block takes, since none calls BLAS.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2 (one sample has no "

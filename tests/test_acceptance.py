@@ -75,6 +75,16 @@ def test_criterion_2_fails_a_wrong_exact_fan_weight(monkeypatch):
     assert [c.name for c in res.checks if not c.passed] == ["fan m=3 exact"]
 
 
+def test_criterion_2_exact_lines_fail_with_the_table_emptied(monkeypatch):
+    """Without the table the fans are sampled, and a constant integrand
+    reads 1/m! at stderr 0 (fans m = 1, 2 read it exactly); the exact
+    lines must still fail, since no weight was known without sampling."""
+    monkeypatch.setattr(wmc, "_EXACT", {})
+    res = acceptance.criterion_2(quick=True)
+    assert [c.name for c in res.checks if not c.passed] == [
+        "fan m=1 exact", "fan m=2 exact", "fan m=3 exact"]
+
+
 def test_criterion_2_gates_the_mc_fan_weights_at_roundoff(monkeypatch):
     """The constant fan integrands read 1/m! to the last bits with one
     sample count in both modes; an estimate off by 1 part in 1e12 fails."""

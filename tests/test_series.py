@@ -1,9 +1,11 @@
 """Series recipes: wheel zeta values, shadow sums, identities."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -69,24 +71,102 @@ def test_shadow_blocks_split_by_strict_ascent_length():
     assert abs(s.blocks[1]) > 0.01
 
 
-def test_shadow_three_wheel_ballpark():
-    # at n >= 3 the residual truncation drift exceeds the tail estimate at
-    # truncations reachable in test time, so only a ballpark band is
-    # asserted here; the certified route to zeta(3) is the wheel recipe
-    s = shadow_sum(3, 0.5)
-    assert abs(s.value - float(mpmath.zeta(3))) < 0.05
+def _geo_sum_power(x, power, start=1):
+    """sum_{d>=start} x^d (d+1)^power with the geometric cutoff: the
+    general-power form that the n-wheel tail bounds read."""
+    total = 0.0
+    d = start
+    term = x ** d * (d + 1) ** power
+    while True:
+        ratio = x * ((d + 2) / (d + 1)) ** power
+        if term < 1e-18 and ratio < 1:
+            return total, term * ratio / (1 - ratio) + term
+        total += term
+        d += 1
+        term = x ** d * (d + 1) ** power
 
 
-@pytest.mark.xfail(strict=True, reason="the n=3 shadow drifts with |w|: "
-                   "zeta(3) + 1.6e-7 at 0.1, + 7.0e-3 at 0.5")
-def test_shadow_three_wheel_is_constant():
-    a, b = shadow_sum(3, 0.1), shadow_sum(3, 0.5)
-    assert abs(a.value - b.value) <= a.bound + b.bound
+def _general_n_shadow(n, w_abs, N):
+    """The n-wheel index rule that shadow_sum writes out for n = 2, kept
+    as the reference its blocks and bounds must equal bit for bit.
+
+    Tuples (l_1..l_n) have a strict ascent l_1 < ... < l_{s+1} and then
+    l_{s+1} >= ... >= l_n >= l_1; block s sums the tuples of ascent
+    length s.  At n >= 3 this rule drifts with |w|, which is why
+    shadow_sum refuses those n.
+    """
+    x = w_abs ** 2
+    dmax = max(4, math.ceil(math.log(1e-18) / math.log(x)))
+    zeta_part = merkulov_wheel_zeta(n, N)
+    value, bound = zeta_part.value, zeta_part.bound
+    ls = np.arange(1, N + 1, dtype=float)
+    for j in range(1, n + 1):
+        coef = (-1) ** j * math.comb(n, j)
+        value += coef * float(np.sum(x ** (j * ls) / ls ** n))
+        bound += (math.comb(n, j) * x ** (j * (N + 1))
+                  / ((N + 1) ** n * (1 - x ** j)))
+    blocks = {0: value}
+
+    l1 = np.arange(1, N + 1, dtype=float)
+    xl1 = x ** l1
+    for s in range(1, n):
+        signs = [(-1) ** (s - mm) * math.comb(n, mm)
+                 * math.comb(n - mm, s - mm) for mm in range(s + 1)]
+        block_val = 0.0
+        for d in range(s, dmax + 1):
+            base = l1[: max(0, N - d)]
+            if base.size == 0:
+                continue
+            xb = xl1[: base.size]
+            for mids in itertools.combinations(range(1, d), s - 1):
+                offs = (0,) + mids + (d,)
+                denom_chain = np.ones_like(base)
+                for o in offs:
+                    denom_chain *= base + o
+                inner = np.zeros_like(base)
+                for mm in range(s + 1):
+                    inner += (signs[mm] * x ** sum(offs[mm:])
+                              * x ** ((s - mm) * base))
+                for tail in itertools.combinations_with_replacement(
+                        range(d + 1), n - s - 1):
+                    denom = denom_chain.copy()
+                    free = 1.0 - xb
+                    for t in tail:
+                        denom *= base + t
+                        free = free * (1.0 - xb * x ** t)
+                    block_val += float(np.sum(free * inner / denom))
+        blocks[s] = block_val
+        value += block_val
+
+        b_s = math.comb(n, s) * 2 ** s
+        g_val, g_rem = _geo_sum_power(x, n - 2)
+        q_val, q_rem = _geo_sum_power(math.sqrt(x), n - 2, start=N + 1)
+        fac = b_s / math.factorial(s - 1)
+        bound += fac * (2 ** (n - 1) * (g_val + g_rem)
+                        / ((n - 1) * N ** (n - 1)) + q_val + q_rem)
+        crude_l = float(np.sum((l1 + 1.0) ** (n - 2)))
+        bound += fac * crude_l * x ** (dmax + 1) / (1 - x)
+    return value, bound, blocks
+
+
+@pytest.mark.parametrize("w_abs", [0.01, 0.05, 0.1, 0.2, 0.3, 0.33, 0.45,
+                                   0.5, 0.6, 0.7, 0.77, 0.8])
+def test_shadow_equals_the_general_n_rule_bit_for_bit(w_abs):
+    for N in (None, 1, 2, 3, 5, 10, 100, 1000, 8000):
+        s = shadow_sum(2, w_abs, N)
+        want = _general_n_shadow(2, w_abs, 8000 if N is None else N)
+        assert (s.value, s.bound, s.blocks) == want
+        assert list(s.blocks) == [0, 1]
+        assert (s.w_abs, s.N) == (w_abs, 8000 if N is None else N)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 4])
+def test_shadow_refuses_every_n_but_2(n):
+    with pytest.raises(ValueError, match=f"n = {n}"):
+        shadow_sum(n, 0.5)
 
 
 def test_shadow_rejects_bad_input():
-    with pytest.raises(ValueError):
-        shadow_sum(1, 0.5)
     with pytest.raises(ValueError):
         shadow_sum(2, 0.0)
     with pytest.raises(ValueError):

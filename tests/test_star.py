@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from defquant import star
+from defquant import weight_mc as wmc
 from defquant.exactnum import QC
 from defquant.exactpoly import Poly, accumulate
 from defquant.graphs import (AdmissibleGraph, Edge, canonical_classes,
@@ -302,6 +303,15 @@ def test_constant_assembly_never_samples():
     pi = PolyVectorField.bivector(2, [[0, 1], [-1, 0]])
     series = star_order2(pi, 0.7, _ExactOnlySource(n_samples=10, seed=0))
     assert series.uncertainties == {1: [], 2: []}
+
+
+def test_a_sampled_class_keeps_its_entry_at_stderr_0(monkeypatch):
+    """Without the exact table the order-1 fan is sampled; its integrand
+    is constant, so it reads stderr 0, and it still lists its sigma."""
+    monkeypatch.setattr(wmc, "_EXACT", {})
+    pi = PolyVectorField.bivector(2, [[0, 1], [-1, 0]])
+    series = star_order2(pi, 0.7, WeightSource(n_samples=10, seed=0))
+    assert [sigma for sigma, _ in series.uncertainties[1]] == [0.0]
 
 
 def test_constant_assembly_is_moyal():
