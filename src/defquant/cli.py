@@ -21,7 +21,7 @@ computation that finds an identity of its own violated (an
 one ``error:`` line on stderr and no report.  A report's checks are its
 only verdict; a quantity with no known value gets none, as in ``graphs
 enumerate``, ``weight mc`` without ``--target``, ``series zeta`` outside n =
-2..4, ``series shadow``, ``star assemble``, flat or cap < 5 ``fedosov
+2..4, ``star assemble``, flat or cap < 5 ``fedosov
 solve``, curved ``fedosov star``, ``geodesic exp`` without ``--taylor``
 and ``geodesic oracle`` without ``--tol``.  A usage error prints one
 ``error:`` line to stderr and no report; besides malformed flags it
@@ -330,11 +330,15 @@ def cmd_series_zeta(args):
 def cmd_series_shadow(args):
     vb = shadow_sum(args.n, args.w, args.terms)
     disp = two_wheel_display(args.w)
+    checks = [check("value vs zeta(2)", vb.value, ZETA_TARGETS[2], vb.bound),
+              check("two-wheel display vs pi^2/12", disp.value,
+                    ZETA_TARGETS[2] / 2, disp.bound)]
     results = {"n": args.n, "w": args.w, "value": vb.value,
                "bound": vb.bound,
                "two_wheel_display": {"value": disp.value,
                                      "bound": disp.bound}}
-    return {"n": args.n, "w": args.w, "terms": args.terms}, None, [], results
+    return ({"n": args.n, "w": args.w, "terms": args.terms}, None, checks,
+            results)
 
 
 def cmd_series_harmonic(args):
@@ -408,9 +412,8 @@ def cmd_star_assoc(args):
     triples = [random_triple(rng, pi.dim, args.deg_max)
                for _ in range(args.triples)]
     lam, n, series = _star_series(args, pi)
-    checks, worst = acceptance.associativity_checks(series, triples)
-    results = {"triples": args.triples, "deg_max": args.deg_max,
-               "worst_ratio_to_3sigma": worst}
+    checks = acceptance.associativity_checks(series, triples)
+    results = {"triples": args.triples, "deg_max": args.deg_max}
     params = {"structure": args.structure, "lambda": c_json(lam),
               "samples": n, "triples": args.triples,
               "deg_max": args.deg_max}

@@ -18,9 +18,13 @@ by the same sign, so U_l is assembled on canonical graph classes: one
 operator and one weight per class, times the class size; each field
 builds its class operators once (``PolyVectorField.class_operators``).
 Weight values come from a weight source (the exact table, which holds
-the order-2 weights associativity fixes, then a cache, then Monte Carlo);
-every Monte Carlo value carries a standard error which is propagated
-linearly into associativity residuals.
+the order-2 weights associativity fixes, then a cache, then Monte Carlo).
+The only (2,2) class ever sampled is graph2's (away from lam = 1/2), and
+it sends one derivative to each ground slot: its operator V is a
+biderivation, so V(f,g)h - fV(g,h) + V(fg,h) - V(f,gh) = 0 for every
+bivector.  That coboundary is how a weight error moves the order-2
+associativity residual, so the sigma propagated there is identically 0
+and the residual must vanish exactly.
 
 Classes whose operator vanishes identically on the given bivector (for
 instance every derivative-carrying class when the bivector is constant)
@@ -269,7 +273,9 @@ class StarProductSeries:
     by delta * V when the pooled Monte Carlo weight of one canonical
     graph class moves by delta, and sigma is that weight's standard
     error.  Classes known without sampling (``MCResult.exact``) contribute
-    no entry; a sampled one does, even at stderr 0.
+    no entry; a sampled one does, even at stderr 0.  At order 2 the one
+    sampled class, graph2, has a biderivation V with zero coboundary, so
+    the sigma it propagates into the associativity residual is 0.
     """
 
     dim: int
@@ -374,34 +380,6 @@ def associativity_sigma(series: StarProductSeries, f: Poly, g: Poly,
                     acc[e] = (acc.get(e, 0.0) ** 2 + mag ** 2) ** 0.5
         out[l] = acc
     return out
-
-
-def associativity_gate(series: StarProductSeries, f: Poly, g: Poly, h: Poly):
-    """Gate one triple's associativity residual at the series' top order.
-
-    Returns (low, beyond, worst): ``low`` counts the lower orders whose
-    residual is nonzero (they must vanish exactly); ``beyond`` counts the
-    top-order coefficients larger than 3 propagated standard errors, where
-    a coefficient with no error must vanish exactly; ``worst`` is the
-    largest |residual| / (3 sigma) over the coefficients with an error.
-    """
-    order = series.order
-    resid = associativity_residual(series, f, g, h, order)
-    low = sum(1 for k in resid if k < order)
-    sig = associativity_sigma(series, f, g, h, order).get(order, {})
-    beyond = 0
-    worst = 0.0
-    top = resid.get(order)
-    if top is not None:
-        for e, c in top.terms.items():
-            mag = abs(c.to_complex())
-            bound = 3.0 * sig.get(e, 0.0)
-            if bound == 0.0:
-                beyond += int(mag != 0.0)
-            else:
-                worst = max(worst, mag / bound)
-                beyond += int(mag > bound)
-    return low, beyond, worst
 
 
 def random_triple(rng, dim: int, deg_max: int):

@@ -10,6 +10,7 @@ import pytest
 
 from defquant import acceptance, cli, propagators, series, star
 from defquant import weight_mc as wmc
+from defquant.exactpoly import Poly
 from defquant.graphs import fan_graph
 from defquant.weight_mc import MCResult, WeightSource
 
@@ -121,45 +122,47 @@ def test_criterion_6_fails_a_shadow_sum_off_zeta2(monkeypatch):
 
 def test_criterion_9_and_star_assoc_take_their_gate_from_star(monkeypatch,
                                                               capsys):
-    """Both build their per-triple checks with associativity_checks, which
-    asks star.associativity_gate; criterion 9 adds the worst ratio."""
-    assert acceptance.associativity_gate is star.associativity_gate
-    assert not hasattr(cli, "associativity_gate")
+    """Both build their per-triple checks with associativity_checks, from
+    star.associativity_residual: per triple, the nonzero orders below 2
+    and the nonzero order-2 coefficients.  A spy shifts every residual's
+    order 2 by a known polynomial, so a line reads its count only if it
+    asked the residual."""
+    assert acceptance.associativity_residual is star.associativity_residual
+    assert not hasattr(cli, "associativity_residual")
+    assert not hasattr(star, "associativity_gate")
     calls = []
 
-    def spy(*args, **kwargs):
-        out = star.associativity_gate(*args, **kwargs)
+    def spy(series, f, g, h, order):
+        out = star.associativity_residual(series, f, g, h, order)
+        out[order] = out.get(order, Poly.zero(series.dim)) + f * g * h
         calls.append(out)
         return out
 
-    def names(n_triples):
-        return [f"triple {t} {what}" for t in range(n_triples)
-                for what in ("orders 0,1 exact", "order 2 within 3 sigma")]
+    def expected(n_triples):
+        assert len(calls) == n_triples
+        return [(f"triple {t} {what}", float(v))
+                for t, out in enumerate(calls)
+                for what, v in (("orders 0,1 exact", len(out) - 1),
+                                ("order 2 exact", len(out[2].terms)))]
 
-    monkeypatch.setattr(acceptance, "associativity_gate", spy)
+    monkeypatch.setattr(acceptance, "associativity_residual", spy)
     # a small budget: this test is about wiring, not the gate's verdict
     monkeypatch.setattr(
         acceptance, "WeightSource",
         lambda n_samples, seed: WeightSource(n_samples=4000, seed=seed))
 
     res = acceptance.criterion_9(quick=True)
-    assert len(calls) == 8
-    worst = max(w for _, _, w in calls)
-    assert [(c.name, c.value) for c in res.checks[:17]] == list(zip(
-        names(8) + ["worst |residual| / 3 sigma"],
-        [v for low, beyond, _ in calls for v in (low, beyond)] + [worst]))
+    assert [(c.name, c.value) for c in res.checks[:16]] == expected(8)
+    assert all(c.value == 1.0 for c in res.checks[1:16:2])
     # then the two sampler lines
-    assert [c.name for c in res.checks[17:]] == [
+    assert [c.name for c in res.checks[16:]] == [
         f"{key} mc vs {value}" for key, value in wmc.EDGE_PAIR_WEIGHTS.items()]
 
     calls.clear()
     cli.main(["star", "assoc", "--samples", "4000", "--triples", "2"])
     rep = json.loads(capsys.readouterr().out)
-    assert len(calls) == 2
-    assert [(c["name"], c["value"]) for c in rep["checks"]] == list(zip(
-        names(2), [v for low, beyond, _ in calls for v in (low, beyond)]))
-    assert rep["results"]["worst_ratio_to_3sigma"] == max(
-        w for _, _, w in calls)
+    assert [(c["name"], c["value"]) for c in rep["checks"]] == expected(2)
+    assert rep["results"] == {"triples": 2, "deg_max": 3}
 
 
 def test_criterion_9_is_exact_and_samples_only_its_mc_lines(monkeypatch):
@@ -178,7 +181,8 @@ def test_criterion_9_is_exact_and_samples_only_its_mc_lines(monkeypatch):
     res = acceptance.criterion_9(quick=True)
     assert res.passed, res.to_jsonable()
     assert calls == [(key, 150_000) for key in wmc.EDGE_PAIR_WEIGHTS]
-    assert all(c.value == 0 for c in res.checks[:17])
+    assert len(res.checks) == 18
+    assert all(c.value == 0 for c in res.checks[:16])
 
 
 @pytest.mark.parametrize("key", [
@@ -192,7 +196,7 @@ def test_criterion_9_fails_a_fixed_weight_scaled_by_1_001(monkeypatch, key):
     monkeypatch.setitem(wmc._EXACT, key, (value * Fraction(1001, 1000), None))
     res = acceptance.criterion_9(quick=True)
     failed = [c.name for c in res.checks if not c.passed]
-    assert failed and all(name.endswith("order 2 within 3 sigma")
+    assert failed and all(name.endswith("order 2 exact")
                           for name in failed)
 
 

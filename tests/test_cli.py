@@ -1,5 +1,6 @@
 """The command-line front end, run in-process through ``cli.main``."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import warnings
 import pytest
 
 from defquant import cli
+from defquant import weight_mc as wmc
 from defquant.cache import pool
 from defquant.graphs import AdmissibleGraph, graph2
 from defquant.weight_mc import two_valent_integral, weight_mc
@@ -629,11 +631,53 @@ def test_weight_mc_of_the_edgeless_graph_reports_one(capsys):
 def test_series_shadow(capsys):
     code, rep = report(capsys, "series", "shadow", "--n", "2", "--w", "0.5")
     assert code == 0
-    assert rep["checks"] == []
     res = rep["results"]
-    assert res["bound"] >= 0
-    assert "two_wheel_display" in res
+    disp = res["two_wheel_display"]
+    assert [(c["name"], c["value"], c["target"], c["tolerance"], c["pass"])
+            for c in rep["checks"]] == [
+        ("value vs zeta(2)", res["value"], math.pi ** 2 / 6, res["bound"],
+         True),
+        ("two-wheel display vs pi^2/12", disp["value"], math.pi ** 2 / 12,
+         disp["bound"], True)]
+    assert res["bound"] > 0
     assert report(capsys, "series", "shadow", "--w", "0.5") == (code, rep)
+
+
+@pytest.mark.parametrize("what", ["shadow_sum", "two_wheel_display"])
+def test_series_shadow_fails_a_value_off_its_target(capsys, monkeypatch,
+                                                   what):
+    """A constant shift by twice the bound fails the one line that reads
+    the shifted value, with exit 1."""
+    fn = getattr(cli, what)
+
+    def shifted(*args):
+        vb = fn(*args)
+        return dataclasses.replace(vb, value=vb.value + 2 * vb.bound)
+
+    monkeypatch.setattr(cli, what, shifted)
+    code, rep = report(capsys, "series", "shadow", "--w", "0.3")
+    assert code == 1
+    assert [c["name"] for c in rep["checks"] if not c["pass"]] == [
+        {"shadow_sum": "value vs zeta(2)",
+         "two_wheel_display": "two-wheel display vs pi^2/12"}[what]]
+
+
+def test_star_assoc_with_graph2_sampled_is_exact(capsys, monkeypatch):
+    """Away from lam = 1/2 graph2 is sampled; its weight cannot move the
+    order-2 residual, so every line reads exactly 0."""
+    sampled = []
+
+    def counted(g, *args, **kwargs):
+        sampled.append(g.canonical_form()[0].to_text())
+        return weight_mc(g, *args, **kwargs)
+
+    monkeypatch.setattr(wmc, "weight_mc", counted)
+    code, rep = report(capsys, "star", "assoc", "--lambda", "0.3,0.2",
+                       "--samples", "4000")
+    assert sampled == [graph2().canonical_form()[0].to_text()]
+    assert code == 0
+    assert len(rep["checks"]) == 10
+    assert all(c["value"] == 0.0 for c in rep["checks"])
 
 
 def test_series_harmonic(capsys):

@@ -14,7 +14,7 @@ import pytest
 from defquant import star
 from defquant import weight_mc as wmc
 from defquant.exactnum import QC
-from defquant.exactpoly import Poly, accumulate
+from defquant.exactpoly import Poly, accumulate, poly_sum
 from defquant.graphs import (AdmissibleGraph, Edge, canonical_classes,
                              enumerate_graphs, fan_graph, graph1_left, graph2)
 from defquant.star import (PolyVectorField, PolyDiffOperator, graph_operator,
@@ -345,24 +345,21 @@ def test_rejects_non_bivector():
 
 
 # ---------------------------------------------------------------------
-# linear bivector: sampled order 2 within propagated error
+# linear bivector: the sampled order-2 class propagates no error
 # ---------------------------------------------------------------------
 
 def test_so3_assembly_respects_associativity_sigma():
     # at lam = 1/2 every (2,2) weight is exact; away from it graph2 is
-    # sampled
+    # sampled, and its zero coboundary leaves no residual and no sigma
     src = WeightSource(n_samples=80_000, seed=606)
     series = star_order2(so3_bivector(), 0.25, src)
     assert series.uncertainties[1] == []       # order 1 stays exact
     assert len(series.uncertainties[2]) >= 1   # order 2 is sampled
     x = [Poly.var(3, i) for i in range(3)]
     f, g, h = x[0] * x[1], x[2] * x[2], x[0] + x[2]
-    res = associativity_residual(series, f, g, h, 2)
-    sig = associativity_sigma(series, f, g, h, 2)
-    assert 0 not in res and 1 not in res
-    for e, c in res.get(2, Poly.zero(3)).terms.items():
-        bound = sig[2].get(e, 0.0)
-        assert abs(c.to_complex()) <= 3.0 * bound
+    assert associativity_residual(series, f, g, h, 2) == {}
+    # every move is the zero Poly, so no monomial gets a sigma at all
+    assert associativity_sigma(series, f, g, h, 2) == {0: {}, 1: {}, 2: {}}
 
 
 # ---------------------------------------------------------------------
@@ -518,6 +515,52 @@ def test_associativity_fixes_the_order2_weights():
         graph1_left().canonical_form()[0].to_text(): QC(Fraction(1, 4))}
     for key, value in solved.items():
         assert _EXACT[key] == (value, None)
+
+
+def _random_quadratic_bivector(seed):
+    """Pi^{ij} random integer quadratic forms in three variables."""
+    rng = random.Random(seed)
+    x = [Poly.var(3, i) for i in range(3)]
+    quad = [sum((x[i] * x[j] * QC(rng.randint(-3, 3))
+                 for i in range(3) for j in range(i, 3)), Poly.zero(3))
+            for _ in range(3)]
+    z = Poly.zero(3)
+    return PolyVectorField.bivector(3, [[z, quad[0], quad[1]],
+                                        [-quad[0], z, quad[2]],
+                                        [-quad[1], -quad[2], z]])
+
+
+def _jacobiator(pi):
+    """{x0,{x1,x2}} + cyclic for the bracket {f,g} = Pi^{ij} d_i f d_j g."""
+    def bracket(f, g):
+        return poly_sum(3, [pi.component((i, j)) * f.diff(i) * g.diff(j)
+                            for i in range(3) for j in range(3)])
+    x = [Poly.var(3, i) for i in range(3)]
+    return poly_sum(3, [bracket(x[a], bracket(x[b], x[c]))
+                        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))])
+
+
+@pytest.mark.parametrize("name", ["so3", "nambu", "random quadratic"])
+def test_graph2_alone_has_a_zero_coboundary(name):
+    """graph2 sends one derivative to each ground slot, so its class
+    operator V is a biderivation and V(f,g)h - fV(g,h) + V(fg,h) - V(f,gh)
+    vanishes on every bivector, Poisson or not; every other (2,2) class
+    operator leaves a nonzero coboundary on the same triples.  That
+    coboundary is each move associativity_sigma sums at order 2, so the
+    sampled graph2 propagates sigma 0."""
+    pi = (_random_quadratic_bivector(11) if name == "random quadratic"
+          else BIVECTORS[name]())
+    if name == "random quadratic":
+        assert not _jacobiator(pi).is_zero()
+    rng = random.Random(31)
+    triples = [random_triple(rng, 3, 3) for _ in range(4)]
+    key2 = graph2().canonical_form()[0].to_text()
+    ops = dict((gc.to_text(), v) for gc, v in pi.class_operators[2])
+    assert key2 in ops and len(ops) > 1
+    for key, v in ops.items():
+        zero = all((v.apply(f, g) * h - f * v.apply(g, h) + v.apply(f * g, h)
+                    - v.apply(f, g * h)).is_zero() for f, g, h in triples)
+        assert zero is (key == key2), key
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.25, 0.3 + 0.2j])
